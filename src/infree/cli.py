@@ -44,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _read_json(path: str):
     if path == "-":
         text = sys.stdin.read()
@@ -199,7 +206,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check-freeness", help="moment test of infinitesimal freeness")
     p.add_argument("--law", required=True)
     p.add_argument("--colors", required=True)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_check_freeness)
 
     p = sub.add_parser("upgrade", help="order-k law from an order-0 law and a derivation")

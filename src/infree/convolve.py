@@ -2,24 +2,29 @@
 
 Three routes to the same product: the type-A boxed convolution over C_k,
 the type-B double sum at k=1, and the type-k sum weighted by shapes.  The
-first is the production path; the other two exist to witness the equality
-theorems and are computed from enumerated partitions, with per-degree term
-descriptors memoized.
+first is the production path.  Its degree-m coefficient depends on a
+partition p of NC(m) only through the block sizes of p and of Kr(p), so it
+sums over the distinct size profiles, each scaled by the number of
+partitions that share it (33 terms instead of 429 at m=7).  The other two
+routes exist to witness the equality theorems and are computed from
+enumerated partitions, with per-degree term descriptors memoized.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 from .ck import CkScalar, CkSeries, ck_mul, ck_prod_many, multinomial, series_comp_inverse
 from .cumulants import CumulantTable, InfLaw, cumulants_to_moments, moments_to_cumulants
-from .partitions import NcPartition, enumerate_nc, kreweras, ordered_blocks
+from .partitions import catalan, enumerate_nc, kreweras, ordered_blocks
 from .typek import enumerate_type_k, r_of_shape
 
 
 def special_series(kind: str, k: int, trunc: int) -> CkSeries:
     """The unit (delta), all-ones (zeta) and inverse-of-zeta (moebius)
-    series for the boxed convolution."""
+    series for the boxed convolution.  The moebius coefficient of z^n is
+    the Mobius value of [0_n, 1_n] in NC(n), (-1)^(n-1) Catalan(n-1)."""
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
     one = CkScalar.one(k)
@@ -29,22 +34,33 @@ def special_series(kind: str, k: int, trunc: int) -> CkSeries:
     if kind == "zeta":
         return CkSeries(k, trunc, (one,) * trunc)
     if kind == "moebius":
-        return boxed_inverse(special_series("zeta", k, trunc))
+        values = [(-1) ** (n - 1) * catalan(n - 1) for n in range(1, trunc + 1)]
+        return CkSeries.from_rationals(k, values)
     raise ValueError(f"unknown special series kind: {kind!r}")
 
 
 @lru_cache(maxsize=None)
 def _block_profiles(m: int) -> tuple:
-    """(sizes of p's blocks, sizes of Kr(p)'s blocks) over p in NC(m)."""
-    out = []
-    for p in enumerate_nc(m):
-        out.append(
-            (
-                tuple(len(b) for b in p.blocks),
-                tuple(len(b) for b in kreweras(p).blocks),
-            )
+    """Distinct (multiplicity, sorted sizes of p's blocks, sorted sizes of
+    Kr(p)'s blocks) over p in NC(m); the multiplicities sum to Catalan(m)."""
+    counts = Counter(
+        (
+            tuple(sorted(len(b) for b in p.blocks)),
+            tuple(sorted(len(b) for b in kreweras(p).blocks)),
         )
-    return tuple(out)
+        for p in enumerate_nc(m)
+    )
+    return tuple((mult, p_sizes, kr_sizes) for (p_sizes, kr_sizes), mult in counts.items())
+
+
+def _profile_sum(m: int, alpha, beta) -> CkScalar:
+    """Degree-m boxed coefficient: sum over the profiles of mult times
+    prod alpha_{p-sizes} times prod beta_{Kr-sizes}."""
+    acc = CkScalar.zero(alpha[0].k)
+    for mult, p_sizes, kr_sizes in _block_profiles(m):
+        term = ck_prod_many([alpha[s - 1] for s in p_sizes] + [beta[s - 1] for s in kr_sizes])
+        acc = acc + (term if mult == 1 else term.scale(mult))
+    return acc
 
 
 def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
@@ -53,15 +69,7 @@ def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
     if f.k != g.k:
         raise ValueError(f"order mismatch: k={f.k} vs k={g.k}")
     n = min(f.trunc, g.trunc)
-    k = f.k
-    coeffs = []
-    for m in range(1, n + 1):
-        acc = CkScalar.zero(k)
-        for p_sizes, kr_sizes in _block_profiles(m):
-            factors = [f.coeffs[s - 1] for s in p_sizes] + [g.coeffs[s - 1] for s in kr_sizes]
-            acc = acc + ck_prod_many(factors)
-        coeffs.append(acc)
-    return CkSeries(k, n, coeffs)
+    return CkSeries(f.k, n, [_profile_sum(m, f.coeffs, g.coeffs) for m in range(1, n + 1)])
 
 
 def boxed_inverse(f: CkSeries) -> CkSeries:
@@ -79,12 +87,8 @@ def boxed_inverse(f: CkSeries) -> CkSeries:
 
     g: list = []
     for m in range(1, n + 1):
-        acc = CkScalar.zero(k)
-        for p_sizes, kr_sizes in _block_profiles(m):
-            if len(p_sizes) == m:  # p = 0_m carries the unknown beta_m
-                continue
-            factors = [f.coeffs[s - 1] for s in p_sizes] + [g[s - 1] for s in kr_sizes]
-            acc = acc + ck_prod_many(factors)
+        # with beta_m set to zero the p = 0_m term drops out of the sum
+        acc = _profile_sum(m, f.coeffs, g + [CkScalar.zero(k)])
         target = CkScalar.one(k) if m == 1 else CkScalar.zero(k)
         # 0_m term is (alpha_1)^m beta_m
         g.append(ck_mul(a1_inv_pow(m), target - acc))
@@ -144,8 +148,8 @@ def boxed_conv_type_b(f: CkSeries, g: CkSeries) -> CkSeries:
     for m in range(1, n + 1):
         prime = Fraction(0)
         second = Fraction(0)
-        for p_sizes, kr_sizes in _block_profiles(m):
-            term = Fraction(1)
+        for mult, p_sizes, kr_sizes in _block_profiles(m):
+            term = Fraction(mult)
             for s in p_sizes:
                 term *= f.coeffs[s - 1].coords[0]
             for s in kr_sizes:

@@ -2,18 +2,25 @@
 
 A table assigns a C_k scalar to every word over {1, ..., num_vars} of
 length 1..max_len; the empty word is implicitly the unit.  Moments and
-cumulants determine each other through the non-crossing partition sums,
-with the Mobius weights on the inverse direction.
+cumulants determine each other through the non-crossing partition sum,
+computed by its first-block decomposition: the block B holding position 1
+splits the rest of the word into gaps, the maximal runs of positions
+outside B, and every other block lies inside one gap.  So
+
+    m(w) = sum over B containing 1 of kappa(w|B) prod m(w|gap),
+
+2^(n-1) terms for a word of length n instead of Catalan(n).  The inverse
+direction solves the same identity for its B = [n] term.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator
 
 from .ck import CkScalar, ck_prod_many
-from .partitions import NcPartition, SetPartition, enumerate_nc, mobius_to_top, partition_join
+from .partitions import SetPartition, enumerate_nc, partition_join
 
 
 def all_words(num_vars: int, max_len: int) -> Iterator[tuple]:
@@ -99,34 +106,48 @@ class CumulantTable(_WordTable):
 
 
 @lru_cache(maxsize=None)
-def _nc_with_mobius(n: int) -> tuple:
-    """(blocks, Mobius-to-top) for every non-crossing partition of [n]."""
-    return tuple((p.blocks, mobius_to_top(p)) for p in enumerate_nc(n))
+def _first_blocks(n: int) -> tuple:
+    """(B, gaps) for every B containing position 0 of a word of length n,
+    the full block B = (0, ..., n-1) last.  Positions are 0-based; the gaps
+    are the (start, stop) slices of the maximal runs outside B."""
+    out = []
+    for size in range(n):
+        for rest in combinations(range(1, n), size):
+            b = (0,) + rest
+            gaps = tuple((lo + 1, hi) for lo, hi in zip(b, rest + (n,)) if hi > lo + 1)
+            out.append((b, gaps))
+    return tuple(out)
+
+
+def _first_block_sum(w: tuple, terms, kappa: dict, moment: dict, zero: CkScalar) -> CkScalar:
+    """Sum over the given (B, gaps) of kappa(w|B) times prod m(w|gap)."""
+    acc = zero
+    for b, gaps in terms:
+        factors = [kappa[tuple(w[i] for i in b)]]
+        factors += [moment[w[lo:hi]] for lo, hi in gaps]
+        acc = acc + ck_prod_many(factors)
+    return acc
 
 
 def cumulants_to_moments(c: CumulantTable) -> InfLaw:
     """Moment of each word as the sum over non-crossing partitions of the
-    block products of cumulants."""
+    block products of cumulants, by the first-block decomposition.  Words
+    come shortest first, so the moments of the gaps are already known."""
+    zero = CkScalar.zero(c.k)
     out = {}
     for w in c.words():
-        n = len(w)
-        acc = CkScalar.zero(c.k)
-        for blocks, _ in _nc_with_mobius(n):
-            acc = acc + ck_prod_many([c.value(restrict(w, b)) for b in blocks])
-        out[w] = acc
+        out[w] = _first_block_sum(w, _first_blocks(len(w)), c.values, out, zero)
     return InfLaw(c.k, c.num_vars, c.max_len, out)
 
 
 def moments_to_cumulants(m: InfLaw) -> CumulantTable:
-    """Mobius inversion of the partition sum; exact inverse of
-    cumulants_to_moments."""
+    """Exact inverse of cumulants_to_moments: the first-block identity
+    solved for its B = [n] term, kappa(w) = m(w) minus the sum over the
+    proper blocks B, whose cumulants belong to shorter words."""
+    zero = CkScalar.zero(m.k)
     out = {}
     for w in m.words():
-        n = len(w)
-        acc = CkScalar.zero(m.k)
-        for blocks, mob in _nc_with_mobius(n):
-            acc = acc + ck_prod_many([m.value(restrict(w, b)) for b in blocks]).scale(mob)
-        out[w] = acc
+        out[w] = m.values[w] - _first_block_sum(w, _first_blocks(len(w))[:-1], out, m.values, zero)
     return CumulantTable(m.k, m.num_vars, m.max_len, out)
 
 

@@ -15,7 +15,7 @@ from itertools import product as iter_product
 from math import factorial
 from typing import Iterator
 
-from .ck import CkScalar
+from .ck import CkScalar, ck_prod_many
 from .cumulants import (
     CumulantTable,
     InfLaw,
@@ -222,24 +222,23 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     if max_len > joint.max_len:
         raise ValueError("joint table is too short for the requested length")
     first, second = _require_two_equal_colors(coloring)
-    check_len = min(joint.max_len, 4)
-    for w in all_words(joint.num_vars, check_len):
+    for w in joint.words():
         if len({coloring.color_of(v) for v in w}) > 1 and not joint.value(w).is_zero():
             raise ValueError(f"mixed cumulant does not vanish on {w}")
+    block_pairs = {
+        m: [(p.blocks, kreweras(p).blocks) for p in enumerate_nc(m)]
+        for m in range(1, max_len + 1)
+    }
     npairs = len(first)
     out = {}
     for w in all_words(npairs, max_len):
-        m = len(w)
+        aw = tuple(first[j - 1] for j in w)
+        bw = tuple(second[j - 1] for j in w)
         acc = CkScalar.zero(joint.k)
-        for p in enumerate_nc(m):
-            aw = tuple(first[j - 1] for j in w)
-            bw = tuple(second[j - 1] for j in w)
-            left = [joint.value(restrict(aw, b)) for b in p.blocks]
-            right = [joint.value(restrict(bw, b)) for b in kreweras(p).blocks]
-            term = CkScalar.one(joint.k)
-            for f in left + right:
-                term = term * f
-            acc = acc + term
+        for p_blocks, kr_blocks in block_pairs[len(w)]:
+            factors = [joint.value(restrict(aw, b)) for b in p_blocks]
+            factors += [joint.value(restrict(bw, b)) for b in kr_blocks]
+            acc = acc + ck_prod_many(factors)
         out[w] = acc
     return CumulantTable(joint.k, npairs, max_len, out)
 
@@ -301,6 +300,8 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the law")
+    if max_len < 1:
+        raise ValueError(f"length budget must be >= 1, got {max_len}")
     if max_len > joint.max_len:
         raise ValueError("law is too short for the requested length budget")
     k = joint.k
@@ -333,6 +334,13 @@ def upgraded_law(base: InfLaw, d: Derivation, k: int, max_len: int) -> InfLaw:
     moment is the base expectation of the i-th derivative of the word."""
     if base.k != 0:
         raise ValueError("base law must have order 0")
+    for v, image in sorted(d.images.items()):
+        for x in sorted({x for word in image.terms for x in word}):
+            if not 1 <= x <= base.num_vars:
+                raise ValueError(
+                    f"derivation image of variable {v} uses variable {x}, "
+                    f"but the base law has {base.num_vars} variable(s)"
+                )
     growth = max(d.max_image_degree() - 1, 0)
     needed = max_len + k * growth
     if base.max_len < needed:

@@ -53,26 +53,14 @@ def reduction_partition(p: SetPartition, n: int, k: int) -> NcPartition | None:
     return NcPartition(n, images)
 
 
-def _charac_form(p: NcPartition, n: int, k: int) -> bool:
-    """Single-condition membership: the reduction of p united with its
-    complement is a non-crossing partition of the interleaved doubled [n]."""
-    kr = kreweras(p)
-    images = {tuple(sorted({2 * residue(x, n) - 1 for x in b})) for b in p.blocks}
-    images |= {tuple(sorted({2 * residue(x, n) for x in b})) for b in kr.blocks}
-    flat = sorted(x for b in images for x in b)
-    if flat != list(range(1, 2 * n + 1)):
-        return False
-    return is_noncrossing(images)
-
-
 def is_type_k(p: NcPartition, n: int, k: int) -> bool:
     """Membership in NC^(k)(n) for a non-crossing p on [(k+1)n]."""
     if p.n != (k + 1) * n:
         raise ValueError(f"ground size {p.n} is not (k+1)n = {(k + 1) * n}")
-    q = reduction_partition(p, n, k)
-    ok = q is not None and reduction_partition(kreweras(p), n, k) is not None
-    assert ok == _charac_form(p, n, k)
-    return ok
+    return (
+        reduction_partition(p, n, k) is not None
+        and reduction_partition(kreweras(p), n, k) is not None
+    )
 
 
 def _fiber_scan(p: NcPartition, k: int) -> Iterator[NcPartition]:

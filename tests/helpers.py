@@ -8,12 +8,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from infree.ck import CkScalar, CkSeries, lambda_vectors, multinomial
-from infree.cumulants import CumulantTable, all_words, cumulants_to_moments, restrict
+from infree.ck import CkScalar, CkSeries, ck_prod_many, lambda_vectors, multinomial
+from infree.cumulants import CumulantTable, InfLaw, all_words, cumulants_to_moments, restrict
 from infree.partitions import (
     NcPartition,
     enumerate_nc,
     is_noncrossing,
+    kreweras,
+    mobius_to_top,
     nc_coarsenings,
     ordered_blocks,
 )
@@ -33,6 +35,15 @@ def rand_scalar(rng, k: int) -> CkScalar:
     return CkScalar(k, [rand_fraction(rng) for _ in range(k + 1)])
 
 
+def rand_sparse_scalar(rng, k: int) -> CkScalar:
+    """Zero, nilpotent (first coordinate zero) or general, a third each."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return CkScalar.zero(k)
+    s = rand_scalar(rng, k)
+    return CkScalar(k, (0,) + s.coords[1:]) if kind == 1 else s
+
+
 def rand_series(rng, k: int, trunc: int, invertible: bool = False) -> CkSeries:
     coeffs = [rand_scalar(rng, k) for _ in range(trunc)]
     while invertible and coeffs[0].coords[0] == 0:
@@ -48,6 +59,45 @@ def rand_cumulants(rng, k: int, num_vars: int, max_len: int) -> CumulantTable:
 
 def rand_law(rng, k: int, num_vars: int, max_len: int):
     return cumulants_to_moments(rand_cumulants(rng, k, num_vars, max_len))
+
+
+def nc_boxed_conv_oracle(f: CkSeries, g: CkSeries) -> CkSeries:
+    """Boxed convolution as the plain sum over NC(m): prod alpha over the
+    block sizes of p times prod beta over the block sizes of Kr(p)."""
+    n = min(f.trunc, g.trunc)
+    coeffs = []
+    for m in range(1, n + 1):
+        acc = CkScalar.zero(f.k)
+        for p in enumerate_nc(m):
+            factors = [f.coeffs[len(b) - 1] for b in p.blocks]
+            factors += [g.coeffs[len(b) - 1] for b in kreweras(p).blocks]
+            acc = acc + ck_prod_many(factors)
+        coeffs.append(acc)
+    return CkSeries(f.k, n, coeffs)
+
+
+def nc_c2m_oracle(c: CumulantTable) -> InfLaw:
+    """Moment of each word as the sum over NC(n) of the block products of
+    cumulants."""
+    out = {}
+    for w in c.words():
+        acc = CkScalar.zero(c.k)
+        for p in enumerate_nc(len(w)):
+            acc = acc + ck_prod_many([c.value(restrict(w, b)) for b in p.blocks])
+        out[w] = acc
+    return InfLaw(c.k, c.num_vars, c.max_len, out)
+
+
+def nc_m2c_oracle(m: InfLaw) -> CumulantTable:
+    """Cumulant of each word by Mobius inversion of the partition sum."""
+    out = {}
+    for w in m.words():
+        acc = CkScalar.zero(m.k)
+        for p in enumerate_nc(len(w)):
+            term = ck_prod_many([m.value(restrict(w, b)) for b in p.blocks])
+            acc = acc + term.scale(mobius_to_top(p))
+        out[w] = acc
+    return CumulantTable(m.k, m.num_vars, m.max_len, out)
 
 
 @lru_cache(maxsize=None)
@@ -95,8 +145,6 @@ def phi_component_oracle(c: CumulantTable, w: tuple, i: int) -> Fraction:
 def kappa_component_oracle(law, w: tuple, i: int) -> Fraction:
     """Component i of the cumulant of w: Mobius-weighted double sum over
     partitions and weak compositions of moment components."""
-    from infree.partitions import mobius_to_top
-
     total = Fraction(0)
     for p in enumerate_nc(len(w)):
         mob = mobius_to_top(p)

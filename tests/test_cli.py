@@ -173,6 +173,19 @@ def test_check_freeness_verdicts(capsys, tmp_path):
     assert verdict.witness.word == (1, 2) and verdict.witness.component == 0
 
 
+def test_check_freeness_rejects_nonpositive_max_len(capsys, tmp_path):
+    rng = random.Random(333)
+    mu = rand_law(rng, k=0, num_vars=1, max_len=2)
+    joint, coloring = free_product_joint([mu, mu], 2)
+    jp = write(tmp_path, "joint.json", joint)
+    cp = write(tmp_path, "colors.json", coloring)
+    for bad_len in ("0", "-5"):
+        code, out, err = run(
+            capsys, "check-freeness", "--law", jp, "--colors", cp, "--max-len", bad_len
+        )
+        assert code == 1 and out == "" and "usage error:" in err
+
+
 def test_upgrade(capsys, tmp_path):
     rng = random.Random(337)
     base = rand_law(rng, k=0, num_vars=1, max_len=4)
@@ -203,6 +216,21 @@ def test_upgrade_support_error(capsys, tmp_path):
         "upgrade", "--base", bp, "--derivation", str(dp), "--k", "1", "--max-len", "2",
     )
     assert code == 2 and "error:" in err
+
+
+def test_upgrade_unknown_variable_is_domain_error(capsys, tmp_path):
+    rng = random.Random(349)
+    base = rand_law(rng, k=0, num_vars=1, max_len=2)
+    d_doc = {"images": {"1": {"terms": {"2": "1"}}}}  # D(X1) = X2, no X2 in base
+    bp = write(tmp_path, "base.json", base)
+    dp = tmp_path / "d.json"
+    dp.write_text(json.dumps(d_doc), encoding="utf-8")
+    code, _, err = run(
+        capsys,
+        "upgrade", "--base", bp, "--derivation", str(dp), "--k", "1", "--max-len", "2",
+    )
+    assert code == 2
+    assert err.startswith("error:") and "variable 2" in err
 
 
 def test_deriv_demo_additive(capsys):

@@ -23,7 +23,7 @@ from infree.convolve import (
 )
 from infree.cumulants import all_words, moments_to_cumulants
 
-from helpers import rand_law, rand_scalar, rand_series
+from helpers import nc_boxed_conv_oracle, rand_law, rand_scalar, rand_series, rand_sparse_scalar
 
 
 def scalar(k, v):
@@ -39,6 +39,24 @@ def test_special_series():
     assert [c.coords[0] for c in mob.coeffs] == [1, -1, 2, -5]
     with pytest.raises(ValueError):
         special_series("gamma", 0, 3)
+
+
+def test_moebius_closed_form_is_inverse_of_zeta():
+    for k in range(4):
+        for t in range(1, 9):
+            assert special_series("moebius", k, t) == boxed_inverse(special_series("zeta", k, t))
+
+
+def test_boxed_kernel_matches_nc_sum_oracle():
+    rng = random.Random(89)
+    for k in range(4):
+        for trunc in (1, 8 if k < 2 else 6):
+            f = rand_series(rng, k, trunc)
+            g = CkSeries(k, trunc, [rand_sparse_scalar(rng, k) for _ in range(trunc)])
+            assert boxed_conv_ck(f, g) == nc_boxed_conv_oracle(f, g), (k, trunc)
+            h = rand_series(rng, k, trunc, invertible=True)
+            delta = special_series("delta", k, trunc)
+            assert nc_boxed_conv_oracle(h, boxed_inverse(h)) == delta, (k, trunc)
 
 
 def test_boxed_unit_and_degree_two():

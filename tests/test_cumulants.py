@@ -3,6 +3,7 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infree.ck import CkScalar, ck_mul, ck_prod_many
 from infree.cumulants import (
@@ -22,11 +23,14 @@ from infree.partitions import NcPartition, SetPartition
 
 from helpers import (
     kappa_component_oracle,
+    nc_c2m_oracle,
+    nc_m2c_oracle,
     nc_star_moment_oracle,
     phi_component_oracle,
     rand_cumulants,
     rand_law,
     rand_scalar,
+    rand_sparse_scalar,
 )
 
 
@@ -90,6 +94,39 @@ def test_round_trip():
             assert cumulants_to_moments(moments_to_cumulants(law)) == law
     c = rand_cumulants(random.Random(8), k=1, num_vars=1, max_len=6)
     assert moments_to_cumulants(cumulants_to_moments(c)) == c
+
+
+def test_first_block_kernels_match_nc_sum_oracles():
+    rng = random.Random(37)
+    for k in range(3):
+        for num_vars, max_len in ((1, 5), (2, 5), (3, 4)):
+            values = {w: rand_sparse_scalar(rng, k) for w in all_words(num_vars, max_len)}
+            c = CumulantTable(k, num_vars, max_len, values)
+            assert cumulants_to_moments(c) == nc_c2m_oracle(c), (k, num_vars)
+            law = InfLaw(k, num_vars, max_len, values)
+            assert moments_to_cumulants(law) == nc_m2c_oracle(law), (k, num_vars)
+
+
+_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+
+
+@st.composite
+def _word_values(draw):
+    k = draw(st.integers(0, 2))
+    num_vars = draw(st.integers(1, 2))
+    max_len = draw(st.integers(1, 4))
+    coords = st.lists(_rationals, min_size=k + 1, max_size=k + 1)
+    values = {w: CkScalar(k, draw(coords)) for w in all_words(num_vars, max_len)}
+    return k, num_vars, max_len, values
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_word_values())
+def test_round_trips_property(table):
+    c = CumulantTable(*table)
+    assert moments_to_cumulants(cumulants_to_moments(c)) == c
+    law = InfLaw(*table)
+    assert cumulants_to_moments(moments_to_cumulants(law)) == law
 
 
 def test_unit_law_cumulants_vanish():

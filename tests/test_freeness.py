@@ -31,7 +31,7 @@ from infree.freeness import (
 )
 from infree.partitions import enumerate_nc
 
-from helpers import eval_poly, jet_of_poly, lagrange_derivative_at_zero, rand_law
+from helpers import eval_poly, jet_of_poly, lagrange_derivative_at_zero, rand_law, rand_scalar
 
 
 X1 = NcPolynomial.variable(1)
@@ -148,6 +148,15 @@ def test_product_tuple_rejects_mixed_cumulants():
     bad = CumulantTable(k, 2, 2, values)  # mixed entries nonzero
     with pytest.raises(ValueError):
         product_tuple_cumulants(bad, Coloring((1, 2)), 2)
+    # the only nonzero mixed cumulant has length 5
+    rng = random.Random(163)
+    values = {
+        w: rand_scalar(rng, 1) if len(set(w)) == 1 else CkScalar.zero(1)
+        for w in all_words(2, 5)
+    }
+    values[(1, 2, 1, 2, 1)] = CkScalar.one(1)
+    with pytest.raises(ValueError, match=r"\(1, 2, 1, 2, 1\)"):
+        product_tuple_cumulants(CumulantTable(1, 2, 5, values), Coloring((1, 2)), 3)
 
 
 def test_checker_passes_free_product():
@@ -158,6 +167,8 @@ def test_checker_passes_free_product():
         joint, coloring = free_product_joint([mu, nu], 4)
         verdict = check_inf_freeness(joint, coloring, 4)
         assert verdict.passed and verdict.witness is None
+    with pytest.raises(ValueError):
+        check_inf_freeness(joint, coloring, 0)  # an empty budget checks nothing
 
 
 def test_checker_fails_tensor_independent():

@@ -7,6 +7,7 @@ from infree.partitions import (
     SetPartition,
     biane_permutation,
     enumerate_nc,
+    is_noncrossing,
     kreweras,
     ordered_blocks,
 )
@@ -64,6 +65,21 @@ def test_is_type_k_examples():
     assert is_type_k(nc(4, [1, 3], [2], [4]), 2, 1)
     with pytest.raises(ValueError):
         is_type_k(nc(4, [1, 2], [3, 4]), 4, 1)
+
+
+def charac_form(p, n, k):
+    """Single-condition membership: the reduction of p united with its
+    complement is a non-crossing partition of the interleaved doubled [n]."""
+    images = {tuple(sorted({2 * residue(x, n) - 1 for x in b})) for b in p.blocks}
+    images |= {tuple(sorted({2 * residue(x, n) for x in b})) for b in kreweras(p).blocks}
+    flat = sorted(x for b in images for x in b)
+    return flat == list(range(1, 2 * n + 1)) and is_noncrossing(images)
+
+
+def test_single_condition_membership():
+    for k, n in SMALL + [(1, 4), (2, 3), (3, 2)]:
+        for p in enumerate_nc((k + 1) * n):
+            assert charac_form(p, n, k) == is_type_k(p, n, k), (k, n, p.blocks)
 
 
 def test_enumeration_counts():
