@@ -110,12 +110,16 @@ def _check_order(a: CkScalar, b: CkScalar) -> None:
 def ck_mul(a: CkScalar, b: CkScalar) -> CkScalar:
     """Product in C_k: gamma(i) = sum_j C(i,j) a(j) b(i-j)."""
     _check_order(a, b)
-    k = a.k
-    coords = tuple(
-        sum((comb(i, j) * a.coords[j] * b.coords[i - j] for j in range(i + 1)), Fraction(0))
-        for i in range(k + 1)
-    )
-    return CkScalar(k, coords)
+    x, y = a.coords, b.coords
+    coords = []
+    for i in range(a.k + 1):
+        acc = x[0] * y[i]
+        for j in range(1, i + 1):
+            if x[j] and y[i - j]:
+                term = x[j] * y[i - j]
+                acc += term * comb(i, j) if j < i else term  # C(i, j) > 1 iff 0 < j < i
+        coords.append(acc)
+    return CkScalar(a.k, coords)
 
 
 def ck_prod_many(factors: Sequence[CkScalar]) -> CkScalar:
@@ -188,18 +192,6 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     for p in parts:
         num //= factorial(p)
     return num
-
-
-def to_toeplitz(a: CkScalar) -> tuple:
-    """Upper-triangular Toeplitz matrix of a, entry a(d)/d! on offset d."""
-    k = a.k
-    return tuple(
-        tuple(
-            a.coords[c - r] / factorial(c - r) if c >= r else Fraction(0)
-            for c in range(k + 1)
-        )
-        for r in range(k + 1)
-    )
 
 
 class CkSeries:
@@ -356,19 +348,7 @@ def series_comp_inverse(f: CkSeries) -> CkSeries:
     a1_inv = ck_inverse(f.coeffs[0])  # NotInvertible if leading coefficient is not a unit
     g = [a1_inv]
     for d in range(2, n + 1):
-        # z^d coefficient of sum_{j>=2} a_j g(z)^j with g known below degree d
-        acc = CkScalar.zero(k)
-        current = [c for c in g] + [CkScalar.zero(k)] * (d - len(g))
-        for j in range(2, d + 1):
-            nxt = [CkScalar.zero(k) for _ in range(d)]
-            for d1 in range(1, d):
-                if current[d1 - 1].is_zero():
-                    continue
-                for d2 in range(1, d - d1 + 1):
-                    if d2 <= len(g):
-                        nxt[d1 + d2 - 1] = nxt[d1 + d2 - 1] + ck_mul(current[d1 - 1], g[d2 - 1])
-            current = nxt
-            if j <= n:
-                acc = acc + ck_mul(f.coeffs[j - 1], current[d - 1])
-        g.append(ck_mul(-a1_inv, acc))
+        # with g known below degree d, [z^d] f(g(z)) = a_1 g_d + [z^d] f(g_{<d}(z))
+        known = CkSeries(k, d, g + [CkScalar.zero(k)])
+        g.append(ck_mul(-a1_inv, series_compose(f.truncate(d), known).coeffs[d - 1]))
     return CkSeries(k, n, g)

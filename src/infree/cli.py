@@ -57,10 +57,16 @@ def _read_json(path: str):
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    name = path if path != "-" else "stdin"
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise SchemaError(path if path != "-" else "stdin", f"invalid JSON: {e}") from e
+        raise SchemaError(name, f"invalid JSON: {e}") from e
+    except RecursionError:
+        raise SchemaError(name, "invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal beyond the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(name, f"invalid JSON: integer longer than {limit} digits") from None
 
 
 def _write(text: str, out: str | None):

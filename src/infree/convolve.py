@@ -17,7 +17,14 @@ from functools import lru_cache
 
 from .ck import CkScalar, CkSeries, ck_mul, ck_prod_many, multinomial, series_comp_inverse
 from .cumulants import CumulantTable, InfLaw, cumulants_to_moments, moments_to_cumulants
-from .partitions import catalan, enumerate_nc, kreweras, ordered_blocks
+from .partitions import (
+    NcPartition,
+    catalan,
+    enumerate_nc,
+    enumerate_nc_blocks,
+    kreweras,
+    ordered_blocks,
+)
 from .typek import enumerate_type_k, r_of_shape
 
 
@@ -95,13 +102,18 @@ def boxed_inverse(f: CkSeries) -> CkSeries:
     return CkSeries(k, n, g)
 
 
+def _mirror(b: tuple, m: int) -> tuple:
+    """Image of a block of [2m] under the inversion x -> x +- m."""
+    return tuple(sorted(x + m if x <= m else x - m for x in b))
+
+
 def _mirror_reps(blocks: tuple, m: int) -> tuple:
     """Split an inversion-invariant partition of [2m] into its zero-block
     (None if absent) and one representative per mirror pair of blocks."""
     zero = None
     reps = []
     for b in blocks:
-        mirrored = tuple(sorted(x + m if x <= m else x - m for x in b))
+        mirrored = _mirror(b, m)
         if mirrored == b:
             if zero is not None:
                 raise ValueError("two inversion-invariant blocks")
@@ -116,12 +128,11 @@ def _type_b_terms(m: int) -> tuple:
     """Descriptors (alpha side, beta side) for the order-1 double sum at
     degree m.  Each side is (zero_block_half_size or None, pair sizes)."""
     terms = []
-    for p in enumerate_nc(2 * m):
-        inv_blocks = {
-            tuple(sorted(x + m if x <= m else x - m for x in b)) for b in p.blocks
-        }
-        if inv_blocks != set(p.blocks):
+    for blocks in enumerate_nc_blocks(2 * m):
+        present = set(blocks)
+        if any(_mirror(b, m) not in present for b in blocks):
             continue
+        p = NcPartition(2 * m, blocks)
         a_zero, a_reps = _mirror_reps(p.blocks, m)
         kr = kreweras(p)
         b_zero, b_reps = _mirror_reps(kr.blocks, m)

@@ -14,7 +14,6 @@ direction solves the same identity for its B = [n] term.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
@@ -204,10 +203,3 @@ def infinitesimal_component(x, i: int):
             raise ValueError(f"component {i} out of range 0..{x.k}")
         return {w: v.coords[i] for w, v in x.values.items()}
     raise TypeError(f"expected CkScalar or a word table, got {type(x).__name__}")
-
-
-def assemble_components(k: int, components: list) -> CkScalar:
-    """Inverse of componentwise projection: components[i] becomes coordinate i."""
-    if len(components) != k + 1:
-        raise ValueError(f"need {k + 1} components")
-    return CkScalar(k, [Fraction(c) for c in components])

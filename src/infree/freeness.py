@@ -2,18 +2,16 @@
 characterization, derivation upgrades, and derivatives of free convolutions.
 
 The freeness checker works with the one-parameter functional
-phi_t = sum_i phi^(i) t^i / i! evaluated symbolically, so the vanishing
-condition on centered alternating products becomes exact polynomial
-identities: the t-coefficients 0..k must all be zero.
+phi_t = sum_i phi^(i) t^i / i! truncated beyond t^k.  That truncation is the
+C_k scalar with coordinates (phi^(0), ..., phi^(k)) at t = eps, so the
+centered alternating products are C_k products and the t^i coefficient of
+a result is its coordinate i divided by i!.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product as iter_product
 from math import factorial
-from typing import Iterator
 
 from .ck import CkScalar, ck_prod_many
 from .cumulants import (
@@ -243,28 +241,6 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     return CumulantTable(joint.k, npairs, max_len, out)
 
 
-# --- symbolic polynomials in t, truncated beyond degree k ---
-
-
-def _poly_mul(a: tuple, b: tuple, k: int) -> tuple:
-    out = [Fraction(0)] * (k + 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if i + j > k:
-                break
-            out[i + j] += x * y
-    return tuple(out)
-
-
-def _phi_t(law: InfLaw, w: tuple) -> tuple:
-    """phi_t(w) as t-polynomial coefficients (degree 0..k)."""
-    return tuple(
-        law.moment(w).coords[i] / factorial(i) for i in range(law.k + 1)
-    )
-
-
 @dataclass(frozen=True)
 class Witness:
     word: tuple
@@ -294,9 +270,11 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
 
     Every word of length <= max_len splits into maximal same-color runs;
     the runs are the alternating monomials.  For each such product the
-    centered expectation phi_t(prod(m_r - phi_t(m_r))) is expanded
-    symbolically in t and its coefficients 0..k must vanish.  Any reported
-    failure is a genuine one; a pass certifies freeness up to the budget.
+    centered expectation phi_t(prod(m_r - phi_t(m_r))) is expanded over the
+    subsets of runs kept, with phi_t the moment itself as a C_k scalar, and
+    its coefficients of t^0..t^k must vanish.  The witness reports the
+    first nonzero one, coordinate i divided by i!.  Any reported failure is
+    a genuine one; a pass certifies freeness up to the budget.
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the law")
@@ -305,27 +283,22 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
     if max_len > joint.max_len:
         raise ValueError("law is too short for the requested length budget")
     k = joint.k
-    one = (Fraction(1),) + (Fraction(0),) * k
+    one = CkScalar.one(k)
     for w in all_words(joint.num_vars, max_len):
         runs = _runs(w, coloring)
         if len(runs) < 2:
             continue
-        centers = [_phi_t(joint, r) for r in runs]
-        total = [Fraction(0)] * (k + 1)
-        for keep in iter_product((False, True), repeat=len(runs)):
-            word = tuple(v for r, kept in zip(runs, keep) if kept for v in r)
-            coeff = one
-            sign = 1
-            for c, kept in zip(centers, keep):
-                if not kept:
-                    coeff = _poly_mul(coeff, c, k)
-                    sign = -sign
-            term = _poly_mul(coeff, _phi_t(joint, word), k)
-            for i in range(k + 1):
-                total[i] += sign * term[i]
-        for i in range(k + 1):
-            if total[i] != 0:
-                return FreenessVerdict(False, Witness(w, i, total[i]))
+        # expand prod over runs of (m_r - phi(m_r)): (coefficient, kept word)
+        terms = [(one, ())]
+        for r in runs:
+            neg_mean = -joint.moment(r)
+            terms = [(c, u + r) for c, u in terms] + [(c * neg_mean, u) for c, u in terms]
+        total = CkScalar.zero(k)
+        for c, u in terms:
+            total = total + c * joint.value(u)
+        for i, x in enumerate(total.coords):
+            if x != 0:
+                return FreenessVerdict(False, Witness(w, i, x / factorial(i)))
     return FreenessVerdict(True, None)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .ck import CkScalar, CkSeries, LambdaVector
@@ -33,10 +34,11 @@ def decode_rational(data, path: str) -> Fraction:
     m = _RATIONAL.match(data)
     if not m:
         raise SchemaError(path, f"malformed rational {data!r}")
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return Fraction(num)
-    den = int(m.group(2))
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:  # beyond the interpreter's limit on int digits
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(path, f"rational with a part longer than {limit} digits") from None
     if den == 0:
         raise SchemaError(path, "zero denominator")
     f = Fraction(num, den)

@@ -95,29 +95,9 @@ def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
     return True
 
 
-def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
-    """All partitions of [n] via restricted growth strings."""
-    if n == 0:
-        yield SetPartition(0, ())
-        return
-
-    def rec(i: int, labels: list, maxi: int):
-        if i > n:
-            blocks = [[] for _ in range(maxi + 1)]
-            for pos, lab in enumerate(labels, start=1):
-                blocks[lab].append(pos)
-            yield SetPartition(n, blocks)
-            return
-        for lab in range(maxi + 2):
-            labels.append(lab)
-            yield from rec(i + 1, labels, max(maxi, lab))
-            labels.pop()
-
-    yield from rec(2, [0], 0)
-
-
-def _enumerate_nc_blocks(n: int) -> Iterator[tuple]:
-    """Block tuples of all non-crossing partitions of [n].
+def enumerate_nc_blocks(n: int) -> Iterator[tuple]:
+    """Block tuples of all non-crossing partitions of [n], unvalidated and
+    uncached, for callers that keep only a few of them.
 
     Left-to-right scan with a stack of open blocks.  At each position either
     open a new block, or extend one of the open blocks; extending a block
@@ -150,7 +130,7 @@ def _enumerate_nc_blocks(n: int) -> Iterator[tuple]:
 
 @lru_cache(maxsize=None)
 def _nc_cache(n: int) -> tuple:
-    return tuple(NcPartition(n, blocks) for blocks in _enumerate_nc_blocks(n))
+    return tuple(NcPartition(n, blocks) for blocks in enumerate_nc_blocks(n))
 
 
 def enumerate_nc(n: int) -> tuple:
@@ -300,20 +280,3 @@ def mobius_to_top(p: NcPartition) -> int:
         m = len(b)
         out *= (-1) ** (m - 1) * catalan(m - 1)
     return out
-
-
-def nc_coarsenings(p: NcPartition) -> Iterator[NcPartition]:
-    """All non-crossing q with p <= q, by merging blocks of p."""
-    blocks = p.blocks
-    for grouping in enumerate_set_partitions(len(blocks)):
-        merged = []
-        for g in grouping.blocks:
-            merged.append(sorted(x for i in g for x in blocks[i - 1]))
-        if is_noncrossing(merged):
-            yield NcPartition(p.n, merged)
-
-
-def rotate_partition(p: SetPartition, shift: int = 1) -> SetPartition:
-    """Image of p under x -> x + shift modulo n (anticlockwise for shift=-1)."""
-    n = p.n
-    return type(p)(n, [[(x - 1 + shift) % n + 1 for x in b] for b in p.blocks])

@@ -23,7 +23,6 @@ from .partitions import (
     is_noncrossing,
     kreweras,
     ordered_blocks,
-    refines,
 )
 
 
@@ -268,17 +267,3 @@ def r_of_shape(lam: LambdaVector, n: int, k: int, p: NcPartition | None = None) 
     if p is None:
         p = NcPartition(n, [range(1, n + 1)])
     return _shape_counts(p, k).get(lam.entries, 0)
-
-
-def nc_meet(p: NcPartition, q: NcPartition):
-    """Meet of p and q in the non-crossing lattice, by brute force:
-    the unique maximal non-crossing common refinement.  Small n only."""
-    if p.n != q.n:
-        raise ValueError("meet needs a common ground set")
-    candidates = [
-        r for r in enumerate_nc(p.n) if refines(r, p) and refines(r, q)
-    ]
-    for r in candidates:
-        if all(refines(s, r) for s in candidates):
-            return r
-    raise ValueError("no maximum among common refinements")

@@ -6,18 +6,21 @@ direct formula evaluation, polynomial interpolation.
 """
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iter_product
 from math import factorial
 
 from infree.ck import CkScalar, CkSeries, ck_prod_many, lambda_vectors, multinomial
 from infree.cumulants import CumulantTable, InfLaw, all_words, cumulants_to_moments, restrict
+from infree.freeness import FreenessVerdict, Witness
 from infree.partitions import (
     NcPartition,
+    SetPartition,
     enumerate_nc,
     is_noncrossing,
     kreweras,
     mobius_to_top,
-    nc_coarsenings,
     ordered_blocks,
+    refines,
 )
 from infree.typek import (
     enumerate_type_k_star,
@@ -25,6 +28,77 @@ from infree.typek import (
     r_of_shape,
     star_shape,
 )
+
+
+def to_toeplitz(a: CkScalar) -> tuple:
+    """Upper-triangular Toeplitz matrix of a, entry a(d)/d! on offset d."""
+    k = a.k
+    return tuple(
+        tuple(
+            a.coords[c - r] / factorial(c - r) if c >= r else Fraction(0)
+            for c in range(k + 1)
+        )
+        for r in range(k + 1)
+    )
+
+
+def assemble_components(k: int, components: list) -> CkScalar:
+    """Inverse of componentwise projection: components[i] becomes coordinate i."""
+    if len(components) != k + 1:
+        raise ValueError(f"need {k + 1} components")
+    return CkScalar(k, [Fraction(c) for c in components])
+
+
+def enumerate_set_partitions(n: int):
+    """All partitions of [n] via restricted growth strings."""
+    if n == 0:
+        yield SetPartition(0, ())
+        return
+
+    def rec(i: int, labels: list, maxi: int):
+        if i > n:
+            blocks = [[] for _ in range(maxi + 1)]
+            for pos, lab in enumerate(labels, start=1):
+                blocks[lab].append(pos)
+            yield SetPartition(n, blocks)
+            return
+        for lab in range(maxi + 2):
+            labels.append(lab)
+            yield from rec(i + 1, labels, max(maxi, lab))
+            labels.pop()
+
+    yield from rec(2, [0], 0)
+
+
+def nc_coarsenings(p: NcPartition):
+    """All non-crossing q with p <= q, by merging blocks of p."""
+    blocks = p.blocks
+    for grouping in enumerate_set_partitions(len(blocks)):
+        merged = []
+        for g in grouping.blocks:
+            merged.append(sorted(x for i in g for x in blocks[i - 1]))
+        if is_noncrossing(merged):
+            yield NcPartition(p.n, merged)
+
+
+def rotate_partition(p: SetPartition, shift: int = 1) -> SetPartition:
+    """Image of p under x -> x + shift modulo n (anticlockwise for shift=-1)."""
+    n = p.n
+    return type(p)(n, [[(x - 1 + shift) % n + 1 for x in b] for b in p.blocks])
+
+
+def nc_meet(p: NcPartition, q: NcPartition):
+    """Meet of p and q in the non-crossing lattice, by brute force:
+    the unique maximal non-crossing common refinement.  Small n only."""
+    if p.n != q.n:
+        raise ValueError("meet needs a common ground set")
+    candidates = [
+        r for r in enumerate_nc(p.n) if refines(r, p) and refines(r, q)
+    ]
+    for r in candidates:
+        if all(refines(s, r) for s in candidates):
+            return r
+    raise ValueError("no maximum among common refinements")
 
 
 def rand_fraction(rng) -> Fraction:
@@ -98,6 +172,53 @@ def nc_m2c_oracle(m: InfLaw) -> CumulantTable:
             acc = acc + term.scale(mobius_to_top(p))
         out[w] = acc
     return CumulantTable(m.k, m.num_vars, m.max_len, out)
+
+
+def t_poly_freeness_oracle(joint: InfLaw, coloring, max_len: int) -> FreenessVerdict:
+    """The freeness checker on t-polynomials: phi_t(w) is held as its
+    coefficients phi^(i)(w) / i!, products are polynomial products truncated
+    beyond t^k, and each subset of runs kept is expanded with its sign."""
+    k = joint.k
+
+    def poly_mul(a: tuple, b: tuple) -> tuple:
+        out = [Fraction(0)] * (k + 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                if i + j > k:
+                    break
+                out[i + j] += x * y
+        return tuple(out)
+
+    def phi_t(w: tuple) -> tuple:
+        return tuple(joint.value(w).coords[i] / factorial(i) for i in range(k + 1))
+
+    one = (Fraction(1),) + (Fraction(0),) * k
+    for w in all_words(joint.num_vars, max_len):
+        runs = []
+        for v in w:
+            if runs and coloring.color_of(runs[-1][-1]) == coloring.color_of(v):
+                runs[-1].append(v)
+            else:
+                runs.append([v])
+        if len(runs) < 2:
+            continue
+        centers = [phi_t(tuple(r)) for r in runs]
+        total = [Fraction(0)] * (k + 1)
+        for keep in iter_product((False, True), repeat=len(runs)):
+            word = tuple(v for r, kept in zip(runs, keep) if kept for v in r)
+            coeff = one
+            sign = 1
+            for c, kept in zip(centers, keep):
+                if not kept:
+                    coeff = poly_mul(coeff, c)
+                    sign = -sign
+            term = poly_mul(coeff, phi_t(word))
+            for i in range(k + 1):
+                total[i] += sign * term[i]
+        for i in range(k + 1):
+            if total[i] != 0:
+                return FreenessVerdict(False, Witness(w, i, total[i]))
+    return FreenessVerdict(True, None)
 
 
 @lru_cache(maxsize=None)

@@ -42,7 +42,6 @@ from infree.partitions import (
     enumerate_nc,
     kreweras,
     mobius_to_top,
-    rotate_partition,
 )
 from infree.typek import (
     enumerate_type_k,
@@ -62,6 +61,7 @@ from helpers import (
     phi_component_oracle,
     rand_law,
     rand_series,
+    rotate_partition,
 )
 
 RESULTS = []

@@ -19,10 +19,9 @@ from infree.ck import (
     series_comp_inverse,
     series_compose,
     series_mul,
-    to_toeplitz,
 )
 
-from helpers import rand_scalar, rand_series
+from helpers import rand_scalar, rand_series, rand_sparse_scalar, to_toeplitz
 
 
 def test_product_small_values():
@@ -93,6 +92,11 @@ def test_toeplitz_faithful():
     for k in (0, 1, 2, 3):
         a, b = rand_scalar(rng, k), rand_scalar(rng, k)
         assert to_toeplitz(ck_mul(a, b)) == mat_mul(to_toeplitz(a), to_toeplitz(b))
+    # zero and nilpotent factors take the term-skipping branches of ck_mul
+    for k in (0, 1, 2, 3, 4):
+        for _ in range(30):
+            a, b = rand_sparse_scalar(rng, k), rand_sparse_scalar(rng, k)
+            assert to_toeplitz(ck_mul(a, b)) == mat_mul(to_toeplitz(a), to_toeplitz(b))
 
 
 def test_prod_many_multinomial_formula():

@@ -295,3 +295,28 @@ def test_malformed_json_is_domain_error(capsys, tmp_path):
     code, _, err = run(capsys, "mobius", "--lhs", str(path))
     assert code == 2
     assert "invalid JSON" in err
+
+
+def test_deeply_nested_json_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "mobius", "--lhs", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: invalid JSON") and "nested too deeply" in err
+
+
+def test_overlong_integers_are_domain_errors(capsys, tmp_path):
+    digits = "1" + "0" * 5000  # past the interpreter's 4300-digit conversion limit
+    bare = tmp_path / "bare.json"
+    bare.write_text('{"n": %s, "blocks": []}' % digits, encoding="utf-8")
+    code, out, err = run(capsys, "mobius", "--lhs", str(bare))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bare}: invalid JSON") and "digits" in err
+    assert "set_int_max_str_digits" not in err
+    lhs = tmp_path / "lhs.json"
+    lhs.write_text(json.dumps({"k": 0, "trunc": 1, "coeffs": [["1/" + digits]]}), encoding="utf-8")
+    rhs = write(tmp_path, "rhs.json", rand_series(random.Random(353), 0, 1))
+    code, out, err = run(capsys, "boxconv", "--lhs", str(lhs), "--rhs", rhs)
+    assert code == 2 and out == ""
+    assert err.startswith("error: lhs.coeffs[0][0]:") and "digits" in err
+    assert "set_int_max_str_digits" not in err

@@ -10,7 +10,6 @@ from infree.cumulants import (
     CumulantTable,
     InfLaw,
     all_words,
-    assemble_components,
     cumulant_of_products,
     cumulants_to_moments,
     infinitesimal_component,
@@ -22,6 +21,7 @@ from infree.cumulants import (
 from infree.partitions import NcPartition, SetPartition
 
 from helpers import (
+    assemble_components,
     kappa_component_oracle,
     nc_c2m_oracle,
     nc_m2c_oracle,

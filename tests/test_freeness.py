@@ -1,6 +1,7 @@
 """Free products, the freeness checker, derivation upgrades, derivatives."""
 from fractions import Fraction
 from itertools import product as iter_product
+from math import factorial
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from infree.cumulants import (
 from infree.freeness import (
     Coloring,
     Derivation,
+    FreenessVerdict,
     NcPolynomial,
     Witness,
     apply_derivation,
@@ -31,7 +33,15 @@ from infree.freeness import (
 )
 from infree.partitions import enumerate_nc
 
-from helpers import eval_poly, jet_of_poly, lagrange_derivative_at_zero, rand_law, rand_scalar
+from helpers import (
+    eval_poly,
+    jet_of_poly,
+    lagrange_derivative_at_zero,
+    rand_fraction,
+    rand_law,
+    rand_scalar,
+    t_poly_freeness_oracle,
+)
 
 
 X1 = NcPolynomial.variable(1)
@@ -187,12 +197,12 @@ def test_checker_fails_tensor_independent():
     assert verdict.witness == Witness((1, 2, 1, 2), 0, Fraction(1))
 
 
-def perturbed(law: InfLaw, w0: tuple, i0: int) -> InfLaw:
+def perturbed(law: InfLaw, w0: tuple, i0: int, delta=1) -> InfLaw:
     values = {}
     for w in law.words():
         coords = list(law.moment(w).coords)
         if w == w0:
-            coords[i0] += 1
+            coords[i0] += delta
         values[w] = CkScalar(law.k, coords)
     return InfLaw(law.k, law.num_vars, law.max_len, values)
 
@@ -213,6 +223,34 @@ def test_checker_witnesses_the_perturbed_moment():
             len({coloring.color_of(v) for v in w}) > 1 and not cums.value(w).is_zero()
             for w in all_words(2, 4)
         )
+
+
+def test_checker_matches_t_polynomial_oracle():
+    # the C_k checker against the t-polynomial route, verdict for verdict:
+    # word, component and value, with perturbations at every component
+    rng = random.Random(137)
+    for k in range(4):
+        for nvs, L in (((1, 1), 4), ((2, 1), 3)):
+            laws = [rand_law(rng, k=k, num_vars=nv, max_len=L) for nv in nvs]
+            joint, coloring = free_product_joint(laws, L)
+            verdict = check_inf_freeness(joint, coloring, L)
+            assert verdict == t_poly_freeness_oracle(joint, coloring, L)
+            assert verdict == FreenessVerdict(True, None)
+            mixed = [w for w in joint.words() if len({coloring.color_of(v) for v in w}) > 1]
+            for i0 in range(k + 1):
+                w0 = rng.choice(mixed)
+                delta = rand_fraction(rng) or Fraction(1, 3)
+                bad = perturbed(joint, w0, i0, delta)
+                verdict = check_inf_freeness(bad, coloring, L)
+                assert verdict == t_poly_freeness_oracle(bad, coloring, L)
+                # the t^i0 coefficient of the discrepancy is delta / i0!
+                assert verdict == FreenessVerdict(False, Witness(w0, i0, delta / factorial(i0)))
+            # two perturbations at once: the earlier word's centred product wins
+            w1, w2 = rng.sample(mixed, 2)
+            bad = perturbed(perturbed(joint, w1, k, rand_fraction(rng) or 1), w2, 0, 1)
+            verdict = check_inf_freeness(bad, coloring, L)
+            assert not verdict.passed
+            assert verdict == t_poly_freeness_oracle(bad, coloring, L)
 
 
 def test_upgrade_zero_derivation():

@@ -9,18 +9,21 @@ from infree.partitions import (
     block_order_cmp,
     catalan,
     enumerate_nc,
-    enumerate_set_partitions,
     is_noncrossing,
     kreweras,
     mobius_to_top,
-    nc_coarsenings,
     ordered_blocks,
     partition_join,
     refines,
-    rotate_partition,
 )
 
-from helpers import mobius_recursive, union_noncrossing
+from helpers import (
+    enumerate_set_partitions,
+    mobius_recursive,
+    nc_coarsenings,
+    rotate_partition,
+    union_noncrossing,
+)
 
 
 def nc(n, *blocks):

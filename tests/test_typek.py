@@ -19,7 +19,6 @@ from infree.typek import (
     fiber_size_formula,
     is_star,
     is_type_k,
-    nc_meet,
     r_of_shape,
     reduce_mod,
     reduction_partition,
@@ -28,7 +27,7 @@ from infree.typek import (
     star_shape,
 )
 
-from helpers import type_k_filter_oracle
+from helpers import nc_meet, type_k_filter_oracle
 
 
 def nc(n, *blocks):
