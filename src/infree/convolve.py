@@ -6,8 +6,12 @@ first is the production path.  Its degree-m coefficient depends on a
 partition p of NC(m) only through the block sizes of p and of Kr(p), so it
 sums over the distinct size profiles, each scaled by the number of
 partitions that share it (33 terms instead of 429 at m=7).  The other two
-routes exist to witness the equality theorems and are computed from
-enumerated partitions, with per-degree term descriptors memoized.
+routes exist to witness the equality theorems.  Both read enumerated type-k
+partitions, the type-B route taking NC^(1)(m) as the inversion-invariant
+partitions of [2m], into grouped descriptors (weight, f side, g side), each
+side a sorted tuple of (degree, coordinate) and equal keys merged by adding
+their weights (218 instead of 9,240 at m=6, i=2).  One coordinate sum
+evaluates them.
 """
 from __future__ import annotations
 
@@ -17,15 +21,8 @@ from functools import lru_cache
 
 from .ck import CkScalar, CkSeries, ck_mul, ck_prod_many, multinomial, series_comp_inverse
 from .cumulants import CumulantTable, InfLaw, cumulants_to_moments, moments_to_cumulants
-from .partitions import (
-    NcPartition,
-    catalan,
-    enumerate_nc,
-    enumerate_nc_blocks,
-    kreweras,
-    ordered_blocks,
-)
-from .typek import enumerate_type_k, r_of_shape
+from .partitions import catalan, enumerate_nc, kreweras, ordered_blocks
+from .typek import enumerate_type_k, fiber_over, r_of_shape
 
 
 def special_series(kind: str, k: int, trunc: int) -> CkSeries:
@@ -123,82 +120,74 @@ def _mirror_reps(blocks: tuple, m: int) -> tuple:
     return zero, tuple(reps)
 
 
+def _coord_sum(terms: tuple, f: CkSeries, g: CkSeries) -> Fraction:
+    """Sum of weight * prod f_d[c] over the f side * prod g_d[c] over the g
+    side, for grouped descriptors (weight, f side, g side) of (d, c) pairs."""
+    acc = Fraction(0)
+    for weight, f_side, g_side in terms:
+        term = weight
+        for d, c in f_side:
+            term *= f.coeffs[d - 1].coords[c]
+        for d, c in g_side:
+            term *= g.coeffs[d - 1].coords[c]
+        acc += term
+    return acc
+
+
+def _grouped(counts: Counter) -> tuple:
+    return tuple((weight, f_side, g_side) for (f_side, g_side), weight in counts.items())
+
+
 @lru_cache(maxsize=None)
 def _type_b_terms(m: int) -> tuple:
-    """Descriptors (alpha side, beta side) for the order-1 double sum at
-    degree m.  Each side is (zero_block_half_size or None, pair sizes)."""
-    terms = []
-    for blocks in enumerate_nc_blocks(2 * m):
-        present = set(blocks)
-        if any(_mirror(b, m) not in present for b in blocks):
-            continue
-        p = NcPartition(2 * m, blocks)
-        a_zero, a_reps = _mirror_reps(p.blocks, m)
-        kr = kreweras(p)
-        b_zero, b_reps = _mirror_reps(kr.blocks, m)
-        if (a_zero is None) == (b_zero is None):
+    """Grouped descriptors of the order-1 double sum at degree m, over the
+    inversion-invariant partitions of [2m], which are NC^(1)(m).  On each
+    side a mirror pair of blocks of size s gives (s, 0) and the zero-block
+    of size 2s gives (s, 1); exactly one side owns a zero-block."""
+    counts = Counter()
+    for tk in enumerate_type_k(m, 1):
+        sides = []
+        for part in (tk.partition, kreweras(tk.partition)):
+            zero, reps = _mirror_reps(part.blocks, m)
+            side = [(len(b), 0) for b in reps]
+            if zero is not None:
+                side.append((len(zero) // 2, 1))
+            sides.append(tuple(sorted(side)))
+        if sum(c for side in sides for _, c in side) != 1:
             raise ValueError("exactly one of the pair must own the zero-block")
-        terms.append(
-            (
-                None if a_zero is None else len(a_zero) // 2,
-                tuple(len(b) for b in a_reps),
-                None if b_zero is None else len(b_zero) // 2,
-                tuple(len(b) for b in b_reps),
-            )
-        )
-    return tuple(terms)
+        counts[tuple(sides)] += 1
+    return _grouped(counts)
 
 
 def boxed_conv_type_b(f: CkSeries, g: CkSeries) -> CkSeries:
     """The two-coordinate double sum over inversion-invariant partitions;
-    defined only at order 1."""
+    defined only at order 1.  Coordinate 0 is the type-0 sum over NC(m)."""
     if f.k != 1 or g.k != 1:
         raise ValueError("type-B convolution is defined at order k=1")
     n = min(f.trunc, g.trunc)
-    coeffs = []
-    for m in range(1, n + 1):
-        prime = Fraction(0)
-        second = Fraction(0)
-        for mult, p_sizes, kr_sizes in _block_profiles(m):
-            term = Fraction(mult)
-            for s in p_sizes:
-                term *= f.coeffs[s - 1].coords[0]
-            for s in kr_sizes:
-                term *= g.coeffs[s - 1].coords[0]
-            prime += term
-        for a_zero, a_pairs, b_zero, b_pairs in _type_b_terms(m):
-            term = Fraction(1)
-            for s in a_pairs:
-                term *= f.coeffs[s - 1].coords[0]
-            for s in b_pairs:
-                term *= g.coeffs[s - 1].coords[0]
-            if a_zero is not None:
-                term *= f.coeffs[a_zero - 1].coords[1]
-            else:
-                term *= g.coeffs[b_zero - 1].coords[1]
-            second += term
-        coeffs.append(CkScalar(1, (prime, second)))
-    return CkSeries(1, n, coeffs)
+    return CkSeries(1, n, [
+        CkScalar(1, (_coord_sum(_type_k_terms(m, 0), f, g), _coord_sum(_type_b_terms(m), f, g)))
+        for m in range(1, n + 1)
+    ])
 
 
 @lru_cache(maxsize=None)
 def _type_k_terms(m: int, i: int) -> tuple:
-    """Descriptors for component i of degree m: (weight, alpha side, beta
-    side), each side a tuple of (block size, component index) read off the
-    separated block list of the reduction."""
-    terms = []
-    for tk in enumerate_type_k(m, i):
-        q = tk.reduction
+    """Grouped descriptors for component i of degree m.  An element with
+    shape lambda has weight multinomial(i, lambda) / r(lambda), and its sides
+    hold (block size, shape entry) over the blocks of its reduction q (f
+    side) and of Kr(q) (g side)."""
+    counts = Counter()
+    for q in enumerate_nc(m):
         mix_list, sep_list = ordered_blocks(q)
-        entry_of = dict(zip(mix_list, tk.shape.entries))
-        weight = Fraction(
-            multinomial(i, tk.shape.entries), r_of_shape(tk.shape, m, i)
-        )
         nb = q.num_blocks()
-        alpha = tuple((len(blk), entry_of[blk]) for blk in sep_list[:nb])
-        beta = tuple((len(blk), entry_of[blk]) for blk in sep_list[nb:])
-        terms.append((weight, alpha, beta))
-    return tuple(terms)
+        for tk in fiber_over(q, i):
+            entry_of = dict(zip(mix_list, tk.shape.entries))
+            f_side = tuple(sorted((len(blk), entry_of[blk]) for blk in sep_list[:nb]))
+            g_side = tuple(sorted((len(blk), entry_of[blk]) for blk in sep_list[nb:]))
+            weight = Fraction(multinomial(i, tk.shape.entries), r_of_shape(tk.shape, m, i))
+            counts[f_side, g_side] += weight
+    return _grouped(counts)
 
 
 def boxed_conv_type_k(f: CkSeries, g: CkSeries) -> CkSeries:
@@ -206,23 +195,11 @@ def boxed_conv_type_k(f: CkSeries, g: CkSeries) -> CkSeries:
     shape multinomial over the shape count r."""
     if f.k != g.k:
         raise ValueError(f"order mismatch: k={f.k} vs k={g.k}")
-    k = f.k
     n = min(f.trunc, g.trunc)
-    coeffs = []
-    for m in range(1, n + 1):
-        comps = []
-        for i in range(k + 1):
-            acc = Fraction(0)
-            for weight, alpha, beta in _type_k_terms(m, i):
-                term = weight
-                for size, comp in alpha:
-                    term *= f.coeffs[size - 1].coords[comp]
-                for size, comp in beta:
-                    term *= g.coeffs[size - 1].coords[comp]
-                acc += term
-            comps.append(acc)
-        coeffs.append(CkScalar(k, comps))
-    return CkSeries(k, n, coeffs)
+    return CkSeries(f.k, n, [
+        CkScalar(f.k, [_coord_sum(_type_k_terms(m, i), f, g) for i in range(f.k + 1)])
+        for m in range(1, n + 1)
+    ])
 
 
 def r_from_moments(m: CkSeries) -> CkSeries:

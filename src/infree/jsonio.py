@@ -25,13 +25,17 @@ class SchemaError(ValueError):
         super().__init__(f"{path or '$'}: {message}")
 
 
-_RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# a word letter or variable key: ASCII digits without a leading zero, so no
+# two keys name the same word
+_LETTER = r"(?:0|[1-9][0-9]*)"
+_WORD_KEY = re.compile(rf"{_LETTER}(?:,{_LETTER})*")
 
 
 def decode_rational(data, path: str) -> Fraction:
     if not isinstance(data, str):
         raise SchemaError(path, f"expected a rational string, got {type(data).__name__}")
-    m = _RATIONAL.match(data)
+    m = _RATIONAL.fullmatch(data)
     if not m:
         raise SchemaError(path, f"malformed rational {data!r}")
     try:
@@ -174,8 +178,10 @@ def _parse_word(key: str, path: str) -> tuple:
     if key == "":
         raise SchemaError(path, "empty word key")
     try:
+        if not _WORD_KEY.fullmatch(key):
+            raise ValueError
         w = tuple(int(part) for part in key.split(","))
-    except ValueError:
+    except ValueError:  # off the grammar, or beyond the limit on int digits
         raise SchemaError(path, f"malformed word key {key!r}") from None
     if any(v < 1 for v in w):
         raise SchemaError(path, f"word letters must be >= 1 in {key!r}")
@@ -262,8 +268,10 @@ def decode_derivation(data, path: str = "") -> Derivation:
     out = {}
     for key, val in images.items():
         try:
+            if not re.fullmatch(_LETTER, key):
+                raise ValueError
             v = int(key)
-        except ValueError:
+        except ValueError:  # off the grammar, or beyond the limit on int digits
             raise SchemaError(f"{path}.images.{key}", "variable keys must be integers") from None
         if v < 1:
             raise SchemaError(f"{path}.images.{key}", "variable keys must be >= 1")

@@ -18,7 +18,7 @@ def catalan(n: int) -> int:
 class SetPartition:
     """Partition of {1, ..., n} into disjoint non-empty blocks."""
 
-    __slots__ = ("n", "blocks", "_block_of")
+    __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         blocks = tuple(tuple(sorted(b)) for b in blocks)
@@ -26,25 +26,21 @@ class SetPartition:
         seen = [x for b in blocks for x in b]
         if sorted(seen) != list(range(1, n + 1)):
             raise ValueError(f"blocks do not partition 1..{n}: {blocks}")
-        block_of = {}
-        for idx, b in enumerate(blocks):
-            for x in b:
-                block_of[x] = idx
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_block_of", block_of)
+
+    @classmethod
+    def _built(cls, n: int, blocks: tuple):
+        """Trusted construction for blocks the library has just produced:
+        canonical (sorted tuples ordered by minimum), so neither coverage
+        nor crossings are checked again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
-
-    def block_index_of(self, x: int) -> int:
-        return self._block_of[x]
-
-    def block_of(self, x: int) -> tuple:
-        return self.blocks[self._block_of[x]]
-
-    def same_block(self, x: int, y: int) -> bool:
-        return self._block_of[x] == self._block_of[y]
 
     def num_blocks(self) -> int:
         return len(self.blocks)
@@ -130,7 +126,7 @@ def enumerate_nc_blocks(n: int) -> Iterator[tuple]:
 
 @lru_cache(maxsize=None)
 def _nc_cache(n: int) -> tuple:
-    return tuple(NcPartition(n, blocks) for blocks in enumerate_nc_blocks(n))
+    return tuple(NcPartition._built(n, blocks) for blocks in enumerate_nc_blocks(n))
 
 
 def enumerate_nc(n: int) -> tuple:
@@ -154,13 +150,14 @@ def kreweras(p: NcPartition, direction: str = "forward") -> NcPartition:
 
     Forward: blocks are the cycles of x -> t^(-1)((x mod n) + 1) where t is
     the cyclic-successor map of p.  Inverse composes the steps the other way
-    round, so kreweras(kreweras(p), "inverse") == p.
+    round, so kreweras(kreweras(p), "inverse") == p.  Each cycle starts at
+    its minimum, so the sorted cycles come out canonical.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', not {direction!r}")
+    if not isinstance(p, NcPartition):
+        p = NcPartition(p.n, p.blocks)  # a plain SetPartition was never checked for crossings
     n = p.n
-    if n == 0:
-        return NcPartition(0, ())
     t = biane_permutation(p)
     t_inv = {v: k for k, v in t.items()}
     if direction == "forward":
@@ -179,8 +176,8 @@ def kreweras(p: NcPartition, direction: str = "forward") -> NcPartition:
             cyc.append(x)
             seen.add(x)
             x = step(x)
-        blocks.append(cyc)
-    return NcPartition(n, blocks)
+        blocks.append(tuple(sorted(cyc)))
+    return NcPartition._built(n, tuple(blocks))
 
 
 class BarredElement(NamedTuple):
@@ -266,7 +263,8 @@ def refines(p: SetPartition, q: SetPartition) -> bool:
     """True when every block of p sits inside a block of q."""
     if p.n != q.n:
         raise ValueError("refinement needs a common ground set")
-    return all(q.same_block(b[0], x) for b in p.blocks for x in b[1:])
+    block_of = {x: i for i, b in enumerate(q.blocks) for x in b}
+    return all(block_of[b[0]] == block_of[x] for b in p.blocks for x in b[1:])
 
 
 def mobius_to_top(p: NcPartition) -> int:

@@ -6,6 +6,11 @@ non-crossing partitions of [n].  The fiber over a fixed reduction p is
 enumerated directly by a constrained left-to-right scan: a block may only
 grow along the successor cycle of its reduced block, and may only close
 once its length is a multiple of that block's size.
+
+Fiber elements are built once per (p, k) and trusted: the scan produces
+only members, so they skip the membership test, and their shapes share
+one block index of p.  Only the public `TypeKPartition(pi, n, k)`, the
+route for partitions from outside the library, checks membership.
 """
 from __future__ import annotations
 
@@ -15,7 +20,6 @@ from typing import Iterator
 
 from .ck import LambdaVector
 from .partitions import (
-    BarredElement,
     NcPartition,
     SetPartition,
     biane_permutation,
@@ -49,7 +53,7 @@ def reduction_partition(p: SetPartition, n: int, k: int) -> NcPartition | None:
         return None
     if not is_noncrossing(images):
         return None
-    return NcPartition(n, images)
+    return NcPartition._built(n, images)
 
 
 def is_type_k(p: NcPartition, n: int, k: int) -> bool:
@@ -79,7 +83,7 @@ def _fiber_scan(p: NcPartition, k: int) -> Iterator[NcPartition]:
     def rec(pos: int, stack: list, closed: list, excess_closed: int):
         if pos > m:
             if all(len(e[0]) % e[2] == 0 for e in stack):
-                yield NcPartition(m, [list(e[0]) for e in stack] + closed)
+                yield NcPartition._built(m, tuple(sorted([tuple(e[0]) for e in stack] + closed)))
             return
         remaining = m - pos + 1
         # each open block still needs (-len) mod cycle elements to finish
@@ -103,7 +107,7 @@ def _fiber_scan(p: NcPartition, k: int) -> Iterator[NcPartition]:
                 yield from rec(
                     pos + 1,
                     stack + [[elems, t[r], cyc]],
-                    closed + [list(e[0]) for e in popped],
+                    closed + [tuple(e[0]) for e in popped],
                     excess_closed + extra,
                 )
                 elems.pop()
@@ -118,16 +122,6 @@ def _fiber_scan(p: NcPartition, k: int) -> Iterator[NcPartition]:
     yield from rec(1, [], [], 0)
 
 
-@lru_cache(maxsize=None)
-def _fiber_raw(p: NcPartition, k: int) -> tuple:
-    return tuple(_fiber_scan(p, k))
-
-
-@lru_cache(maxsize=None)
-def _fiber_tk(p: NcPartition, k: int) -> tuple:
-    return tuple(TypeKPartition(pi, p.n, k) for pi in _fiber_raw(p, k))
-
-
 class TypeKPartition:
     """Element of NC^(k)(n) with its reduction and shape cached."""
 
@@ -137,11 +131,21 @@ class TypeKPartition:
         if not is_type_k(partition, n, k):
             raise ValueError(f"not a type-{k} partition over [{(k + 1) * n}]: {partition!r}")
         reduction = reduction_partition(partition, n, k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "reduction", reduction)
-        object.__setattr__(self, "shape", _compute_shape(partition, reduction, n, k))
+        self._fill(partition, reduction, _block_index(reduction), k)
+
+    @classmethod
+    def _built(cls, partition: NcPartition, reduction: NcPartition, index_of: dict, k: int):
+        """Trusted construction for an element the fiber scan just produced
+        over `reduction`, whose block index the caller shares."""
+        self = object.__new__(cls)
+        self._fill(partition, reduction, index_of, k)
+        return self
+
+    def _fill(self, partition, reduction, index_of, k):
+        n = reduction.n
+        shape = _compute_shape(partition, index_of, n, k)
+        for name, value in zip(self.__slots__, (n, k, partition, reduction, shape)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("TypeKPartition is immutable")
@@ -161,22 +165,27 @@ class TypeKPartition:
         return f"TypeKPartition(n={self.n}, k={self.k}, partition={self.partition!r})"
 
 
-def _compute_shape(pi: NcPartition, q: NcPartition, n: int, k: int) -> LambdaVector:
-    """Shape vector over the n+1 blocks of q united with Kr(q), nesting order.
+def _block_index(q: NcPartition) -> dict:
+    """Position in the nesting order of each block of q, keyed (False,
+    block), and of each block of Kr(q), keyed (True, block)."""
+    mix_list, _ = ordered_blocks(q)
+    return {(blk[0].barred, tuple(e.index for e in blk)): i for i, blk in enumerate(mix_list)}
+
+
+def _compute_shape(pi: NcPartition, index_of: dict, n: int, k: int) -> LambdaVector:
+    """Shape vector over the n+1 blocks of the reduction q united with
+    Kr(q), indexed by `_block_index(q)`.
 
     Entry i collects (multiplicity - 1) over the blocks of pi and Kr(pi)
     reducing to the i-th mixed block; multiplicity is |V| / |reduced V|.
     """
-    mix_list, _ = ordered_blocks(q)
-    index_of = {blk: i for i, blk in enumerate(mix_list)}
     entries = [0] * (n + 1)
     for barred, part in ((False, pi), (True, kreweras(pi))):
         for b in part.blocks:
             red = tuple(sorted({residue(x, n) for x in b}))
             if len(b) % len(red) != 0:
                 raise ValueError(f"block {b} has fractional multiplicity")
-            key = tuple(BarredElement(r, barred) for r in red)
-            entries[index_of[key]] += len(b) // len(red) - 1
+            entries[index_of[barred, red]] += len(b) // len(red) - 1
     return LambdaVector(tuple(entries), k)
 
 
@@ -184,24 +193,19 @@ def shape_of(tk: TypeKPartition) -> LambdaVector:
     return tk.shape
 
 
+@lru_cache(maxsize=None)
 def fiber_over(p: NcPartition, k: int) -> tuple:
     """All TypeKPartition with reduction p, memoized per (p, k)."""
-    return _fiber_tk(p, k)
+    index_of = _block_index(p)
+    return tuple(TypeKPartition._built(pi, p, index_of, k) for pi in _fiber_scan(p, k))
 
 
 @lru_cache(maxsize=None)
-def _enumerate_type_k_cache(n: int, k: int) -> tuple:
-    out = []
-    for p in enumerate_nc(n):
-        out.extend(fiber_over(p, k))
-    return tuple(out)
-
-
 def enumerate_type_k(n: int, k: int) -> tuple:
-    """All of NC^(k)(n), grouped by reduction."""
+    """All of NC^(k)(n), grouped by reduction, memoized."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    return _enumerate_type_k_cache(n, k)
+    return tuple(tk for p in enumerate_nc(n) for tk in fiber_over(p, k))
 
 
 def fiber_size_formula(n: int, k: int) -> int:
@@ -223,15 +227,11 @@ def is_star(tk: TypeKPartition) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_star_cache(n: int, k: int) -> tuple:
-    return tuple(tk for tk in enumerate_type_k(n, k) if is_star(tk))
-
-
 def enumerate_type_k_star(n: int, k: int) -> tuple:
     """The subset NC*^(k)(n): no non-simple blocks in the complement."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    return _enumerate_star_cache(n, k)
+    return tuple(tk for tk in enumerate_type_k(n, k) if is_star(tk))
 
 
 def star_shape(tk: TypeKPartition) -> LambdaVector:
@@ -265,5 +265,5 @@ def r_of_shape(lam: LambdaVector, n: int, k: int, p: NcPartition | None = None) 
     if len(lam.entries) != n + 1 or lam.target != k:
         raise ValueError(f"shape must have n+1 = {n + 1} entries summing to k = {k}")
     if p is None:
-        p = NcPartition(n, [range(1, n + 1)])
+        p = NcPartition._built(n, (tuple(range(1, n + 1)),))
     return _shape_counts(p, k).get(lam.entries, 0)

@@ -305,6 +305,16 @@ def test_deeply_nested_json_is_domain_error(capsys, tmp_path):
     assert err.startswith(f"error: {path}: invalid JSON") and "nested too deeply" in err
 
 
+def test_aliased_word_key_is_domain_error(capsys, tmp_path):
+    # " 1" spells the word (1,) a second time; it must not overwrite "1"
+    path = tmp_path / "law.json"
+    path.write_text('{"k": 0, "num_vars": 1, "max_len": 1, "moments": {"1": ["2"], " 1": ["3"]}}',
+                    encoding="utf-8")
+    code, out, err = run(capsys, "m2c", "--law", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: .moments. 1: malformed word key")
+
+
 def test_overlong_integers_are_domain_errors(capsys, tmp_path):
     digits = "1" + "0" * 5000  # past the interpreter's 4300-digit conversion limit
     bare = tmp_path / "bare.json"

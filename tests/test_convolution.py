@@ -1,11 +1,14 @@
 """Boxed convolutions, special series, transforms, and law convolutions."""
 from fractions import Fraction
+from math import comb
 import random
 
 import pytest
 
 from infree.ck import CkScalar, CkSeries, NotInvertible, ck_mul, series_mul
 from infree.convolve import (
+    _type_b_terms,
+    _type_k_terms,
     additive_convolve,
     boxed_conv_ck,
     boxed_conv_type_b,
@@ -22,6 +25,7 @@ from infree.convolve import (
     special_series,
 )
 from infree.cumulants import all_words, moments_to_cumulants
+from infree.partitions import catalan
 
 from helpers import nc_boxed_conv_oracle, rand_law, rand_scalar, rand_series, rand_sparse_scalar
 
@@ -119,6 +123,22 @@ def test_type_b_degree_one_and_agreement():
     assert boxed_conv_type_b(f, special_series("delta", 1, 4)) == f
     with pytest.raises(ValueError):
         boxed_conv_type_b(rand_series(rng, 0, 3), rand_series(rng, 0, 3))
+
+
+def test_grouped_descriptor_invariants():
+    # a dropped or double-counted term changes a weight sum: each fiber's
+    # weights multinomial/r add up to (m+1)^i, and NC^(1)(m) has C(2m, m)
+    # elements of weight one
+    for m in range(1, 6):
+        for i in range(3):
+            assert sum(w for w, _, _ in _type_k_terms(m, i)) == catalan(m) * (m + 1) ** i
+        assert sum(w for w, _, _ in _type_b_terms(m)) == comb(2 * m, m)
+    for terms in (_type_k_terms(6, 2), _type_b_terms(6)):
+        keys = [(f_side, g_side) for _, f_side, g_side in terms]
+        assert len(set(keys)) == len(keys)
+        assert all(list(side) == sorted(side) for key in keys for side in key)
+    assert len(_type_k_terms(6, 2)) == 218
+    assert len(_type_b_terms(6)) == 74
 
 
 def test_type_k_agreement():

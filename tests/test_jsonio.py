@@ -62,6 +62,30 @@ def test_rationals():
         assert "x.y[2]" in str(exc.value)
 
 
+def test_rational_grammar_is_exact_ascii():
+    # p or p/q in ASCII digits and nothing around them: no final newline, no
+    # blanks, signs on the denominator, underscores or non-ASCII digits
+    for bad in ["5\n", "\u0663", "1/\u0662", " 5", "5 ", "+5", "1_0", "1/2\n", "-", "1/"]:
+        with pytest.raises(SchemaError) as exc:
+            decode_rational(bad, "v")
+        assert "malformed rational" in str(exc.value), bad
+    assert decode_rational("-0", "") == 0
+
+
+def test_word_and_variable_keys_are_exact_ascii():
+    # int() accepts " 1", "+1", "1_0", "\u0663" and "01"; none may spell a
+    # word a second time and overwrite its entry
+    for bad in [" 1", "1 ", "+1", "1_0", "\u0663", "01", "1,01", "1,,2", "1,", ",1", "1, 2"]:
+        reject(decode_law, {"k": 0, "num_vars": 2, "max_len": 1,
+                            "moments": {"1": ["2"], bad: ["3"]}}, "malformed word key")
+        reject(decode_polynomial, {"terms": {bad: "1"}}, "malformed word key")
+        reject(decode_derivation, {"images": {bad: {"terms": {}}}}, "must be integers")
+    law = decode_law({"k": 0, "num_vars": 10, "max_len": 1,
+                      "moments": {str(v): [str(v)] for v in range(1, 11)}})
+    assert law.moment((10,)).coords == (10,)
+    assert decode_derivation({"images": {"12": {"terms": {}}}}).images.keys() == {12}
+
+
 def test_ck_scalar():
     a = CkScalar(1, [Fraction(1, 2), Fraction(-3)])
     data = json.loads(encode(a))

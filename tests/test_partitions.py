@@ -86,6 +86,21 @@ def test_kreweras_known_values():
         kreweras(p, "sideways")
 
 
+def test_trusted_construction_matches_validating_constructor():
+    # enumerate_nc and kreweras build without re-checking; the public
+    # constructor is the oracle for their blocks
+    for n in range(1, 9):
+        for p in enumerate_nc(n):
+            for q in (p, kreweras(p), kreweras(p, "inverse")):
+                checked = NcPartition(n, q.blocks)
+                assert type(q) is NcPartition and q == checked
+                assert q.blocks == checked.blocks
+    # a plain SetPartition was never checked for crossings, so kreweras does
+    with pytest.raises(ValueError, match="crossing"):
+        kreweras(SetPartition(4, [[1, 3], [2, 4]]))
+    assert kreweras(SetPartition(4, [[1, 4], [2, 3]])) == kreweras(nc(4, [1, 4], [2, 3]))
+
+
 def test_kreweras_round_trip_and_rotation():
     for n in range(1, 8):
         for p in enumerate_nc(n):

@@ -151,6 +151,19 @@ def test_shape_examples():
             assert len(tk.shape.entries) == n + 1
 
 
+def test_fiber_elements_match_validating_constructor():
+    # fiber elements skip the membership test; the public constructor, which
+    # runs it, is the oracle for their partition, reduction and shape
+    for k, n in SMALL:
+        for tk in enumerate_type_k(n, k):
+            checked = TypeKPartition(tk.partition, n, k)
+            assert checked == tk
+            assert checked.reduction == tk.reduction
+            assert checked.reduction.blocks == tk.reduction.blocks
+            assert checked.shape == tk.shape
+            assert tk.partition.blocks == NcPartition(tk.partition.n, tk.partition.blocks).blocks
+
+
 def test_constructor_rejects_non_members():
     with pytest.raises(ValueError):
         TypeKPartition(nc(6, [1, 2, 3], [4, 5, 6]), 2, 2)
@@ -238,7 +251,7 @@ def test_meet_witness_fails_membership():
 
 def test_type_1_equals_inversion_invariant():
     # under 1<...<n<-1<...<-n, inversion is the half-turn x -> x+n mod 2n
-    for n in range(1, 5):
+    for n in range(1, 6):
         def invert(p, n=n):
             mapped = [
                 sorted((x + n - 1) % (2 * n) + 1 for x in b) for b in p.blocks
