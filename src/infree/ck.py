@@ -314,25 +314,15 @@ def series_compose(f: CkSeries, g: CkSeries) -> CkSeries:
     if not g.const.is_zero():
         raise ValueError("composition needs a zero constant term in the inner series")
     n = min(f.trunc, g.trunc)
-    k = f.k
-    out = [CkScalar.zero(k) for _ in range(n)]
-    gcoef = [g.coeffs[i] for i in range(n)]
-    current = None  # coefficients of g^j for degrees 1..n
+    g = g.truncate(n)
+    out = [CkScalar.zero(f.k)] * n
+    power = g
     for j in range(1, n + 1):
-        if current is None:
-            current = list(gcoef)
-        else:
-            nxt = [CkScalar.zero(k) for _ in range(n)]
-            for d1 in range(1, n + 1):
-                if current[d1 - 1].is_zero():
-                    continue
-                for d2 in range(1, n - d1 + 1):
-                    nxt[d1 + d2 - 1] = nxt[d1 + d2 - 1] + ck_mul(current[d1 - 1], gcoef[d2 - 1])
-            current = nxt
-        fj = f.coeffs[j - 1] if j <= f.trunc else CkScalar.zero(k)
-        for d in range(1, n + 1):
-            out[d - 1] = out[d - 1] + ck_mul(fj, current[d - 1])
-    return CkSeries(k, n, out, f.const)
+        if j > 1:
+            power = series_mul(power, g)
+        for d in range(n):
+            out[d] = out[d] + ck_mul(f.coeffs[j - 1], power.coeffs[d])
+    return CkSeries(f.k, n, out, f.const)
 
 
 def series_comp_inverse(f: CkSeries) -> CkSeries:

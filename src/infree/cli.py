@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .ck import CkScalar, NotInvertible
@@ -35,6 +36,9 @@ from .partitions import enumerate_nc, kreweras, mobius_to_top
 from .typek import enumerate_type_k
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
 class UsageError(Exception):
     pass
 
@@ -44,8 +48,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int(text: str) -> int:
+    """An integer written in ASCII digits with an optional minus sign; int()
+    alone would also take '٣', '1_0' and ' 3'."""
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -167,12 +179,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
     p = sub.add_parser("nc-enum", help="enumerate non-crossing partitions of [n]")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.set_defaults(func=_cmd_nc_enum)
 
     p = sub.add_parser("nck-enum", help="enumerate non-crossing partitions of type k")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.set_defaults(func=_cmd_nck_enum)
 
     p = sub.add_parser("kreweras", help="Kreweras complement of a partition document")
@@ -194,7 +206,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("boxconv", help="boxed convolution of two series")
     p.add_argument("--type", choices=("a", "b", "k"), default="a")
-    p.add_argument("--k", type=int, default=None, help="validate the series order")
+    p.add_argument("--k", type=_int, default=None, help="validate the series order")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.set_defaults(func=_cmd_boxconv)
@@ -218,13 +230,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("upgrade", help="order-k law from an order-0 law and a derivation")
     p.add_argument("--base", required=True)
     p.add_argument("--derivation", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--max-len", type=_int, required=True)
     p.set_defaults(func=_cmd_upgrade)
 
     p = sub.add_parser("deriv-demo", help="derivative of a convolution of built-in families")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--max-len", type=_int, required=True)
     p.add_argument("--mode", choices=("additive", "multiplicative"), default="additive")
     p.set_defaults(func=_cmd_deriv_demo)
 

@@ -119,12 +119,15 @@ def _first_blocks(n: int) -> tuple:
 
 
 def _first_block_sum(w: tuple, terms, kappa: dict, moment: dict, zero: CkScalar) -> CkScalar:
-    """Sum over the given (B, gaps) of kappa(w|B) times prod m(w|gap)."""
+    """Sum over the given (B, gaps) of kappa(w|B) times prod m(w|gap); a
+    block whose cumulant is zero (every mixed one in a free table) is
+    skipped."""
     acc = zero
     for b, gaps in terms:
-        factors = [kappa[tuple(w[i] for i in b)]]
-        factors += [moment[w[lo:hi]] for lo, hi in gaps]
-        acc = acc + ck_prod_many(factors)
+        first = kappa[tuple(w[i] for i in b)]
+        if first.is_zero():
+            continue
+        acc = acc + ck_prod_many([first] + [moment[w[lo:hi]] for lo, hi in gaps])
     return acc
 
 

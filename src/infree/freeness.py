@@ -1,11 +1,11 @@
-"""Infinitesimal freeness: free products, product tuples, the moment
-characterization, derivation upgrades, and derivatives of free convolutions.
+"""Infinitesimal freeness: free products, product tuples, the mixed-cumulant
+test, derivation upgrades, and derivatives of free convolutions.
 
-The freeness checker works with the one-parameter functional
-phi_t = sum_i phi^(i) t^i / i! truncated beyond t^k.  That truncation is the
-C_k scalar with coordinates (phi^(0), ..., phi^(k)) at t = eps, so the
-centered alternating products are C_k products and the t^i coefficient of
-a result is its coordinate i divided by i!.
+Freeness of order k is tested as the paper defines it: every cumulant of a
+word that mixes colours vanishes as a C_k scalar.  A C_k scalar with
+coordinates (phi^(0), ..., phi^(k)) is phi_t = sum_i phi^(i) t^i / i!
+truncated beyond t^k, so the t^i coefficient of a cumulant is its
+coordinate i divided by i!.
 """
 from __future__ import annotations
 
@@ -220,9 +220,9 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     if max_len > joint.max_len:
         raise ValueError("joint table is too short for the requested length")
     first, second = _require_two_equal_colors(coloring)
-    for w in joint.words():
-        if len({coloring.color_of(v) for v in w}) > 1 and not joint.value(w).is_zero():
-            raise ValueError(f"mixed cumulant does not vanish on {w}")
+    mixed = _first_mixed(joint, coloring)
+    if mixed is not None:
+        raise ValueError(f"mixed cumulant does not vanish on {mixed}")
     block_pairs = {
         m: [(p.blocks, kreweras(p).blocks) for p in enumerate_nc(m)]
         for m in range(1, max_len + 1)
@@ -254,27 +254,27 @@ class FreenessVerdict:
     witness: Witness | None
 
 
-def _runs(w: tuple, coloring: Coloring) -> list:
-    runs = []
-    for v in w:
-        c = coloring.color_of(v)
-        if runs and coloring.color_of(runs[-1][0]) == c:
-            runs[-1].append(v)
-        else:
-            runs.append([v])
-    return [tuple(r) for r in runs]
+def _first_mixed(table: CumulantTable, coloring: Coloring) -> tuple | None:
+    """First word, shortlex, that mixes colours and has a nonzero cumulant."""
+    for w in table.words():
+        if not table.values[w].is_zero() and len({coloring.color_of(v) for v in w}) > 1:
+            return w
+    return None
 
 
 def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> FreenessVerdict:
-    """Bounded moment test of infinitesimal freeness of order k.
+    """Bounded test of infinitesimal freeness of order k: every cumulant of
+    a word of length <= max_len that mixes colours must vanish.
 
-    Every word of length <= max_len splits into maximal same-color runs;
-    the runs are the alternating monomials.  For each such product the
-    centered expectation phi_t(prod(m_r - phi_t(m_r))) is expanded over the
-    subsets of runs kept, with phi_t the moment itself as a C_k scalar, and
-    its coefficients of t^0..t^k must vanish.  The witness reports the
-    first nonzero one, coordinate i divided by i!.  Any reported failure is
-    a genuine one; a pass certifies freeness up to the budget.
+    The witness is the first failing word in shortlex order, the lowest
+    nonzero coordinate i of its cumulant, and that coordinate divided by
+    i!, its t^i coefficient.  This is also the first nonzero centred
+    alternating product phi_t(prod(m_r - phi_t(m_r))) over the word's
+    same-colour runs m_r: below the shortest length with a nonzero mixed
+    cumulant every such product vanishes, and at that length it equals the
+    word's cumulant (Krawczyk-Speicher products as arguments).  Any
+    reported failure is a genuine one; a pass certifies freeness up to the
+    budget.
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the law")
@@ -282,24 +282,15 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
         raise ValueError(f"length budget must be >= 1, got {max_len}")
     if max_len > joint.max_len:
         raise ValueError("law is too short for the requested length budget")
-    k = joint.k
-    one = CkScalar.one(k)
-    for w in all_words(joint.num_vars, max_len):
-        runs = _runs(w, coloring)
-        if len(runs) < 2:
-            continue
-        # expand prod over runs of (m_r - phi(m_r)): (coefficient, kept word)
-        terms = [(one, ())]
-        for r in runs:
-            neg_mean = -joint.moment(r)
-            terms = [(c, u + r) for c, u in terms] + [(c * neg_mean, u) for c, u in terms]
-        total = CkScalar.zero(k)
-        for c, u in terms:
-            total = total + c * joint.value(u)
-        for i, x in enumerate(total.coords):
-            if x != 0:
-                return FreenessVerdict(False, Witness(w, i, x / factorial(i)))
-    return FreenessVerdict(True, None)
+    if max_len < joint.max_len:
+        words = all_words(joint.num_vars, max_len)
+        joint = InfLaw(joint.k, joint.num_vars, max_len, {w: joint.values[w] for w in words})
+    cums = moments_to_cumulants(joint)
+    w = _first_mixed(cums, coloring)
+    if w is None:
+        return FreenessVerdict(True, None)
+    i, x = next((i, x) for i, x in enumerate(cums.values[w].coords) if x != 0)
+    return FreenessVerdict(False, Witness(w, i, x / factorial(i)))
 
 
 def upgraded_law(base: InfLaw, d: Derivation, k: int, max_len: int) -> InfLaw:

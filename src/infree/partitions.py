@@ -191,10 +191,6 @@ class BarredElement(NamedTuple):
         return f"{self.index}'" if self.barred else f"{self.index}"
 
 
-def _doubled_position(e: BarredElement) -> int:
-    return 2 * e.index if e.barred else 2 * e.index - 1
-
-
 def block_order_cmp(v: tuple, w: tuple) -> int:
     """Partial order on disjoint blocks: V before W when max V < min W, or W
     nests around V (min W < min V and max V < max W).  Blocks here are sorted

@@ -262,6 +262,8 @@ def r_of_shape(lam: LambdaVector, n: int, k: int, p: NcPartition | None = None) 
     The count does not depend on p; the default reference is the one-block
     partition of [n].
     """
+    if n < 1:
+        raise ValueError(f"r_of_shape needs n >= 1, got {n}")
     if len(lam.entries) != n + 1 or lam.target != k:
         raise ValueError(f"shape must have n+1 = {n + 1} entries summing to k = {k}")
     if p is None:

@@ -58,6 +58,7 @@ from helpers import (
     lagrange_derivative_at_zero,
     mobius_recursive,
     nc_star_moment_oracle,
+    t_poly_freeness_oracle,
     phi_component_oracle,
     rand_law,
     rand_series,
@@ -297,6 +298,7 @@ def test_criterion_10():
         nu = rand_law(rng, k=k, num_vars=1, max_len=4)
         joint, coloring = free_product_joint([mu, nu], 4)
         verdict = check_inf_freeness(joint, coloring, 4)
+        assert verdict == t_poly_freeness_oracle(joint, coloring, 4)
         assert verdict.passed and verdict.witness is None
         joints[k] = (joint, coloring)
     # 20 single-moment perturbations, each caught at the perturbed entry
@@ -319,7 +321,9 @@ def test_criterion_10():
             if w == w0:
                 coords[i0] += 1
             values[w] = CkScalar(k, coords)
-        verdict = check_inf_freeness(InfLaw(k, 2, 4, values), coloring, 4)
+        bad = InfLaw(k, 2, 4, values)
+        verdict = check_inf_freeness(bad, coloring, 4)
+        assert verdict == t_poly_freeness_oracle(bad, coloring, 4)
         assert not verdict.passed
         assert verdict.witness.word == w0 and verdict.witness.component == i0
     # upgrades along subalgebra-preserving derivations stay free
@@ -332,4 +336,5 @@ def test_criterion_10():
         joint, coloring = free_product_joint([mu, nu], 4 + k)
         up = upgraded_law(joint, d, k, 4)
         verdict = check_inf_freeness(up, coloring, 4)
+        assert verdict == t_poly_freeness_oracle(up, coloring, 4)
         assert verdict.passed, k

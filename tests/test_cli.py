@@ -26,7 +26,7 @@ from infree.jsonio import (
 )
 from infree.partitions import NcPartition, enumerate_nc, kreweras
 
-from helpers import rand_law, rand_series
+from helpers import rand_law, rand_series, t_poly_freeness_oracle
 
 
 def run(capsys, *argv):
@@ -159,16 +159,19 @@ def test_check_freeness_verdicts(capsys, tmp_path):
     )
     assert code == 0
     verdict = decode_verdict(json.loads(out))
+    assert verdict == t_poly_freeness_oracle(joint, coloring, 3)
     assert verdict.passed and verdict.witness is None
     # perturb one mixed moment: the verdict carries the witness
     bumped = {
         w: joint.moment(w) if w != (1, 2) else joint.moment(w) + CkScalar.one(1)
         for w in joint.words()
     }
-    bp = write(tmp_path, "bad.json", InfLaw(1, 2, 3, bumped))
+    bad = InfLaw(1, 2, 3, bumped)
+    bp = write(tmp_path, "bad.json", bad)
     code, out, _ = run(capsys, "check-freeness", "--law", bp, "--colors", cp)
     assert code == 0
     verdict = decode_verdict(json.loads(out))
+    assert verdict == t_poly_freeness_oracle(bad, coloring, 3)
     assert not verdict.passed
     assert verdict.witness.word == (1, 2) and verdict.witness.component == 0
 
@@ -276,6 +279,26 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "boxconv", "--type", "z", "--lhs", "x", "--rhs", "y")
     assert code == 1
+
+
+def test_integer_flags_are_exact_ascii(capsys):
+    # int() alone would read these as 3, 10 and 3
+    up = ["--base", "b.json", "--derivation", "d.json"]
+    for bad in ("\u0663", "1_0", " 3"):
+        for argv in (
+            ["nc-enum", "--n", bad],
+            ["nck-enum", "--n", bad, "--k", "1"],
+            ["nck-enum", "--n", "2", "--k", bad],
+            ["boxconv", "--k", bad, "--lhs", "f.json", "--rhs", "g.json"],
+            ["check-freeness", "--law", "l.json", "--colors", "c.json", "--max-len", bad],
+            ["upgrade", *up, "--k", bad, "--max-len", "2"],
+            ["upgrade", *up, "--k", "1", "--max-len", bad],
+            ["deriv-demo", "--k", bad, "--max-len", "2"],
+            ["deriv-demo", "--k", "1", "--max-len", bad],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and err.startswith("usage error:"), argv
+            assert "not an integer" in err
 
 
 def test_help_exits_zero(capsys):

@@ -40,6 +40,7 @@ from helpers import (
     rand_fraction,
     rand_law,
     rand_scalar,
+    rand_sparse_scalar,
     t_poly_freeness_oracle,
 )
 
@@ -176,6 +177,7 @@ def test_checker_passes_free_product():
         nu = rand_law(rng, k=k, num_vars=1, max_len=4)
         joint, coloring = free_product_joint([mu, nu], 4)
         verdict = check_inf_freeness(joint, coloring, 4)
+        assert verdict == t_poly_freeness_oracle(joint, coloring, 4)
         assert verdict.passed and verdict.witness is None
     with pytest.raises(ValueError):
         check_inf_freeness(joint, coloring, 0)  # an empty budget checks nothing
@@ -193,6 +195,7 @@ def test_checker_fails_tensor_independent():
         values[w] = CkScalar(0, [marginal(ones) * marginal(len(w) - ones)])
     law = InfLaw(0, 2, 4, values)
     verdict = check_inf_freeness(law, Coloring((1, 2)), 4)
+    assert verdict == t_poly_freeness_oracle(law, Coloring((1, 2)), 4)
     assert not verdict.passed
     assert verdict.witness == Witness((1, 2, 1, 2), 0, Fraction(1))
 
@@ -215,6 +218,7 @@ def test_checker_witnesses_the_perturbed_moment():
     for w0, i0 in [((1, 2), 0), ((1, 2, 1), 1), ((2, 1, 2, 1), 1)]:
         bad = perturbed(joint, w0, i0)
         verdict = check_inf_freeness(bad, coloring, 4)
+        assert verdict == t_poly_freeness_oracle(bad, coloring, 4)
         assert not verdict.passed
         assert verdict.witness.word == w0 and verdict.witness.component == i0
         # the perturbation shows up as a nonvanishing mixed cumulant too
@@ -251,6 +255,50 @@ def test_checker_matches_t_polynomial_oracle():
             verdict = check_inf_freeness(bad, coloring, L)
             assert not verdict.passed
             assert verdict == t_poly_freeness_oracle(bad, coloring, L)
+    # laws whose first nonzero mixed cumulant has length n = 3, 4, 5, with
+    # runs longer than one letter, first and last runs of one colour, and
+    # three colours; None puts a sparse random cumulant on every mixed word
+    # of length n
+    cases = [
+        ((1, 2), 3, [(1, 1, 2)]),
+        ((1, 2), 4, [(2, 1, 1, 2)]),
+        ((1, 2), 5, [(1, 1, 2, 2, 1), (1, 2, 2, 2, 1)]),
+        ((1, 2), 5, None),
+        ((1, 2, 1), 3, [(1, 2, 3)]),
+        ((1, 2, 1), 4, [(3, 1, 2, 2), (3, 2, 2, 1)]),
+        ((1, 1, 2), 4, None),
+        ((1, 2, 3), 3, [(2, 3, 1)]),
+        ((1, 2, 3), 4, [(1, 1, 3, 2), (2, 3, 3, 1)]),
+        ((1, 2, 3), 4, None),
+    ]
+    for k in range(4):
+        for colors, n, targets in cases:
+            coloring = Coloring(colors)
+            i0 = rng.randrange(k + 1)
+            values = {}
+            for w in all_words(len(colors), n):
+                if len({coloring.color_of(v) for v in w}) == 1:
+                    values[w] = rand_scalar(rng, k)
+                elif len(w) < n:
+                    values[w] = CkScalar.zero(k)
+                elif targets is None:
+                    values[w] = rand_sparse_scalar(rng, k)
+                elif w in targets:
+                    lead = rand_fraction(rng) or Fraction(1, 2)
+                    rest = [rand_fraction(rng) for _ in range(k - i0)]
+                    values[w] = CkScalar(k, [0] * i0 + [lead] + rest)
+                else:
+                    values[w] = CkScalar.zero(k)
+            law = cumulants_to_moments(CumulantTable(k, len(colors), n, values))
+            below = check_inf_freeness(law, coloring, n - 1)
+            assert below == t_poly_freeness_oracle(law, coloring, n - 1)
+            assert below == FreenessVerdict(True, None)
+            verdict = check_inf_freeness(law, coloring, n)
+            assert verdict == t_poly_freeness_oracle(law, coloring, n)
+            if targets is not None:
+                w0 = min(targets)
+                lead = values[w0].coords[i0]
+                assert verdict == FreenessVerdict(False, Witness(w0, i0, lead / factorial(i0)))
 
 
 def test_upgrade_zero_derivation():
@@ -345,6 +393,7 @@ def test_upgrade_preserving_subalgebras_stays_free():
     d = Derivation({1: X1 * X1, 2: X2.scale(2)})
     up = upgraded_law(joint, d, 1, 4)
     verdict = check_inf_freeness(up, coloring, 4)
+    assert verdict == t_poly_freeness_oracle(up, coloring, 4)
     assert verdict.passed
 
 

@@ -199,6 +199,9 @@ def test_r_rejects_bad_shape():
         r_of_shape(LambdaVector((1, 0), 1), 2, 1)  # wrong length
     with pytest.raises(ValueError):
         r_of_shape(LambdaVector((1, 0, 0), 1), 2, 2)  # wrong target
+    for n, lam in ((0, (1,)), (-1, ())):
+        with pytest.raises(ValueError, match="n >= 1"):
+            r_of_shape(LambdaVector(lam, sum(lam)), n, sum(lam))  # empty ground set
 
 
 def test_star_examples():
