@@ -102,7 +102,8 @@ class CkScalar:
         return ck_inverse(self)
 
 
-def _check_order(a: CkScalar, b: CkScalar) -> None:
+def _check_order(a, b) -> None:
+    """Scalars or series of one order k."""
     if a.k != b.k:
         raise ValueError(f"order mismatch: k={a.k} vs k={b.k}")
 
@@ -267,62 +268,53 @@ class CkSeries:
         return f"CkSeries(k={self.k}, trunc={self.trunc}, const={self.const!r}, coeffs={list(self.coeffs)!r})"
 
     def __add__(self, other: "CkSeries") -> "CkSeries":
-        _check_series(self, other)
-        n = min(self.trunc, other.trunc)
-        return CkSeries(
-            self.k,
-            n,
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)),
-            self.const + other.const,
-        )
+        _check_order(self, other)
+        coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        return CkSeries(self.k, len(coeffs), coeffs, self.const + other.const)
 
     def __sub__(self, other: "CkSeries") -> "CkSeries":
-        _check_series(self, other)
-        n = min(self.trunc, other.trunc)
-        return CkSeries(
-            self.k,
-            n,
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(n)),
-            self.const - other.const,
-        )
+        _check_order(self, other)
+        coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
+        return CkSeries(self.k, len(coeffs), coeffs, self.const - other.const)
 
     def __mul__(self, other: "CkSeries") -> "CkSeries":
         return series_mul(self, other)
 
 
-def _check_series(f: CkSeries, g: CkSeries) -> None:
-    if f.k != g.k:
-        raise ValueError(f"order mismatch: k={f.k} vs k={g.k}")
-
-
 def series_mul(f: CkSeries, g: CkSeries) -> CkSeries:
     """Cauchy product truncated at min(f.trunc, g.trunc); constants included."""
-    _check_series(f, g)
+    _check_order(f, g)
     n = min(f.trunc, g.trunc)
     coeffs = []
     for m in range(1, n + 1):
         acc = CkScalar.zero(f.k)
         for i in range(0, m + 1):
-            acc = acc + ck_mul(f.coeff(i), g.coeff(m - i))
+            x, y = f.coeff(i), g.coeff(m - i)
+            if not (x.is_zero() or y.is_zero()):
+                acc = acc + ck_mul(x, y)
         coeffs.append(acc)
     return CkSeries(f.k, n, coeffs, ck_mul(f.const, g.const))
 
 
 def series_compose(f: CkSeries, g: CkSeries) -> CkSeries:
     """f(g(z)) truncated at min trunc; the inner series must have zero constant."""
-    _check_series(f, g)
+    _check_order(f, g)
     if not g.const.is_zero():
         raise ValueError("composition needs a zero constant term in the inner series")
     n = min(f.trunc, g.trunc)
-    g = g.truncate(n)
     out = [CkScalar.zero(f.k)] * n
-    power = g
-    for j in range(1, n + 1):
-        if j > 1:
-            power = series_mul(power, g)
+    for a, power in zip(f.coeffs, _powers(g.truncate(n))):
         for d in range(n):
-            out[d] = out[d] + ck_mul(f.coeffs[j - 1], power.coeffs[d])
+            out[d] = out[d] + ck_mul(a, power.coeffs[d])
     return CkSeries(f.k, n, out, f.const)
+
+
+def _powers(f: CkSeries) -> list:
+    """f, f^2, ..., f^trunc."""
+    out = [f]
+    for _ in range(1, f.trunc):
+        out.append(series_mul(out[-1], f))
+    return out
 
 
 def series_comp_inverse(f: CkSeries) -> CkSeries:

@@ -2,16 +2,17 @@
 
 Three routes to the same product: the type-A boxed convolution over C_k,
 the type-B double sum at k=1, and the type-k sum weighted by shapes.  The
-first is the production path.  Its degree-m coefficient depends on a
-partition p of NC(m) only through the block sizes of p and of Kr(p), so it
-sums over the distinct size profiles, each scaled by the number of
-partitions that share it (33 terms instead of 429 at m=7).  The other two
-routes exist to witness the equality theorems.  Both read enumerated type-k
-partitions, the type-B route taking NC^(1)(m) as the inversion-invariant
-partitions of [2m], into grouped descriptors (weight, f side, g side), each
-side a sorted tuple of (degree, coordinate) and equal keys merged by adding
-their weights (218 instead of 9,240 at m=6, i=2).  One coordinate sum
-evaluates them.
+first is the production path and enumerates no partition: counting the p
+in NC(m) by the block types of p and Kr(p) (Goulden-Jackson, Europ. J.
+Combin. 13, 1992, through Biane's bijection, Nica-Speicher, Lectures on
+the Combinatorics of Free Probability, Lecture 18) turns the sum over NC(m)
+into gamma_m = m sum over a + b = m + 1 of [z^m]A^a [z^m]B^b / (a b), for
+A = sum alpha_n z^n and B = sum beta_n z^n.  The other two routes exist to
+witness the equality theorems.  Both read enumerated type-k partitions, the
+type-B route taking NC^(1)(m) as the inversion-invariant partitions of
+[2m], into grouped descriptors (weight, f side, g side), each side a sorted
+tuple of (degree, coordinate) and equal keys merged by adding their weights
+(218 instead of 9,240 at m=6, i=2).  One coordinate sum evaluates them.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .ck import CkScalar, CkSeries, ck_mul, ck_prod_many, multinomial, series_comp_inverse
+from .ck import CkScalar, CkSeries, ck_mul, multinomial, series_comp_inverse
+from .ck import _check_order, _powers
 from .cumulants import CumulantTable, InfLaw, cumulants_to_moments, moments_to_cumulants
 from .partitions import catalan, enumerate_nc, kreweras, ordered_blocks
 from .typek import enumerate_type_k, fiber_over, r_of_shape
@@ -43,60 +45,30 @@ def special_series(kind: str, k: int, trunc: int) -> CkSeries:
     raise ValueError(f"unknown special series kind: {kind!r}")
 
 
-@lru_cache(maxsize=None)
-def _block_profiles(m: int) -> tuple:
-    """Distinct (multiplicity, sorted sizes of p's blocks, sorted sizes of
-    Kr(p)'s blocks) over p in NC(m); the multiplicities sum to Catalan(m)."""
-    counts = Counter(
-        (
-            tuple(sorted(len(b) for b in p.blocks)),
-            tuple(sorted(len(b) for b in kreweras(p).blocks)),
-        )
-        for p in enumerate_nc(m)
-    )
-    return tuple((mult, p_sizes, kr_sizes) for (p_sizes, kr_sizes), mult in counts.items())
-
-
-def _profile_sum(m: int, alpha, beta) -> CkScalar:
-    """Degree-m boxed coefficient: sum over the profiles of mult times
-    prod alpha_{p-sizes} times prod beta_{Kr-sizes}."""
-    acc = CkScalar.zero(alpha[0].k)
-    for mult, p_sizes, kr_sizes in _block_profiles(m):
-        term = ck_prod_many([alpha[s - 1] for s in p_sizes] + [beta[s - 1] for s in kr_sizes])
-        acc = acc + (term if mult == 1 else term.scale(mult))
-    return acc
+def _check_boxed_pair(f: CkSeries, g: CkSeries) -> None:
+    _check_order(f, g)
+    if not (f.const.is_zero() and g.const.is_zero()):
+        raise ValueError("boxed convolution needs a zero constant term")
 
 
 def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
     """gamma_m = sum over NC(m) of prod alpha_{block sizes of p} times
-    prod beta_{block sizes of Kr(p)}, all products in C_k."""
-    if f.k != g.k:
-        raise ValueError(f"order mismatch: k={f.k} vs k={g.k}")
+    prod beta_{block sizes of Kr(p)}, computed as m sum over a + b = m + 1
+    of [z^m]f^a [z^m]g^b / (a b) (Goulden-Jackson 1992 through Biane's
+    bijection, Nica-Speicher Lecture 18).  alpha_1 may be zero or nilpotent."""
+    _check_boxed_pair(f, g)
     n = min(f.trunc, g.trunc)
-    return CkSeries(f.k, n, [_profile_sum(m, f.coeffs, g.coeffs) for m in range(1, n + 1)])
-
-
-def boxed_inverse(f: CkSeries) -> CkSeries:
-    """g with f boxed g = delta; exists iff the degree-1 coefficient is a
-    unit of C_k.  Triangular: beta_m occurs only in the p = 0_m term."""
-    k = f.k
-    n = f.trunc
-    a1_inv = f.coeffs[0].inverse()
-    lead_pow = {}
-
-    def a1_inv_pow(e: int) -> CkScalar:
-        if e not in lead_pow:
-            lead_pow[e] = ck_prod_many([a1_inv] * e) if e else CkScalar.one(k)
-        return lead_pow[e]
-
-    g: list = []
+    f_pows = _powers(f.truncate(n))
+    g_pows = _powers(g.truncate(n))
+    coeffs = []
     for m in range(1, n + 1):
-        # with beta_m set to zero the p = 0_m term drops out of the sum
-        acc = _profile_sum(m, f.coeffs, g + [CkScalar.zero(k)])
-        target = CkScalar.one(k) if m == 1 else CkScalar.zero(k)
-        # 0_m term is (alpha_1)^m beta_m
-        g.append(ck_mul(a1_inv_pow(m), target - acc))
-    return CkSeries(k, n, g)
+        acc = CkScalar.zero(f.k)
+        for a in range(1, m + 1):  # b = m + 1 - a
+            x, y = f_pows[a - 1].coeffs[m - 1], g_pows[m - a].coeffs[m - 1]
+            if not (x.is_zero() or y.is_zero()):
+                acc = acc + ck_mul(x, y).scale(Fraction(m, a * (m + 1 - a)))
+        coeffs.append(acc)
+    return CkSeries(f.k, n, coeffs)
 
 
 def _mirror(b: tuple, m: int) -> tuple:
@@ -164,6 +136,7 @@ def boxed_conv_type_b(f: CkSeries, g: CkSeries) -> CkSeries:
     defined only at order 1.  Coordinate 0 is the type-0 sum over NC(m)."""
     if f.k != 1 or g.k != 1:
         raise ValueError("type-B convolution is defined at order k=1")
+    _check_boxed_pair(f, g)
     n = min(f.trunc, g.trunc)
     return CkSeries(1, n, [
         CkScalar(1, (_coord_sum(_type_k_terms(m, 0), f, g), _coord_sum(_type_b_terms(m), f, g)))
@@ -193,8 +166,7 @@ def _type_k_terms(m: int, i: int) -> tuple:
 def boxed_conv_type_k(f: CkSeries, g: CkSeries) -> CkSeries:
     """Componentwise sum over type-i partitions, i = 0..k, weighted by the
     shape multinomial over the shape count r."""
-    if f.k != g.k:
-        raise ValueError(f"order mismatch: k={f.k} vs k={g.k}")
+    _check_boxed_pair(f, g)
     n = min(f.trunc, g.trunc)
     return CkSeries(f.k, n, [
         CkScalar(f.k, [_coord_sum(_type_k_terms(m, i), f, g) for i in range(f.k + 1)])

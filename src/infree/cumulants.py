@@ -142,14 +142,24 @@ def cumulants_to_moments(c: CumulantTable) -> InfLaw:
     return InfLaw(c.k, c.num_vars, c.max_len, out)
 
 
+def _cumulants_by_length(m: InfLaw) -> Iterator[dict]:
+    """The cumulants of m one length at a time, shortest first, as dicts
+    from words to cumulants; a caller that stops early pays for no more."""
+    zero = CkScalar.zero(m.k)
+    out = {}
+    for n in range(1, m.max_len + 1):
+        terms = _first_blocks(n)[:-1]
+        layer = {w: m.values[w] - _first_block_sum(w, terms, out, m.values, zero)
+                 for w in product(range(1, m.num_vars + 1), repeat=n)}
+        out.update(layer)
+        yield layer
+
+
 def moments_to_cumulants(m: InfLaw) -> CumulantTable:
     """Exact inverse of cumulants_to_moments: the first-block identity
     solved for its B = [n] term, kappa(w) = m(w) minus the sum over the
     proper blocks B, whose cumulants belong to shorter words."""
-    zero = CkScalar.zero(m.k)
-    out = {}
-    for w in m.words():
-        out[w] = m.values[w] - _first_block_sum(w, _first_blocks(len(w))[:-1], out, m.values, zero)
+    out = {w: x for layer in _cumulants_by_length(m) for w, x in layer.items()}
     return CumulantTable(m.k, m.num_vars, m.max_len, out)
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 from .ck import CkScalar, ck_prod_many
 from .cumulants import (
     CumulantTable,
     InfLaw,
+    _cumulants_by_length,
     all_words,
     cumulants_to_moments,
     moments_to_cumulants,
@@ -220,7 +222,7 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     if max_len > joint.max_len:
         raise ValueError("joint table is too short for the requested length")
     first, second = _require_two_equal_colors(coloring)
-    mixed = _first_mixed(joint, coloring)
+    mixed = _first_mixed(joint.values, coloring)
     if mixed is not None:
         raise ValueError(f"mixed cumulant does not vanish on {mixed}")
     block_pairs = {
@@ -254,10 +256,10 @@ class FreenessVerdict:
     witness: Witness | None
 
 
-def _first_mixed(table: CumulantTable, coloring: Coloring) -> tuple | None:
-    """First word, shortlex, that mixes colours and has a nonzero cumulant."""
-    for w in table.words():
-        if not table.values[w].is_zero() and len({coloring.color_of(v) for v in w}) > 1:
+def _first_mixed(values: dict, coloring: Coloring) -> tuple | None:
+    """First word, in dict order, that mixes colours and has a nonzero value."""
+    for w, x in values.items():
+        if not x.is_zero() and len({coloring.color_of(v) for v in w}) > 1:
             return w
     return None
 
@@ -274,7 +276,8 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
     cumulant every such product vanishes, and at that length it equals the
     word's cumulant (Krawczyk-Speicher products as arguments).  Any
     reported failure is a genuine one; a pass certifies freeness up to the
-    budget.
+    budget.  Cumulants are computed one length at a time and the scan
+    stops at the first length that holds a failing word.
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the law")
@@ -282,15 +285,12 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
         raise ValueError(f"length budget must be >= 1, got {max_len}")
     if max_len > joint.max_len:
         raise ValueError("law is too short for the requested length budget")
-    if max_len < joint.max_len:
-        words = all_words(joint.num_vars, max_len)
-        joint = InfLaw(joint.k, joint.num_vars, max_len, {w: joint.values[w] for w in words})
-    cums = moments_to_cumulants(joint)
-    w = _first_mixed(cums, coloring)
-    if w is None:
-        return FreenessVerdict(True, None)
-    i, x = next((i, x) for i, x in enumerate(cums.values[w].coords) if x != 0)
-    return FreenessVerdict(False, Witness(w, i, x / factorial(i)))
+    for layer in islice(_cumulants_by_length(joint), max_len):
+        w = _first_mixed(layer, coloring)
+        if w is not None:
+            i, x = next((i, x) for i, x in enumerate(layer[w].coords) if x != 0)
+            return FreenessVerdict(False, Witness(w, i, x / factorial(i)))
+    return FreenessVerdict(True, None)
 
 
 def upgraded_law(base: InfLaw, d: Derivation, k: int, max_len: int) -> InfLaw:

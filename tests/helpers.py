@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 from math import factorial
 
-from infree.ck import CkScalar, CkSeries, ck_prod_many, lambda_vectors, multinomial
+from infree.ck import CkScalar, CkSeries, ck_mul, ck_prod_many, lambda_vectors, multinomial
 from infree.cumulants import CumulantTable, InfLaw, all_words, cumulants_to_moments, restrict
 from infree.freeness import FreenessVerdict, Witness
 from infree.partitions import (
@@ -148,6 +148,34 @@ def nc_boxed_conv_oracle(f: CkSeries, g: CkSeries) -> CkSeries:
             acc = acc + ck_prod_many(factors)
         coeffs.append(acc)
     return CkSeries(f.k, n, coeffs)
+
+
+def nc_boxed_inverse_oracle(f: CkSeries) -> CkSeries:
+    """g with f boxed g = delta, solved degree by degree against
+    nc_boxed_conv_oracle: beta_m occurs only in the p = 0_m term, with
+    coefficient alpha_1^m, so beta_m = alpha_1^(-m) (delta_m - the sum with
+    beta_m set to zero).  NotInvertible unless alpha_1 is a unit."""
+    k = f.k
+    a1_inv = f.coeffs[0].inverse()
+    g = []
+    for m in range(1, f.trunc + 1):
+        trial = CkSeries(k, m, g + [CkScalar.zero(k)])
+        acc = nc_boxed_conv_oracle(f.truncate(m), trial).coeffs[m - 1]
+        target = CkScalar.one(k) if m == 1 else CkScalar.zero(k)
+        g.append(ck_prod_many([a1_inv] * m + [target - acc]))
+    return CkSeries(k, f.trunc, g)
+
+
+def cauchy_series_mul_oracle(f: CkSeries, g: CkSeries) -> CkSeries:
+    """Series product as the plain Cauchy sum, every term included."""
+    n = min(f.trunc, g.trunc)
+    coeffs = []
+    for m in range(1, n + 1):
+        acc = CkScalar.zero(f.k)
+        for i in range(0, m + 1):
+            acc = acc + ck_mul(f.coeff(i), g.coeff(m - i))
+        coeffs.append(acc)
+    return CkSeries(f.k, n, coeffs, ck_mul(f.const, g.const))
 
 
 def nc_c2m_oracle(c: CumulantTable) -> InfLaw:

@@ -21,7 +21,13 @@ from infree.ck import (
     series_mul,
 )
 
-from helpers import rand_scalar, rand_series, rand_sparse_scalar, to_toeplitz
+from helpers import (
+    cauchy_series_mul_oracle,
+    rand_scalar,
+    rand_series,
+    rand_sparse_scalar,
+    to_toeplitz,
+)
 
 
 def test_product_small_values():
@@ -148,6 +154,26 @@ def test_series_mul():
     f = CkSeries.from_rationals(0, [1, 1], trunc=4)  # z + z^2
     sq = series_mul(f, f)
     assert [c.coords[0] for c in sq.coeffs] == [0, 1, 2, 1]
+
+
+def test_series_mul_skips_zero_terms_exactly():
+    # the zero skip changes no coefficient: sparse series, with a nonzero
+    # constant on neither, either or both sides
+    rng = random.Random(149)
+    for k in range(4):
+        for trunc in (1, 2, 6):
+            for const_f, const_g in ((False, False), (True, False), (False, True), (True, True)):
+                for _ in range(5):
+                    f, g = (
+                        CkSeries(
+                            k,
+                            trunc,
+                            [rand_sparse_scalar(rng, k) for _ in range(trunc)],
+                            rand_scalar(rng, k) + CkScalar.one(k) * 7 if has_const else None,
+                        )
+                        for has_const in (const_f, const_g)
+                    )
+                    assert series_mul(f, g) == cauchy_series_mul_oracle(f, g), (k, trunc)
 
 
 def test_series_comp_inverse_known():

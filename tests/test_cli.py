@@ -133,6 +133,22 @@ def test_boxconv_k_flag_validates(capsys, tmp_path):
     assert "flag says k=2" in err
 
 
+def test_boxconv_refuses_a_constant_term(capsys, tmp_path):
+    plain = {"k": 1, "trunc": 2, "coeffs": [["1", "0"], ["2", "1"]]}
+    fp, cp = str(tmp_path / "plain.json"), str(tmp_path / "const.json")
+    with open(fp, "w", encoding="utf-8") as fh:
+        json.dump(plain, fh)
+    with open(cp, "w", encoding="utf-8") as fh:
+        json.dump(dict(plain, const=["1", "0"]), fh)
+    for typ in ("a", "b", "k"):
+        for lhs, rhs in ((cp, fp), (fp, cp)):
+            code, out, err = run(capsys, "boxconv", "--type", typ, "--lhs", lhs, "--rhs", rhs)
+            assert (code, out) == (2, "")
+            assert "boxed convolution needs a zero constant term" in err
+        code, _, _ = run(capsys, "boxconv", "--type", typ, "--lhs", fp, "--rhs", fp)
+        assert code == 0
+
+
 def test_convolve_add_and_mul(capsys, tmp_path):
     rng = random.Random(317)
     mu = rand_law(rng, k=1, num_vars=1, max_len=4)

@@ -13,7 +13,6 @@ from infree.convolve import (
     boxed_conv_ck,
     boxed_conv_type_b,
     boxed_conv_type_k,
-    boxed_inverse,
     example_law,
     fourier_transform,
     law_from_moment_series,
@@ -27,7 +26,14 @@ from infree.convolve import (
 from infree.cumulants import all_words, moments_to_cumulants
 from infree.partitions import catalan
 
-from helpers import nc_boxed_conv_oracle, rand_law, rand_scalar, rand_series, rand_sparse_scalar
+from helpers import (
+    nc_boxed_conv_oracle,
+    nc_boxed_inverse_oracle,
+    rand_law,
+    rand_scalar,
+    rand_series,
+    rand_sparse_scalar,
+)
 
 
 def scalar(k, v):
@@ -48,19 +54,60 @@ def test_special_series():
 def test_moebius_closed_form_is_inverse_of_zeta():
     for k in range(4):
         for t in range(1, 9):
-            assert special_series("moebius", k, t) == boxed_inverse(special_series("zeta", k, t))
+            zeta = special_series("zeta", k, t)
+            assert special_series("moebius", k, t) == nc_boxed_inverse_oracle(zeta)
 
 
 def test_boxed_kernel_matches_nc_sum_oracle():
     rng = random.Random(89)
     for k in range(4):
-        for trunc in (1, 8 if k < 2 else 6):
+        for trunc in (1, 10 if k < 2 else 8):
             f = rand_series(rng, k, trunc)
             g = CkSeries(k, trunc, [rand_sparse_scalar(rng, k) for _ in range(trunc)])
             assert boxed_conv_ck(f, g) == nc_boxed_conv_oracle(f, g), (k, trunc)
-            h = rand_series(rng, k, trunc, invertible=True)
-            delta = special_series("delta", k, trunc)
-            assert nc_boxed_conv_oracle(h, boxed_inverse(h)) == delta, (k, trunc)
+        # a zero and a nilpotent leading coefficient, each on either side:
+        # the boxed product is commutative, so one oracle value checks both
+        # orders; C_0 has no nonzero nilpotent, so there zero meets a unit
+        nilpotent = CkScalar(k, [0] + [Fraction(j, 3) for j in range(1, k + 1)])
+        lead_g = nilpotent if k else CkScalar.one(0)
+        f = CkSeries(k, trunc, [CkScalar.zero(k)] + [rand_scalar(rng, k) for _ in range(trunc - 1)])
+        g = CkSeries(k, trunc, [lead_g] + [rand_sparse_scalar(rng, k) for _ in range(trunc - 1)])
+        expected = nc_boxed_conv_oracle(f, g)
+        assert boxed_conv_ck(f, g) == expected, k
+        assert boxed_conv_ck(g, f) == expected, k
+        h = rand_series(rng, k, 6, invertible=True)
+        delta = special_series("delta", k, 6)
+        assert nc_boxed_conv_oracle(h, nc_boxed_inverse_oracle(h)) == delta, k
+
+
+def test_one_variable_kernel_enumerates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the one-variable kernel enumerated partitions")
+
+    for module in ("convolve", "cumulants", "partitions"):
+        monkeypatch.setattr(f"infree.{module}.enumerate_nc", refuse)
+    for module in ("convolve", "partitions"):
+        monkeypatch.setattr(f"infree.{module}.kreweras", refuse)
+    rng = random.Random(97)
+    f = rand_series(rng, 2, 12)
+    g = CkSeries(2, 12, [rand_sparse_scalar(rng, 2) for _ in range(12)])
+    assert boxed_conv_ck(f, g).trunc == 12
+    mu = rand_law(rng, k=2, num_vars=1, max_len=7)
+    nu = rand_law(rng, k=2, num_vars=1, max_len=7)
+    assert multiplicative_convolve(mu, nu).max_len == 7
+
+
+def test_boxed_routes_refuse_a_constant_term():
+    rng = random.Random(101)
+    for route, k in ((boxed_conv_ck, 2), (boxed_conv_type_b, 1), (boxed_conv_type_k, 2)):
+        f = rand_series(rng, k, 3)
+        with_const = CkSeries(k, 3, f.coeffs, CkScalar.one(k))
+        for lhs, rhs in ((with_const, f), (f, with_const), (with_const, with_const)):
+            with pytest.raises(ValueError, match="boxed convolution needs a zero constant term"):
+                route(lhs, rhs)
+        assert route(f, f) == boxed_conv_ck(f, f)
+    with pytest.raises(ValueError, match="order mismatch"):
+        boxed_conv_ck(rand_series(rng, 0, 3), rand_series(rng, 1, 3))
 
 
 def test_boxed_unit_and_degree_two():
@@ -101,11 +148,11 @@ def test_boxed_invertibility():
     rng = random.Random(47)
     for k in range(3):
         f = rand_series(rng, k, 5, invertible=True)
-        inv = boxed_inverse(f)
+        inv = nc_boxed_inverse_oracle(f)
         assert boxed_conv_ck(f, inv) == special_series("delta", k, 5)
     bad = CkSeries(1, 3, [CkScalar(1, [0, 1]), CkScalar.one(1), CkScalar.one(1)])
     with pytest.raises(NotInvertible):
-        boxed_inverse(bad)
+        nc_boxed_inverse_oracle(bad)
 
 
 def test_type_b_degree_one_and_agreement():

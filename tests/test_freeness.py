@@ -11,6 +11,7 @@ from infree.convolve import additive_convolve, example_law, multiplicative_convo
 from infree.cumulants import (
     CumulantTable,
     InfLaw,
+    _first_block_sum,
     all_words,
     cumulant_of_products,
     cumulants_to_moments,
@@ -227,6 +228,30 @@ def test_checker_witnesses_the_perturbed_moment():
             len({coloring.color_of(v) for v in w}) > 1 and not cums.value(w).is_zero()
             for w in all_words(2, 4)
         )
+
+
+def test_checker_stops_at_the_first_failing_length(monkeypatch):
+    # a law that fails at length 2 is decided from the words of length <= 2
+    # alone, whatever the budget
+    rng = random.Random(139)
+    mu = rand_law(rng, k=1, num_vars=1, max_len=6)
+    nu = rand_law(rng, k=1, num_vars=1, max_len=6)
+    joint, coloring = free_product_joint([mu, nu], 6)
+    bad = perturbed(joint, (1, 2), 1)
+    calls = []
+
+    def counted(w, *args):
+        calls.append(w)
+        return _first_block_sum(w, *args)
+
+    monkeypatch.setattr("infree.cumulants._first_block_sum", counted)
+    for budget in (5, 6):
+        calls.clear()
+        verdict = check_inf_freeness(bad, coloring, budget)
+        assert verdict == FreenessVerdict(False, Witness((1, 2), 1, Fraction(1)))
+        assert calls and max(len(w) for w in calls) <= 2
+        assert len(calls) <= len(list(all_words(2, 2)))
+    assert verdict == t_poly_freeness_oracle(bad, coloring, 5)
 
 
 def test_checker_matches_t_polynomial_oracle():
