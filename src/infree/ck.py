@@ -1,14 +1,18 @@
 """Exact arithmetic in the truncated algebra C_k = Q[eps]/(eps^(k+1)).
 
-An element is stored by its coordinate vector (a(0), ..., a(k)) with respect
-to the basis (eps^i / i!), so multiplication is the Leibniz rule on
-coordinates.  Everything is a Fraction; nothing here ever touches floats.
+An element has coordinates (a(0), ..., a(k)) with respect to the basis
+(eps^i / i!), so multiplication is the Leibniz rule on coordinates.  It is
+stored exactly as integer numerators over one positive denominator, in
+lowest terms: a(i) = nums[i] / den with gcd(den, *nums) == 1.  Equal
+elements therefore have equal (k, den, nums), and the arithmetic is integer
+arithmetic followed by one gcd reduction.  `coords` gives the coordinates as
+Fractions; nothing here ever touches floats.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 
@@ -25,9 +29,10 @@ def _coerce(x) -> Fraction:
 
 
 class CkScalar:
-    """Element of C_k, coordinates (a(0), ..., a(k)) over the basis eps^i/i!."""
+    """Element of C_k, coordinates (a(0), ..., a(k)) over the basis eps^i/i!,
+    stored as integer numerators `nums` over one denominator `den`."""
 
-    __slots__ = ("k", "coords")
+    __slots__ = ("k", "den", "nums")
 
     def __init__(self, k: int, coords: Iterable):
         coords = tuple(_coerce(c) for c in coords)
@@ -35,56 +40,84 @@ class CkScalar:
             raise ValueError("order k must be >= 0")
         if len(coords) != k + 1:
             raise ValueError(f"order {k} needs {k + 1} coordinates, got {len(coords)}")
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = lcm(*(c.denominator for c in coords))
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in coords))
+
+    @classmethod
+    def _built(cls, k: int, den: int, nums: Iterable) -> "CkScalar":
+        """Trusted construction from integers with den > 0: one gcd
+        reduction and no validation."""
+        nums = tuple(nums)
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple(n // g for n in nums)
+        self = object.__new__(cls)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("CkScalar is immutable")
 
+    @property
+    def coords(self) -> tuple:
+        """The coordinates (a(0), ..., a(k)) as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
+
     @classmethod
     def zero(cls, k: int) -> "CkScalar":
-        return cls(k, (0,) * (k + 1))
+        return cls._built(k, 1, (0,) * (k + 1))
 
     @classmethod
     def one(cls, k: int) -> "CkScalar":
-        return cls(k, (1,) + (0,) * k)
+        return cls._built(k, 1, (1,) + (0,) * k)
 
     @classmethod
     def eps(cls, k: int) -> "CkScalar":
         if k < 1:
             raise ValueError("eps needs k >= 1")
-        return cls(k, (0, 1) + (0,) * (k - 1))
+        return cls._built(k, 1, (0, 1) + (0,) * (k - 1))
 
     @classmethod
     def from_rational(cls, k: int, value) -> "CkScalar":
-        return cls(k, (_coerce(value),) + (Fraction(0),) * k)
+        value = _coerce(value)
+        return cls._built(k, value.denominator, (value.numerator,) + (0,) * k)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CkScalar)
             and self.k == other.k
-            and self.coords == other.coords
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.k, self.coords))
+        return hash((self.k, self.den, self.nums))
 
     def __repr__(self):
         return f"CkScalar(k={self.k}, coords={tuple(str(c) for c in self.coords)})"
 
     def __add__(self, other: "CkScalar") -> "CkScalar":
         _check_order(self, other)
-        return CkScalar(self.k, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        den, x, y = _common(self, other)
+        return CkScalar._built(self.k, den, [a + b for a, b in zip(x, y)])
 
     def __sub__(self, other: "CkScalar") -> "CkScalar":
         _check_order(self, other)
-        return CkScalar(self.k, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        den, x, y = _common(self, other)
+        return CkScalar._built(self.k, den, [a - b for a, b in zip(x, y)])
 
     def __neg__(self) -> "CkScalar":
-        return CkScalar(self.k, tuple(-a for a in self.coords))
+        return CkScalar._built(self.k, self.den, [-a for a in self.nums])
 
     def __mul__(self, other):
         if isinstance(other, CkScalar):
@@ -96,7 +129,8 @@ class CkScalar:
 
     def scale(self, c) -> "CkScalar":
         c = _coerce(c)
-        return CkScalar(self.k, tuple(c * a for a in self.coords))
+        p = c.numerator
+        return CkScalar._built(self.k, self.den * c.denominator, [p * a for a in self.nums])
 
     def inverse(self) -> "CkScalar":
         return ck_inverse(self)
@@ -108,43 +142,65 @@ def _check_order(a, b) -> None:
         raise ValueError(f"order mismatch: k={a.k} vs k={b.k}")
 
 
-def ck_mul(a: CkScalar, b: CkScalar) -> CkScalar:
-    """Product in C_k: gamma(i) = sum_j C(i,j) a(j) b(i-j)."""
-    _check_order(a, b)
-    x, y = a.coords, b.coords
-    coords = []
-    for i in range(a.k + 1):
+def _common(a: CkScalar, b: CkScalar) -> tuple:
+    """(den, numerators of a, numerators of b) over the lcm of the two
+    denominators."""
+    if a.den == b.den:
+        return a.den, a.nums, b.nums
+    g = gcd(a.den, b.den)
+    fa, fb = b.den // g, a.den // g
+    return a.den * fa, [n * fa for n in a.nums], [n * fb for n in b.nums]
+
+
+def _leibniz(k: int, x: Sequence[int], y: Sequence[int]) -> list:
+    """gamma(i) = sum_j C(i,j) x(j) y(i-j) on integer numerators."""
+    out = []
+    for i in range(k + 1):
         acc = x[0] * y[i]
         for j in range(1, i + 1):
             if x[j] and y[i - j]:
                 term = x[j] * y[i - j]
                 acc += term * comb(i, j) if j < i else term  # C(i, j) > 1 iff 0 < j < i
-        coords.append(acc)
-    return CkScalar(a.k, coords)
+        out.append(acc)
+    return out
+
+
+def ck_mul(a: CkScalar, b: CkScalar) -> CkScalar:
+    """Product in C_k: gamma(i) = sum_j C(i,j) a(j) b(i-j)."""
+    _check_order(a, b)
+    return CkScalar._built(a.k, a.den * b.den, _leibniz(a.k, a.nums, b.nums))
 
 
 def ck_prod_many(factors: Sequence[CkScalar]) -> CkScalar:
-    """Left fold of ck_mul over a non-empty list of uniform order."""
+    """Left fold of the Leibniz product over a non-empty list of uniform
+    order, reduced once at the end."""
     if not factors:
         raise ValueError("product of an empty list of C_k scalars")
-    acc = factors[0]
+    first = factors[0]
+    k, den, nums = first.k, first.den, first.nums
     for f in factors[1:]:
-        acc = ck_mul(acc, f)
-    return acc
+        _check_order(first, f)
+        den *= f.den
+        nums = _leibniz(k, nums, f.nums)
+    return CkScalar._built(k, den, nums)
 
 
 def ck_inverse(a: CkScalar) -> CkScalar:
-    """Inverse in C_k by triangular back-substitution; needs a(0) != 0."""
-    if a.coords[0] == 0:
+    """Inverse in C_k by triangular back-substitution; needs a(0) != 0.
+
+    With a = N/D, the inverse of N has coordinates y(i) / n0^(i+1) for the
+    integers y(0) = 1, y(i) = -sum_j C(i,j) N(j) y(i-j) n0^(j-1)."""
+    x = a.nums
+    n0 = x[0]
+    if n0 == 0:
         raise NotInvertible("first coordinate is zero")
     k = a.k
-    inv0 = 1 / a.coords[0]
-    out = [inv0]
+    y = [1]
     for i in range(1, k + 1):
-        # solve sum_j C(i,j) a(j) x(i-j) = 0 for x(i)
-        s = sum((comb(i, j) * a.coords[j] * out[i - j] for j in range(1, i + 1)), Fraction(0))
-        out.append(-inv0 * s)
-    return CkScalar(k, out)
+        y.append(-sum(comb(i, j) * x[j] * y[i - j] * n0 ** (j - 1) for j in range(1, i + 1)))
+    den = n0 ** (k + 1)
+    sign = -1 if den < 0 else 1
+    return CkScalar._built(k, sign * den, [sign * a.den * y[i] * n0 ** (k - i) for i in range(k + 1)])
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Command-line front end: one verb per library operation, JSON in and out.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (bad values, schema
-violations, non-invertible elements), 3 I/O failure.  "-" reads standard
+violations, non-invertible elements, a computation that runs out of memory
+or of recursion depth), 3 I/O failure.  "-" reads standard
 input; output goes to --out or standard output.
 """
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import re
 import sys
 
+from . import __version__
 from .ck import CkScalar, NotInvertible
 from .convolve import (
     additive_convolve,
@@ -176,6 +178,7 @@ def _cmd_deriv_demo(args) -> str:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="infree", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"infree {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
     p = sub.add_parser("nc-enum", help="enumerate non-crossing partitions of [n]")
@@ -252,7 +255,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except SystemExit as e:  # --help
+    except SystemExit as e:  # --help, --version
         return 0 if e.code in (0, None) else 1
     try:
         text = args.func(args)
@@ -260,6 +263,12 @@ def main(argv=None) -> int:
         return 0
     except (SchemaError, NotInvertible, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {args.verb}: out of memory", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"error: {args.verb}: maximum recursion depth exceeded", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

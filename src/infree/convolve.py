@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .ck import CkScalar, CkSeries, ck_mul, multinomial, series_comp_inverse
 from .ck import _check_order, _powers
@@ -45,10 +46,33 @@ def special_series(kind: str, k: int, trunc: int) -> CkSeries:
     raise ValueError(f"unknown special series kind: {kind!r}")
 
 
+def _check_zero_const(*series: CkSeries) -> None:
+    if not all(s.const.is_zero() for s in series):
+        raise ValueError("boxed convolution needs a zero constant term")
+
+
 def _check_boxed_pair(f: CkSeries, g: CkSeries) -> None:
     _check_order(f, g)
-    if not (f.const.is_zero() and g.const.is_zero()):
-        raise ValueError("boxed convolution needs a zero constant term")
+    _check_zero_const(f, g)
+
+
+def _boxed_sum(f: CkSeries, n: int, times_g) -> CkSeries:
+    """The one gamma_m loop: gamma_m = m sum over a + b = m + 1 of
+    [z^m]f^a [z^m]g^b / (a b), where times_g(x, m, b) is x [z^m]g^b for
+    x = [z^m]f^a nonzero, or None when [z^m]g^b vanishes."""
+    f_pows = _powers(f.truncate(n))
+    coeffs = []
+    for m in range(1, n + 1):
+        acc = CkScalar.zero(f.k)
+        for a in range(1, m + 1):
+            b = m + 1 - a
+            x = f_pows[a - 1].coeffs[m - 1]
+            if not x.is_zero():
+                term = times_g(x, m, b)
+                if term is not None:
+                    acc = acc + term.scale(Fraction(m, a * b))
+        coeffs.append(acc)
+    return CkSeries(f.k, n, coeffs)
 
 
 def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
@@ -58,17 +82,13 @@ def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
     bijection, Nica-Speicher Lecture 18).  alpha_1 may be zero or nilpotent."""
     _check_boxed_pair(f, g)
     n = min(f.trunc, g.trunc)
-    f_pows = _powers(f.truncate(n))
     g_pows = _powers(g.truncate(n))
-    coeffs = []
-    for m in range(1, n + 1):
-        acc = CkScalar.zero(f.k)
-        for a in range(1, m + 1):  # b = m + 1 - a
-            x, y = f_pows[a - 1].coeffs[m - 1], g_pows[m - a].coeffs[m - 1]
-            if not (x.is_zero() or y.is_zero()):
-                acc = acc + ck_mul(x, y).scale(Fraction(m, a * (m + 1 - a)))
-        coeffs.append(acc)
-    return CkSeries(f.k, n, coeffs)
+
+    def times_g(x: CkScalar, m: int, b: int):
+        y = g_pows[b - 1].coeffs[m - 1]
+        return None if y.is_zero() else ck_mul(x, y)
+
+    return _boxed_sum(f, n, times_g)
 
 
 def _mirror(b: tuple, m: int) -> tuple:
@@ -97,12 +117,14 @@ def _coord_sum(terms: tuple, f: CkSeries, g: CkSeries) -> Fraction:
     side, for grouped descriptors (weight, f side, g side) of (d, c) pairs."""
     acc = Fraction(0)
     for weight, f_side, g_side in terms:
-        term = weight
-        for d, c in f_side:
-            term *= f.coeffs[d - 1].coords[c]
-        for d, c in g_side:
-            term *= g.coeffs[d - 1].coords[c]
-        acc += term
+        num, den = 1, 1
+        for series, side in ((f, f_side), (g, g_side)):
+            for d, c in side:
+                x = series.coeffs[d - 1]
+                num *= x.nums[c]
+                den *= x.den
+        if num:
+            acc += weight * Fraction(num, den)
     return acc
 
 
@@ -174,14 +196,23 @@ def boxed_conv_type_k(f: CkSeries, g: CkSeries) -> CkSeries:
     ])
 
 
+def _moebius_power(m: int, b: int) -> Fraction:
+    """[z^m]M^b = (-1)^(m-b) b/(2m-b) C(2m-b, m-b) for the moebius series M."""
+    return Fraction((-1) ** (m - b) * b * comb(2 * m - b, m - b), 2 * m - b)
+
+
 def r_from_moments(m: CkSeries) -> CkSeries:
-    """R-series from the moment series: boxed convolution with moebius."""
-    return boxed_conv_ck(m, special_series("moebius", m.k, m.trunc))
+    """R-series from the moment series: boxed convolution with moebius, whose
+    powers come in closed form."""
+    _check_zero_const(m)
+    return _boxed_sum(m, m.trunc, lambda x, d, b: x.scale(_moebius_power(d, b)))
 
 
 def moments_from_r(r: CkSeries) -> CkSeries:
-    """Moment series from the R-series: boxed convolution with zeta."""
-    return boxed_conv_ck(r, special_series("zeta", r.k, r.trunc))
+    """Moment series from the R-series: boxed convolution with zeta, whose
+    powers are [z^m]Z^b = C(m-1, b-1)."""
+    _check_zero_const(r)
+    return _boxed_sum(r, r.trunc, lambda x, d, b: x.scale(comb(d - 1, b - 1)))
 
 
 def fourier_transform(f: CkSeries) -> CkSeries:

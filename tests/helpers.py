@@ -7,7 +7,7 @@ direct formula evaluation, polynomial interpolation.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import factorial
+from math import comb, factorial
 
 from infree.ck import CkScalar, CkSeries, ck_mul, ck_prod_many, lambda_vectors, multinomial
 from infree.cumulants import CumulantTable, InfLaw, all_words, cumulants_to_moments, restrict
@@ -40,6 +40,24 @@ def to_toeplitz(a: CkScalar) -> tuple:
         )
         for r in range(k + 1)
     )
+
+
+def fraction_ck_mul_oracle(a: CkScalar, b: CkScalar) -> tuple:
+    """The Leibniz rule on Fraction coordinates, gamma(i) = sum_j C(i,j)
+    a(j) b(i-j), independent of the integer-numerator storage."""
+    x, y = a.coords, b.coords
+    return tuple(sum((comb(i, j) * x[j] * y[i - j] for j in range(i + 1)), Fraction(0))
+                 for i in range(a.k + 1))
+
+
+def fraction_ck_inverse_oracle(a: CkScalar) -> tuple:
+    """Coordinates of the inverse by back-substitution on Fractions:
+    x(0) = 1/a(0), x(i) = -(1/a(0)) sum_{j>=1} C(i,j) a(j) x(i-j)."""
+    c = a.coords
+    out = [1 / c[0]]
+    for i in range(1, a.k + 1):
+        out.append(-out[0] * sum((comb(i, j) * c[j] * out[i - j] for j in range(1, i + 1)), Fraction(0)))
+    return tuple(out)
 
 
 def assemble_components(k: int, components: list) -> CkScalar:
@@ -116,6 +134,27 @@ def rand_sparse_scalar(rng, k: int) -> CkScalar:
         return CkScalar.zero(k)
     s = rand_scalar(rng, k)
     return CkScalar(k, (0,) + s.coords[1:]) if kind == 1 else s
+
+
+def rand_wide_fraction(rng) -> Fraction:
+    """Zero, small, or with numerator and denominator of up to 400 bits."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return rand_fraction(rng)
+    return Fraction(rng.getrandbits(400) * rng.choice((-1, 1)), rng.getrandbits(400) + 1)
+
+
+def rand_wide_scalar(rng, k: int) -> CkScalar:
+    """Zero, nilpotent or general, with coordinates from rand_wide_fraction."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return CkScalar.zero(k)
+    coords = [rand_wide_fraction(rng) for _ in range(k + 1)]
+    if kind == 1:
+        coords[0] = Fraction(0)
+    return CkScalar(k, coords)
 
 
 def rand_series(rng, k: int, trunc: int, invertible: bool = False) -> CkSeries:

@@ -1,9 +1,10 @@
 """Truncated scalar algebra and series: frozen small values plus laws."""
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infree.ck import (
     CkScalar,
@@ -23,9 +24,13 @@ from infree.ck import (
 
 from helpers import (
     cauchy_series_mul_oracle,
+    fraction_ck_inverse_oracle,
+    fraction_ck_mul_oracle,
     rand_scalar,
     rand_series,
     rand_sparse_scalar,
+    rand_wide_fraction,
+    rand_wide_scalar,
     to_toeplitz,
 )
 
@@ -76,6 +81,74 @@ def test_inverse():
         assert ck_mul(x, ck_inverse(x)) == CkScalar.one(k)
     with pytest.raises(NotInvertible):
         ck_inverse(CkScalar.eps(2))
+
+
+def test_ck_mul_matches_fraction_oracle():
+    # the integer-numerator arithmetic against Fraction coordinates, with
+    # zero, nilpotent and multi-hundred-bit coordinates
+    rng = random.Random(151)
+    for k in range(5):
+        for _ in range(40):
+            a, b, c = (rand_wide_scalar(rng, k) for _ in range(3))
+            q = rand_wide_fraction(rng)
+            x, y = a.coords, b.coords
+            assert ck_mul(a, b).coords == fraction_ck_mul_oracle(a, b)
+            ab = CkScalar(k, fraction_ck_mul_oracle(a, b))
+            assert ck_prod_many([a, b, c]).coords == fraction_ck_mul_oracle(ab, c)
+            assert (a + b).coords == tuple(u + v for u, v in zip(x, y))
+            assert (a - b).coords == tuple(u - v for u, v in zip(x, y))
+            assert (-a).coords == tuple(-u for u in x)
+            assert a.scale(q).coords == tuple(q * u for u in x)
+            if x[0] != 0:
+                assert ck_inverse(a).coords == fraction_ck_inverse_oracle(a)
+
+
+_DENOMINATORS = st.one_of(
+    st.integers(1, 12),
+    st.integers(2**64, 2**256),
+    st.sampled_from((2**61 - 1, 3**50, 5**40, 7**30, 2**127)),  # pairwise coprime
+)
+_RATIONALS = st.builds(
+    Fraction, st.one_of(st.integers(-20, 20), st.integers(-2**256, 2**256)), _DENOMINATORS
+)
+
+
+def _scalar_triples(k: int):
+    scalar = st.lists(_RATIONALS, min_size=k + 1, max_size=k + 1).map(lambda c: CkScalar(k, c))
+    return st.tuples(scalar, scalar, scalar)
+
+
+def _assert_canonical(x: CkScalar):
+    assert x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    same = CkScalar(x.k, x.coords)  # the same value through the checked constructor
+    assert (same.den, same.nums) == (x.den, x.nums)
+    assert hash(same) == hash(x)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 4).flatmap(_scalar_triples))
+def test_ring_laws_property(abc):
+    a, b, c = abc
+    k = a.k
+    one, zero = CkScalar.one(k), CkScalar.zero(k)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert hash((a * b) * c) == hash(a * (b * c))
+    assert a * (b + c) == a * b + a * c
+    assert a * one == a
+    assert a + zero == a
+    assert (a - a).is_zero()
+    assert a - a == zero
+    assert (a + b) - b == a
+    assert hash((a + b) - b) == hash(a)
+    results = [a, a * b, a + b, a - b, -a, a.scale(c.coords[0]), ck_prod_many([a, b, c])]
+    if a.coords[0] != 0:
+        inv = a.inverse()
+        assert a * inv == one
+        results.append(inv)
+    for x in results:
+        _assert_canonical(x)
 
 
 def test_invertible_iff_first_coordinate_nonzero():

@@ -2,10 +2,14 @@
 from fractions import Fraction
 import io
 import json
+from pathlib import Path
 import random
+import re
 
 import pytest
 
+import infree
+from infree import cli
 from infree.ck import CkScalar
 from infree.cli import main
 from infree.convolve import (
@@ -321,6 +325,27 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "nc-enum" in out and "deriv-demo" in out
+
+
+def test_version_matches_pyproject(capsys):
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    version = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+    assert infree.__version__ == version
+    code, out, err = run(capsys, "--version")
+    assert (code, out, err) == (0, f"infree {version}\n", "")
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_resource_exhaustion_is_domain_error(capsys, monkeypatch, exc):
+    def exhausted(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "_cmd_m2c", exhausted)
+    code, out, err = run(capsys, "m2c", "--law", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: m2c: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_missing_file_is_io_error(capsys):

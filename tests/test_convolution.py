@@ -51,6 +51,25 @@ def test_special_series():
         special_series("gamma", 0, 3)
 
 
+def test_fixed_series_routes_match_the_boxed_kernel():
+    # r_from_moments and moments_from_r take the powers of moebius and zeta
+    # in closed form; alpha_1 zero, nilpotent or general
+    rng = random.Random(157)
+    for k in range(4):
+        for trunc in range(1, 11):
+            for lead in range(3):
+                coeffs = [rand_scalar(rng, k) for _ in range(trunc)]
+                if lead == 0:
+                    coeffs[0] = CkScalar.zero(k)
+                elif lead == 1:
+                    coeffs[0] = CkScalar(k, (0,) + coeffs[0].coords[1:])
+                x = CkSeries(k, trunc, coeffs)
+                moebius = special_series("moebius", k, trunc)
+                zeta = special_series("zeta", k, trunc)
+                assert r_from_moments(x) == boxed_conv_ck(x, moebius), (k, trunc, lead)
+                assert moments_from_r(x) == boxed_conv_ck(x, zeta), (k, trunc, lead)
+
+
 def test_moebius_closed_form_is_inverse_of_zeta():
     for k in range(4):
         for t in range(1, 9):
