@@ -7,6 +7,12 @@ lowest terms: a(i) = nums[i] / den with gcd(den, *nums) == 1.  Equal
 elements therefore have equal (k, den, nums), and the arithmetic is integer
 arithmetic followed by one gcd reduction.  `coords` gives the coordinates as
 Fractions; nothing here ever touches floats.
+
+Every sum of C_k products in the package (series products and compositions,
+the moment-cumulant first-block sums, the boxed gamma_m loop, block
+products of cumulants) goes through one private kernel, `_sum_of_products`:
+it chains integer Leibniz products, adds them over a running lcm
+denominator and reduces once per output scalar, not once per term.
 """
 from __future__ import annotations
 
@@ -176,13 +182,57 @@ def ck_prod_many(factors: Sequence[CkScalar]) -> CkScalar:
     order, reduced once at the end."""
     if not factors:
         raise ValueError("product of an empty list of C_k scalars")
-    first = factors[0]
-    k, den, nums = first.k, first.den, first.nums
-    for f in factors[1:]:
-        _check_order(first, f)
-        den *= f.den
-        nums = _leibniz(k, nums, f.nums)
-    return CkScalar._built(k, den, nums)
+    return _sum_of_products(factors[0].k, (factors,))
+
+
+def _sum_of_products(k: int, terms: Iterable, start: CkScalar | None = None,
+                     subtract: bool = False) -> CkScalar:
+    """start (zero if None) plus, or minus if subtract, the sum over terms
+    of the product of each term's factors, reduced once.
+
+    A factor is a C_k scalar of order k or an exact rational (int or
+    Fraction) weight.  Each product is a chain of `_leibniz` convolutions
+    over the product of its denominators and is added over a running lcm
+    denominator, so the only gcd reduction is the result's.  A term with a
+    zero factor is skipped before it is multiplied out, but every factor
+    is order-checked first."""
+    if start is None:
+        den, acc = 1, [0] * (k + 1)
+    elif start.k != k:
+        raise ValueError(f"order mismatch: k={start.k} vs k={k}")
+    else:
+        den, acc = start.den, list(start.nums)
+    sign = -1 if subtract else 1
+    for factors in terms:
+        tden, weight, chain = 1, sign, []
+        for f in factors:
+            if isinstance(f, CkScalar):
+                if f.k != k:
+                    raise ValueError(f"order mismatch: k={f.k} vs k={k}")
+                if weight:
+                    if any(f.nums):
+                        tden *= f.den
+                        chain.append(f.nums)
+                    else:
+                        weight = 0
+            elif isinstance(f, (int, Fraction)):
+                tden *= f.denominator
+                weight *= f.numerator
+            else:
+                raise TypeError(f"expected a C_k scalar or an exact rational, got {type(f).__name__}")
+        if not weight:
+            continue  # a zero factor
+        x = chain[0] if chain else (1,) + (0,) * k
+        for i in range(1, len(chain)):
+            x = _leibniz(k, x, chain[i])
+        g = gcd(den, tden)
+        if g != tden:
+            up = tden // g
+            den *= up
+            acc = [a * up for a in acc]
+        weight *= den // tden
+        acc = [a + weight * b for a, b in zip(acc, x)]
+    return CkScalar._built(k, den, acc)
 
 
 def ck_inverse(a: CkScalar) -> CkScalar:
@@ -341,15 +391,10 @@ def series_mul(f: CkSeries, g: CkSeries) -> CkSeries:
     """Cauchy product truncated at min(f.trunc, g.trunc); constants included."""
     _check_order(f, g)
     n = min(f.trunc, g.trunc)
-    coeffs = []
-    for m in range(1, n + 1):
-        acc = CkScalar.zero(f.k)
-        for i in range(0, m + 1):
-            x, y = f.coeff(i), g.coeff(m - i)
-            if not (x.is_zero() or y.is_zero()):
-                acc = acc + ck_mul(x, y)
-        coeffs.append(acc)
-    return CkSeries(f.k, n, coeffs, ck_mul(f.const, g.const))
+    x, y = (f.const,) + f.coeffs, (g.const,) + g.coeffs
+    coeffs = [_sum_of_products(f.k, ((x[i], y[m - i]) for i in range(m + 1)))
+              for m in range(n + 1)]
+    return CkSeries(f.k, n, coeffs[1:], coeffs[0])
 
 
 def series_compose(f: CkSeries, g: CkSeries) -> CkSeries:
@@ -358,10 +403,9 @@ def series_compose(f: CkSeries, g: CkSeries) -> CkSeries:
     if not g.const.is_zero():
         raise ValueError("composition needs a zero constant term in the inner series")
     n = min(f.trunc, g.trunc)
-    out = [CkScalar.zero(f.k)] * n
-    for a, power in zip(f.coeffs, _powers(g.truncate(n))):
-        for d in range(n):
-            out[d] = out[d] + ck_mul(a, power.coeffs[d])
+    pairs = list(zip(f.coeffs, _powers(g.truncate(n))))
+    out = [_sum_of_products(f.k, ((a, power.coeffs[d]) for a, power in pairs))
+           for d in range(n)]
     return CkSeries(f.k, n, out, f.const)
 
 

@@ -2,8 +2,15 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain error (bad values, schema
 violations, non-invertible elements, a computation that runs out of memory
-or of recursion depth), 3 I/O failure.  "-" reads standard
-input; output goes to --out or standard output.
+or of recursion depth, an enumeration over budget), 3 I/O failure.  "-"
+reads standard input; output goes to --out or standard output.
+
+nc-enum and nck-enum size their output from closed forms before they
+enumerate anything: Catalan(n) partitions for nc-enum, Catalan(n) times
+the Fuss-Catalan fiber size for nck-enum.  An output of more than
+ENUM_BUDGET = 100,000 partitions is refused with exit code 2 and a message
+that gives the size and the budget: nc-enum runs up to n = 11, nck-enum up
+to (n, k) = (6, 2) or (5, 3), for example.
 """
 from __future__ import annotations
 
@@ -34,11 +41,13 @@ from .jsonio import (
     decode_series,
     encode,
 )
-from .partitions import enumerate_nc, kreweras, mobius_to_top
-from .typek import enumerate_type_k
+from .partitions import catalan, enumerate_nc, kreweras, mobius_to_top
+from .typek import enumerate_type_k, fiber_size_formula
 
 
 _INT = re.compile(r"-?[0-9]+")
+
+ENUM_BUDGET = 100_000  # the most partitions nc-enum or nck-enum will list
 
 
 class UsageError(Exception):
@@ -91,11 +100,20 @@ def _write(text: str, out: str | None):
             fh.write(text)
 
 
+def _within_budget(verb: str, size: int) -> None:
+    if size > ENUM_BUDGET:
+        raise ValueError(f"{verb}: output of {size} partitions is over the budget of {ENUM_BUDGET}")
+
+
 def _cmd_nc_enum(args) -> str:
+    if args.n >= 1:  # smaller n is refused by enumerate_nc
+        _within_budget("nc-enum", catalan(args.n))
     return encode(list(enumerate_nc(args.n)))
 
 
 def _cmd_nck_enum(args) -> str:
+    if args.n >= 1 and args.k >= 0:  # other values are refused by enumerate_type_k
+        _within_budget("nck-enum", catalan(args.n) * fiber_size_formula(args.n, args.k))
     return encode(list(enumerate_type_k(args.n, args.k)))
 
 

@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .ck import CkScalar, CkSeries, ck_mul, multinomial, series_comp_inverse
-from .ck import _check_order, _powers
+from .ck import CkScalar, CkSeries, multinomial, series_comp_inverse
+from .ck import _check_order, _powers, _sum_of_products
 from .cumulants import CumulantTable, InfLaw, cumulants_to_moments, moments_to_cumulants
 from .partitions import catalan, enumerate_nc, kreweras, ordered_blocks
 from .typek import enumerate_type_k, fiber_over, r_of_shape
@@ -56,23 +56,18 @@ def _check_boxed_pair(f: CkSeries, g: CkSeries) -> None:
     _check_zero_const(f, g)
 
 
-def _boxed_sum(f: CkSeries, n: int, times_g) -> CkSeries:
+def _boxed_sum(f: CkSeries, n: int, g_power) -> CkSeries:
     """The one gamma_m loop: gamma_m = m sum over a + b = m + 1 of
-    [z^m]f^a [z^m]g^b / (a b), where times_g(x, m, b) is x [z^m]g^b for
-    x = [z^m]f^a nonzero, or None when [z^m]g^b vanishes."""
+    [z^m]f^a [z^m]g^b / (a b), where g_power(m, b) is [z^m]g^b, a C_k
+    scalar or an exact rational."""
     f_pows = _powers(f.truncate(n))
-    coeffs = []
-    for m in range(1, n + 1):
-        acc = CkScalar.zero(f.k)
-        for a in range(1, m + 1):
-            b = m + 1 - a
-            x = f_pows[a - 1].coeffs[m - 1]
-            if not x.is_zero():
-                term = times_g(x, m, b)
-                if term is not None:
-                    acc = acc + term.scale(Fraction(m, a * b))
-        coeffs.append(acc)
-    return CkSeries(f.k, n, coeffs)
+    return CkSeries(f.k, n, [
+        _sum_of_products(f.k, (
+            (f_pows[a - 1].coeffs[m - 1], g_power(m, b), Fraction(m, a * b))
+            for a, b in zip(range(1, m + 1), range(m, 0, -1))
+        ))
+        for m in range(1, n + 1)
+    ])
 
 
 def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
@@ -83,12 +78,7 @@ def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
     _check_boxed_pair(f, g)
     n = min(f.trunc, g.trunc)
     g_pows = _powers(g.truncate(n))
-
-    def times_g(x: CkScalar, m: int, b: int):
-        y = g_pows[b - 1].coeffs[m - 1]
-        return None if y.is_zero() else ck_mul(x, y)
-
-    return _boxed_sum(f, n, times_g)
+    return _boxed_sum(f, n, lambda m, b: g_pows[b - 1].coeffs[m - 1])
 
 
 def _mirror(b: tuple, m: int) -> tuple:
@@ -205,14 +195,14 @@ def r_from_moments(m: CkSeries) -> CkSeries:
     """R-series from the moment series: boxed convolution with moebius, whose
     powers come in closed form."""
     _check_zero_const(m)
-    return _boxed_sum(m, m.trunc, lambda x, d, b: x.scale(_moebius_power(d, b)))
+    return _boxed_sum(m, m.trunc, _moebius_power)
 
 
 def moments_from_r(r: CkSeries) -> CkSeries:
     """Moment series from the R-series: boxed convolution with zeta, whose
     powers are [z^m]Z^b = C(m-1, b-1)."""
     _check_zero_const(r)
-    return _boxed_sum(r, r.trunc, lambda x, d, b: x.scale(comb(d - 1, b - 1)))
+    return _boxed_sum(r, r.trunc, lambda d, b: comb(d - 1, b - 1))
 
 
 def fourier_transform(f: CkSeries) -> CkSeries:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Iterator
 
-from .ck import CkScalar, ck_prod_many
+from .ck import CkScalar, _sum_of_products
 from .partitions import SetPartition, enumerate_nc, partition_join
 
 
@@ -106,68 +107,62 @@ class CumulantTable(_WordTable):
 
 @lru_cache(maxsize=None)
 def _first_blocks(n: int) -> tuple:
-    """(B, gaps) for every B containing position 0 of a word of length n,
-    the full block B = (0, ..., n-1) last.  Positions are 0-based; the gaps
-    are the (start, stop) slices of the maximal runs outside B."""
+    """(on_b, gaps) for every block B containing position 0 of a word of
+    length n, the full block B = (0, ..., n-1) last.  Positions are 0-based;
+    on_b maps a word to its subword on B, and the gaps are the (start, stop)
+    slices of the maximal runs outside B."""
     out = []
     for size in range(n):
         for rest in combinations(range(1, n), size):
             b = (0,) + rest
             gaps = tuple((lo + 1, hi) for lo, hi in zip(b, rest + (n,)) if hi > lo + 1)
-            out.append((b, gaps))
+            # itemgetter of one index returns the item, not a 1-tuple
+            out.append((itemgetter(*b) if rest else itemgetter(slice(0, 1)), gaps))
     return tuple(out)
 
 
-def _first_block_sum(w: tuple, terms, kappa: dict, moment: dict, zero: CkScalar) -> CkScalar:
-    """Sum over the given (B, gaps) of kappa(w|B) times prod m(w|gap); a
-    block whose cumulant is zero (every mixed one in a free table) is
-    skipped."""
-    acc = zero
-    for b, gaps in terms:
-        first = kappa[tuple(w[i] for i in b)]
-        if first.is_zero():
-            continue
-        acc = acc + ck_prod_many([first] + [moment[w[lo:hi]] for lo, hi in gaps])
-    return acc
+def _first_block_sum(w: tuple, blocks, kappa: dict, moment: dict, k: int,
+                     start: CkScalar | None = None, subtract: bool = False) -> CkScalar:
+    """Sum over the given (on_b, gaps) of kappa(w|B) times prod m(w|gap),
+    added to start, or subtracted from it; a block whose cumulant is zero
+    (every mixed one in a free table) is skipped."""
+    terms = ([kappa[on_b(w)]] + [moment[w[lo:hi]] for lo, hi in gaps] for on_b, gaps in blocks)
+    return _sum_of_products(k, terms, start, subtract)
 
 
 def cumulants_to_moments(c: CumulantTable) -> InfLaw:
     """Moment of each word as the sum over non-crossing partitions of the
     block products of cumulants, by the first-block decomposition.  Words
     come shortest first, so the moments of the gaps are already known."""
-    zero = CkScalar.zero(c.k)
     out = {}
     for w in c.words():
-        out[w] = _first_block_sum(w, _first_blocks(len(w)), c.values, out, zero)
+        out[w] = _first_block_sum(w, _first_blocks(len(w)), c.values, out, c.k)
     return InfLaw(c.k, c.num_vars, c.max_len, out)
 
 
-def _cumulants_by_length(m: InfLaw) -> Iterator[dict]:
-    """The cumulants of m one length at a time, shortest first, as dicts
-    from words to cumulants; a caller that stops early pays for no more."""
-    zero = CkScalar.zero(m.k)
+def _cumulants_shortlex(m: InfLaw, max_len: int) -> Iterator[tuple]:
+    """(word, cumulant) for the words of m up to length max_len, shortlex;
+    a caller that stops early pays for no later word."""
     out = {}
-    for n in range(1, m.max_len + 1):
-        terms = _first_blocks(n)[:-1]
-        layer = {w: m.values[w] - _first_block_sum(w, terms, out, m.values, zero)
-                 for w in product(range(1, m.num_vars + 1), repeat=n)}
-        out.update(layer)
-        yield layer
+    for n in range(1, max_len + 1):
+        blocks = _first_blocks(n)[:-1]
+        for w in product(range(1, m.num_vars + 1), repeat=n):
+            x = out[w] = _first_block_sum(w, blocks, out, m.values, m.k, m.values[w], True)
+            yield w, x
 
 
 def moments_to_cumulants(m: InfLaw) -> CumulantTable:
     """Exact inverse of cumulants_to_moments: the first-block identity
     solved for its B = [n] term, kappa(w) = m(w) minus the sum over the
     proper blocks B, whose cumulants belong to shorter words."""
-    out = {w: x for layer in _cumulants_by_length(m) for w, x in layer.items()}
-    return CumulantTable(m.k, m.num_vars, m.max_len, out)
+    return CumulantTable(m.k, m.num_vars, m.max_len, dict(_cumulants_shortlex(m, m.max_len)))
 
 
 def kappa_pi(c: CumulantTable, pi: SetPartition, w: tuple) -> CkScalar:
     """Product over the blocks of pi of the cumulants of the restricted word."""
     if pi.n != len(w):
         raise ValueError(f"partition on [{pi.n}] against a word of length {len(w)}")
-    return ck_prod_many([c.value(restrict(w, b)) for b in pi.blocks])
+    return _sum_of_products(c.k, ([c.value(restrict(w, b)) for b in pi.blocks],))
 
 
 def interval_partition(grouping: tuple, s: int) -> SetPartition:
@@ -194,11 +189,10 @@ def cumulant_of_products(c: CumulantTable, grouping: tuple, w: tuple) -> CkScala
     s = len(w)
     theta = interval_partition(tuple(grouping), s)
     top = SetPartition(s, [range(1, s + 1)])
-    acc = CkScalar.zero(c.k)
-    for pi in enumerate_nc(s):
-        if partition_join(pi, theta) == top:
-            acc = acc + kappa_pi(c, pi, w)
-    return acc
+    return _sum_of_products(c.k, (
+        [c.value(restrict(w, b)) for b in pi.blocks]
+        for pi in enumerate_nc(s) if partition_join(pi, theta) == top
+    ))
 
 
 def infinitesimal_component(x, i: int):

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import factorial
 
-from .ck import CkScalar, ck_prod_many
+from .ck import CkScalar, _sum_of_products
 from .cumulants import (
     CumulantTable,
     InfLaw,
-    _cumulants_by_length,
+    _cumulants_shortlex,
     all_words,
     cumulants_to_moments,
     moments_to_cumulants,
@@ -222,9 +221,9 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     if max_len > joint.max_len:
         raise ValueError("joint table is too short for the requested length")
     first, second = _require_two_equal_colors(coloring)
-    mixed = _first_mixed(joint.values, coloring)
+    mixed = _first_mixed(joint.values.items(), coloring)
     if mixed is not None:
-        raise ValueError(f"mixed cumulant does not vanish on {mixed}")
+        raise ValueError(f"mixed cumulant does not vanish on {mixed[0]}")
     block_pairs = {
         m: [(p.blocks, kreweras(p).blocks) for p in enumerate_nc(m)]
         for m in range(1, max_len + 1)
@@ -234,12 +233,11 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     for w in all_words(npairs, max_len):
         aw = tuple(first[j - 1] for j in w)
         bw = tuple(second[j - 1] for j in w)
-        acc = CkScalar.zero(joint.k)
-        for p_blocks, kr_blocks in block_pairs[len(w)]:
-            factors = [joint.value(restrict(aw, b)) for b in p_blocks]
-            factors += [joint.value(restrict(bw, b)) for b in kr_blocks]
-            acc = acc + ck_prod_many(factors)
-        out[w] = acc
+        out[w] = _sum_of_products(joint.k, (
+            [joint.value(restrict(aw, b)) for b in p_blocks]
+            + [joint.value(restrict(bw, b)) for b in kr_blocks]
+            for p_blocks, kr_blocks in block_pairs[len(w)]
+        ))
     return CumulantTable(joint.k, npairs, max_len, out)
 
 
@@ -256,11 +254,12 @@ class FreenessVerdict:
     witness: Witness | None
 
 
-def _first_mixed(values: dict, coloring: Coloring) -> tuple | None:
-    """First word, in dict order, that mixes colours and has a nonzero value."""
-    for w, x in values.items():
+def _first_mixed(items, coloring: Coloring) -> tuple | None:
+    """First (word, value), in the order given, whose word mixes colours
+    and whose value is nonzero."""
+    for w, x in items:
         if not x.is_zero() and len({coloring.color_of(v) for v in w}) > 1:
-            return w
+            return w, x
     return None
 
 
@@ -276,8 +275,8 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
     cumulant every such product vanishes, and at that length it equals the
     word's cumulant (Krawczyk-Speicher products as arguments).  Any
     reported failure is a genuine one; a pass certifies freeness up to the
-    budget.  Cumulants are computed one length at a time and the scan
-    stops at the first length that holds a failing word.
+    budget.  Cumulants are computed one word at a time, shortlex, and the
+    scan stops at the first failing word.
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the law")
@@ -285,12 +284,12 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
         raise ValueError(f"length budget must be >= 1, got {max_len}")
     if max_len > joint.max_len:
         raise ValueError("law is too short for the requested length budget")
-    for layer in islice(_cumulants_by_length(joint), max_len):
-        w = _first_mixed(layer, coloring)
-        if w is not None:
-            i, x = next((i, x) for i, x in enumerate(layer[w].coords) if x != 0)
-            return FreenessVerdict(False, Witness(w, i, x / factorial(i)))
-    return FreenessVerdict(True, None)
+    mixed = _first_mixed(_cumulants_shortlex(joint, max_len), coloring)
+    if mixed is None:
+        return FreenessVerdict(True, None)
+    w, cumulant = mixed
+    i, x = next((i, x) for i, x in enumerate(cumulant.coords) if x != 0)
+    return FreenessVerdict(False, Witness(w, i, x / factorial(i)))
 
 
 def upgraded_law(base: InfLaw, d: Derivation, k: int, max_len: int) -> InfLaw:

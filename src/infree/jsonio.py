@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .ck import CkScalar, CkSeries, LambdaVector
-from .cumulants import CumulantTable, InfLaw, all_words
+from .cumulants import CumulantTable, InfLaw
 from .freeness import Coloring, Derivation, FreenessVerdict, NcPolynomial, Witness
 from .partitions import NcPartition, SetPartition
 from .typek import TypeKPartition

@@ -6,8 +6,10 @@ from math import comb, factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infree import ck
 from infree.ck import (
     CkScalar,
+    _sum_of_products,
     CkSeries,
     LambdaVector,
     NotInvertible,
@@ -149,6 +151,98 @@ def test_ring_laws_property(abc):
         results.append(inv)
     for x in results:
         _assert_canonical(x)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 4).flatmap(_scalar_triples), _RATIONALS, st.booleans())
+def test_sum_of_products_property(abc, q, subtract):
+    a, b, c = abc
+    k = a.k
+    got = _sum_of_products(k, [[a, b], [c, q], [b, c, a]], a, subtract)
+    total = a * b + c.scale(q) + ck_prod_many([b, c, a])
+    assert got == (a - total if subtract else a + total)
+    assert hash(got) == hash(CkScalar(k, got.coords))
+    assert _sum_of_products(k, [[a, b], [b, a]]) == (a * b).scale(2)
+    assert _sum_of_products(k, [[a, b]], a * b, subtract=True).is_zero()
+    _assert_canonical(got)
+
+
+def _oracle_sum(k, terms, start=None, subtract=False) -> tuple:
+    """start +- the sum of the products, folded with fraction_ck_mul_oracle
+    on Fraction coordinates."""
+    total = list(start.coords) if start is not None else [Fraction(0)] * (k + 1)
+    sign = -1 if subtract else 1
+    for factors in terms:
+        prod = (Fraction(1),) + (Fraction(0),) * k
+        for f in factors:
+            if isinstance(f, CkScalar):
+                prod = fraction_ck_mul_oracle(CkScalar(k, prod), f)
+            else:
+                prod = tuple(f * x for x in prod)
+        total = [t + sign * x for t, x in zip(total, prod)]
+    return tuple(total)
+
+
+def test_sum_of_products_matches_fraction_oracle():
+    # zero, nilpotent and 400-bit factors over unequal denominators, rational
+    # weights (zero among them), with and without a start, added or subtracted
+    rng = random.Random(157)
+    for k in range(5):
+        for _ in range(60):
+            terms = [
+                [rand_wide_scalar(rng, k) if rng.random() < 0.8 else rand_wide_fraction(rng)
+                 for _ in range(rng.randint(0, 4))]
+                for _ in range(rng.randint(0, 5))
+            ]
+            start = rand_wide_scalar(rng, k) if rng.random() < 0.5 else None
+            subtract = rng.random() < 0.5
+            got = _sum_of_products(k, terms, start, subtract)
+            assert got.k == k
+            assert got.coords == _oracle_sum(k, terms, start, subtract)
+            _assert_canonical(got)
+
+
+def test_sum_of_products_edge_cases(monkeypatch):
+    rng = random.Random(163)
+    for k in range(5):
+        a, b = rand_scalar(rng, k), rand_scalar(rng, k)
+        assert _sum_of_products(k, []) == CkScalar.zero(k)
+        assert _sum_of_products(k, [], a) == a
+        assert _sum_of_products(k, [], a, subtract=True) == a
+        assert _sum_of_products(k, [[]]) == CkScalar.one(k)  # the empty product
+        assert _sum_of_products(k, [[a, b]], a, subtract=True) == a - ck_mul(a, b)
+        assert _sum_of_products(k, [[a, Fraction(2, 3)], [3, b]]) == a.scale(Fraction(2, 3)) + b.scale(3)
+        for x in (_sum_of_products(k, [[a]], -a), _sum_of_products(k, [[a, b], [-a, b]])):
+            assert x == CkScalar.zero(k)
+            _assert_canonical(x)
+    # a term with a zero factor anywhere is skipped before any product
+    calls = []
+    leibniz = ck._leibniz
+    monkeypatch.setattr(ck, "_leibniz", lambda *args: calls.append(args) or leibniz(*args))
+    a, b, zero = rand_scalar(rng, 2), rand_scalar(rng, 2), CkScalar.zero(2)
+    for term in ([zero, a, b], [a, zero, b], [a, b, zero], [a, b, 0], [Fraction(0), a, b]):
+        assert _sum_of_products(2, [term]) == zero
+    assert calls == []
+    expected = ck_mul(a, b).scale(5)
+    calls.clear()
+    assert _sum_of_products(2, [[a, b, 5]]) == expected
+    assert len(calls) == 1
+
+
+def test_sum_of_products_checks_every_factor():
+    one1, one2, zero1 = CkScalar.one(1), CkScalar.one(2), CkScalar.zero(1)
+    for terms, start in (
+        ([[one1, one2]], None),
+        ([[zero1, one2]], None),  # after a zero factor, still checked
+        ([[zero1], [one1, 2, one2]], None),
+        ([[one1]], one2),
+        ([], one2),
+    ):
+        with pytest.raises(ValueError, match="order mismatch"):
+            _sum_of_products(1, terms, start)
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(TypeError):
+            _sum_of_products(1, [[one1, bad]])
 
 
 def test_invertible_iff_first_coordinate_nonzero():

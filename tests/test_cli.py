@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 import random
 import re
+import time
 
 import pytest
 
@@ -28,7 +29,8 @@ from infree.jsonio import (
     decode_verdict,
     encode,
 )
-from infree.partitions import NcPartition, enumerate_nc, kreweras
+from infree.partitions import NcPartition, catalan, enumerate_nc, kreweras
+from infree.typek import fiber_size_formula
 
 from helpers import rand_law, rand_series, t_poly_freeness_oracle
 
@@ -67,6 +69,37 @@ def test_nck_enum(capsys):
     data = json.loads(out)
     assert len(data) == 6
     assert all(set(d) == {"n", "k", "blocks", "reduction", "shape"} for d in data)
+
+
+def test_enumeration_over_budget_is_refused_up_front(capsys, monkeypatch):
+    # the sizes come from closed forms, so nothing is enumerated
+    def refuse(*args):
+        raise AssertionError("enumerated an over-budget request")
+
+    monkeypatch.setattr(cli, "enumerate_nc", refuse)
+    monkeypatch.setattr(cli, "enumerate_type_k", refuse)
+    for argv, size in (
+        (["nc-enum", "--n", "16"], catalan(16)),
+        (["nck-enum", "--n", "6", "--k", "3"], catalan(6) * fiber_size_formula(6, 3)),
+        (["nck-enum", "--n", "3", "--k", "40"], catalan(3) * fiber_size_formula(3, 40)),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (f"error: {argv[0]}: output of {size} partitions is over "
+                       f"the budget of {cli.ENUM_BUDGET}\n")
+        assert "Traceback" not in err
+
+
+def test_benchmark_enumerations_are_within_budget(capsys):
+    assert catalan(16) > cli.ENUM_BUDGET
+    assert catalan(9) <= cli.ENUM_BUDGET
+    assert catalan(4) * fiber_size_formula(4, 2) <= cli.ENUM_BUDGET
+    code, out, _ = run(capsys, "nc-enum", "--n", "9")
+    assert code == 0 and len(json.loads(out)) == catalan(9)
+    code, out, _ = run(capsys, "nck-enum", "--n", "4", "--k", "2")
+    assert code == 0 and len(json.loads(out)) == catalan(4) * fiber_size_formula(4, 2)
 
 
 def test_kreweras_roundtrip(capsys, tmp_path):

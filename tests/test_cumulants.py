@@ -18,10 +18,11 @@ from infree.cumulants import (
     moments_to_cumulants,
     restrict,
 )
-from infree.partitions import NcPartition, SetPartition
+from infree.partitions import NcPartition, SetPartition, enumerate_nc, partition_join
 
 from helpers import (
     assemble_components,
+    fraction_ck_mul_oracle,
     kappa_component_oracle,
     nc_c2m_oracle,
     nc_m2c_oracle,
@@ -193,6 +194,35 @@ def test_cumulant_of_products():
         + ck_mul(c.cumulant((1, 3)), c.cumulant((2,)))
     )
     assert got == expected
+
+
+def test_block_products_match_fraction_folds():
+    # kappa_pi and cumulant_of_products against products folded on Fraction
+    # coordinates and summed with Fraction addition, on a sparse k = 2 table
+    rng = random.Random(173)
+    k = 2
+    c = CumulantTable(k, 2, 4, {w: rand_sparse_scalar(rng, k) for w in all_words(2, 4)})
+
+    def folded(pi, w):
+        prod = CkScalar.one(k)
+        for b in pi.blocks:
+            prod = CkScalar(k, fraction_ck_mul_oracle(prod, c.cumulant(restrict(w, b))))
+        return prod.coords
+
+    for w in all_words(2, 4):
+        s = len(w)
+        products = {pi: folded(pi, w) for pi in enumerate_nc(s)}
+        for pi, coords in products.items():
+            assert kappa_pi(c, pi, w).coords == coords
+        top = SetPartition(s, [range(1, s + 1)])
+        for mask in range(2 ** (s - 1)):
+            grouping = tuple(i for i in range(1, s) if mask >> (i - 1) & 1) + (s,)
+            theta = interval_partition(grouping, s)
+            expected = [Fraction(0)] * (k + 1)
+            for pi, coords in products.items():
+                if partition_join(pi, theta) == top:
+                    expected = [e + x for e, x in zip(expected, coords)]
+            assert cumulant_of_products(c, grouping, w).coords == tuple(expected), (w, grouping)
 
 
 def test_infinitesimal_component_scalar_and_table():

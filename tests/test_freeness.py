@@ -254,6 +254,31 @@ def test_checker_stops_at_the_first_failing_length(monkeypatch):
     assert verdict == t_poly_freeness_oracle(bad, coloring, 5)
 
 
+def test_checker_stops_at_the_first_failing_word(monkeypatch):
+    # words are scanned one at a time in shortlex order, so a failure at
+    # (1, 2) computes no cumulant of (2, 1) or (2, 2), and no word beyond
+    # the budget is ever built
+    rng = random.Random(167)
+    mu = rand_law(rng, k=2, num_vars=1, max_len=4)
+    nu = rand_law(rng, k=2, num_vars=1, max_len=4)
+    joint, coloring = free_product_joint([mu, nu], 4)
+    bad = perturbed(joint, (1, 2), 2)
+    calls = []
+
+    def counted(w, *args):
+        calls.append(w)
+        return _first_block_sum(w, *args)
+
+    monkeypatch.setattr("infree.cumulants._first_block_sum", counted)
+    verdict = check_inf_freeness(bad, coloring, 4)
+    assert verdict == FreenessVerdict(False, Witness((1, 2), 2, Fraction(1, 2)))
+    assert calls == [(1,), (2,), (1, 1), (1, 2)]
+    for budget in (1, 2, 3):
+        calls.clear()
+        assert check_inf_freeness(joint, coloring, budget).passed
+        assert calls == list(all_words(2, budget))
+
+
 def test_checker_matches_t_polynomial_oracle():
     # the C_k checker against the t-polynomial route, verdict for verdict:
     # word, component and value, with perturbations at every component
