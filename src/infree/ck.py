@@ -10,9 +10,14 @@ Fractions; nothing here ever touches floats.
 
 Every sum of C_k products in the package (series products and compositions,
 the moment-cumulant first-block sums, the boxed gamma_m loop, block
-products of cumulants) goes through one private kernel, `_sum_of_products`:
-it chains integer Leibniz products, adds them over a running lcm
-denominator and reduces once per output scalar, not once per term.
+products of cumulants) goes through one private core, `_accumulate`: it
+drops a term at its first zero factor, chains integer Leibniz products over
+the rest, adds them over a running lcm denominator and reduces once per
+output scalar, not once per term.  Validation happens once, where a value
+enters the library: the scalar, series and table constructors.  So the core
+trusts its factors to be order-k scalars and checks none of them; callers
+that hand it mixed scalars and rational weights go through
+`_sum_of_products`, which checks every factor and then feeds the same core.
 """
 from __future__ import annotations
 
@@ -69,6 +74,9 @@ class CkScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("CkScalar is immutable")
+
+    def __reduce__(self):
+        return CkScalar, (self.k, self.coords)
 
     @property
     def coords(self) -> tuple:
@@ -191,47 +199,70 @@ def _sum_of_products(k: int, terms: Iterable, start: CkScalar | None = None,
     of the product of each term's factors, reduced once.
 
     A factor is a C_k scalar of order k or an exact rational (int or
-    Fraction) weight.  Each product is a chain of `_leibniz` convolutions
-    over the product of its denominators and is added over a running lcm
-    denominator, so the only gcd reduction is the result's.  A term with a
-    zero factor is skipped before it is multiplied out, but every factor
-    is order-checked first."""
+    Fraction) weight.  Every factor is type- and order-checked, a zero one
+    included; the checked terms then go through `_accumulate`, which skips
+    a term with a zero factor before multiplying it out."""
+    if start is not None and start.k != k:
+        raise ValueError(f"order mismatch: k={start.k} vs k={k}")
+    return _accumulate(k, (_checked_term(k, factors) for factors in terms), start, subtract)
+
+
+def _checked_term(k: int, factors: Iterable) -> tuple:
+    """(weight numerator, weight denominator, chain of scalars) for one
+    term of `_sum_of_products`, every factor checked."""
+    num, den, chain = 1, 1, []
+    for f in factors:
+        if isinstance(f, CkScalar):
+            if f.k != k:
+                raise ValueError(f"order mismatch: k={f.k} vs k={k}")
+            chain.append(f)
+        elif isinstance(f, (int, Fraction)):
+            num *= f.numerator
+            den *= f.denominator
+        else:
+            raise TypeError(f"expected a C_k scalar or an exact rational, got {type(f).__name__}")
+    return num, den, chain
+
+
+def _accumulate(k: int, terms: Iterable, start: CkScalar | None = None,
+                subtract: bool = False) -> CkScalar:
+    """The one trusted C_k sum-of-products core: start (zero if None) plus,
+    or minus if subtract, the sum of num / den times the product of the
+    chain over the terms (num, den, chain).  The chain's factors are order-k
+    scalars the library built, so none is checked again.
+
+    A term is dropped at its zero weight or its first zero factor, before
+    anything is multiplied.  Each product is a chain of `_leibniz`
+    convolutions over the product of its denominators and is added over a
+    running lcm denominator, so the only gcd reduction is the result's."""
     if start is None:
         den, acc = 1, [0] * (k + 1)
-    elif start.k != k:
-        raise ValueError(f"order mismatch: k={start.k} vs k={k}")
     else:
         den, acc = start.den, list(start.nums)
     sign = -1 if subtract else 1
-    for factors in terms:
-        tden, weight, chain = 1, sign, []
-        for f in factors:
-            if isinstance(f, CkScalar):
-                if f.k != k:
-                    raise ValueError(f"order mismatch: k={f.k} vs k={k}")
-                if weight:
-                    if any(f.nums):
-                        tden *= f.den
-                        chain.append(f.nums)
-                    else:
-                        weight = 0
-            elif isinstance(f, (int, Fraction)):
-                tden *= f.denominator
-                weight *= f.numerator
-            else:
-                raise TypeError(f"expected a C_k scalar or an exact rational, got {type(f).__name__}")
+    unit = (1,) + (0,) * k
+    coords = range(k + 1)
+    for weight, tden, chain in terms:
         if not weight:
-            continue  # a zero factor
-        x = chain[0] if chain else (1,) + (0,) * k
-        for i in range(1, len(chain)):
-            x = _leibniz(k, x, chain[i])
-        g = gcd(den, tden)
-        if g != tden:
-            up = tden // g
-            den *= up
-            acc = [a * up for a in acc]
-        weight *= den // tden
-        acc = [a + weight * b for a, b in zip(acc, x)]
+            continue
+        xs = []
+        for f in chain:
+            x = f.nums
+            if not (x[0] or any(x)):
+                break  # a zero factor
+            tden *= f.den
+            xs.append(x)
+        else:
+            x = xs[0] if xs else unit
+            for i in range(1, len(xs)):
+                x = _leibniz(k, x, xs[i])
+            if den % tden:
+                up = tden // gcd(den, tden)
+                den *= up
+                acc = [a * up for a in acc]
+            weight *= sign * (den // tden)
+            for i in coords:
+                acc[i] += weight * x[i]
     return CkScalar._built(k, den, acc)
 
 
@@ -332,6 +363,9 @@ class CkSeries:
     def __setattr__(self, name, value):
         raise AttributeError("CkSeries is immutable")
 
+    def __reduce__(self):
+        return CkSeries, (self.k, self.trunc, self.coeffs, self.const)
+
     @classmethod
     def zero(cls, k: int, trunc: int) -> "CkSeries":
         return cls(k, trunc, tuple(CkScalar.zero(k) for _ in range(trunc)))
@@ -392,7 +426,7 @@ def series_mul(f: CkSeries, g: CkSeries) -> CkSeries:
     _check_order(f, g)
     n = min(f.trunc, g.trunc)
     x, y = (f.const,) + f.coeffs, (g.const,) + g.coeffs
-    coeffs = [_sum_of_products(f.k, ((x[i], y[m - i]) for i in range(m + 1)))
+    coeffs = [_accumulate(f.k, ((1, 1, (x[i], y[m - i])) for i in range(m + 1)))
               for m in range(n + 1)]
     return CkSeries(f.k, n, coeffs[1:], coeffs[0])
 
@@ -404,7 +438,7 @@ def series_compose(f: CkSeries, g: CkSeries) -> CkSeries:
         raise ValueError("composition needs a zero constant term in the inner series")
     n = min(f.trunc, g.trunc)
     pairs = list(zip(f.coeffs, _powers(g.truncate(n))))
-    out = [_sum_of_products(f.k, ((a, power.coeffs[d]) for a, power in pairs))
+    out = [_accumulate(f.k, ((1, 1, (a, power.coeffs[d])) for a, power in pairs))
            for d in range(n)]
     return CkSeries(f.k, n, out, f.const)
 

@@ -2,15 +2,21 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain error (bad values, schema
 violations, non-invertible elements, a computation that runs out of memory
-or of recursion depth, an enumeration over budget), 3 I/O failure.  "-"
+or of recursion depth, a request over budget), 3 I/O failure.  "-"
 reads standard input; output goes to --out or standard output.
 
-nc-enum and nck-enum size their output from closed forms before they
-enumerate anything: Catalan(n) partitions for nc-enum, Catalan(n) times
-the Fuss-Catalan fiber size for nck-enum.  An output of more than
-ENUM_BUDGET = 100,000 partitions is refused with exit code 2 and a message
-that gives the size and the budget: nc-enum runs up to n = 11, nck-enum up
-to (n, k) = (6, 2) or (5, 3), for example.
+Verbs that enumerate or visit partitions size the work from closed forms
+before doing any of it, and refuse more than ENUM_BUDGET = 100,000 with
+exit code 2 and a message that gives the size and the budget:
+- nc-enum lists Catalan(n) partitions, nck-enum Catalan(n) times the
+  Fuss-Catalan fiber size: nc-enum runs up to n = 11, nck-enum up to
+  (n, k) = (6, 2) or (5, 3), for example;
+- boxconv --type b and --type k sum over Catalan(m) times the fiber size
+  of type-i elements for every degree m up to the smaller trunc and every
+  i up to k (up to 1 for type b);
+- the table transforms (m2c, c2m, convolve-add, check-freeness,
+  deriv-demo) visit v^n 2^(n-1) first blocks at each word length n, for v
+  variables: one variable runs up to length 16, two up to length 8.
 """
 from __future__ import annotations
 
@@ -47,7 +53,7 @@ from .typek import enumerate_type_k, fiber_size_formula
 
 _INT = re.compile(r"-?[0-9]+")
 
-ENUM_BUDGET = 100_000  # the most partitions nc-enum or nck-enum will list
+ENUM_BUDGET = 100_000  # the most partitions or first blocks a verb will visit
 
 
 class UsageError(Exception):
@@ -105,6 +111,23 @@ def _within_budget(verb: str, size: int) -> None:
         raise ValueError(f"{verb}: output of {size} partitions is over the budget of {ENUM_BUDGET}")
 
 
+def _within_running_budget(verb: str, sizes, what: str, upto: str) -> None:
+    """Refuse once the running total of sizes, the work at n = 1, 2, ...,
+    passes ENUM_BUDGET; the sum stops there, so a huge n costs nothing."""
+    total = 0
+    for n, size in enumerate(sizes, start=1):
+        total += size
+        if total > ENUM_BUDGET:
+            raise ValueError(f"{verb}: {total} {what} up to {upto} {n} are over "
+                             f"the budget of {ENUM_BUDGET}")
+
+
+def _within_table_budget(verb: str, num_vars: int, max_len: int) -> None:
+    """A table transform visits num_vars^n 2^(n-1) first blocks at length n."""
+    _within_running_budget(verb, (num_vars ** n * 2 ** (n - 1) for n in range(1, max_len + 1)),
+                           "first blocks", "length")
+
+
 def _cmd_nc_enum(args) -> str:
     if args.n >= 1:  # smaller n is refused by enumerate_nc
         _within_budget("nc-enum", catalan(args.n))
@@ -130,11 +153,13 @@ def _cmd_mobius(args) -> str:
 
 def _cmd_m2c(args) -> str:
     law = decode_law(_read_json(args.law))
+    _within_table_budget("m2c", law.num_vars, law.max_len)
     return encode(moments_to_cumulants(law))
 
 
 def _cmd_c2m(args) -> str:
     table = decode_cumulant_table(_read_json(args.law))
+    _within_table_budget("c2m", table.num_vars, table.max_len)
     return encode(cumulants_to_moments(table))
 
 
@@ -145,6 +170,12 @@ def _cmd_boxconv(args) -> str:
         raise ValueError(f"series have k={f.k},{g.k}, flag says k={args.k}")
     if args.type == "a":
         return encode(boxed_conv_ck(f, g))
+    # the witness routes build every type-i element of degree m <= trunc
+    top = 1 if args.type == "b" else f.k
+    _within_running_budget("boxconv", (
+        catalan(m) * sum(fiber_size_formula(m, i) for i in range(top + 1))
+        for m in range(1, min(f.trunc, g.trunc) + 1)
+    ), "type-k elements", "degree")
     if args.type == "b":
         return encode(boxed_conv_type_b(f, g))
     return encode(boxed_conv_type_k(f, g))
@@ -153,6 +184,7 @@ def _cmd_boxconv(args) -> str:
 def _cmd_convolve_add(args) -> str:
     mu = decode_law(_read_json(args.lhs), "lhs")
     nu = decode_law(_read_json(args.rhs), "rhs")
+    _within_table_budget("convolve-add", mu.num_vars, mu.max_len)
     return encode(additive_convolve(mu, nu))
 
 
@@ -166,6 +198,8 @@ def _cmd_check_freeness(args) -> str:
     law = decode_law(_read_json(args.law), "law")
     coloring = decode_coloring(_read_json(args.colors), "colors")
     max_len = args.max_len if args.max_len is not None else law.max_len
+    # a budget beyond the law's own length is refused before any word
+    _within_table_budget("check-freeness", law.num_vars, min(max_len, law.max_len))
     return encode(check_inf_freeness(law, coloring, max_len))
 
 
@@ -180,6 +214,7 @@ def _cmd_deriv_demo(args) -> str:
     free_poisson(2+t) under addition, free_poisson(2+t) with
     free_poisson(3) under multiplication."""
     k, L = args.k, args.max_len
+    _within_table_budget("deriv-demo", 1, L)
     with_t = CkScalar(k, [1, 1] + [0] * (k - 1)) if k >= 1 else CkScalar(k, [1])
 
     def shifted(c0):

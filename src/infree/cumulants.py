@@ -11,6 +11,13 @@ outside B, and every other block lies inside one gap.  So
 
 2^(n-1) terms for a word of length n instead of Catalan(n).  The inverse
 direction solves the same identity for its B = [n] term.
+
+Each term reads kappa(w|B) first and is dropped when that cumulant is zero,
+before any gap moment is looked up: in a free product every block that
+mixes colours is dropped this way.  The surviving chains go to the trusted
+C_k core `ck._accumulate` unchecked, because every entry was validated once
+already, by the table constructor, and every computed one was built by the
+core itself.
 """
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterator
 
-from .ck import CkScalar, _sum_of_products
+from .ck import CkScalar, _accumulate, _sum_of_products
 from .partitions import SetPartition, enumerate_nc, partition_join
 
 
@@ -60,6 +67,9 @@ class _WordTable:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.k, self.num_vars, self.max_len, self.values)
 
     def value(self, w: tuple) -> CkScalar:
         if len(w) == 0:
@@ -124,10 +134,12 @@ def _first_blocks(n: int) -> tuple:
 def _first_block_sum(w: tuple, blocks, kappa: dict, moment: dict, k: int,
                      start: CkScalar | None = None, subtract: bool = False) -> CkScalar:
     """Sum over the given (on_b, gaps) of kappa(w|B) times prod m(w|gap),
-    added to start, or subtracted from it; a block whose cumulant is zero
-    (every mixed one in a free table) is skipped."""
-    terms = ([kappa[on_b(w)]] + [moment[w[lo:hi]] for lo, hi in gaps] for on_b, gaps in blocks)
-    return _sum_of_products(k, terms, start, subtract)
+    added to start, or subtracted from it.  kappa(w|B) is read first, and a
+    block whose cumulant is zero (every mixed one in a free table) is
+    skipped before any gap moment is looked up."""
+    chains = ((1, 1, [c] + [moment[w[lo:hi]] for lo, hi in gaps])
+              for on_b, gaps in blocks if any((c := kappa[on_b(w)]).nums))
+    return _accumulate(k, chains, start, subtract)
 
 
 def cumulants_to_moments(c: CumulantTable) -> InfLaw:

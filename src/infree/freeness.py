@@ -47,6 +47,9 @@ class NcPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("NcPolynomial is immutable")
 
+    def __reduce__(self):
+        return NcPolynomial, (self.terms,)
+
     @classmethod
     def variable(cls, v: int) -> "NcPolynomial":
         return cls({(v,): 1})
@@ -112,6 +115,9 @@ class Derivation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Derivation is immutable")
+
+    def __reduce__(self):
+        return Derivation, (self.images,)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Derivation) and self.images == other.images

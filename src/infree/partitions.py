@@ -42,6 +42,9 @@ class SetPartition:
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.n, self.blocks)
+
     def num_blocks(self) -> int:
         return len(self.blocks)
 

@@ -150,6 +150,9 @@ class TypeKPartition:
     def __setattr__(self, name, value):
         raise AttributeError("TypeKPartition is immutable")
 
+    def __reduce__(self):
+        return TypeKPartition, (self.partition, self.n, self.k)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TypeKPartition)

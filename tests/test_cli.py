@@ -10,6 +10,7 @@ import time
 import pytest
 
 import infree
+import infree.convolve
 from infree import cli
 from infree.ck import CkScalar
 from infree.cli import main
@@ -19,8 +20,8 @@ from infree.convolve import (
     example_law,
     multiplicative_convolve,
 )
-from infree.cumulants import InfLaw, moments_to_cumulants
-from infree.freeness import free_product_joint
+from infree.cumulants import CumulantTable, InfLaw, all_words, moments_to_cumulants
+from infree.freeness import Coloring, free_product_joint
 from infree.jsonio import (
     decode_cumulant_table,
     decode_law,
@@ -71,28 +72,48 @@ def test_nck_enum(capsys):
     assert all(set(d) == {"n", "k", "blocks", "reduction", "shape"} for d in data)
 
 
-def test_enumeration_over_budget_is_refused_up_front(capsys, monkeypatch):
+def _witness_size(trunc: int, top: int) -> int:
+    """Type-i elements the boxconv witness routes build, i <= top, up to degree trunc."""
+    return sum(catalan(m) * fiber_size_formula(m, i)
+               for m in range(1, trunc + 1) for i in range(top + 1))
+
+
+def test_enumeration_over_budget_is_refused_up_front(capsys, monkeypatch, tmp_path):
     # the sizes come from closed forms, so nothing is enumerated
     def refuse(*args):
         raise AssertionError("enumerated an over-budget request")
 
     monkeypatch.setattr(cli, "enumerate_nc", refuse)
     monkeypatch.setattr(cli, "enumerate_type_k", refuse)
-    for argv, size in (
-        (["nc-enum", "--n", "16"], catalan(16)),
-        (["nck-enum", "--n", "6", "--k", "3"], catalan(6) * fiber_size_formula(6, 3)),
-        (["nck-enum", "--n", "3", "--k", "40"], catalan(3) * fiber_size_formula(3, 40)),
+    monkeypatch.setattr(infree.convolve, "enumerate_nc", refuse)
+    monkeypatch.setattr(infree.convolve, "enumerate_type_k", refuse)
+    # a pair of k = 3, trunc 8 series, a few hundred bytes each: the type-k
+    # route passes the budget at degree 6, and type b at degree 10
+    rng = random.Random(419)
+    f3 = write(tmp_path, "f3.json", rand_series(rng, 3, 8))
+    f1 = write(tmp_path, "f1.json", rand_series(rng, 1, 12))
+    assert _witness_size(5, 3) <= cli.ENUM_BUDGET < _witness_size(6, 3)
+    assert _witness_size(9, 1) <= cli.ENUM_BUDGET < _witness_size(10, 1)
+    for argv, message in (
+        (["nc-enum", "--n", "16"], f"output of {catalan(16)} partitions is"),
+        (["nck-enum", "--n", "6", "--k", "3"],
+         f"output of {catalan(6) * fiber_size_formula(6, 3)} partitions is"),
+        (["nck-enum", "--n", "3", "--k", "40"],
+         f"output of {catalan(3) * fiber_size_formula(3, 40)} partitions is"),
+        (["boxconv", "--type", "k", "--lhs", f3, "--rhs", f3],
+         f"{_witness_size(6, 3)} type-k elements up to degree 6 are"),
+        (["boxconv", "--type", "b", "--lhs", f1, "--rhs", f1],
+         f"{_witness_size(10, 1)} type-k elements up to degree 10 are"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err == (f"error: {argv[0]}: output of {size} partitions is over "
-                       f"the budget of {cli.ENUM_BUDGET}\n")
+        assert err == f"error: {argv[0]}: {message} over the budget of {cli.ENUM_BUDGET}\n"
         assert "Traceback" not in err
 
 
-def test_benchmark_enumerations_are_within_budget(capsys):
+def test_benchmark_enumerations_are_within_budget(capsys, tmp_path):
     assert catalan(16) > cli.ENUM_BUDGET
     assert catalan(9) <= cli.ENUM_BUDGET
     assert catalan(4) * fiber_size_formula(4, 2) <= cli.ENUM_BUDGET
@@ -100,6 +121,52 @@ def test_benchmark_enumerations_are_within_budget(capsys):
     assert code == 0 and len(json.loads(out)) == catalan(9)
     code, out, _ = run(capsys, "nck-enum", "--n", "4", "--k", "2")
     assert code == 0 and len(json.loads(out)) == catalan(4) * fiber_size_formula(4, 2)
+    # the boxconv witness pairs of the cli-cold workload: (k, trunc) = (1, 4), (2, 4)
+    rng = random.Random(421)
+    for k, trunc, types in ((1, 4, "bk"), (2, 4, "k")):
+        assert _witness_size(trunc, k) <= cli.ENUM_BUDGET
+        path = write(tmp_path, f"s{k}.json", rand_series(rng, k, trunc))
+        for typ in types:
+            code, out, _ = run(capsys, "boxconv", "--type", typ, "--lhs", path, "--rhs", path)
+            assert code == 0 and len(json.loads(out)["coeffs"]) == trunc
+
+
+def test_table_transforms_over_budget_are_refused_up_front(capsys, monkeypatch, tmp_path):
+    # v^n 2^(n-1) first blocks at length n: one variable runs up to length
+    # 16, two up to length 8
+    start = time.perf_counter()
+    code, out, err = run(capsys, "deriv-demo", "--k", "1", "--max-len", "30")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: deriv-demo: 131071 first blocks up to length 17 are over "
+                   f"the budget of {cli.ENUM_BUDGET}\n")
+    code, _, err = run(capsys, "deriv-demo", "--k", "1", "--max-len", "17", "--mode",
+                       "multiplicative")
+    assert code == 2 and "131071 first blocks" in err and "Traceback" not in err
+
+    # the transforms are stubbed out, so only the sizing runs
+    def computed(*args):
+        return {}
+
+    for name in ("moments_to_cumulants", "cumulants_to_moments", "additive_convolve",
+                 "check_inf_freeness"):
+        monkeypatch.setattr(cli, name, computed)
+    zero = CkScalar.zero(0)
+    for num_vars, max_len, refused in ((1, 16, False), (1, 17, True), (2, 8, False),
+                                       (2, 9, True)):
+        values = dict.fromkeys(all_words(num_vars, max_len), zero)
+        law = write(tmp_path, "law.json", InfLaw(0, num_vars, max_len, values))
+        table = write(tmp_path, "table.json", CumulantTable(0, num_vars, max_len, values))
+        colors = write(tmp_path, "colors.json", Coloring(tuple(range(1, num_vars + 1))))
+        for argv in (["m2c", "--law", law], ["c2m", "--law", table],
+                     ["check-freeness", "--law", law, "--colors", colors],
+                     ["convolve-add", "--lhs", law, "--rhs", law]):
+            code, out, err = run(capsys, *argv)
+            if refused:
+                assert (code, out) == (2, "")
+                assert err.startswith(f"error: {argv[0]}: ") and "first blocks up to length" in err
+            else:
+                assert (code, out, err) == (0, "{}\n", "")
 
 
 def test_kreweras_roundtrip(capsys, tmp_path):

@@ -32,6 +32,7 @@ from helpers import (
     rand_law,
     rand_scalar,
     rand_sparse_scalar,
+    rand_wide_scalar,
 )
 
 
@@ -98,14 +99,36 @@ def test_round_trip():
 
 
 def test_first_block_kernels_match_nc_sum_oracles():
+    # both directions against the NC sums on three kinds of table: sparse
+    # entries (zero, nilpotent, general), 400-bit entries, and free-product
+    # cumulants, whose every mixed entry is zero, so that the cumulant-first
+    # skip drops most blocks
     rng = random.Random(37)
-    for k in range(3):
+
+    def check(k, num_vars, max_len, values):
+        c = CumulantTable(k, num_vars, max_len, values)
+        moments = cumulants_to_moments(c)
+        assert moments == nc_c2m_oracle(c), (k, num_vars)
+        law = InfLaw(k, num_vars, max_len, values)
+        assert moments_to_cumulants(law) == nc_m2c_oracle(law), (k, num_vars)
+        return c, moments
+
+    for k in range(4):
         for num_vars, max_len in ((1, 5), (2, 5), (3, 4)):
-            values = {w: rand_sparse_scalar(rng, k) for w in all_words(num_vars, max_len)}
-            c = CumulantTable(k, num_vars, max_len, values)
-            assert cumulants_to_moments(c) == nc_c2m_oracle(c), (k, num_vars)
-            law = InfLaw(k, num_vars, max_len, values)
-            assert moments_to_cumulants(law) == nc_m2c_oracle(law), (k, num_vars)
+            check(k, num_vars, max_len,
+                  {w: rand_sparse_scalar(rng, k) for w in all_words(num_vars, max_len)})
+    for k in (1, 3):
+        check(k, 2, 4, {w: rand_wide_scalar(rng, k) for w in all_words(2, 4)})
+    for k, colors, max_len in ((3, (1, 2), 5), (2, (1, 2, 1), 4), (3, (1, 2, 3), 4)):
+        values = {
+            w: rand_sparse_scalar(rng, k) if len({colors[v - 1] for v in w}) == 1
+            else CkScalar.zero(k)
+            for w in all_words(len(colors), max_len)
+        }
+        c, moments = check(k, len(colors), max_len, values)
+        # the moments of a free product give back its cumulants, the mixed
+        # ones exactly zero
+        assert moments_to_cumulants(moments) == nc_m2c_oracle(moments) == c
 
 
 _rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)

@@ -1,6 +1,8 @@
-"""JSON codecs: round trips, schema rejection paths, deterministic bytes."""
+"""JSON codecs: round trips, schema rejection paths, deterministic bytes;
+pickle round trips."""
 from fractions import Fraction
 import json
+import pickle
 import random
 
 import pytest
@@ -30,7 +32,8 @@ from infree.jsonio import (
     encode_rational,
     to_jsonable,
 )
-from infree.partitions import NcPartition
+from infree.cumulants import CumulantTable, moments_to_cumulants
+from infree.partitions import NcPartition, SetPartition
 from infree.typek import TypeKPartition, enumerate_type_k
 
 from helpers import rand_law, rand_series
@@ -218,3 +221,30 @@ def test_encode_is_deterministic_and_float_free():
     with pytest.raises(TypeError):
         encode(object())
     assert to_jsonable([Fraction(1, 2), 3]) == ["1/2", "3"]
+
+
+def test_every_library_value_pickles():
+    # each immutable class rebuilds through its validating constructor,
+    # and a subclass comes back as itself
+    rng = random.Random(229)
+    law = rand_law(rng, k=2, num_vars=2, max_len=3)
+    poly = NcPolynomial({(1, 2): Fraction(1, 2), (): 3})
+    values = [
+        CkScalar(2, [Fraction(1, 3), -2, Fraction(5, 7)]),
+        rand_series(rng, 2, 4),
+        law,
+        moments_to_cumulants(law),
+        SetPartition(4, [[1, 3], [2, 4]]),
+        NcPartition(4, [[1, 4], [2, 3]]),
+        enumerate_type_k(3, 2)[17],
+        poly,
+        Derivation({1: poly, 2: NcPolynomial.variable(1)}),
+    ]
+    assert {type(v) for v in values} == {
+        CkScalar, CkSeries, type(law), CumulantTable, SetPartition, NcPartition,
+        TypeKPartition, NcPolynomial, Derivation,
+    }
+    for v in values:
+        back = pickle.loads(pickle.dumps(v))
+        assert type(back) is type(v)
+        assert back == v

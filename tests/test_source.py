@@ -55,3 +55,25 @@ def test_every_private_function_is_used():
         if not any(node.name in _references(tree, node) for tree in trees)
     ]
     assert unused == []
+
+
+def _jet_kernel_use(node: ast.AST) -> bool:
+    """node names ck._leibniz, or CkScalar._built."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_leibniz" or (
+            node.attr == "_built" and isinstance(node.value, ast.Name) and node.value.id == "CkScalar")
+    return (isinstance(node, ast.Name) and node.id == "_leibniz"
+            or isinstance(node, ast.alias) and node.name == "_leibniz")
+
+
+def test_one_jet_arithmetic():
+    # the Leibniz product and the trusted scalar constructor belong to
+    # ck.py alone, so no other module grows a second C_k kernel
+    found = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "ck.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if _jet_kernel_use(node)
+    ]
+    assert found == []
