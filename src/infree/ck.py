@@ -21,7 +21,6 @@ that hand it mixed scalars and rational weights go through
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
@@ -284,20 +283,35 @@ def ck_inverse(a: CkScalar) -> CkScalar:
     return CkScalar._built(k, sign * den, [sign * a.den * y[i] * n0 ** (k - i) for i in range(k + 1)])
 
 
-@dataclass(frozen=True)
 class LambdaVector:
     """Weak composition (lambda_1, ..., lambda_n) of the integer `target`."""
 
-    entries: tuple
-    target: int
+    __slots__ = ("entries", "target")
 
-    def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries, target: int):
+        entries = tuple(int(e) for e in entries)
         if any(e < 0 for e in entries):
             raise ValueError("lambda entries must be non-negative")
-        if sum(entries) != self.target:
-            raise ValueError(f"lambda entries sum to {sum(entries)}, expected {self.target}")
+        if sum(entries) != target:
+            raise ValueError(f"lambda entries sum to {sum(entries)}, expected {target}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "target", target)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LambdaVector is immutable")
+
+    def __reduce__(self):
+        return LambdaVector, (self.entries, self.target)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is LambdaVector and self.entries == other.entries
+                and self.target == other.target)
+
+    def __hash__(self):
+        return hash((self.entries, self.target))
+
+    def __repr__(self):
+        return f"LambdaVector(entries={self.entries!r}, target={self.target!r})"
 
     def __len__(self):
         return len(self.entries)

@@ -10,13 +10,21 @@ before doing any of it, and refuse more than ENUM_BUDGET = 100,000 with
 exit code 2 and a message that gives the size and the budget:
 - nc-enum lists Catalan(n) partitions, nck-enum Catalan(n) times the
   Fuss-Catalan fiber size: nc-enum runs up to n = 11, nck-enum up to
-  (n, k) = (6, 2) or (5, 3), for example;
+  (n, k) = (6, 2) or (5, 3), for example.  Both sizes are running
+  products that stop once they pass the digits the interpreter prints,
+  and such a size is reported as that many digits, so a huge n or k is
+  refused in milliseconds;
 - boxconv --type b and --type k sum over Catalan(m) times the fiber size
   of type-i elements for every degree m up to the smaller trunc and every
   i up to k (up to 1 for type b);
 - the table transforms (m2c, c2m, convolve-add, check-freeness,
   deriv-demo) visit v^n 2^(n-1) first blocks at each word length n, for v
   variables: one variable runs up to length 16, two up to length 8.
+
+Importing this module loads only it and the JSON codec.  Each handler
+imports the functions it runs from their defining module when it runs, so
+a verb loads only the layers it uses: nc-enum, kreweras and mobius load
+partitions alone.
 """
 from __future__ import annotations
 
@@ -24,19 +32,9 @@ import argparse
 import json
 import re
 import sys
+from itertools import chain
 
 from . import __version__
-from .ck import CkScalar, NotInvertible
-from .convolve import (
-    additive_convolve,
-    boxed_conv_ck,
-    boxed_conv_type_b,
-    boxed_conv_type_k,
-    example_law,
-    multiplicative_convolve,
-)
-from .cumulants import cumulants_to_moments, moments_to_cumulants
-from .freeness import check_inf_freeness, derivative_of_convolution, upgraded_law
 from .jsonio import (
     SchemaError,
     decode_coloring,
@@ -47,8 +45,6 @@ from .jsonio import (
     decode_series,
     encode,
 )
-from .partitions import catalan, enumerate_nc, kreweras, mobius_to_top
-from .typek import enumerate_type_k, fiber_size_formula
 
 
 _INT = re.compile(r"-?[0-9]+")
@@ -106,9 +102,28 @@ def _write(text: str, out: str | None):
             fh.write(text)
 
 
-def _within_budget(verb: str, size: int) -> None:
+def _within_budget(verb: str, factors, divisor: int = 1) -> None:
+    """Refuse an enumeration of more than ENUM_BUDGET partitions.  Its size
+    is a running product, multiplied by a and divided exactly by b for each
+    pair (a, b) of factors and never decreasing, then divided by divisor.
+    The product stops once the size has more digits than the interpreter
+    prints, so a huge size costs no more than that."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    cap = 10 ** digits * divisor
+    size = 1
+    for a, b in factors:
+        size = size * a // b
+        if size >= cap:
+            raise ValueError(f"{verb}: output of a number of partitions with more than "
+                             f"{digits} digits is over the budget of {ENUM_BUDGET}")
+    size //= divisor
     if size > ENUM_BUDGET:
         raise ValueError(f"{verb}: output of {size} partitions is over the budget of {ENUM_BUDGET}")
+
+
+def _catalan_factors(n: int):
+    """Catalan(m + 1) = Catalan(m) * 2(2m + 1) / (m + 2), from Catalan(1) = 1."""
+    return ((2 * (2 * m + 1), m + 2) for m in range(1, n))
 
 
 def _within_running_budget(verb: str, sizes, what: str, upto: str) -> None:
@@ -128,42 +143,71 @@ def _within_table_budget(verb: str, num_vars: int, max_len: int) -> None:
                            "first blocks", "length")
 
 
+def _domain_errors() -> tuple:
+    """The exceptions reported as domain errors.  NotInvertible comes from
+    ck, imported here so that a verb that never loads ck does not pay for
+    it; main evaluates this only while it handles an exception."""
+    from .ck import NotInvertible
+
+    return SchemaError, ValueError, NotInvertible
+
+
 def _cmd_nc_enum(args) -> str:
+    from .partitions import enumerate_nc
+
     if args.n >= 1:  # smaller n is refused by enumerate_nc
-        _within_budget("nc-enum", catalan(args.n))
+        _within_budget("nc-enum", _catalan_factors(args.n))
     return encode(list(enumerate_nc(args.n)))
 
 
 def _cmd_nck_enum(args) -> str:
-    if args.n >= 1 and args.k >= 0:  # other values are refused by enumerate_type_k
-        _within_budget("nck-enum", catalan(args.n) * fiber_size_formula(args.n, args.k))
-    return encode(list(enumerate_type_k(args.n, args.k)))
+    from .typek import enumerate_type_k
+
+    n, b = args.n, args.k + 1
+    if n >= 1 and b >= 1:  # other values are refused by enumerate_type_k
+        # Catalan(n) times the Fuss-Catalan fiber size C((n+1)b, b) / (nb + 1),
+        # where C(nb + i, i) = C(nb + i - 1, i - 1) (nb + i) / i
+        fiber = ((n * b + i, i) for i in range(1, b + 1))
+        _within_budget("nck-enum", chain(_catalan_factors(n), fiber), n * b + 1)
+    return encode(list(enumerate_type_k(n, args.k)))
 
 
 def _cmd_kreweras(args) -> str:
+    from .partitions import kreweras
+
     p = decode_partition(_read_json(args.lhs))
     direction = "inverse" if args.inverse else "forward"
     return encode(kreweras(p, direction))
 
 
 def _cmd_mobius(args) -> str:
+    from .partitions import mobius_to_top
+
     p = decode_partition(_read_json(args.lhs))
     return encode({"mobius": mobius_to_top(p)})
 
 
 def _cmd_m2c(args) -> str:
+    from .cumulants import moments_to_cumulants
+
     law = decode_law(_read_json(args.law))
     _within_table_budget("m2c", law.num_vars, law.max_len)
     return encode(moments_to_cumulants(law))
 
 
 def _cmd_c2m(args) -> str:
+    from .cumulants import cumulants_to_moments
+
     table = decode_cumulant_table(_read_json(args.law))
     _within_table_budget("c2m", table.num_vars, table.max_len)
     return encode(cumulants_to_moments(table))
 
 
 def _cmd_boxconv(args) -> str:
+    from .convolve import boxed_conv_ck, boxed_conv_type_b, boxed_conv_type_k
+    from .partitions import catalan
+    from .typek import fiber_size_formula
+
     f = decode_series(_read_json(args.lhs), "lhs")
     g = decode_series(_read_json(args.rhs), "rhs")
     if args.k is not None and (f.k != args.k or g.k != args.k):
@@ -182,6 +226,8 @@ def _cmd_boxconv(args) -> str:
 
 
 def _cmd_convolve_add(args) -> str:
+    from .convolve import additive_convolve
+
     mu = decode_law(_read_json(args.lhs), "lhs")
     nu = decode_law(_read_json(args.rhs), "rhs")
     _within_table_budget("convolve-add", mu.num_vars, mu.max_len)
@@ -189,12 +235,16 @@ def _cmd_convolve_add(args) -> str:
 
 
 def _cmd_convolve_mul(args) -> str:
+    from .convolve import multiplicative_convolve
+
     mu = decode_law(_read_json(args.lhs), "lhs")
     nu = decode_law(_read_json(args.rhs), "rhs")
     return encode(multiplicative_convolve(mu, nu))
 
 
 def _cmd_check_freeness(args) -> str:
+    from .freeness import check_inf_freeness
+
     law = decode_law(_read_json(args.law), "law")
     coloring = decode_coloring(_read_json(args.colors), "colors")
     max_len = args.max_len if args.max_len is not None else law.max_len
@@ -204,6 +254,8 @@ def _cmd_check_freeness(args) -> str:
 
 
 def _cmd_upgrade(args) -> str:
+    from .freeness import upgraded_law
+
     base = decode_law(_read_json(args.base), "base")
     d = decode_derivation(_read_json(args.derivation), "derivation")
     return encode(upgraded_law(base, d, args.k, args.max_len))
@@ -213,6 +265,10 @@ def _cmd_deriv_demo(args) -> str:
     """Built-in one-parameter families: semicircular(1+t) with
     free_poisson(2+t) under addition, free_poisson(2+t) with
     free_poisson(3) under multiplication."""
+    from .ck import CkScalar
+    from .convolve import example_law
+    from .freeness import derivative_of_convolution
+
     k, L = args.k, args.max_len
     _within_table_budget("deriv-demo", 1, L)
     with_t = CkScalar(k, [1, 1] + [0] * (k - 1)) if k >= 1 else CkScalar(k, [1])
@@ -314,9 +370,6 @@ def main(argv=None) -> int:
         text = args.func(args)
         _write(text, args.out)
         return 0
-    except (SchemaError, NotInvertible, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except MemoryError:
         print(f"error: {args.verb}: out of memory", file=sys.stderr)
         return 2
@@ -326,6 +379,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 3
+    except _domain_errors() as e:  # evaluated only once an exception is raised
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

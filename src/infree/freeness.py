@@ -9,7 +9,6 @@ coordinate i divided by i!.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -132,12 +131,19 @@ class Derivation:
         return max((p.max_degree() for p in self.images.values()), default=0)
 
     def apply_once(self, p: NcPolynomial) -> NcPolynomial:
-        out = NcPolynomial()
+        """Leibniz expansion: each letter of each word in turn replaced by its
+        image, summed into one map and built once."""
+        out: dict = {}
         for w, c in p.terms.items():
             for pos, v in enumerate(w):
-                piece = NcPolynomial.word(w[:pos]) * self.image(v) * NcPolynomial.word(w[pos + 1:])
-                out = out + piece.scale(c)
-        return out
+                image = self.images.get(v)
+                if image is None:
+                    continue
+                prefix, suffix = w[:pos], w[pos + 1:]
+                for w2, c2 in image.terms.items():
+                    key = prefix + w2 + suffix
+                    out[key] = out.get(key, 0) + c * c2
+        return NcPolynomial(out)
 
 
 def apply_derivation(d: Derivation, p: NcPolynomial, power: int = 1) -> NcPolynomial:
@@ -149,16 +155,31 @@ def apply_derivation(d: Derivation, p: NcPolynomial, power: int = 1) -> NcPolyno
     return p
 
 
-@dataclass(frozen=True)
 class Coloring:
     """Assignment of each variable 1..num_vars to a subalgebra label."""
 
-    colors: tuple
+    __slots__ = ("colors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
-        if not self.colors:
+    def __init__(self, colors):
+        colors = tuple(int(c) for c in colors)
+        if not colors:
             raise ValueError("coloring must cover at least one variable")
+        object.__setattr__(self, "colors", colors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Coloring is immutable")
+
+    def __reduce__(self):
+        return Coloring, (self.colors,)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Coloring and self.colors == other.colors
+
+    def __hash__(self):
+        return hash((self.colors,))
+
+    def __repr__(self):
+        return f"Coloring(colors={self.colors!r})"
 
     @property
     def num_vars(self) -> int:
@@ -247,17 +268,59 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     return CumulantTable(joint.k, npairs, max_len, out)
 
 
-@dataclass(frozen=True)
 class Witness:
-    word: tuple
-    component: int
-    value: Fraction
+    """A failing word, the lowest nonzero coordinate of its cumulant, and
+    that coordinate's t^i coefficient."""
+
+    __slots__ = ("word", "component", "value")
+
+    def __init__(self, word: tuple, component: int, value: Fraction):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Witness is immutable")
+
+    def __reduce__(self):
+        return Witness, (self.word, self.component, self.value)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is Witness and self.word == other.word
+                and self.component == other.component and self.value == other.value)
+
+    def __hash__(self):
+        return hash((self.word, self.component, self.value))
+
+    def __repr__(self):
+        return (f"Witness(word={self.word!r}, component={self.component!r}, "
+                f"value={self.value!r})")
 
 
-@dataclass(frozen=True)
 class FreenessVerdict:
-    passed: bool
-    witness: Witness | None
+    """Outcome of the freeness test: passed, or the first failure's witness."""
+
+    __slots__ = ("passed", "witness")
+
+    def __init__(self, passed: bool, witness: Witness | None):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FreenessVerdict is immutable")
+
+    def __reduce__(self):
+        return FreenessVerdict, (self.passed, self.witness)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is FreenessVerdict and self.passed == other.passed
+                and self.witness == other.witness)
+
+    def __hash__(self):
+        return hash((self.passed, self.witness))
+
+    def __repr__(self):
+        return f"FreenessVerdict(passed={self.passed!r}, witness={self.witness!r})"
 
 
 def _first_mixed(items, coloring: Coloring) -> tuple | None:

@@ -4,6 +4,11 @@ All numbers on the wire are rational strings like "-3" or "5/7", always
 reduced with positive denominator; floats never appear.  Encoding sorts all
 object keys so equal values produce identical bytes.  Decoding validates
 shape and reports the offending path in every error.
+
+Importing this module loads no layer of the package: each decoder imports
+its domain class when it runs, and `to_jsonable` finds the encoder of a
+value by the names of the classes in its type's MRO, so encoding a value
+loads nothing its own module did not.
 """
 from __future__ import annotations
 
@@ -11,12 +16,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-
-from .ck import CkScalar, CkSeries, LambdaVector
-from .cumulants import CumulantTable, InfLaw
-from .freeness import Coloring, Derivation, FreenessVerdict, NcPolynomial, Witness
-from .partitions import NcPartition, SetPartition
-from .typek import TypeKPartition
 
 
 class SchemaError(ValueError):
@@ -78,6 +77,8 @@ def _check_keys(data, allowed, path):
 
 
 def decode_ck_scalar(data, k: int, path: str) -> CkScalar:
+    from .ck import CkScalar
+
     _expect(data, list, path, "an array of rationals")
     if len(data) != k + 1:
         raise SchemaError(path, f"expected {k + 1} coordinates, got {len(data)}")
@@ -89,6 +90,8 @@ def encode_ck_scalar(x: CkScalar) -> list:
 
 
 def decode_series(data, path: str = "") -> CkSeries:
+    from .ck import CkSeries
+
     _expect(data, dict, path, "an object")
     _check_keys(data, {"k", "trunc", "const", "coeffs"}, path)
     k = _expect(_field(data, "k", path), int, f"{path}.k", "an integer")
@@ -117,6 +120,8 @@ def encode_series(f: CkSeries) -> dict:
 
 
 def decode_partition(data, path: str = "", noncrossing: bool = True):
+    from .partitions import NcPartition, SetPartition
+
     _expect(data, dict, path, "an object")
     _check_keys(data, {"n", "blocks"}, path)
     n = _expect(_field(data, "n", path), int, f"{path}.n", "an integer")
@@ -138,6 +143,8 @@ def encode_partition(p: SetPartition) -> dict:
 
 
 def decode_type_k(data, path: str = "") -> TypeKPartition:
+    from .typek import TypeKPartition
+
     _expect(data, dict, path, "an object")
     _check_keys(data, {"n", "k", "blocks", "reduction", "shape"}, path)
     n = _expect(_field(data, "n", path), int, f"{path}.n", "an integer")
@@ -206,10 +213,14 @@ def _decode_table(data, path: str, value_key: str, cls):
 
 
 def decode_law(data, path: str = "") -> InfLaw:
+    from .cumulants import InfLaw
+
     return _decode_table(data, path, "moments", InfLaw)
 
 
 def decode_cumulant_table(data, path: str = "") -> CumulantTable:
+    from .cumulants import CumulantTable
+
     return _decode_table(data, path, "cumulants", CumulantTable)
 
 
@@ -231,6 +242,8 @@ def encode_cumulant_table(c: CumulantTable) -> dict:
 
 
 def decode_coloring(data, path: str = "") -> Coloring:
+    from .freeness import Coloring
+
     _expect(data, dict, path, "an object")
     _check_keys(data, {"colors"}, path)
     colors = _expect(_field(data, "colors", path), list, f"{path}.colors", "an array")
@@ -247,6 +260,8 @@ def encode_coloring(c: Coloring) -> dict:
 
 
 def decode_polynomial(data, path: str = "") -> NcPolynomial:
+    from .freeness import NcPolynomial
+
     _expect(data, dict, path, "an object")
     _check_keys(data, {"terms"}, path)
     terms = _expect(_field(data, "terms", path), dict, f"{path}.terms", "an object")
@@ -262,6 +277,8 @@ def encode_polynomial(p: NcPolynomial) -> dict:
 
 
 def decode_derivation(data, path: str = "") -> Derivation:
+    from .freeness import Derivation
+
     _expect(data, dict, path, "an object")
     _check_keys(data, {"images"}, path)
     images = _expect(_field(data, "images", path), dict, f"{path}.images", "an object")
@@ -297,6 +314,8 @@ def encode_verdict(v: FreenessVerdict) -> dict:
 
 
 def decode_verdict(data, path: str = "") -> FreenessVerdict:
+    from .freeness import FreenessVerdict, Witness
+
     _expect(data, dict, path, "an object")
     _check_keys(data, {"pass", "witness"}, path)
     passed = _field(data, "pass", path)
@@ -320,33 +339,43 @@ def encode(value) -> str:
     return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _encode_lambda_vector(v: LambdaVector) -> list:
+    return list(v.entries)
+
+
+def _encode_list(value) -> list:
+    return [to_jsonable(v) for v in value]
+
+
+def _encode_dict(value) -> dict:
+    return {str(k): to_jsonable(v) for k, v in value.items()}
+
+
+# The encoder of each class, keyed by "module.qualname" so that this table
+# imports none of them; a subclass uses the encoder of its nearest base.
+_ENCODERS = {
+    "infree.ck.CkScalar": encode_ck_scalar,
+    "infree.ck.CkSeries": encode_series,
+    "infree.ck.LambdaVector": _encode_lambda_vector,
+    "infree.partitions.SetPartition": encode_partition,
+    "infree.typek.TypeKPartition": encode_type_k,
+    "infree.cumulants.InfLaw": encode_law,
+    "infree.cumulants.CumulantTable": encode_cumulant_table,
+    "infree.freeness.Coloring": encode_coloring,
+    "infree.freeness.NcPolynomial": encode_polynomial,
+    "infree.freeness.Derivation": encode_derivation,
+    "infree.freeness.FreenessVerdict": encode_verdict,
+    "fractions.Fraction": encode_rational,
+    "builtins.int": encode_rational,
+    "builtins.list": _encode_list,
+    "builtins.tuple": _encode_list,
+    "builtins.dict": _encode_dict,
+}
+
+
 def to_jsonable(value):
-    if isinstance(value, CkScalar):
-        return encode_ck_scalar(value)
-    if isinstance(value, CkSeries):
-        return encode_series(value)
-    if isinstance(value, TypeKPartition):
-        return encode_type_k(value)
-    if isinstance(value, SetPartition):
-        return encode_partition(value)
-    if isinstance(value, InfLaw):
-        return encode_law(value)
-    if isinstance(value, CumulantTable):
-        return encode_cumulant_table(value)
-    if isinstance(value, Coloring):
-        return encode_coloring(value)
-    if isinstance(value, NcPolynomial):
-        return encode_polynomial(value)
-    if isinstance(value, Derivation):
-        return encode_derivation(value)
-    if isinstance(value, FreenessVerdict):
-        return encode_verdict(value)
-    if isinstance(value, LambdaVector):
-        return list(value.entries)
-    if isinstance(value, (Fraction, int)):
-        return encode_rational(value)
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
+    for cls in type(value).__mro__:
+        encoder = _ENCODERS.get(f"{cls.__module__}.{cls.__qualname__}")
+        if encoder is not None:
+            return encoder(value)
     raise TypeError(f"cannot encode {type(value).__name__}")

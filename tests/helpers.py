@@ -11,7 +11,7 @@ from math import comb, factorial
 
 from infree.ck import CkScalar, CkSeries, ck_mul, ck_prod_many, lambda_vectors, multinomial
 from infree.cumulants import CumulantTable, InfLaw, all_words, cumulants_to_moments, restrict
-from infree.freeness import FreenessVerdict, Witness
+from infree.freeness import Derivation, FreenessVerdict, NcPolynomial, Witness
 from infree.partitions import (
     NcPartition,
     SetPartition,
@@ -168,6 +168,28 @@ def rand_cumulants(rng, k: int, num_vars: int, max_len: int) -> CumulantTable:
     return CumulantTable(
         k, num_vars, max_len, {w: rand_scalar(rng, k) for w in all_words(num_vars, max_len)}
     )
+
+
+def rand_nc_polynomial(rng, num_vars: int, max_degree: int, terms: int) -> NcPolynomial:
+    """Up to `terms` random words of length <= max_degree, the empty word
+    included, with small rational coefficients that may cancel."""
+    out: dict = {}
+    for _ in range(terms):
+        w = tuple(rng.randint(1, num_vars) for _ in range(rng.randint(0, max_degree)))
+        out[w] = out.get(w, Fraction(0)) + Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return NcPolynomial(out)
+
+
+def pieces_apply_once_oracle(d: Derivation, p: NcPolynomial) -> NcPolynomial:
+    """One Leibniz application built piece by piece from the public
+    polynomial arithmetic: word(prefix) * image * word(suffix), scaled and
+    added to the running sum."""
+    out = NcPolynomial()
+    for w, c in p.terms.items():
+        for pos, v in enumerate(w):
+            piece = NcPolynomial.word(w[:pos]) * d.image(v) * NcPolynomial.word(w[pos + 1:])
+            out = out + piece.scale(c)
+    return out
 
 
 def rand_law(rng, k: int, num_vars: int, max_len: int):

@@ -5,12 +5,17 @@ import json
 from pathlib import Path
 import random
 import re
+import sys
 import time
 
 import pytest
 
 import infree
 import infree.convolve
+import infree.cumulants
+import infree.freeness
+import infree.partitions
+import infree.typek
 from infree import cli
 from infree.ck import CkScalar
 from infree.cli import main
@@ -83,8 +88,8 @@ def test_enumeration_over_budget_is_refused_up_front(capsys, monkeypatch, tmp_pa
     def refuse(*args):
         raise AssertionError("enumerated an over-budget request")
 
-    monkeypatch.setattr(cli, "enumerate_nc", refuse)
-    monkeypatch.setattr(cli, "enumerate_type_k", refuse)
+    monkeypatch.setattr(infree.partitions, "enumerate_nc", refuse)
+    monkeypatch.setattr(infree.typek, "enumerate_type_k", refuse)
     monkeypatch.setattr(infree.convolve, "enumerate_nc", refuse)
     monkeypatch.setattr(infree.convolve, "enumerate_type_k", refuse)
     # a pair of k = 3, trunc 8 series, a few hundred bytes each: the type-k
@@ -94,7 +99,12 @@ def test_enumeration_over_budget_is_refused_up_front(capsys, monkeypatch, tmp_pa
     f1 = write(tmp_path, "f1.json", rand_series(rng, 1, 12))
     assert _witness_size(5, 3) <= cli.ENUM_BUDGET < _witness_size(6, 3)
     assert _witness_size(9, 1) <= cli.ENUM_BUDGET < _witness_size(10, 1)
+    # sizes with more digits than the interpreter prints are never computed
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    unprintable = f"output of a number of partitions with more than {digits} digits is"
     for argv, message in (
+        (["nc-enum", "--n", "3000000"], unprintable),
+        (["nck-enum", "--n", "2", "--k", "30000000"], unprintable),
         (["nc-enum", "--n", "16"], f"output of {catalan(16)} partitions is"),
         (["nck-enum", "--n", "6", "--k", "3"],
          f"output of {catalan(6) * fiber_size_formula(6, 3)} partitions is"),
@@ -111,6 +121,21 @@ def test_enumeration_over_budget_is_refused_up_front(capsys, monkeypatch, tmp_pa
         assert (code, out) == (2, "")
         assert err == f"error: {argv[0]}: {message} over the budget of {cli.ENUM_BUDGET}\n"
         assert "Traceback" not in err
+
+
+def test_enumeration_sizes_match_the_closed_forms(capsys, monkeypatch):
+    # with no budget every request is refused, and the refusal gives the
+    # running product's size: Catalan(n), times the fiber size for nck-enum
+    monkeypatch.setattr(cli, "ENUM_BUDGET", 0)
+    for n in range(1, 25):
+        sizes = [(["nc-enum", "--n", str(n)], catalan(n))] + [
+            (["nck-enum", "--n", str(n), "--k", str(k)], catalan(n) * fiber_size_formula(n, k))
+            for k in range(8)
+        ]
+        for argv, size in sizes:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: {argv[0]}: output of {size} partitions is over the budget of 0\n"
 
 
 def test_benchmark_enumerations_are_within_budget(capsys, tmp_path):
@@ -148,9 +173,11 @@ def test_table_transforms_over_budget_are_refused_up_front(capsys, monkeypatch, 
     def computed(*args):
         return {}
 
-    for name in ("moments_to_cumulants", "cumulants_to_moments", "additive_convolve",
-                 "check_inf_freeness"):
-        monkeypatch.setattr(cli, name, computed)
+    for module, name in ((infree.cumulants, "moments_to_cumulants"),
+                         (infree.cumulants, "cumulants_to_moments"),
+                         (infree.convolve, "additive_convolve"),
+                         (infree.freeness, "check_inf_freeness")):
+        monkeypatch.setattr(module, name, computed)
     zero = CkScalar.zero(0)
     for num_vars, max_len, refused in ((1, 16, False), (1, 17, True), (2, 8, False),
                                        (2, 9, True)):

@@ -38,8 +38,10 @@ from helpers import (
     eval_poly,
     jet_of_poly,
     lagrange_derivative_at_zero,
+    pieces_apply_once_oracle,
     rand_fraction,
     rand_law,
+    rand_nc_polynomial,
     rand_scalar,
     rand_sparse_scalar,
     t_poly_freeness_oracle,
@@ -63,6 +65,28 @@ def test_nc_polynomial_algebra():
     assert p.scale(0).terms == {}
     assert p.max_degree() == 2
     assert NcPolynomial.word((1, 1, 2)).max_degree() == 3
+
+
+def test_apply_once_matches_piecewise_oracle():
+    # the one-dict expansion against word(prefix) * image * word(suffix),
+    # piece by piece: variables without an image, constant and empty images,
+    # and coefficients that cancel
+    rng = random.Random(443)
+    for _ in range(60):
+        num_vars = rng.randint(1, 3)
+        d = Derivation({v: rand_nc_polynomial(rng, num_vars, rng.randint(0, 3), rng.randint(0, 4))
+                        for v in range(1, num_vars + 1) if rng.random() < 0.8})
+        p = rand_nc_polynomial(rng, num_vars, 4, rng.randint(0, 6))
+        for _ in range(3):
+            expected = pieces_apply_once_oracle(d, p)
+            got = d.apply_once(p)
+            assert got == expected
+            assert all(c != 0 for c in got.terms.values())
+            p = got
+    # x1 -> x2, x2 -> -x1 sends x1 x1 + x2 x2 to zero
+    rotate = Derivation({1: X2, 2: X1.scale(-1)})
+    assert rotate.apply_once(X1 * X1 + X2 * X2) == NcPolynomial()
+    assert rotate.apply_once(X1 * X1 + X2 * X2).terms == {}
 
 
 def test_apply_derivation():

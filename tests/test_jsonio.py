@@ -1,13 +1,14 @@
 """JSON codecs: round trips, schema rejection paths, deterministic bytes;
 pickle round trips."""
 from fractions import Fraction
+import importlib
 import json
 import pickle
 import random
 
 import pytest
 
-from infree.ck import CkScalar, CkSeries
+from infree.ck import CkScalar, CkSeries, LambdaVector
 from infree.freeness import (
     Coloring,
     Derivation,
@@ -15,6 +16,7 @@ from infree.freeness import (
     NcPolynomial,
     Witness,
 )
+from infree import jsonio
 from infree.jsonio import (
     SchemaError,
     decode_ck_scalar,
@@ -223,6 +225,18 @@ def test_encode_is_deterministic_and_float_free():
     assert to_jsonable([Fraction(1, 2), 3]) == ["1/2", "3"]
 
 
+def test_encoder_table_names_classes_and_serves_subclasses():
+    # the table is keyed by "module.qualname" strings, so each key must
+    # name a class, and a subclass is encoded as its nearest listed base
+    for key in jsonio._ENCODERS:
+        module, _, name = key.rpartition(".")
+        assert isinstance(getattr(importlib.import_module(module), name), type), key
+    p = NcPartition(4, [[1, 4], [2, 3]])
+    assert to_jsonable(p) == to_jsonable(SetPartition(4, [[1, 4], [2, 3]]))
+    assert to_jsonable([True, (1, Fraction(1, 2))]) == ["1", ["1", "1/2"]]
+    assert to_jsonable({1: LambdaVector((1, 2), 3)}) == {"1": [1, 2]}
+
+
 def test_every_library_value_pickles():
     # each immutable class rebuilds through its validating constructor,
     # and a subclass comes back as itself
@@ -239,12 +253,60 @@ def test_every_library_value_pickles():
         enumerate_type_k(3, 2)[17],
         poly,
         Derivation({1: poly, 2: NcPolynomial.variable(1)}),
+        LambdaVector((2, 0, 1), 3),
+        Coloring((1, 2, 1)),
+        Witness((1, 2), 1, Fraction(-3, 4)),
+        FreenessVerdict(False, Witness((1, 2), 1, Fraction(-3, 4))),
+        FreenessVerdict(True, None),
     ]
     assert {type(v) for v in values} == {
         CkScalar, CkSeries, type(law), CumulantTable, SetPartition, NcPartition,
-        TypeKPartition, NcPolynomial, Derivation,
+        TypeKPartition, NcPolynomial, Derivation, LambdaVector, Coloring, Witness,
+        FreenessVerdict,
     }
     for v in values:
         back = pickle.loads(pickle.dumps(v))
         assert type(back) is type(v)
         assert back == v
+
+
+def test_record_classes_keep_their_value_semantics():
+    # LambdaVector, Coloring, Witness and FreenessVerdict: equal fields give
+    # equal, equally hashed values; fields cannot be assigned; the
+    # constructors validate as before; repr is field=value in field order
+    witness = Witness((1, 2), 2, Fraction(1, 2))
+    cases = [
+        (LambdaVector([1, 0, 2], 3), LambdaVector((1, 0, 2), 3), LambdaVector((0, 1, 2), 3),
+         "LambdaVector(entries=(1, 0, 2), target=3)"),
+        (Coloring([1, "2"]), Coloring((1, 2)), Coloring((2, 1)), "Coloring(colors=(1, 2))"),
+        (witness, Witness((1, 2), 2, Fraction(1, 2)), Witness((1, 2), 1, Fraction(1, 2)),
+         "Witness(word=(1, 2), component=2, value=Fraction(1, 2))"),
+        (FreenessVerdict(False, witness), FreenessVerdict(False, Witness((1, 2), 2, Fraction(1, 2))),
+         FreenessVerdict(True, None),
+         "FreenessVerdict(passed=False, witness=Witness(word=(1, 2), component=2, "
+         "value=Fraction(1, 2)))"),
+    ]
+    for value, same, other, text in cases:
+        assert value == same and hash(value) == hash(same)
+        assert value != other
+        assert len({value, same, other}) == 2
+        assert repr(value) == text
+        name = type(value).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        assert value == same
+    assert repr(FreenessVerdict(True, None)) == "FreenessVerdict(passed=True, witness=None)"
+    assert len(LambdaVector((1, 0, 2), 3)) == 3
+    assert LambdaVector((1, 2), 3) != (1, 2)
+    coloring = Coloring((3, 1, 3))
+    assert (coloring.num_vars, coloring.color_of(3), coloring.palette()) == (3, 3, (1, 3))
+    for build, error, message in (
+        (lambda: LambdaVector((1, -1), 0), ValueError, "lambda entries must be non-negative"),
+        (lambda: LambdaVector((1, 2), 4), ValueError, "lambda entries sum to 3, expected 4"),
+        (lambda: LambdaVector(3, 3), TypeError, "'int' object is not iterable"),
+        (lambda: Coloring(()), ValueError, "coloring must cover at least one variable"),
+        (lambda: Coloring(["x"]), ValueError, "invalid literal for int() with base 10: 'x'"),
+    ):
+        with pytest.raises(error) as caught:
+            build()
+        assert str(caught.value) == message

@@ -1,6 +1,14 @@
-"""Source checks that hold for every module of the package."""
+"""Source checks that hold for every module of the package, and the
+import contract of the package and its CLI."""
 import ast
+import importlib
+import json
+import os
 from pathlib import Path
+import subprocess
+import sys
+
+import pytest
 
 import infree
 
@@ -77,3 +85,81 @@ def test_one_jet_arithmetic():
         if _jet_kernel_use(node)
     ]
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses and the inspect module it loads cost every cold CLI start
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
+def _loaded_modules(tmp_path, code: str) -> set:
+    """The modules loaded by a fresh interpreter once it has run code."""
+    out = tmp_path / "modules.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent), *filter(None, [env.get("PYTHONPATH")])])
+    script = (f"import json, sys\n{code}\n"
+              f"with open({str(out)!r}, 'w') as fh:\n    json.dump(sorted(sys.modules), fh)\n")
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+    return set(json.loads(out.read_text(encoding="utf-8")))
+
+
+def test_cli_imports_only_the_layers_a_verb_runs(tmp_path):
+    layers = {"infree.ck", "infree.partitions", "infree.typek", "infree.cumulants",
+              "infree.convolve", "infree.freeness"}
+    loaded = _loaded_modules(tmp_path, "import infree")
+    assert {m for m in loaded if m.startswith("infree")} == {"infree"}
+    loaded = _loaded_modules(tmp_path, "import infree.cli")
+    assert "dataclasses" not in loaded
+    assert loaded & layers == set()
+    partition = tmp_path / "p.json"
+    partition.write_text('{"n": 4, "blocks": [[1, 4], [2, 3]]}', encoding="utf-8")
+    out = tmp_path / "kr.json"
+    loaded = _loaded_modules(tmp_path, (
+        "from infree.cli import main\n"
+        f"main(['kreweras', '--lhs', {str(partition)!r}, '--out', {str(out)!r}])"))
+    assert json.loads(out.read_text(encoding="utf-8")) == {"n": 4, "blocks": [[1, 3], [2], [4]]}
+    assert "dataclasses" not in loaded
+    assert loaded & layers == {"infree.partitions"}
+
+
+PUBLIC_NAMES = {
+    "ck": "CkScalar CkSeries LambdaVector NotInvertible ck_inverse ck_mul ck_prod_many "
+          "series_comp_inverse series_compose series_mul",
+    "partitions": "BarredElement NcPartition SetPartition biane_permutation enumerate_nc "
+                  "is_noncrossing kreweras mobius_to_top ordered_blocks partition_join",
+    "typek": "TypeKPartition enumerate_type_k enumerate_type_k_star is_type_k r_of_shape "
+             "reduce_mod shape_of",
+    "cumulants": "CumulantTable InfLaw cumulant_of_products cumulants_to_moments "
+                 "infinitesimal_component kappa_pi moments_to_cumulants",
+    "convolve": "additive_convolve boxed_conv_ck boxed_conv_type_b boxed_conv_type_k example_law "
+                "fourier_transform moments_from_r multiplicative_convolve r_from_moments "
+                "special_series",
+    "freeness": "Coloring Derivation FreenessVerdict NcPolynomial apply_derivation "
+                "check_inf_freeness derivative_of_convolution free_product_joint law_at_t "
+                "product_tuple_cumulants upgraded_law",
+}
+
+
+def test_public_names_are_their_home_modules_objects():
+    assert len(infree.__all__) == len(set(infree.__all__))
+    assert infree._EXPORTS == {name: module for module, names in PUBLIC_NAMES.items()
+                               for name in names.split()}
+    for name in infree.__all__:
+        home = importlib.import_module(f"infree.{infree._EXPORTS[name]}")
+        assert getattr(infree, name) is getattr(home, name)
+        assert getattr(home, name).__module__ == home.__name__
+    assert set(infree.__all__) <= set(dir(infree))
+    assert infree.convolve is importlib.import_module("infree.convolve")
+    namespace: dict = {}
+    exec("from infree import *", namespace)
+    assert {n for n in namespace if n != "__builtins__"} == set(infree.__all__)
+    assert all(namespace[n] is getattr(infree, n) for n in infree.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        infree.no_such_name
