@@ -8,16 +8,19 @@ elements therefore have equal (k, den, nums), and the arithmetic is integer
 arithmetic followed by one gcd reduction.  `coords` gives the coordinates as
 Fractions; nothing here ever touches floats.
 
-Every sum of C_k products in the package (series products and compositions,
-the moment-cumulant first-block sums, the boxed gamma_m loop, block
-products of cumulants) goes through one private core, `_accumulate`: it
-drops a term at its first zero factor, chains integer Leibniz products over
-the rest, adds them over a running lcm denominator and reduces once per
-output scalar, not once per term.  Validation happens once, where a value
-enters the library: the scalar, series and table constructors.  So the core
-trusts its factors to be order-k scalars and checks none of them; callers
-that hand it mixed scalars and rational weights go through
-`_sum_of_products`, which checks every factor and then feeds the same core.
+Every sum of C_k products in the package goes through one of two private
+cores.  `_accumulate` serves series products and compositions, the boxed
+gamma_m loop and block products of cumulants: it drops a term at its first
+zero factor, chains integer Leibniz products over the rest, adds them over
+a running lcm denominator and reduces once per output scalar, not once per
+term.  `_first_block_table` does the same for the moment-cumulant
+first-block sums of a whole table, in both directions, reading the table's
+entries as (den, nums) pairs once rather than scalar by scalar.  Validation
+happens once, where a value enters the library: the scalar, series and
+table constructors.  So the cores trust their factors to be order-k scalars
+and check none of them; callers that hand `_accumulate` mixed scalars and
+rational weights go through `_sum_of_products`, which checks every factor
+and then feeds the same core.
 """
 from __future__ import annotations
 
@@ -265,6 +268,60 @@ def _accumulate(k: int, terms: Iterable, start: CkScalar | None = None,
     return CkScalar._built(k, den, acc)
 
 
+def _first_block_table(k: int, given: dict, levels: Iterable, invert: bool) -> Iterator[tuple]:
+    """The trusted moment-cumulant core: (word, scalar) for every word of
+    levels, in order, by the first-block recursion
+    m(w) = sum over blocks B of kappa(w|B) prod m(w|gap).
+
+    given is the input table of order-k scalars: cumulants, whose moments
+    are computed, or, if invert, moments, whose cumulants are computed as
+    kappa(w) = m(w) minus the sum over the proper blocks.  levels yields one
+    (words, blocks) pair per length, shortest first: the words of that
+    length and their blocks (on_b, gaps), on_b mapping a word to its
+    subword on B and gaps listing the (start, stop) slices outside B.
+
+    The nonzero entries of given are read once as (den, nums) pairs, and
+    every nonzero output joins them as it is computed; a missing word is a
+    zero.  A block whose kappa(w|B) is zero is skipped before any gap moment
+    is read, and a term is dropped at its first zero gap moment.  The rest is
+    a chain of `_leibniz` products, gap by gap, added in place over a running
+    lcm denominator and reduced once per word.  A caller that stops early
+    pays for no later word."""
+    known = {w: (x.den, x.nums) for w, x in given.items() if any(x.nums)}
+    found = {}
+    kappa, moment = (found, known) if invert else (known, found)
+    sign = -1 if invert else 1
+    zero = (1, (0,) * (k + 1))
+    coords = range(k + 1)
+    for words, blocks in levels:
+        for w in words:
+            den, acc = known.get(w, zero) if invert else zero
+            acc = list(acc)
+            for on_b, gaps in blocks:
+                c = kappa.get(on_b(w))
+                if c is None:
+                    continue
+                tden, x = c
+                for lo, hi in gaps:
+                    g = moment.get(w[lo:hi])
+                    if g is None:
+                        break
+                    tden *= g[0]
+                    x = _leibniz(k, x, g[1])
+                else:
+                    if den % tden:
+                        up = tden // gcd(den, tden)
+                        den *= up
+                        acc = [a * up for a in acc]
+                    f = sign * (den // tden)
+                    for i in coords:
+                        acc[i] += f * x[i]
+            out = CkScalar._built(k, den, acc)
+            if any(out.nums):
+                found[w] = (out.den, out.nums)
+            yield w, out
+
+
 def ck_inverse(a: CkScalar) -> CkScalar:
     """Inverse in C_k by triangular back-substitution; needs a(0) != 0.
 
@@ -315,25 +372,6 @@ class LambdaVector:
 
     def __len__(self):
         return len(self.entries)
-
-
-def compositions(n: int, total: int) -> Iterator[tuple]:
-    """All weak compositions of `total` into n parts, lexicographic."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(n - 1, total - first):
-            yield (first,) + rest
-
-
-def lambda_vectors(n: int, total: int) -> Iterator[LambdaVector]:
-    for parts in compositions(n, total):
-        yield LambdaVector(parts, total)
 
 
 def multinomial(total: int, parts: Sequence[int]) -> int:

@@ -231,7 +231,7 @@ def moment_series(law: InfLaw) -> CkSeries:
 
 
 def law_from_moment_series(m: CkSeries) -> InfLaw:
-    return InfLaw(
+    return InfLaw._built(
         m.k, 1, m.trunc, {(1,) * d: m.coeffs[d - 1] for d in range(1, m.trunc + 1)}
     )
 
@@ -249,7 +249,7 @@ def additive_convolve(mu: InfLaw, nu: InfLaw) -> InfLaw:
     cm = moments_to_cumulants(mu)
     cn = moments_to_cumulants(nu)
     summed = {w: cm.value(w) + cn.value(w) for w in cm.words()}
-    return cumulants_to_moments(CumulantTable(mu.k, 1, mu.max_len, summed))
+    return cumulants_to_moments(CumulantTable._built(mu.k, 1, mu.max_len, summed))
 
 
 def multiplicative_convolve(mu: InfLaw, nu: InfLaw) -> InfLaw:

@@ -12,12 +12,14 @@ outside B, and every other block lies inside one gap.  So
 2^(n-1) terms for a word of length n instead of Catalan(n).  The inverse
 direction solves the same identity for its B = [n] term.
 
-Each term reads kappa(w|B) first and is dropped when that cumulant is zero,
-before any gap moment is looked up: in a free product every block that
-mixes colours is dropped this way.  The surviving chains go to the trusted
-C_k core `ck._accumulate` unchecked, because every entry was validated once
-already, by the table constructor, and every computed one was built by the
-core itself.
+Both directions run through one trusted whole-table kernel,
+`ck._first_block_table`; this module hands it the words of each length and
+their first blocks.  Each term reads kappa(w|B) first and is dropped when
+that cumulant is zero, before any gap moment is looked up: in a free
+product every block that mixes colours is dropped this way.  No entry is
+checked there, because every given one was validated once already, by the
+table constructor, and every computed one was built by the kernel itself;
+its outputs become tables through the trusted `_WordTable._built`.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterator
 
-from .ck import CkScalar, _accumulate, _sum_of_products
+from .ck import CkScalar, _first_block_table, _sum_of_products
 from .partitions import SetPartition, enumerate_nc, partition_join
 
 
@@ -49,6 +51,15 @@ class _WordTable:
     def __init__(self, k: int, num_vars: int, max_len: int, values: dict):
         if num_vars < 1 or max_len < 1 or k < 0:
             raise ValueError("need num_vars >= 1, max_len >= 1, k >= 0")
+        # count the words one length at a time, stopping once they outnumber
+        # the entries, so a huge num_vars or max_len is refused at once
+        count, power = 0, 1
+        for _ in range(max_len):
+            power *= num_vars
+            count += power
+            if count > len(values):
+                raise ValueError(f"{len(values)} entries cannot cover the words over "
+                                 f"{num_vars} variables up to length {max_len}")
         store = {}
         for w in all_words(num_vars, max_len):
             if w not in values:
@@ -64,6 +75,18 @@ class _WordTable:
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "max_len", max_len)
         object.__setattr__(self, "values", store)
+
+    @classmethod
+    def _built(cls, k: int, num_vars: int, max_len: int, values: dict):
+        """Trusted construction for a table the library has just computed:
+        values holds an order-k scalar for every word, shortlex, so nothing
+        is checked again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "max_len", max_len)
+        object.__setattr__(self, "values", values)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -131,43 +154,34 @@ def _first_blocks(n: int) -> tuple:
     return tuple(out)
 
 
-def _first_block_sum(w: tuple, blocks, kappa: dict, moment: dict, k: int,
-                     start: CkScalar | None = None, subtract: bool = False) -> CkScalar:
-    """Sum over the given (on_b, gaps) of kappa(w|B) times prod m(w|gap),
-    added to start, or subtracted from it.  kappa(w|B) is read first, and a
-    block whose cumulant is zero (every mixed one in a free table) is
-    skipped before any gap moment is looked up."""
-    chains = ((1, 1, [c] + [moment[w[lo:hi]] for lo, hi in gaps])
-              for on_b, gaps in blocks if any((c := kappa[on_b(w)]).nums))
-    return _accumulate(k, chains, start, subtract)
+def _levels(num_vars: int, max_len: int, proper: bool) -> Iterator[tuple]:
+    """(words, blocks) for each length 1..max_len in turn: the words of that
+    length, shortlex, and their first blocks, without the full block B = [n]
+    if proper."""
+    for n in range(1, max_len + 1):
+        blocks = _first_blocks(n)
+        yield product(range(1, num_vars + 1), repeat=n), blocks[:-1] if proper else blocks
 
 
 def cumulants_to_moments(c: CumulantTable) -> InfLaw:
     """Moment of each word as the sum over non-crossing partitions of the
     block products of cumulants, by the first-block decomposition.  Words
     come shortest first, so the moments of the gaps are already known."""
-    out = {}
-    for w in c.words():
-        out[w] = _first_block_sum(w, _first_blocks(len(w)), c.values, out, c.k)
-    return InfLaw(c.k, c.num_vars, c.max_len, out)
+    out = dict(_first_block_table(c.k, c.values, _levels(c.num_vars, c.max_len, False), False))
+    return InfLaw._built(c.k, c.num_vars, c.max_len, out)
 
 
 def _cumulants_shortlex(m: InfLaw, max_len: int) -> Iterator[tuple]:
     """(word, cumulant) for the words of m up to length max_len, shortlex;
     a caller that stops early pays for no later word."""
-    out = {}
-    for n in range(1, max_len + 1):
-        blocks = _first_blocks(n)[:-1]
-        for w in product(range(1, m.num_vars + 1), repeat=n):
-            x = out[w] = _first_block_sum(w, blocks, out, m.values, m.k, m.values[w], True)
-            yield w, x
+    return _first_block_table(m.k, m.values, _levels(m.num_vars, max_len, True), True)
 
 
 def moments_to_cumulants(m: InfLaw) -> CumulantTable:
     """Exact inverse of cumulants_to_moments: the first-block identity
     solved for its B = [n] term, kappa(w) = m(w) minus the sum over the
     proper blocks B, whose cumulants belong to shorter words."""
-    return CumulantTable(m.k, m.num_vars, m.max_len, dict(_cumulants_shortlex(m, m.max_len)))
+    return CumulantTable._built(m.k, m.num_vars, m.max_len, dict(_cumulants_shortlex(m, m.max_len)))
 
 
 def kappa_pi(c: CumulantTable, pi: SetPartition, w: tuple) -> CkScalar:

@@ -222,7 +222,7 @@ def free_product_joint(laws: list, max_len: int):
             c = cset.pop()
             local = tuple(v - offset_of[c - 1] for v in w)
             table[w] = factor_cums[c - 1].value(local)
-    joint = cumulants_to_moments(CumulantTable(k, offset, max_len, table))
+    joint = cumulants_to_moments(CumulantTable._built(k, offset, max_len, table))
     return joint, coloring
 
 
@@ -265,7 +265,7 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
             + [joint.value(restrict(bw, b)) for b in kr_blocks]
             for p_blocks, kr_blocks in block_pairs[len(w)]
         ))
-    return CumulantTable(joint.k, npairs, max_len, out)
+    return CumulantTable._built(joint.k, npairs, max_len, out)
 
 
 class Witness:

@@ -22,9 +22,12 @@ class SetPartition:
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         blocks = tuple(tuple(sorted(b)) for b in blocks)
+        if not all(blocks):
+            raise ValueError(f"blocks must be non-empty: {blocks}")
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
         seen = [x for b in blocks for x in b]
-        if sorted(seen) != list(range(1, n + 1)):
+        # the count first, so that a huge n is refused without listing 1..n
+        if len(seen) != n or sorted(seen) != list(range(1, n + 1)):
             raise ValueError(f"blocks do not partition 1..{n}: {blocks}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", blocks)

@@ -9,8 +9,23 @@ from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, factorial
 
-from infree.ck import CkScalar, CkSeries, ck_mul, ck_prod_many, lambda_vectors, multinomial
-from infree.cumulants import CumulantTable, InfLaw, all_words, cumulants_to_moments, restrict
+from infree.ck import (
+    CkScalar,
+    CkSeries,
+    LambdaVector,
+    _accumulate,
+    ck_mul,
+    ck_prod_many,
+    multinomial,
+)
+from infree.cumulants import (
+    CumulantTable,
+    InfLaw,
+    _first_blocks,
+    all_words,
+    cumulants_to_moments,
+    restrict,
+)
 from infree.freeness import Derivation, FreenessVerdict, NcPolynomial, Witness
 from infree.partitions import (
     NcPartition,
@@ -28,6 +43,25 @@ from infree.typek import (
     r_of_shape,
     star_shape,
 )
+
+
+def compositions(n: int, total: int):
+    """All weak compositions of `total` into n parts, lexicographic."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(n - 1, total - first):
+            yield (first,) + rest
+
+
+def lambda_vectors(n: int, total: int):
+    for parts in compositions(n, total):
+        yield LambdaVector(parts, total)
 
 
 def to_toeplitz(a: CkScalar) -> tuple:
@@ -157,6 +191,51 @@ def rand_wide_scalar(rng, k: int) -> CkScalar:
     return CkScalar(k, coords)
 
 
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, exact below
+    3.3 * 10**24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def distinct_primes(rng, count: int, min_bits: int, max_bits: int) -> list:
+    """count distinct primes, each of min_bits to max_bits bits."""
+    out: dict = {}
+    while len(out) < count:
+        n = rng.getrandbits(rng.randint(min_bits, max_bits)) | 1
+        if n.bit_length() >= min_bits and is_prime(n):
+            out[n] = None
+    return list(out)
+
+
+def rand_prime_den_table(rng, k: int, num_vars: int, max_len: int) -> dict:
+    """Word values whose coordinates are small nonzero numerators over
+    distinct 31- to 61-bit primes, no denominator used twice."""
+    words = list(all_words(num_vars, max_len))
+    primes = iter(distinct_primes(rng, len(words) * (k + 1), 31, 61))
+    return {w: CkScalar(k, [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), next(primes))
+                            for _ in range(k + 1)])
+            for w in words}
+
+
 def rand_series(rng, k: int, trunc: int, invertible: bool = False) -> CkSeries:
     coeffs = [rand_scalar(rng, k) for _ in range(trunc)]
     while invertible and coeffs[0].coords[0] == 0:
@@ -237,6 +316,42 @@ def cauchy_series_mul_oracle(f: CkSeries, g: CkSeries) -> CkSeries:
             acc = acc + ck_mul(f.coeff(i), g.coeff(m - i))
         coeffs.append(acc)
     return CkSeries(f.k, n, coeffs, ck_mul(f.const, g.const))
+
+
+def first_block_sum(w: tuple, blocks, kappa: dict, moment: dict, k: int,
+                    start: CkScalar | None = None, subtract: bool = False) -> CkScalar:
+    """Sum over the given (on_b, gaps) of kappa(w|B) times prod m(w|gap),
+    added to start, or subtracted from it: one word at a time, every term a
+    chain of scalars handed to `ck._accumulate`.  kappa(w|B) is read first
+    and a block whose cumulant is zero is skipped."""
+    chains = ((1, 1, [c] + [moment[w[lo:hi]] for lo, hi in gaps])
+              for on_b, gaps in blocks if any((c := kappa[on_b(w)]).nums))
+    return _accumulate(k, chains, start, subtract)
+
+
+def first_block_c2m_oracle(c: CumulantTable) -> InfLaw:
+    """Moments by the first-block recursion, word by word through
+    first_block_sum."""
+    out = {}
+    for w in c.words():
+        out[w] = first_block_sum(w, _first_blocks(len(w)), c.values, out, c.k)
+    return InfLaw(c.k, c.num_vars, c.max_len, out)
+
+
+def first_block_m2c_shortlex(m: InfLaw, max_len: int):
+    """(word, cumulant) up to length max_len, shortlex, by the first-block
+    identity solved for its B = [n] term, word by word through
+    first_block_sum."""
+    out = {}
+    for n in range(1, max_len + 1):
+        blocks = _first_blocks(n)[:-1]
+        for w in iter_product(range(1, m.num_vars + 1), repeat=n):
+            x = out[w] = first_block_sum(w, blocks, out, m.values, m.k, m.values[w], True)
+            yield w, x
+
+
+def first_block_m2c_oracle(m: InfLaw) -> CumulantTable:
+    return CumulantTable(m.k, m.num_vars, m.max_len, dict(first_block_m2c_shortlex(m, m.max_len)))
 
 
 def nc_c2m_oracle(c: CumulantTable) -> InfLaw:

@@ -34,7 +34,6 @@ from infree.freeness import (
     product_tuple_cumulants,
     upgraded_law,
 )
-from infree.ck import lambda_vectors
 from infree.cumulants import InfLaw
 from infree.partitions import (
     NcPartition,
@@ -56,6 +55,7 @@ from helpers import (
     jet_of_poly,
     kappa_component_oracle,
     lagrange_derivative_at_zero,
+    lambda_vectors,
     mobius_recursive,
     nc_star_moment_oracle,
     t_poly_freeness_oracle,

@@ -16,8 +16,6 @@ from infree.ck import (
     ck_inverse,
     ck_mul,
     ck_prod_many,
-    compositions,
-    lambda_vectors,
     multinomial,
     series_comp_inverse,
     series_compose,
@@ -26,8 +24,10 @@ from infree.ck import (
 
 from helpers import (
     cauchy_series_mul_oracle,
+    compositions,
     fraction_ck_inverse_oracle,
     fraction_ck_mul_oracle,
+    lambda_vectors,
     rand_scalar,
     rand_series,
     rand_sparse_scalar,

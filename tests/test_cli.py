@@ -521,3 +521,21 @@ def test_overlong_integers_are_domain_errors(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error: lhs.coeffs[0][0]:") and "digits" in err
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("argv, data, message", [
+    (("kreweras", "--lhs"), {"n": 3, "blocks": [[1, 2], [3], []]}, "blocks must be non-empty"),
+    (("kreweras", "--lhs"), {"n": 10**30, "blocks": [[1, 2], [3]]}, "do not partition 1.."),
+    (("m2c", "--law"), {"k": 0, "num_vars": 10**30, "max_len": 2, "moments": {"1": ["1"]}},
+     "1 entries cannot cover the words over"),
+    (("c2m", "--law"), {"k": 0, "num_vars": 1, "max_len": 10**30, "cumulants": {"1": ["1"]}},
+     "1 entries cannot cover the words over"),
+])
+def test_malformed_sizes_are_domain_errors(capsys, tmp_path, argv, data, message):
+    # an empty block, or a size far beyond the entries given, is refused
+    # with an error line, never by listing 1..n or every word
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1

@@ -1,5 +1,6 @@
 """Moment-cumulant transforms over C_k and their componentwise forms."""
 from fractions import Fraction
+from itertools import islice
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from infree.ck import CkScalar, ck_mul, ck_prod_many
 from infree.cumulants import (
     CumulantTable,
     InfLaw,
+    _cumulants_shortlex,
     all_words,
     cumulant_of_products,
     cumulants_to_moments,
@@ -22,6 +24,9 @@ from infree.partitions import NcPartition, SetPartition, enumerate_nc, partition
 
 from helpers import (
     assemble_components,
+    first_block_c2m_oracle,
+    first_block_m2c_oracle,
+    first_block_m2c_shortlex,
     fraction_ck_mul_oracle,
     kappa_component_oracle,
     nc_c2m_oracle,
@@ -30,6 +35,7 @@ from helpers import (
     phi_component_oracle,
     rand_cumulants,
     rand_law,
+    rand_prime_den_table,
     rand_scalar,
     rand_sparse_scalar,
     rand_wide_scalar,
@@ -59,6 +65,10 @@ def test_table_validation():
     bad[(1, 1)] = CkScalar(0, [Fraction(1)])
     with pytest.raises(ValueError):
         InfLaw(0, 1, 1, bad)  # extra key beyond max_len
+    # the words are counted against the entries before any is listed
+    for num_vars, max_len in ((10**30, 2), (1, 10**30), (2, 3)):
+        with pytest.raises(ValueError, match="1 entries cannot cover"):
+            InfLaw(0, num_vars, max_len, one_entry)
 
 
 def test_length_one_and_two_formulas():
@@ -99,27 +109,32 @@ def test_round_trip():
 
 
 def test_first_block_kernels_match_nc_sum_oracles():
-    # both directions against the NC sums on three kinds of table: sparse
-    # entries (zero, nilpotent, general), 400-bit entries, and free-product
-    # cumulants, whose every mixed entry is zero, so that the cumulant-first
-    # skip drops most blocks
+    # both directions against the word-by-word first-block sums and the NC
+    # sums, at k = 0 to 4, on four kinds of table: sparse entries (zero,
+    # nilpotent, general), 400-bit entries, entries over distinct 31- to
+    # 61-bit prime denominators, and free-product cumulants, whose every
+    # mixed entry is zero, so that the cumulant-first skip drops most blocks
     rng = random.Random(37)
 
     def check(k, num_vars, max_len, values):
         c = CumulantTable(k, num_vars, max_len, values)
         moments = cumulants_to_moments(c)
-        assert moments == nc_c2m_oracle(c), (k, num_vars)
+        assert moments == first_block_c2m_oracle(c) == nc_c2m_oracle(c), (k, num_vars)
         law = InfLaw(k, num_vars, max_len, values)
-        assert moments_to_cumulants(law) == nc_m2c_oracle(law), (k, num_vars)
+        cumulants = moments_to_cumulants(law)
+        assert cumulants == first_block_m2c_oracle(law) == nc_m2c_oracle(law), (k, num_vars)
         return c, moments
 
-    for k in range(4):
+    for k in range(5):
         for num_vars, max_len in ((1, 5), (2, 5), (3, 4)):
             check(k, num_vars, max_len,
                   {w: rand_sparse_scalar(rng, k) for w in all_words(num_vars, max_len)})
     for k in (1, 3):
         check(k, 2, 4, {w: rand_wide_scalar(rng, k) for w in all_words(2, 4)})
-    for k, colors, max_len in ((3, (1, 2), 5), (2, (1, 2, 1), 4), (3, (1, 2, 3), 4)):
+    for k, num_vars, max_len in ((0, 2, 4), (2, 2, 4), (4, 1, 5)):
+        check(k, num_vars, max_len, rand_prime_den_table(rng, k, num_vars, max_len))
+    for k, colors, max_len in ((0, (1, 2), 5), (3, (1, 2), 5), (2, (1, 2, 1), 4),
+                               (3, (1, 2, 3), 4), (4, (1, 2), 4)):
         values = {
             w: rand_sparse_scalar(rng, k) if len({colors[v - 1] for v in w}) == 1
             else CkScalar.zero(k)
@@ -129,6 +144,22 @@ def test_first_block_kernels_match_nc_sum_oracles():
         # the moments of a free product give back its cumulants, the mixed
         # ones exactly zero
         assert moments_to_cumulants(moments) == nc_m2c_oracle(moments) == c
+        # perturb the middle mixed word of length 3: the cumulants computed
+        # shortlex up to the first nonzero mixed one are those of the
+        # word-by-word route
+        mixed = [w for w in all_words(len(colors), 3)
+                 if len(w) == 3 and len({colors[v - 1] for v in w}) > 1]
+        w0 = mixed[len(mixed) // 2]
+        values = dict(moments.values)
+        values[w0] += CkScalar.one(k)
+        bad = InfLaw(k, len(colors), max_len, values)
+        prefix = []
+        for w, x in _cumulants_shortlex(bad, max_len):
+            prefix.append((w, x))
+            if not x.is_zero() and len({colors[v - 1] for v in w}) > 1:
+                break
+        assert prefix[-1][0] == w0
+        assert prefix == list(islice(first_block_m2c_shortlex(bad, max_len), len(prefix)))
 
 
 _rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)

@@ -6,12 +6,11 @@ import random
 
 import pytest
 
-from infree.ck import CkScalar, ck_mul, ck_prod_many, lambda_vectors, multinomial
+from infree.ck import CkScalar, _first_block_table, ck_mul, ck_prod_many, multinomial
 from infree.convolve import additive_convolve, example_law, multiplicative_convolve
 from infree.cumulants import (
     CumulantTable,
     InfLaw,
-    _first_block_sum,
     all_words,
     cumulant_of_products,
     cumulants_to_moments,
@@ -38,6 +37,7 @@ from helpers import (
     eval_poly,
     jet_of_poly,
     lagrange_derivative_at_zero,
+    lambda_vectors,
     pieces_apply_once_oracle,
     rand_fraction,
     rand_law,
@@ -178,6 +178,24 @@ def test_product_tuple_matches_multiplicative_convolve():
         assert got == expected
 
 
+def test_computed_tables_match_the_validating_constructor():
+    # every table the library builds without checking holds an order-k
+    # scalar for every word, shortlex, as the public constructor would
+    rng = random.Random(127)
+    for k in range(3):
+        mu = rand_law(rng, k=k, num_vars=1, max_len=4)
+        nu = rand_law(rng, k=k, num_vars=1, max_len=4)
+        joint, coloring = free_product_joint([mu, nu], 4)
+        cums = moments_to_cumulants(joint)
+        tables = [joint, cums, cumulants_to_moments(cums), additive_convolve(mu, nu),
+                  multiplicative_convolve(mu, nu),
+                  product_tuple_cumulants(cums, coloring, 3)]
+        for t in tables:
+            checked = type(t)(t.k, t.num_vars, t.max_len, t.values)
+            assert t == checked and hash(t) == hash(checked)
+            assert list(t.values) == list(t.words()) == list(checked.values)
+
+
 def test_product_tuple_rejects_mixed_cumulants():
     k = 0
     values = {w: CkScalar.from_rational(0, 1) for w in all_words(2, 2)}
@@ -254,6 +272,24 @@ def test_checker_witnesses_the_perturbed_moment():
         )
 
 
+def _kernel_words(monkeypatch) -> list:
+    """A list that records each word the first-block kernel computes, as
+    the kernel draws it from its levels."""
+    calls = []
+
+    def drawn(words):
+        for w in words:
+            calls.append(w)
+            yield w
+
+    def counted(k, given, levels, invert):
+        return _first_block_table(k, given, ((drawn(words), blocks) for words, blocks in levels),
+                                  invert)
+
+    monkeypatch.setattr("infree.cumulants._first_block_table", counted)
+    return calls
+
+
 def test_checker_stops_at_the_first_failing_length(monkeypatch):
     # a law that fails at length 2 is decided from the words of length <= 2
     # alone, whatever the budget
@@ -262,13 +298,7 @@ def test_checker_stops_at_the_first_failing_length(monkeypatch):
     nu = rand_law(rng, k=1, num_vars=1, max_len=6)
     joint, coloring = free_product_joint([mu, nu], 6)
     bad = perturbed(joint, (1, 2), 1)
-    calls = []
-
-    def counted(w, *args):
-        calls.append(w)
-        return _first_block_sum(w, *args)
-
-    monkeypatch.setattr("infree.cumulants._first_block_sum", counted)
+    calls = _kernel_words(monkeypatch)
     for budget in (5, 6):
         calls.clear()
         verdict = check_inf_freeness(bad, coloring, budget)
@@ -287,13 +317,7 @@ def test_checker_stops_at_the_first_failing_word(monkeypatch):
     nu = rand_law(rng, k=2, num_vars=1, max_len=4)
     joint, coloring = free_product_joint([mu, nu], 4)
     bad = perturbed(joint, (1, 2), 2)
-    calls = []
-
-    def counted(w, *args):
-        calls.append(w)
-        return _first_block_sum(w, *args)
-
-    monkeypatch.setattr("infree.cumulants._first_block_sum", counted)
+    calls = _kernel_words(monkeypatch)
     verdict = check_inf_freeness(bad, coloring, 4)
     assert verdict == FreenessVerdict(False, Witness((1, 2), 2, Fraction(1, 2)))
     assert calls == [(1,), (2,), (1, 1), (1, 2)]

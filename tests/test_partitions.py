@@ -52,6 +52,11 @@ def test_partition_validation():
         SetPartition(3, [[1, 2], [2, 3]])
     with pytest.raises(ValueError):
         NcPartition(4, [[1, 3], [2, 4]])
+    with pytest.raises(ValueError, match="non-empty"):
+        SetPartition(3, [[1, 2], [3], []])
+    for n in (10**30, -1):
+        with pytest.raises(ValueError, match="do not partition"):
+            SetPartition(n, [[1, 2], [3]] if n > 0 else [])
     p = SetPartition(4, [[4, 2], [3, 1]])
     assert p.blocks == ((1, 3), (2, 4))  # canonical: sorted, by minimum
 

@@ -1,7 +1,7 @@
 """Type-k non-crossing partitions: membership, fibers, shapes, r counts."""
 import pytest
 
-from infree.ck import LambdaVector, lambda_vectors
+from infree.ck import LambdaVector
 from infree.partitions import (
     NcPartition,
     SetPartition,
@@ -27,7 +27,7 @@ from infree.typek import (
     star_shape,
 )
 
-from helpers import nc_meet, type_k_filter_oracle
+from helpers import lambda_vectors, nc_meet, type_k_filter_oracle
 
 
 def nc(n, *blocks):
