@@ -431,14 +431,6 @@ class CkSeries:
         coeffs += [CkScalar.zero(k)] * (trunc - len(coeffs))
         return cls(k, trunc, coeffs)
 
-    def coeff(self, m: int) -> CkScalar:
-        """Coefficient of z^m, m in 0..trunc."""
-        if m == 0:
-            return self.const
-        if 1 <= m <= self.trunc:
-            return self.coeffs[m - 1]
-        raise IndexError(f"degree {m} out of range 0..{self.trunc}")
-
     def truncate(self, trunc: int) -> "CkSeries":
         if trunc > self.trunc:
             raise ValueError("cannot extend a truncated series")

@@ -17,9 +17,13 @@ exit code 2 and a message that gives the size and the budget:
 - boxconv --type b and --type k sum over Catalan(m) times the fiber size
   of type-i elements for every degree m up to the smaller trunc and every
   i up to k (up to 1 for type b);
-- the table transforms (m2c, c2m, convolve-add, check-freeness,
-  deriv-demo) visit v^n 2^(n-1) first blocks at each word length n, for v
-  variables: one variable runs up to length 16, two up to length 8.
+- the table transforms (m2c, c2m, check-freeness) visit v^n 2^(n-1)
+  first blocks at each word length n, for v variables: one variable runs
+  up to length 16, two up to length 8;
+- upgrade makes k + 1 derivation passes over each of the v^n words.
+The series verbs (convolve-add, convolve-mul, deriv-demo, boxconv --type
+a) take about trunc^3 (k+1)^2 coordinate products, and refuse more than
+SERIES_BUDGET = 500,000 the same way: at k = 2 they run up to degree 38.
 
 Importing this module loads only it and the JSON codec.  Each handler
 imports the functions it runs from their defining module when it runs, so
@@ -49,7 +53,8 @@ from .jsonio import (
 
 _INT = re.compile(r"-?[0-9]+")
 
-ENUM_BUDGET = 100_000  # the most partitions or first blocks a verb will visit
+ENUM_BUDGET = 100_000  # the most partitions, first blocks or derivation passes a verb visits
+SERIES_BUDGET = 500_000  # the most trunc^3 (k+1)^2 a series verb will take on
 
 
 class UsageError(Exception):
@@ -143,6 +148,14 @@ def _within_table_budget(verb: str, num_vars: int, max_len: int) -> None:
                            "first blocks", "length")
 
 
+def _within_series_budget(verb: str, k: int, trunc: int) -> None:
+    """A series verb takes about trunc products of series to degree trunc,
+    each coefficient of each a Leibniz product of order k."""
+    if trunc ** 3 * (k + 1) ** 2 > SERIES_BUDGET:
+        raise ValueError(f"{verb}: series to degree {trunc} at order {k} are over the budget "
+                         f"of {SERIES_BUDGET} for trunc^3 (k+1)^2")
+
+
 def _domain_errors() -> tuple:
     """The exceptions reported as domain errors.  NotInvertible comes from
     ck, imported here so that a verb that never loads ck does not pay for
@@ -213,6 +226,7 @@ def _cmd_boxconv(args) -> str:
     if args.k is not None and (f.k != args.k or g.k != args.k):
         raise ValueError(f"series have k={f.k},{g.k}, flag says k={args.k}")
     if args.type == "a":
+        _within_series_budget("boxconv", f.k, min(f.trunc, g.trunc))
         return encode(boxed_conv_ck(f, g))
     # the witness routes build every type-i element of degree m <= trunc
     top = 1 if args.type == "b" else f.k
@@ -230,7 +244,7 @@ def _cmd_convolve_add(args) -> str:
 
     mu = decode_law(_read_json(args.lhs), "lhs")
     nu = decode_law(_read_json(args.rhs), "rhs")
-    _within_table_budget("convolve-add", mu.num_vars, mu.max_len)
+    _within_series_budget("convolve-add", mu.k, mu.max_len)
     return encode(additive_convolve(mu, nu))
 
 
@@ -239,6 +253,7 @@ def _cmd_convolve_mul(args) -> str:
 
     mu = decode_law(_read_json(args.lhs), "lhs")
     nu = decode_law(_read_json(args.rhs), "rhs")
+    _within_series_budget("convolve-mul", mu.k, mu.max_len)
     return encode(multiplicative_convolve(mu, nu))
 
 
@@ -258,6 +273,10 @@ def _cmd_upgrade(args) -> str:
 
     base = decode_law(_read_json(args.base), "base")
     d = decode_derivation(_read_json(args.derivation), "derivation")
+    passes = max(args.k + 1, 1)  # upgraded_law refuses k < 0; the sum must still grow
+    _within_running_budget("upgrade", (base.num_vars ** n * passes
+                                       for n in range(1, args.max_len + 1)),
+                           "derivation passes", "length")
     return encode(upgraded_law(base, d, args.k, args.max_len))
 
 
@@ -270,7 +289,7 @@ def _cmd_deriv_demo(args) -> str:
     from .freeness import derivative_of_convolution
 
     k, L = args.k, args.max_len
-    _within_table_budget("deriv-demo", 1, L)
+    _within_series_budget("deriv-demo", k, L)
     with_t = CkScalar(k, [1, 1] + [0] * (k - 1)) if k >= 1 else CkScalar(k, [1])
 
     def shifted(c0):

@@ -1,5 +1,10 @@
 """Boxed convolutions of series and free convolutions of one-variable laws.
 
+One-variable laws take one route, the R-series of free cumulants
+(Nica-Speicher, Lectures 11 and 16): additive convolution adds R-series,
+multiplicative convolution boxes them, and an example law is a constant
+R-series pattern.  None visits the first blocks of the cumulants layer.
+
 Three routes to the same product: the type-A boxed convolution over C_k,
 the type-B double sum at k=1, and the type-k sum weighted by shapes.  The
 first is the production path and enumerates no partition: counting the p
@@ -23,7 +28,7 @@ from math import comb
 
 from .ck import CkScalar, CkSeries, multinomial, series_comp_inverse
 from .ck import _check_order, _powers, _sum_of_products
-from .cumulants import CumulantTable, InfLaw, cumulants_to_moments, moments_to_cumulants
+from .cumulants import InfLaw
 from .partitions import catalan, enumerate_nc, kreweras, ordered_blocks
 from .typek import enumerate_type_k, fiber_over, r_of_shape
 
@@ -244,12 +249,10 @@ def _check_pair(mu: InfLaw, nu: InfLaw) -> None:
 
 
 def additive_convolve(mu: InfLaw, nu: InfLaw) -> InfLaw:
-    """Free additive convolution: cumulants add."""
+    """Free additive convolution: R-series add."""
     _check_pair(mu, nu)
-    cm = moments_to_cumulants(mu)
-    cn = moments_to_cumulants(nu)
-    summed = {w: cm.value(w) + cn.value(w) for w in cm.words()}
-    return cumulants_to_moments(CumulantTable._built(mu.k, 1, mu.max_len, summed))
+    r = r_from_moments(moment_series(mu)) + r_from_moments(moment_series(nu))
+    return law_from_moment_series(moments_from_r(r))
 
 
 def multiplicative_convolve(mu: InfLaw, nu: InfLaw) -> InfLaw:
@@ -262,16 +265,16 @@ def multiplicative_convolve(mu: InfLaw, nu: InfLaw) -> InfLaw:
 
 
 def example_law(kind: str, params: CkScalar, k: int, max_len: int) -> InfLaw:
-    """Named one-variable laws given by constant cumulant patterns:
-    semicircular has kappa_2 = params and nothing else; free_poisson has
-    kappa_n = params for every n."""
+    """Named one-variable laws given by constant cumulant patterns, read as
+    R-series: semicircular has kappa_2 = params and nothing else;
+    free_poisson has kappa_n = params for every n."""
     if params.k != k:
         raise ValueError(f"params has order {params.k}, expected {k}")
     zero = CkScalar.zero(k)
     if kind == "semicircular":
-        table = {(1,) * m: (params if m == 2 else zero) for m in range(1, max_len + 1)}
+        r = [params if m == 2 else zero for m in range(1, max_len + 1)]
     elif kind == "free_poisson":
-        table = {(1,) * m: params for m in range(1, max_len + 1)}
+        r = [params] * max_len
     else:
         raise ValueError(f"unknown example law kind: {kind!r}")
-    return cumulants_to_moments(CumulantTable(k, 1, max_len, table))
+    return law_from_moment_series(moments_from_r(CkSeries(k, max_len, r)))

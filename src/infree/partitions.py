@@ -261,14 +261,6 @@ def partition_join(p: SetPartition, q: SetPartition) -> SetPartition:
     return SetPartition(n, groups.values())
 
 
-def refines(p: SetPartition, q: SetPartition) -> bool:
-    """True when every block of p sits inside a block of q."""
-    if p.n != q.n:
-        raise ValueError("refinement needs a common ground set")
-    block_of = {x: i for i, b in enumerate(q.blocks) for x in b}
-    return all(block_of[b[0]] == block_of[x] for b in p.blocks for x in b[1:])
-
-
 def mobius_to_top(p: NcPartition) -> int:
     """Mobius function of the interval [p, 1_n] in the non-crossing lattice.
 

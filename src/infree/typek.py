@@ -237,19 +237,6 @@ def enumerate_type_k_star(n: int, k: int) -> tuple:
     return tuple(tk for tk in enumerate_type_k(n, k) if is_star(tk))
 
 
-def star_shape(tk: TypeKPartition) -> LambdaVector:
-    """Shape restricted to the blocks of the reduction, in nesting order.
-
-    Only meaningful on NC* elements, where the dropped barred entries are
-    all zero; the restriction then still sums to k.
-    """
-    mix_list, _ = ordered_blocks(tk.reduction)
-    entries = tuple(
-        e for blk, e in zip(mix_list, tk.shape.entries) if not blk[0].barred
-    )
-    return LambdaVector(entries, tk.k)
-
-
 @lru_cache(maxsize=None)
 def _shape_counts(p: NcPartition, k: int) -> dict:
     counts = {}

@@ -24,6 +24,7 @@ from infree.cumulants import (
     _first_blocks,
     all_words,
     cumulants_to_moments,
+    moments_to_cumulants,
     restrict,
 )
 from infree.freeness import Derivation, FreenessVerdict, NcPolynomial, Witness
@@ -35,13 +36,12 @@ from infree.partitions import (
     kreweras,
     mobius_to_top,
     ordered_blocks,
-    refines,
 )
 from infree.typek import (
+    TypeKPartition,
     enumerate_type_k_star,
     is_type_k,
     r_of_shape,
-    star_shape,
 )
 
 
@@ -137,6 +137,14 @@ def rotate_partition(p: SetPartition, shift: int = 1) -> SetPartition:
     """Image of p under x -> x + shift modulo n (anticlockwise for shift=-1)."""
     n = p.n
     return type(p)(n, [[(x - 1 + shift) % n + 1 for x in b] for b in p.blocks])
+
+
+def refines(p: SetPartition, q: SetPartition) -> bool:
+    """True when every block of p sits inside a block of q."""
+    if p.n != q.n:
+        raise ValueError("refinement needs a common ground set")
+    block_of = {x: i for i, b in enumerate(q.blocks) for x in b}
+    return all(block_of[b[0]] == block_of[x] for b in p.blocks for x in b[1:])
 
 
 def nc_meet(p: NcPartition, q: NcPartition):
@@ -306,6 +314,15 @@ def nc_boxed_inverse_oracle(f: CkSeries) -> CkSeries:
     return CkSeries(k, f.trunc, g)
 
 
+def series_coeff(f: CkSeries, m: int) -> CkScalar:
+    """Coefficient of z^m, m in 0..trunc."""
+    if m == 0:
+        return f.const
+    if 1 <= m <= f.trunc:
+        return f.coeffs[m - 1]
+    raise IndexError(f"degree {m} out of range 0..{f.trunc}")
+
+
 def cauchy_series_mul_oracle(f: CkSeries, g: CkSeries) -> CkSeries:
     """Series product as the plain Cauchy sum, every term included."""
     n = min(f.trunc, g.trunc)
@@ -313,7 +330,7 @@ def cauchy_series_mul_oracle(f: CkSeries, g: CkSeries) -> CkSeries:
     for m in range(1, n + 1):
         acc = CkScalar.zero(f.k)
         for i in range(0, m + 1):
-            acc = acc + ck_mul(f.coeff(i), g.coeff(m - i))
+            acc = acc + ck_mul(series_coeff(f, i), series_coeff(g, m - i))
         coeffs.append(acc)
     return CkSeries(f.k, n, coeffs, ck_mul(f.const, g.const))
 
@@ -483,6 +500,19 @@ def kappa_component_oracle(law, w: tuple, i: int) -> Fraction:
     return total
 
 
+def star_shape(tk: TypeKPartition) -> LambdaVector:
+    """Shape restricted to the blocks of the reduction, in nesting order.
+
+    Only meaningful on NC* elements, where the dropped barred entries are
+    all zero; the restriction then still sums to k.
+    """
+    mix_list, _ = ordered_blocks(tk.reduction)
+    entries = tuple(
+        e for blk, e in zip(mix_list, tk.shape.entries) if not blk[0].barred
+    )
+    return LambdaVector(entries, tk.k)
+
+
 def nc_star_moment_oracle(c: CumulantTable, w: tuple, i: int) -> Fraction:
     """Component i of the moment of w via the star-partition rewrite: sum
     over NC* of order i with multinomial-over-r weights and per-block
@@ -542,3 +572,27 @@ def jet_of_poly(k: int, coeffs) -> CkScalar:
 def eval_poly(coeffs, t) -> Fraction:
     t = Fraction(t)
     return sum((Fraction(c) * t**i for i, c in enumerate(coeffs)), Fraction(0))
+
+
+def table_additive_convolve_oracle(mu: InfLaw, nu: InfLaw) -> InfLaw:
+    """Free additive convolution through the cumulant tables: the
+    first-block transform of each law, the word-by-word sum, and the
+    first-block transform back."""
+    cm = moments_to_cumulants(mu)
+    cn = moments_to_cumulants(nu)
+    summed = {w: cm.value(w) + cn.value(w) for w in cm.words()}
+    return cumulants_to_moments(CumulantTable(mu.k, 1, mu.max_len, summed))
+
+
+def table_example_law_oracle(kind: str, params: CkScalar, k: int, max_len: int) -> InfLaw:
+    """The example laws as cumulant tables taken to moments by the
+    first-block transform: semicircular has kappa_2 = params and nothing
+    else, free_poisson has kappa_n = params for every n."""
+    zero = CkScalar.zero(k)
+    if kind == "semicircular":
+        table = {(1,) * m: (params if m == 2 else zero) for m in range(1, max_len + 1)}
+    elif kind == "free_poisson":
+        table = {(1,) * m: params for m in range(1, max_len + 1)}
+    else:
+        raise ValueError(f"unknown example law kind: {kind!r}")
+    return cumulants_to_moments(CumulantTable(k, 1, max_len, table))

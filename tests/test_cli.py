@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 import random
 import re
+import signal
 import sys
 import time
 
@@ -17,7 +18,7 @@ import infree.freeness
 import infree.partitions
 import infree.typek
 from infree import cli
-from infree.ck import CkScalar
+from infree.ck import CkScalar, CkSeries
 from infree.cli import main
 from infree.convolve import (
     additive_convolve,
@@ -156,26 +157,16 @@ def test_benchmark_enumerations_are_within_budget(capsys, tmp_path):
             assert code == 0 and len(json.loads(out)["coeffs"]) == trunc
 
 
+def computed(*args):
+    """Stands in for a transform, so that only a verb's sizing runs."""
+    return {}
+
+
 def test_table_transforms_over_budget_are_refused_up_front(capsys, monkeypatch, tmp_path):
     # v^n 2^(n-1) first blocks at length n: one variable runs up to length
     # 16, two up to length 8
-    start = time.perf_counter()
-    code, out, err = run(capsys, "deriv-demo", "--k", "1", "--max-len", "30")
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (2, "")
-    assert err == ("error: deriv-demo: 131071 first blocks up to length 17 are over "
-                   f"the budget of {cli.ENUM_BUDGET}\n")
-    code, _, err = run(capsys, "deriv-demo", "--k", "1", "--max-len", "17", "--mode",
-                       "multiplicative")
-    assert code == 2 and "131071 first blocks" in err and "Traceback" not in err
-
-    # the transforms are stubbed out, so only the sizing runs
-    def computed(*args):
-        return {}
-
     for module, name in ((infree.cumulants, "moments_to_cumulants"),
                          (infree.cumulants, "cumulants_to_moments"),
-                         (infree.convolve, "additive_convolve"),
                          (infree.freeness, "check_inf_freeness")):
         monkeypatch.setattr(module, name, computed)
     zero = CkScalar.zero(0)
@@ -186,14 +177,83 @@ def test_table_transforms_over_budget_are_refused_up_front(capsys, monkeypatch, 
         table = write(tmp_path, "table.json", CumulantTable(0, num_vars, max_len, values))
         colors = write(tmp_path, "colors.json", Coloring(tuple(range(1, num_vars + 1))))
         for argv in (["m2c", "--law", law], ["c2m", "--law", table],
-                     ["check-freeness", "--law", law, "--colors", colors],
-                     ["convolve-add", "--lhs", law, "--rhs", law]):
+                     ["check-freeness", "--law", law, "--colors", colors]):
             code, out, err = run(capsys, *argv)
             if refused:
                 assert (code, out) == (2, "")
                 assert err.startswith(f"error: {argv[0]}: ") and "first blocks up to length" in err
             else:
                 assert (code, out, err) == (0, "{}\n", "")
+
+
+def _series_refusal(verb: str, k: int, trunc: int) -> str:
+    return (f"error: {verb}: series to degree {trunc} at order {k} are over the budget "
+            f"of {cli.SERIES_BUDGET} for trunc^3 (k+1)^2\n")
+
+
+def test_series_verbs_over_budget_are_refused_up_front(capsys, monkeypatch, tmp_path):
+    # about trunc^3 (k+1)^2 coordinate products, refused before any of them
+    for argv, k, trunc in (
+        (["deriv-demo", "--k", "100000", "--max-len", "3"], 100000, 3),
+        (["deriv-demo", "--k", "1", "--max-len", "1" + "0" * 4000], 1, 10 ** 4000),
+        (["deriv-demo", "--k", "2", "--max-len", "39", "--mode", "multiplicative"], 2, 39),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", _series_refusal("deriv-demo", k, trunc))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "deriv-demo", "--k", "2", "--max-len", "30")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and decode_law(json.loads(out)).max_len == 30
+
+    for module, name in ((infree.convolve, "additive_convolve"),
+                         (infree.convolve, "multiplicative_convolve"),
+                         (infree.convolve, "boxed_conv_ck")):
+        monkeypatch.setattr(module, name, computed)
+    # at k = 0 degree 79 runs and 80 is refused; at k = 2, 38 and 39
+    for k, trunc, refused in ((0, 79, False), (0, 80, True), (2, 38, False), (2, 39, True)):
+        assert (trunc ** 3 * (k + 1) ** 2 > cli.SERIES_BUDGET) == refused
+        zero = CkScalar.zero(k)
+        values = dict.fromkeys(all_words(1, trunc), zero)
+        law = write(tmp_path, "law.json", InfLaw(k, 1, trunc, values))
+        series = write(tmp_path, "series.json", CkSeries(k, trunc, [zero] * trunc))
+        for argv in (["convolve-add", "--lhs", law, "--rhs", law],
+                     ["convolve-mul", "--lhs", law, "--rhs", law],
+                     ["boxconv", "--type", "a", "--lhs", series, "--rhs", series]):
+            code, out, err = run(capsys, *argv)
+            if refused:
+                assert (code, out, err) == (2, "", _series_refusal(argv[0], k, trunc))
+            else:
+                assert (code, out, err) == (0, "{}\n", "")
+
+
+def test_upgrade_over_budget_is_refused_up_front(capsys, monkeypatch, tmp_path):
+    # k + 1 derivation passes over each of the v^n words of length n
+    base = write(tmp_path, "base.json", InfLaw(0, 1, 2, {(1,): CkScalar.one(0),
+                                                          (1, 1): CkScalar.one(0)}))
+    euler = tmp_path / "d.json"
+    euler.write_text(json.dumps({"images": {"1": {"terms": {"1": "1"}}}}), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "upgrade", "--base", base, "--derivation", str(euler),
+                         "--k", "3000000", "--max-len", "2")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: upgrade: 3000001 derivation passes up to length 1 are over "
+                   f"the budget of {cli.ENUM_BUDGET}\n")
+    # two variables at k = 2: 3 (2^15 - 2) passes up to length 14 run, and
+    # length 15 is refused
+    monkeypatch.setattr(infree.freeness, "upgraded_law", computed)
+    pair = write(tmp_path, "pair.json", InfLaw(0, 2, 1, {(1,): CkScalar.one(0),
+                                                          (2,): CkScalar.one(0)}))
+    code, out, err = run(capsys, "upgrade", "--base", pair, "--derivation", str(euler),
+                         "--k", "2", "--max-len", "14")
+    assert (code, out, err) == (0, "{}\n", "")
+    code, out, err = run(capsys, "upgrade", "--base", pair, "--derivation", str(euler),
+                         "--k", "2", "--max-len", "15")
+    assert (code, out) == (2, "")
+    assert err == (f"error: upgrade: {3 * (2 ** 16 - 2)} derivation passes up to length 15 are "
+                   f"over the budget of {cli.ENUM_BUDGET}\n")
 
 
 def test_kreweras_roundtrip(capsys, tmp_path):
@@ -539,3 +599,119 @@ def test_malformed_sizes_are_domain_errors(capsys, tmp_path, argv, data, message
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+class _Hang(BaseException):
+    """Raised by the per-case alarm; no handler of the CLI catches it."""
+
+
+def _fuzz_cases(rng):
+    """The JSON documents, by name, and the argv of every verb, where @name
+    stands for the path of that document; all of them small and valid."""
+    one = [rand_law(rng, k=1, num_vars=1, max_len=4) for _ in range(2)]
+    joint, coloring = free_product_joint(one, 4)
+    derivation = {"images": {"1": {"terms": {"1,2": "1", "2": "1/2"}},
+                             "2": {"terms": {"1": "3"}}}}
+    docs = {name: json.loads(encode(value)) for name, value in (
+        ("partition", NcPartition(6, [[1, 4], [2, 3], [5], [6]])),
+        ("law2", rand_law(rng, k=1, num_vars=2, max_len=3)),
+        ("table2", moments_to_cumulants(rand_law(rng, k=1, num_vars=2, max_len=3))),
+        ("f", rand_series(rng, 1, 4)), ("g", rand_series(rng, 1, 4)),
+        ("mu", one[0]), ("nu", one[1]), ("joint", joint), ("colors", coloring),
+        ("base", rand_law(rng, k=0, num_vars=2, max_len=6)),
+    )}
+    docs["derivation"] = derivation
+    return docs, [
+        ["nc-enum", "--n", "5"],
+        ["nck-enum", "--n", "3", "--k", "1"],
+        ["kreweras", "--lhs", "@partition"],
+        ["kreweras", "--inverse", "--lhs", "@partition"],
+        ["mobius", "--lhs", "@partition"],
+        ["m2c", "--law", "@law2"],
+        ["c2m", "--law", "@table2"],
+        ["boxconv", "--type", "a", "--k", "1", "--lhs", "@f", "--rhs", "@g"],
+        ["boxconv", "--type", "b", "--lhs", "@f", "--rhs", "@g"],
+        ["boxconv", "--type", "k", "--lhs", "@f", "--rhs", "@g"],
+        ["convolve-add", "--lhs", "@mu", "--rhs", "@nu"],
+        ["convolve-mul", "--lhs", "@mu", "--rhs", "@nu"],
+        ["check-freeness", "--law", "@joint", "--colors", "@colors", "--max-len", "4"],
+        ["upgrade", "--base", "@base", "--derivation", "@derivation", "--k", "2",
+         "--max-len", "4"],
+        ["deriv-demo", "--k", "2", "--max-len", "5"],
+        ["deriv-demo", "--k", "1", "--max-len", "4", "--mode", "multiplicative"],
+    ]
+
+
+_ODD_VALUES = (None, True, 1.5, "", "x", "1/0", "-0", -1, 0, 2, 10 ** 30, "9" * 40, [], {},
+               [[]], {"1": []})
+_ODD_FLAGS = ("0", "-1", "1" + "0" * 30, "x", "")
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) in a JSON document, the root included."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutated(doc, rng):
+    """A copy of doc with one node, the root included, dropped, emptied, or
+    replaced by a value of another type or size."""
+    doc = json.loads(json.dumps(doc))
+    path, value = rng.choice(list(_nodes(doc)))
+    if not path:
+        return rng.choice(_ODD_VALUES)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    move = rng.randrange(3)
+    if move == 0 and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif move == 1 and isinstance(value, (list, dict)):
+        parent[path[-1]] = type(value)()
+    elif move == 1 and isinstance(value, int) and not isinstance(value, bool):
+        parent[path[-1]] = rng.choice((-value, value + 1, 10 ** 30))
+    else:
+        parent[path[-1]] = rng.choice(_ODD_VALUES)
+    return doc
+
+
+def test_fuzzed_inputs_keep_the_exit_code_contract(capsys, tmp_path):
+    # mutations of valid inputs of every verb: each ends in an exit code of
+    # the contract and an error line, never a traceback or a hang
+    rng = random.Random(811)
+    docs, cases = _fuzz_cases(rng)
+
+    def hang(signum, frame):
+        raise _Hang()
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    try:
+        for i in range(384):
+            argv = list(cases[i % len(cases)])
+            refs = [j for j, a in enumerate(argv) if a.startswith("@")]
+            flags = [j for j, a in enumerate(argv) if re.fullmatch(r"[0-9]+", a)]
+            target = rng.choice(refs + flags)
+            for j in refs:
+                doc = docs[argv[j][1:]]
+                path = tmp_path / f"{argv[j][1:]}.json"
+                path.write_text(json.dumps(_mutated(doc, rng) if j == target else doc),
+                                encoding="utf-8")
+                argv[j] = str(path)
+            if target in flags:
+                argv[target] = rng.choice(_ODD_FLAGS)
+            signal.alarm(5)
+            try:
+                code = main(argv)
+            finally:
+                signal.alarm(0)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err, argv
+            if code == 0:
+                json.loads(out)
+            else:
+                assert out == "" and err.count("\n") == 1, (argv, err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -23,7 +23,7 @@ from infree.convolve import (
     s_transform,
     special_series,
 )
-from infree.cumulants import all_words, moments_to_cumulants
+from infree.cumulants import InfLaw, all_words, moments_to_cumulants
 from infree.partitions import catalan
 
 from helpers import (
@@ -33,6 +33,8 @@ from helpers import (
     rand_scalar,
     rand_series,
     rand_sparse_scalar,
+    table_additive_convolve_oracle,
+    table_example_law_oracle,
 )
 
 
@@ -113,7 +115,16 @@ def test_one_variable_kernel_enumerates_nothing(monkeypatch):
     assert boxed_conv_ck(f, g).trunc == 12
     mu = rand_law(rng, k=2, num_vars=1, max_len=7)
     nu = rand_law(rng, k=2, num_vars=1, max_len=7)
+
+    def no_first_blocks(*args, **kwargs):
+        raise AssertionError("a one-variable law visited first blocks")
+
+    monkeypatch.setattr("infree.cumulants._first_block_table", no_first_blocks)
     assert multiplicative_convolve(mu, nu).max_len == 7
+    assert additive_convolve(mu, nu).max_len == 7
+    params = rand_scalar(rng, 2)
+    for kind in ("semicircular", "free_poisson"):
+        assert example_law(kind, params, 2, 7).max_len == 7
 
 
 def test_boxed_routes_refuse_a_constant_term():
@@ -139,8 +150,8 @@ def test_boxed_unit_and_degree_two():
     g = boxed_conv_ck(a, b)
     a1, a2 = a.coeffs
     b1, b2 = b.coeffs
-    assert g.coeff(1) == ck_mul(a1, b1)
-    assert g.coeff(2) == ck_mul(a2, ck_mul(b1, b1)) + ck_mul(ck_mul(a1, a1), b2)
+    assert g.coeffs[0] == ck_mul(a1, b1)
+    assert g.coeffs[1] == ck_mul(a2, ck_mul(b1, b1)) + ck_mul(ck_mul(a1, a1), b2)
 
 
 def test_zeta_boxed_moebius_is_delta():
@@ -179,10 +190,10 @@ def test_type_b_degree_one_and_agreement():
     f = rand_series(rng, 1, 4)
     g = rand_series(rng, 1, 4)
     got = boxed_conv_type_b(f, g)
-    a1, b1 = f.coeff(1), g.coeff(1)
+    a1, b1 = f.coeffs[0], g.coeffs[0]
     # gamma_1' = a1'b1', gamma_1'' = a1'b1'' + a1''b1'
-    assert got.coeff(1).coords[0] == a1.coords[0] * b1.coords[0]
-    assert got.coeff(1).coords[1] == (
+    assert got.coeffs[0].coords[0] == a1.coords[0] * b1.coords[0]
+    assert got.coeffs[0].coords[1] == (
         a1.coords[0] * b1.coords[1] + a1.coords[1] * b1.coords[0]
     )
     assert got == boxed_conv_ck(f, g)
@@ -284,6 +295,31 @@ def test_additive_convolution():
         assert cs.cumulant(w) == cm.cumulant(w) + cn.cumulant(w)
     with pytest.raises(ValueError):
         additive_convolve(mu, rand_law(rng, k=0, num_vars=1, max_len=5))
+
+
+def _one_variable_law(rng, k: int, max_len: int, kind: int) -> InfLaw:
+    """Random moments: general, with a zero first moment, or sparse (each
+    moment zero, nilpotent or general)."""
+    draw = rand_sparse_scalar if kind == 2 else rand_scalar
+    moments = [draw(rng, k) for _ in range(max_len)]
+    if kind == 1:
+        moments[0] = CkScalar.zero(k)
+    return InfLaw(k, 1, max_len, {(1,) * m: x for m, x in enumerate(moments, start=1)})
+
+
+def test_series_routes_match_the_table_oracles():
+    # the R-series routes against the first-block cumulant tables they
+    # replaced; each pair of laws cycles through the three kinds
+    rng = random.Random(109)
+    for k in range(5):
+        for max_len in range(1, 13):
+            mu = _one_variable_law(rng, k, max_len, max_len % 3)
+            nu = _one_variable_law(rng, k, max_len, (max_len + k) % 3)
+            assert additive_convolve(mu, nu) == table_additive_convolve_oracle(mu, nu), (k, max_len)
+            params = (rand_scalar if max_len % 2 else rand_sparse_scalar)(rng, k)
+            for kind in ("semicircular", "free_poisson"):
+                assert example_law(kind, params, k, max_len) == table_example_law_oracle(
+                    kind, params, k, max_len), (kind, k, max_len)
 
 
 def test_semicircular_variance_adds():

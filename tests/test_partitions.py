@@ -14,13 +14,13 @@ from infree.partitions import (
     mobius_to_top,
     ordered_blocks,
     partition_join,
-    refines,
 )
 
 from helpers import (
     enumerate_set_partitions,
     mobius_recursive,
     nc_coarsenings,
+    refines,
     rotate_partition,
     union_noncrossing,
 )

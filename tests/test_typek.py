@@ -24,10 +24,9 @@ from infree.typek import (
     reduction_partition,
     residue,
     shape_of,
-    star_shape,
 )
 
-from helpers import lambda_vectors, nc_meet, type_k_filter_oracle
+from helpers import lambda_vectors, nc_meet, star_shape, type_k_filter_oracle
 
 
 def nc(n, *blocks):
