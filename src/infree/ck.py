@@ -8,6 +8,13 @@ elements therefore have equal (k, den, nums), and the arithmetic is integer
 arithmetic followed by one gcd reduction.  `coords` gives the coordinates as
 Fractions; nothing here ever touches floats.
 
+Every C_k product is the order-k Leibniz rule `_leibniz_rule(k)`.  Up to
+k = 16 it is a straight-line function compiled once per order, at first
+use, from the binomial rule: one expression per coordinate over integer
+numerators, with no loop, no binomial call and no zero test, so a core
+fetches it once per call and pays only the integer operations per product.
+Compiling grows as k^2, so higher orders keep the generic loop `_leibniz`.
+
 Every sum of C_k products in the package goes through one of two private
 cores.  `_accumulate` serves series products and compositions, the boxed
 gamma_m loop and block products of cumulants: it drops a term at its first
@@ -18,13 +25,16 @@ first-block sums of a whole table, in both directions, reading the table's
 entries as (den, nums) pairs once rather than scalar by scalar.  Validation
 happens once, where a value enters the library: the scalar, series and
 table constructors.  So the cores trust their factors to be order-k scalars
-and check none of them; callers that hand `_accumulate` mixed scalars and
-rational weights go through `_sum_of_products`, which checks every factor
-and then feeds the same core.
+and check none of them: series products, the boxed loop and product-tuple
+cumulants, whose factors come from validated series and tables, hand
+`_accumulate` their (num, den, chain) terms directly, while `kappa_pi`,
+`cumulant_of_products` and `ck_prod_many` go through `_sum_of_products`,
+which checks every factor and then feeds the same core.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -168,7 +178,7 @@ def _common(a: CkScalar, b: CkScalar) -> tuple:
     return a.den * fa, [n * fa for n in a.nums], [n * fb for n in b.nums]
 
 
-def _leibniz(k: int, x: Sequence[int], y: Sequence[int]) -> list:
+def _leibniz(k: int, x: Sequence[int], y: Sequence[int]) -> tuple:
     """gamma(i) = sum_j C(i,j) x(j) y(i-j) on integer numerators."""
     out = []
     for i in range(k + 1):
@@ -178,13 +188,53 @@ def _leibniz(k: int, x: Sequence[int], y: Sequence[int]) -> list:
                 term = x[j] * y[i - j]
                 acc += term * comb(i, j) if j < i else term  # C(i, j) > 1 iff 0 < j < i
         out.append(acc)
-    return out
+    return tuple(out)
+
+
+# Orders up to this one get a compiled straight-line rule.  Compiling it
+# takes time that grows as k^2, so at a high order one product, or a few,
+# would cost more to compile than to run: a guard on input size, not a
+# tuned option.
+_RULE_MAX_K = 16
+_RULES: dict = {}
+
+
+def _leibniz_rule(k: int):
+    """The order-k Leibniz product: a callable (x, y) -> the tuple of the
+    k + 1 integer numerators of the product of numerator sequences x and y.
+
+    Up to _RULE_MAX_K it is the straight-line rule `_compile_leibniz`
+    builds, compiled at first use and cached per order; above, it is the
+    `_leibniz` loop bound to k."""
+    if k > _RULE_MAX_K:
+        return partial(_leibniz, k)
+    rule = _RULES.get(k)
+    if rule is None:
+        rule = _RULES[k] = _compile_leibniz(k)
+    return rule
+
+
+def _compile_leibniz(k: int):
+    """The binomial rule of order k as one expression per coordinate, with
+    no loop, no comb call and no zero test.  Its source holds nothing but
+    integer indices and binomial literals."""
+    coords = ", ".join(
+        " + ".join(f"x{j} * y{i - j}" if j in (0, i) else f"{comb(i, j)} * x{j} * y{i - j}"
+                   for j in range(i + 1))
+        for i in range(k + 1))
+    source = (f"def leibniz(x, y):\n"
+              f"    {', '.join(f'x{j}' for j in range(k + 1))}, = x\n"
+              f"    {', '.join(f'y{j}' for j in range(k + 1))}, = y\n"
+              f"    return ({coords},)\n")
+    namespace: dict = {}
+    exec(compile(source, f"<Leibniz rule of order {k}>", "exec"), namespace)
+    return namespace["leibniz"]
 
 
 def ck_mul(a: CkScalar, b: CkScalar) -> CkScalar:
     """Product in C_k: gamma(i) = sum_j C(i,j) a(j) b(i-j)."""
     _check_order(a, b)
-    return CkScalar._built(a.k, a.den * b.den, _leibniz(a.k, a.nums, b.nums))
+    return CkScalar._built(a.k, a.den * b.den, _leibniz_rule(a.k)(a.nums, b.nums))
 
 
 def ck_prod_many(factors: Sequence[CkScalar]) -> CkScalar:
@@ -234,9 +284,10 @@ def _accumulate(k: int, terms: Iterable, start: CkScalar | None = None,
     scalars the library built, so none is checked again.
 
     A term is dropped at its zero weight or its first zero factor, before
-    anything is multiplied.  Each product is a chain of `_leibniz`
-    convolutions over the product of its denominators and is added over a
-    running lcm denominator, so the only gcd reduction is the result's."""
+    anything is multiplied.  Each product is a chain of order-k Leibniz
+    products, by the rule `_leibniz_rule` gives once per call, over the
+    product of its denominators, and is added over a running lcm
+    denominator, so the only gcd reduction is the result's."""
     if start is None:
         den, acc = 1, [0] * (k + 1)
     else:
@@ -244,6 +295,7 @@ def _accumulate(k: int, terms: Iterable, start: CkScalar | None = None,
     sign = -1 if subtract else 1
     unit = (1,) + (0,) * k
     coords = range(k + 1)
+    mul = _leibniz_rule(k)
     for weight, tden, chain in terms:
         if not weight:
             continue
@@ -257,7 +309,7 @@ def _accumulate(k: int, terms: Iterable, start: CkScalar | None = None,
         else:
             x = xs[0] if xs else unit
             for i in range(1, len(xs)):
-                x = _leibniz(k, x, xs[i])
+                x = mul(x, xs[i])
             if den % tden:
                 up = tden // gcd(den, tden)
                 den *= up
@@ -284,15 +336,17 @@ def _first_block_table(k: int, given: dict, levels: Iterable, invert: bool) -> I
     every nonzero output joins them as it is computed; a missing word is a
     zero.  A block whose kappa(w|B) is zero is skipped before any gap moment
     is read, and a term is dropped at its first zero gap moment.  The rest is
-    a chain of `_leibniz` products, gap by gap, added in place over a running
-    lcm denominator and reduced once per word.  A caller that stops early
-    pays for no later word."""
+    a chain of Leibniz products, gap by gap, by the rule `_leibniz_rule`
+    gives once per call, added in place over a running lcm denominator and
+    reduced once per word.  A caller that stops early pays for no later
+    word."""
     known = {w: (x.den, x.nums) for w, x in given.items() if any(x.nums)}
     found = {}
     kappa, moment = (found, known) if invert else (known, found)
     sign = -1 if invert else 1
     zero = (1, (0,) * (k + 1))
     coords = range(k + 1)
+    mul = _leibniz_rule(k)
     for words, blocks in levels:
         for w in words:
             den, acc = known.get(w, zero) if invert else zero
@@ -307,7 +361,7 @@ def _first_block_table(k: int, given: dict, levels: Iterable, invert: bool) -> I
                     if g is None:
                         break
                     tden *= g[0]
-                    x = _leibniz(k, x, g[1])
+                    x = mul(x, g[1])
                 else:
                     if den % tden:
                         up = tden // gcd(den, tden)

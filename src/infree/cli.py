@@ -22,8 +22,12 @@ exit code 2 and a message that gives the size and the budget:
   up to length 16, two up to length 8;
 - upgrade makes k + 1 derivation passes over each of the v^n words.
 The series verbs (convolve-add, convolve-mul, deriv-demo, boxconv --type
-a) take about trunc^3 (k+1)^2 coordinate products, and refuse more than
-SERIES_BUDGET = 500,000 the same way: at k = 2 they run up to degree 38.
+a) take about trunc^3 (k+1)^2 coordinate products, each costing about w^2
+for w = ceil(trunc bits / 512) and bits the largest input bit length, and
+refuse more than SERIES_BUDGET = 500,000 the same way: at k = 2 and small
+coefficients they run up to degree 38, at k = 0 and 1000-bit coefficients
+up to degree 10.  An output holding an integer longer than the interpreter
+converts to a string is an error that names the verb and that limit.
 
 Importing this module loads only it and the JSON codec.  Each handler
 imports the functions it runs from their defining module when it runs, so
@@ -54,7 +58,8 @@ from .jsonio import (
 _INT = re.compile(r"-?[0-9]+")
 
 ENUM_BUDGET = 100_000  # the most partitions, first blocks or derivation passes a verb visits
-SERIES_BUDGET = 500_000  # the most trunc^3 (k+1)^2 a series verb will take on
+SERIES_BUDGET = 500_000  # the most trunc^3 (k+1)^2 w^2 a series verb will take on
+SERIES_WIDTH = 512  # trunc times the input bit length per unit of w
 
 
 class UsageError(Exception):
@@ -148,12 +153,39 @@ def _within_table_budget(verb: str, num_vars: int, max_len: int) -> None:
                            "first blocks", "length")
 
 
-def _within_series_budget(verb: str, k: int, trunc: int) -> None:
+def _bit_length(scalars) -> int:
+    """The largest bit length of a numerator or denominator of the scalars."""
+    return max((n.bit_length() for x in scalars for n in (x.den, *x.nums)), default=0)
+
+
+def _within_series_budget(verb: str, k: int, trunc: int, scalars=()) -> None:
     """A series verb takes about trunc products of series to degree trunc,
-    each coefficient of each a Leibniz product of order k."""
-    if trunc ** 3 * (k + 1) ** 2 > SERIES_BUDGET:
+    each coefficient of each a Leibniz product of order k.  The integers in
+    that work grow to about trunc times the widest input coefficient, and
+    each operation on them costs about the square of their size once that
+    passes SERIES_WIDTH bits: so trunc^3 (k+1)^2 is multiplied by w^2, w =
+    ceil(trunc bits / SERIES_WIDTH) for the largest input bit length bits."""
+    bits = _bit_length(scalars)
+    width = max(1, -(-trunc * bits // SERIES_WIDTH))
+    size = trunc ** 3 * (k + 1) ** 2 * width ** 2
+    if size <= SERIES_BUDGET:
+        return
+    if width == 1:
         raise ValueError(f"{verb}: series to degree {trunc} at order {k} are over the budget "
                          f"of {SERIES_BUDGET} for trunc^3 (k+1)^2")
+    raise ValueError(f"{verb}: series to degree {trunc} at order {k} with {bits}-bit "
+                     f"coefficients have size {size} for trunc^3 (k+1)^2 w^2, "
+                     f"w = ceil(trunc bits / {SERIES_WIDTH}), over the budget of {SERIES_BUDGET}")
+
+
+def _encoded(verb: str, value) -> str:
+    """The JSON text of value; the one way it fails is an integer longer
+    than the interpreter converts to a string."""
+    try:
+        return encode(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{verb}: the output holds an integer longer than {limit} digits") from None
 
 
 def _domain_errors() -> tuple:
@@ -165,15 +197,15 @@ def _domain_errors() -> tuple:
     return SchemaError, ValueError, NotInvertible
 
 
-def _cmd_nc_enum(args) -> str:
+def _cmd_nc_enum(args):
     from .partitions import enumerate_nc
 
     if args.n >= 1:  # smaller n is refused by enumerate_nc
         _within_budget("nc-enum", _catalan_factors(args.n))
-    return encode(list(enumerate_nc(args.n)))
+    return list(enumerate_nc(args.n))
 
 
-def _cmd_nck_enum(args) -> str:
+def _cmd_nck_enum(args):
     from .typek import enumerate_type_k
 
     n, b = args.n, args.k + 1
@@ -182,41 +214,41 @@ def _cmd_nck_enum(args) -> str:
         # where C(nb + i, i) = C(nb + i - 1, i - 1) (nb + i) / i
         fiber = ((n * b + i, i) for i in range(1, b + 1))
         _within_budget("nck-enum", chain(_catalan_factors(n), fiber), n * b + 1)
-    return encode(list(enumerate_type_k(n, args.k)))
+    return list(enumerate_type_k(n, args.k))
 
 
-def _cmd_kreweras(args) -> str:
+def _cmd_kreweras(args):
     from .partitions import kreweras
 
     p = decode_partition(_read_json(args.lhs))
     direction = "inverse" if args.inverse else "forward"
-    return encode(kreweras(p, direction))
+    return kreweras(p, direction)
 
 
-def _cmd_mobius(args) -> str:
+def _cmd_mobius(args):
     from .partitions import mobius_to_top
 
     p = decode_partition(_read_json(args.lhs))
-    return encode({"mobius": mobius_to_top(p)})
+    return {"mobius": mobius_to_top(p)}
 
 
-def _cmd_m2c(args) -> str:
+def _cmd_m2c(args):
     from .cumulants import moments_to_cumulants
 
     law = decode_law(_read_json(args.law))
     _within_table_budget("m2c", law.num_vars, law.max_len)
-    return encode(moments_to_cumulants(law))
+    return moments_to_cumulants(law)
 
 
-def _cmd_c2m(args) -> str:
+def _cmd_c2m(args):
     from .cumulants import cumulants_to_moments
 
     table = decode_cumulant_table(_read_json(args.law))
     _within_table_budget("c2m", table.num_vars, table.max_len)
-    return encode(cumulants_to_moments(table))
+    return cumulants_to_moments(table)
 
 
-def _cmd_boxconv(args) -> str:
+def _cmd_boxconv(args):
     from .convolve import boxed_conv_ck, boxed_conv_type_b, boxed_conv_type_k
     from .partitions import catalan
     from .typek import fiber_size_formula
@@ -226,8 +258,10 @@ def _cmd_boxconv(args) -> str:
     if args.k is not None and (f.k != args.k or g.k != args.k):
         raise ValueError(f"series have k={f.k},{g.k}, flag says k={args.k}")
     if args.type == "a":
-        _within_series_budget("boxconv", f.k, min(f.trunc, g.trunc))
-        return encode(boxed_conv_ck(f, g))
+        n = min(f.trunc, g.trunc)
+        _within_series_budget("boxconv", f.k, n,
+                              chain(f.coeffs[:n], g.coeffs[:n], (f.const, g.const)))
+        return boxed_conv_ck(f, g)
     # the witness routes build every type-i element of degree m <= trunc
     top = 1 if args.type == "b" else f.k
     _within_running_budget("boxconv", (
@@ -235,29 +269,31 @@ def _cmd_boxconv(args) -> str:
         for m in range(1, min(f.trunc, g.trunc) + 1)
     ), "type-k elements", "degree")
     if args.type == "b":
-        return encode(boxed_conv_type_b(f, g))
-    return encode(boxed_conv_type_k(f, g))
+        return boxed_conv_type_b(f, g)
+    return boxed_conv_type_k(f, g)
 
 
-def _cmd_convolve_add(args) -> str:
+def _cmd_convolve_add(args):
     from .convolve import additive_convolve
 
     mu = decode_law(_read_json(args.lhs), "lhs")
     nu = decode_law(_read_json(args.rhs), "rhs")
-    _within_series_budget("convolve-add", mu.k, mu.max_len)
-    return encode(additive_convolve(mu, nu))
+    _within_series_budget("convolve-add", mu.k, mu.max_len,
+                          chain(mu.values.values(), nu.values.values()))
+    return additive_convolve(mu, nu)
 
 
-def _cmd_convolve_mul(args) -> str:
+def _cmd_convolve_mul(args):
     from .convolve import multiplicative_convolve
 
     mu = decode_law(_read_json(args.lhs), "lhs")
     nu = decode_law(_read_json(args.rhs), "rhs")
-    _within_series_budget("convolve-mul", mu.k, mu.max_len)
-    return encode(multiplicative_convolve(mu, nu))
+    _within_series_budget("convolve-mul", mu.k, mu.max_len,
+                          chain(mu.values.values(), nu.values.values()))
+    return multiplicative_convolve(mu, nu)
 
 
-def _cmd_check_freeness(args) -> str:
+def _cmd_check_freeness(args):
     from .freeness import check_inf_freeness
 
     law = decode_law(_read_json(args.law), "law")
@@ -265,10 +301,10 @@ def _cmd_check_freeness(args) -> str:
     max_len = args.max_len if args.max_len is not None else law.max_len
     # a budget beyond the law's own length is refused before any word
     _within_table_budget("check-freeness", law.num_vars, min(max_len, law.max_len))
-    return encode(check_inf_freeness(law, coloring, max_len))
+    return check_inf_freeness(law, coloring, max_len)
 
 
-def _cmd_upgrade(args) -> str:
+def _cmd_upgrade(args):
     from .freeness import upgraded_law
 
     base = decode_law(_read_json(args.base), "base")
@@ -277,10 +313,10 @@ def _cmd_upgrade(args) -> str:
     _within_running_budget("upgrade", (base.num_vars ** n * passes
                                        for n in range(1, args.max_len + 1)),
                            "derivation passes", "length")
-    return encode(upgraded_law(base, d, args.k, args.max_len))
+    return upgraded_law(base, d, args.k, args.max_len)
 
 
-def _cmd_deriv_demo(args) -> str:
+def _cmd_deriv_demo(args):
     """Built-in one-parameter families: semicircular(1+t) with
     free_poisson(2+t) under addition, free_poisson(2+t) with
     free_poisson(3) under multiplication."""
@@ -301,7 +337,7 @@ def _cmd_deriv_demo(args) -> str:
     else:
         mu = example_law("free_poisson", shifted(2), k, L)
         nu = example_law("free_poisson", CkScalar.from_rational(k, 3), k, L)
-    return encode(derivative_of_convolution(mu, nu, args.mode))
+    return derivative_of_convolution(mu, nu, args.mode)
 
 
 def build_parser() -> _Parser:
@@ -386,7 +422,7 @@ def main(argv=None) -> int:
     except SystemExit as e:  # --help, --version
         return 0 if e.code in (0, None) else 1
     try:
-        text = args.func(args)
+        text = _encoded(args.verb, args.func(args))
         _write(text, args.out)
         return 0
     except MemoryError:

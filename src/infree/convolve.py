@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import comb
 
 from .ck import CkScalar, CkSeries, multinomial, series_comp_inverse
-from .ck import _check_order, _powers, _sum_of_products
+from .ck import _accumulate, _check_order, _powers
 from .cumulants import InfLaw
 from .partitions import catalan, enumerate_nc, kreweras, ordered_blocks
 from .typek import enumerate_type_k, fiber_over, r_of_shape
@@ -63,16 +63,20 @@ def _check_boxed_pair(f: CkSeries, g: CkSeries) -> None:
 
 def _boxed_sum(f: CkSeries, n: int, g_power) -> CkSeries:
     """The one gamma_m loop: gamma_m = m sum over a + b = m + 1 of
-    [z^m]f^a [z^m]g^b / (a b), where g_power(m, b) is [z^m]g^b, a C_k
-    scalar or an exact rational."""
+    [z^m]f^a [z^m]g^b / (a b), where g_power(m, b) gives [z^m]g^b as a
+    pair (q, chain): an exact rational q times the product of chain, a
+    tuple of at most one C_k scalar.  The powers of f and the scalars of
+    g come from validated series, so the terms go to the trusted core."""
     f_pows = _powers(f.truncate(n))
-    return CkSeries(f.k, n, [
-        _sum_of_products(f.k, (
-            (f_pows[a - 1].coeffs[m - 1], g_power(m, b), Fraction(m, a * b))
-            for a, b in zip(range(1, m + 1), range(m, 0, -1))
-        ))
-        for m in range(1, n + 1)
-    ])
+    out = []
+    for m in range(1, n + 1):
+        terms = []
+        for a, b in zip(range(1, m + 1), range(m, 0, -1)):
+            q, chain = g_power(m, b)
+            terms.append((m * q.numerator, a * b * q.denominator,
+                          (f_pows[a - 1].coeffs[m - 1],) + chain))
+        out.append(_accumulate(f.k, terms))
+    return CkSeries(f.k, n, out)
 
 
 def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
@@ -83,7 +87,7 @@ def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
     _check_boxed_pair(f, g)
     n = min(f.trunc, g.trunc)
     g_pows = _powers(g.truncate(n))
-    return _boxed_sum(f, n, lambda m, b: g_pows[b - 1].coeffs[m - 1])
+    return _boxed_sum(f, n, lambda m, b: (1, (g_pows[b - 1].coeffs[m - 1],)))
 
 
 def _mirror(b: tuple, m: int) -> tuple:
@@ -200,14 +204,14 @@ def r_from_moments(m: CkSeries) -> CkSeries:
     """R-series from the moment series: boxed convolution with moebius, whose
     powers come in closed form."""
     _check_zero_const(m)
-    return _boxed_sum(m, m.trunc, _moebius_power)
+    return _boxed_sum(m, m.trunc, lambda d, b: (_moebius_power(d, b), ()))
 
 
 def moments_from_r(r: CkSeries) -> CkSeries:
     """Moment series from the R-series: boxed convolution with zeta, whose
     powers are [z^m]Z^b = C(m-1, b-1)."""
     _check_zero_const(r)
-    return _boxed_sum(r, r.trunc, lambda d, b: comb(d - 1, b - 1))
+    return _boxed_sum(r, r.trunc, lambda d, b: (comb(d - 1, b - 1), ()))
 
 
 def fourier_transform(f: CkSeries) -> CkSeries:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .ck import CkScalar, _sum_of_products
+from .ck import CkScalar, _accumulate
 from .cumulants import (
     CumulantTable,
     InfLaw,
@@ -256,13 +256,14 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
         for m in range(1, max_len + 1)
     }
     npairs = len(first)
+    values = joint.values  # the table's own validated scalars, none checked again
     out = {}
     for w in all_words(npairs, max_len):
         aw = tuple(first[j - 1] for j in w)
         bw = tuple(second[j - 1] for j in w)
-        out[w] = _sum_of_products(joint.k, (
-            [joint.value(restrict(aw, b)) for b in p_blocks]
-            + [joint.value(restrict(bw, b)) for b in kr_blocks]
+        out[w] = _accumulate(joint.k, (
+            (1, 1, [values[restrict(aw, b)] for b in p_blocks]
+             + [values[restrict(bw, b)] for b in kr_blocks])
             for p_blocks, kr_blocks in block_pairs[len(w)]
         ))
     return CumulantTable._built(joint.k, npairs, max_len, out)

@@ -142,31 +142,6 @@ def encode_partition(p: SetPartition) -> dict:
     return {"n": p.n, "blocks": [list(b) for b in p.blocks]}
 
 
-def decode_type_k(data, path: str = "") -> TypeKPartition:
-    from .typek import TypeKPartition
-
-    _expect(data, dict, path, "an object")
-    _check_keys(data, {"n", "k", "blocks", "reduction", "shape"}, path)
-    n = _expect(_field(data, "n", path), int, f"{path}.n", "an integer")
-    k = _expect(_field(data, "k", path), int, f"{path}.k", "an integer")
-    part = decode_partition(
-        {"n": (k + 1) * n, "blocks": _field(data, "blocks", path)}, path
-    )
-    try:
-        tk = TypeKPartition(part, n, k)
-    except ValueError as e:
-        raise SchemaError(path, str(e)) from e
-    if "reduction" in data:
-        red = decode_partition(data["reduction"], f"{path}.reduction")
-        if red != tk.reduction:
-            raise SchemaError(f"{path}.reduction", "does not match the recomputed reduction")
-    if "shape" in data:
-        shape = _expect(data["shape"], list, f"{path}.shape", "an array")
-        if tuple(shape) != tk.shape.entries:
-            raise SchemaError(f"{path}.shape", "does not match the recomputed shape")
-    return tk
-
-
 def encode_type_k(tk: TypeKPartition) -> dict:
     return {
         "n": tk.n,
@@ -311,27 +286,6 @@ def encode_verdict(v: FreenessVerdict) -> dict:
             "value": encode_rational(v.witness.value),
         },
     }
-
-
-def decode_verdict(data, path: str = "") -> FreenessVerdict:
-    from .freeness import FreenessVerdict, Witness
-
-    _expect(data, dict, path, "an object")
-    _check_keys(data, {"pass", "witness"}, path)
-    passed = _field(data, "pass", path)
-    if not isinstance(passed, bool):
-        raise SchemaError(f"{path}.pass", "expected a boolean")
-    wit = _field(data, "witness", path)
-    if wit is None:
-        return FreenessVerdict(passed, None)
-    _expect(wit, dict, f"{path}.witness", "an object or null")
-    _check_keys(wit, {"word", "component", "value"}, f"{path}.witness")
-    word = _expect(_field(wit, "word", f"{path}.witness"), list, f"{path}.witness.word", "an array")
-    comp = _expect(
-        _field(wit, "component", f"{path}.witness"), int, f"{path}.witness.component", "an integer"
-    )
-    value = decode_rational(_field(wit, "value", f"{path}.witness"), f"{path}.witness.value")
-    return FreenessVerdict(passed, Witness(tuple(word), comp, value))
 
 
 def encode(value) -> str:

@@ -28,6 +28,14 @@ from infree.cumulants import (
     restrict,
 )
 from infree.freeness import Derivation, FreenessVerdict, NcPolynomial, Witness
+from infree.jsonio import (
+    SchemaError,
+    _check_keys,
+    _expect,
+    _field,
+    decode_partition,
+    decode_rational,
+)
 from infree.partitions import (
     NcPartition,
     SetPartition,
@@ -596,3 +604,49 @@ def table_example_law_oracle(kind: str, params: CkScalar, k: int, max_len: int) 
     else:
         raise ValueError(f"unknown example law kind: {kind!r}")
     return cumulants_to_moments(CumulantTable(k, 1, max_len, table))
+
+
+def decode_type_k(data, path: str = "") -> TypeKPartition:
+    """A type-k partition from its JSON document, the inverse of
+    `jsonio.encode_type_k`; no verb reads one."""
+    _expect(data, dict, path, "an object")
+    _check_keys(data, {"n", "k", "blocks", "reduction", "shape"}, path)
+    n = _expect(_field(data, "n", path), int, f"{path}.n", "an integer")
+    k = _expect(_field(data, "k", path), int, f"{path}.k", "an integer")
+    part = decode_partition(
+        {"n": (k + 1) * n, "blocks": _field(data, "blocks", path)}, path
+    )
+    try:
+        tk = TypeKPartition(part, n, k)
+    except ValueError as e:
+        raise SchemaError(path, str(e)) from e
+    if "reduction" in data:
+        red = decode_partition(data["reduction"], f"{path}.reduction")
+        if red != tk.reduction:
+            raise SchemaError(f"{path}.reduction", "does not match the recomputed reduction")
+    if "shape" in data:
+        shape = _expect(data["shape"], list, f"{path}.shape", "an array")
+        if tuple(shape) != tk.shape.entries:
+            raise SchemaError(f"{path}.shape", "does not match the recomputed shape")
+    return tk
+
+
+def decode_verdict(data, path: str = "") -> FreenessVerdict:
+    """A freeness verdict from its JSON document, the inverse of
+    `jsonio.encode_verdict`; no verb reads one."""
+    _expect(data, dict, path, "an object")
+    _check_keys(data, {"pass", "witness"}, path)
+    passed = _field(data, "pass", path)
+    if not isinstance(passed, bool):
+        raise SchemaError(f"{path}.pass", "expected a boolean")
+    wit = _field(data, "witness", path)
+    if wit is None:
+        return FreenessVerdict(passed, None)
+    _expect(wit, dict, f"{path}.witness", "an object or null")
+    _check_keys(wit, {"word", "component", "value"}, f"{path}.witness")
+    word = _expect(_field(wit, "word", f"{path}.witness"), list, f"{path}.witness.word", "an array")
+    comp = _expect(
+        _field(wit, "component", f"{path}.witness"), int, f"{path}.witness.component", "an integer"
+    )
+    value = decode_rational(_field(wit, "value", f"{path}.witness"), f"{path}.witness.value")
+    return FreenessVerdict(passed, Witness(tuple(word), comp, value))

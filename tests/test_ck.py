@@ -28,6 +28,7 @@ from helpers import (
     fraction_ck_inverse_oracle,
     fraction_ck_mul_oracle,
     lambda_vectors,
+    rand_fraction,
     rand_scalar,
     rand_series,
     rand_sparse_scalar,
@@ -218,8 +219,13 @@ def test_sum_of_products_edge_cases(monkeypatch):
             _assert_canonical(x)
     # a term with a zero factor anywhere is skipped before any product
     calls = []
-    leibniz = ck._leibniz
-    monkeypatch.setattr(ck, "_leibniz", lambda *args: calls.append(args) or leibniz(*args))
+    rule = ck._leibniz_rule
+
+    def counted(k):
+        mul = rule(k)
+        return lambda x, y: calls.append((x, y)) or mul(x, y)
+
+    monkeypatch.setattr(ck, "_leibniz_rule", counted)
     a, b, zero = rand_scalar(rng, 2), rand_scalar(rng, 2), CkScalar.zero(2)
     for term in ([zero, a, b], [a, zero, b], [a, b, zero], [a, b, 0], [Fraction(0), a, b]):
         assert _sum_of_products(2, [term]) == zero
@@ -228,6 +234,36 @@ def test_sum_of_products_edge_cases(monkeypatch):
     calls.clear()
     assert _sum_of_products(2, [[a, b, 5]]) == expected
     assert len(calls) == 1
+
+
+def _rule_inputs(rng, k: int):
+    """Signed small, zero, one-hot, sparse and wide scalars of order k."""
+    yield rand_scalar(rng, k)
+    yield CkScalar.zero(k)
+    hot = rng.randrange(k + 1)
+    yield CkScalar(k, [rand_fraction(rng) if i == hot else 0 for i in range(k + 1)])
+    yield CkScalar(k, [rand_fraction(rng) if rng.random() < 0.3 else 0 for _ in range(k + 1)])
+    yield rand_sparse_scalar(rng, k)
+    for _ in range(3):
+        yield rand_wide_scalar(rng, k)
+
+
+def test_leibniz_rule_matches_fraction_oracle():
+    # both sides of the compiled rule's cutoff, k = 0..20
+    rng = random.Random(509)
+    assert ck._RULE_MAX_K < 20
+    for k in range(21):
+        rule = ck._leibniz_rule(k)
+        xs = list(_rule_inputs(rng, k))
+        for a in xs:
+            for b in xs:
+                got = rule(a.nums, b.nums)
+                assert type(got) is tuple and len(got) == k + 1
+                assert all(type(n) is int for n in got)
+                den = a.den * b.den
+                assert tuple(Fraction(n, den) for n in got) == fraction_ck_mul_oracle(a, b)
+        assert (ck._leibniz_rule(k) is rule) == (k <= ck._RULE_MAX_K)
+    assert set(ck._RULES) <= set(range(ck._RULE_MAX_K + 1))
 
 
 def test_sum_of_products_checks_every_factor():

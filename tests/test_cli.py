@@ -24,6 +24,7 @@ from infree.convolve import (
     additive_convolve,
     boxed_conv_ck,
     example_law,
+    moment_series,
     multiplicative_convolve,
 )
 from infree.cumulants import CumulantTable, InfLaw, all_words, moments_to_cumulants
@@ -33,13 +34,12 @@ from infree.jsonio import (
     decode_law,
     decode_partition,
     decode_series,
-    decode_verdict,
     encode,
 )
 from infree.partitions import NcPartition, catalan, enumerate_nc, kreweras
 from infree.typek import fiber_size_formula
 
-from helpers import rand_law, rand_series, t_poly_freeness_oracle
+from helpers import decode_verdict, rand_law, rand_series, t_poly_freeness_oracle
 
 
 def run(capsys, *argv):
@@ -226,6 +226,60 @@ def test_series_verbs_over_budget_are_refused_up_front(capsys, monkeypatch, tmp_
                 assert (code, out, err) == (2, "", _series_refusal(argv[0], k, trunc))
             else:
                 assert (code, out, err) == (0, "{}\n", "")
+
+
+def _wide_law(rng, max_len: int, digits: int = 300) -> InfLaw:
+    """A k = 0 one-variable law of random rationals with digits-digit parts."""
+    def part():
+        return rng.randrange(10 ** (digits - 1), 10 ** digits)
+
+    return InfLaw(0, 1, max_len, {w: CkScalar(0, [Fraction(rng.choice((-1, 1)) * part(), part())])
+                                  for w in all_words(1, max_len)})
+
+
+def test_series_verbs_size_wide_coefficients(capsys, tmp_path):
+    # 300-digit rationals at degree 24 are 13,824 by trunc^3 alone, but the
+    # integers of the work grow to about 24 times 997 bits: refused up front
+    rng = random.Random(811)
+    lhs = write(tmp_path, "lhs.json", _wide_law(rng, 24))
+    rhs = write(tmp_path, "rhs.json", _wide_law(rng, 24))
+    bits = max(n.bit_length() for path in (lhs, rhs)
+               for x in decode_law(json.loads(Path(path).read_text(encoding="utf-8"))).values.values()
+               for n in (x.den, *x.nums))
+    assert bits == 997
+    width = -(-24 * bits // cli.SERIES_WIDTH)
+    for verb in ("convolve-add", "convolve-mul"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, verb, "--lhs", lhs, "--rhs", rhs)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (f"error: {verb}: series to degree 24 at order 0 with {bits}-bit coefficients "
+                       f"have size {24 ** 3 * width ** 2} for trunc^3 (k+1)^2 w^2, "
+                       f"w = ceil(trunc bits / {cli.SERIES_WIDTH}), over the budget of "
+                       f"{cli.SERIES_BUDGET}\n")
+    # the same series as boxconv operands, and the same widths at degree 10
+    # (400,000), which run
+    series = write(tmp_path, "series.json", moment_series(_wide_law(rng, 24)))
+    code, out, err = run(capsys, "boxconv", "--lhs", series, "--rhs", series)
+    assert (code, out) == (2, "") and err.startswith("error: boxconv: series to degree 24 ")
+    assert 10 ** 3 * (-(-10 * bits // cli.SERIES_WIDTH)) ** 2 <= cli.SERIES_BUDGET
+    small = write(tmp_path, "small.json", _wide_law(rng, 10))
+    code, out, err = run(capsys, "convolve-add", "--lhs", small, "--rhs", small)
+    assert code == 2 and "series to degree" not in err  # sized in, failing only at the output
+
+
+def test_oversized_output_integer_names_the_verb(capsys, tmp_path):
+    # the product of two degree-8 laws of 300-digit rationals is within the
+    # budget, and its moments have more digits than the interpreter prints
+    rng = random.Random(823)
+    lhs = write(tmp_path, "lhs.json", _wide_law(rng, 8))
+    rhs = write(tmp_path, "rhs.json", _wide_law(rng, 8))
+    digits = sys.get_int_max_str_digits()
+    for verb in ("convolve-mul", "convolve-add"):
+        code, out, err = run(capsys, verb, "--lhs", lhs, "--rhs", rhs)
+        assert (code, out) == (2, "")
+        assert err == f"error: {verb}: the output holds an integer longer than {digits} digits\n"
+        assert "set_int_max_str_digits" not in err
 
 
 def test_upgrade_over_budget_is_refused_up_front(capsys, monkeypatch, tmp_path):

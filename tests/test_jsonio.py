@@ -28,8 +28,6 @@ from infree.jsonio import (
     decode_polynomial,
     decode_rational,
     decode_series,
-    decode_type_k,
-    decode_verdict,
     encode,
     encode_rational,
     to_jsonable,
@@ -38,7 +36,7 @@ from infree.cumulants import CumulantTable, moments_to_cumulants
 from infree.partitions import NcPartition, SetPartition
 from infree.typek import TypeKPartition, enumerate_type_k
 
-from helpers import rand_law, rand_series
+from helpers import decode_type_k, decode_verdict, rand_law, rand_series
 
 
 def reject(fn, data, fragment):

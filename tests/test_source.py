@@ -65,13 +65,17 @@ def test_every_private_function_is_used():
     assert unused == []
 
 
+_JET_KERNELS = {"_leibniz", "_leibniz_rule", "_compile_leibniz"}
+
+
 def _jet_kernel_use(node: ast.AST) -> bool:
-    """node names ck._leibniz, or CkScalar._built."""
+    """node names the Leibniz loop, its rule or the rule's builder in ck,
+    or CkScalar._built."""
     if isinstance(node, ast.Attribute):
-        return node.attr == "_leibniz" or (
+        return node.attr in _JET_KERNELS or (
             node.attr == "_built" and isinstance(node.value, ast.Name) and node.value.id == "CkScalar")
-    return (isinstance(node, ast.Name) and node.id == "_leibniz"
-            or isinstance(node, ast.alias) and node.name == "_leibniz")
+    return (isinstance(node, ast.Name) and node.id in _JET_KERNELS
+            or isinstance(node, ast.alias) and node.name in _JET_KERNELS)
 
 
 def test_one_jet_arithmetic():
@@ -85,6 +89,49 @@ def test_one_jet_arithmetic():
         if _jet_kernel_use(node)
     ]
     assert found == []
+
+
+def _dynamic_code_calls(node: ast.AST, inside: str | None):
+    """(function, line) of every call of eval, exec or compile under node,
+    with the name of the module-level function that holds it."""
+    for child in ast.iter_child_nodes(node):
+        holder = inside
+        if inside is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            holder = child.name
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id in {"eval", "exec", "compile"}):
+            yield holder, child.lineno
+        yield from _dynamic_code_calls(child, holder)
+
+
+def test_code_is_compiled_only_by_the_leibniz_rule_builder():
+    # the one place that turns text into code builds its source from
+    # integer indices and binomial literals alone
+    calls = {
+        (path.name, holder)
+        for path in sorted(SRC.glob("*.py"))
+        for holder, _ in _dynamic_code_calls(ast.parse(path.read_text(encoding="utf-8"), str(path)),
+                                             None)
+    }
+    assert calls == {("ck.py", "_compile_leibniz")}
+
+
+def test_no_leibniz_rule_is_compiled_at_import(tmp_path):
+    out = tmp_path / "rules.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent), *filter(None, [env.get("PYTHONPATH")])])
+    script = (
+        "import json\n"
+        "import infree.cli\n"
+        "from infree import ck\n"
+        "before = sorted(ck._RULES)\n"
+        "ck.ck_mul(ck.CkScalar.one(2), ck.CkScalar.eps(2))\n"
+        "ck.ck_mul(ck.CkScalar.one(40), ck.CkScalar.eps(40))\n"
+        f"with open({str(out)!r}, 'w') as fh:\n"
+        "    json.dump([before, sorted(ck._RULES)], fh)\n")
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+    # a rule is compiled at first use, and none above the cutoff
+    assert json.loads(out.read_text(encoding="utf-8")) == [[], [2]]
 
 
 def test_no_module_imports_dataclasses():
