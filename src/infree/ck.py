@@ -20,23 +20,30 @@ cores.  `_accumulate` serves series products and compositions, the boxed
 gamma_m loop and block products of cumulants: it drops a term at its first
 zero factor, chains integer Leibniz products over the rest, adds them over
 a running lcm denominator and reduces once per output scalar, not once per
-term.  `_first_block_table` does the same for the moment-cumulant
-first-block sums of a whole table, in both directions, reading the table's
-entries as (den, nums) pairs once rather than scalar by scalar.  Validation
-happens once, where a value enters the library: the scalar, series and
-table constructors.  So the cores trust their factors to be order-k scalars
-and check none of them: series products, the boxed loop and product-tuple
-cumulants, whose factors come from validated series and tables, hand
-`_accumulate` their (num, den, chain) terms directly, while `kappa_pi`,
-`cumulant_of_products` and `ck_prod_many` go through `_sum_of_products`,
-which checks every factor and then feeds the same core.
+term, and returns the sum alone.  `_first_block_table` does the same for
+the moment-cumulant first-block sums of a whole table, in both directions,
+reading the table's entries as (den, nums) pairs once rather than scalar by
+scalar.
+
+Validation happens once, where a value enters the library: the scalar,
+series and table constructors.  A scalar the library computes is built by
+the trusted `CkScalar._built`, one gcd reduction and no check.  So the
+cores trust their factors to be order-k scalars and check none of them:
+series products, the boxed loop and product-tuple cumulants, whose factors
+come from validated series and tables, hand `_accumulate` their (num, den,
+chain) terms directly, while `kappa_pi`, `cumulant_of_products` and
+`ck_prod_many` go through `_sum_of_products`, which checks every factor
+and then feeds the same core.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, gcd, lcm
+from operator import index
 from typing import Iterable, Iterator, Sequence
+
+from ._value import Value
 
 
 class NotInvertible(ArithmeticError):
@@ -51,11 +58,11 @@ def _coerce(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-class CkScalar:
+class CkScalar(Value):
     """Element of C_k, coordinates (a(0), ..., a(k)) over the basis eps^i/i!,
     stored as integer numerators `nums` over one denominator `den`."""
 
-    __slots__ = ("k", "den", "nums")
+    __slots__ = _fields = ("k", "den", "nums")
 
     def __init__(self, k: int, coords: Iterable):
         coords = tuple(_coerce(c) for c in coords)
@@ -65,14 +72,13 @@ class CkScalar:
             raise ValueError(f"order {k} needs {k + 1} coordinates, got {len(coords)}")
         # over the lcm of reduced denominators the numerators share no factor with it
         den = lcm(*(c.denominator for c in coords))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in coords))
+        self._set(k, den, tuple(c.numerator * (den // c.denominator) for c in coords))
 
     @classmethod
     def _built(cls, k: int, den: int, nums: Iterable) -> "CkScalar":
         """Trusted construction from integers with den > 0: one gcd
-        reduction and no validation."""
+        reduction and no validation.  It runs once per computed scalar, so
+        it writes the slots itself rather than through `_of`."""
         nums = tuple(nums)
         g = gcd(den, *nums)
         if g != 1:
@@ -83,9 +89,6 @@ class CkScalar:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CkScalar is immutable")
 
     def __reduce__(self):
         return CkScalar, (self.k, self.coords)
@@ -117,17 +120,6 @@ class CkScalar:
 
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CkScalar)
-            and self.k == other.k
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.den, self.nums))
 
     def __repr__(self):
         return f"CkScalar(k={self.k}, coords={tuple(str(c) for c in self.coords)})"
@@ -245,18 +237,15 @@ def ck_prod_many(factors: Sequence[CkScalar]) -> CkScalar:
     return _sum_of_products(factors[0].k, (factors,))
 
 
-def _sum_of_products(k: int, terms: Iterable, start: CkScalar | None = None,
-                     subtract: bool = False) -> CkScalar:
-    """start (zero if None) plus, or minus if subtract, the sum over terms
-    of the product of each term's factors, reduced once.
+def _sum_of_products(k: int, terms: Iterable) -> CkScalar:
+    """The sum over terms of the product of each term's factors, reduced
+    once.
 
     A factor is a C_k scalar of order k or an exact rational (int or
     Fraction) weight.  Every factor is type- and order-checked, a zero one
     included; the checked terms then go through `_accumulate`, which skips
     a term with a zero factor before multiplying it out."""
-    if start is not None and start.k != k:
-        raise ValueError(f"order mismatch: k={start.k} vs k={k}")
-    return _accumulate(k, (_checked_term(k, factors) for factors in terms), start, subtract)
+    return _accumulate(k, (_checked_term(k, factors) for factors in terms))
 
 
 def _checked_term(k: int, factors: Iterable) -> tuple:
@@ -276,23 +265,18 @@ def _checked_term(k: int, factors: Iterable) -> tuple:
     return num, den, chain
 
 
-def _accumulate(k: int, terms: Iterable, start: CkScalar | None = None,
-                subtract: bool = False) -> CkScalar:
-    """The one trusted C_k sum-of-products core: start (zero if None) plus,
-    or minus if subtract, the sum of num / den times the product of the
-    chain over the terms (num, den, chain).  The chain's factors are order-k
-    scalars the library built, so none is checked again.
+def _accumulate(k: int, terms: Iterable) -> CkScalar:
+    """The one trusted C_k sum-of-products core: the sum of num / den times
+    the product of the chain over the terms (num, den, chain).  The chain's
+    factors are order-k scalars the library built, so none is checked
+    again.
 
     A term is dropped at its zero weight or its first zero factor, before
     anything is multiplied.  Each product is a chain of order-k Leibniz
     products, by the rule `_leibniz_rule` gives once per call, over the
     product of its denominators, and is added over a running lcm
     denominator, so the only gcd reduction is the result's."""
-    if start is None:
-        den, acc = 1, [0] * (k + 1)
-    else:
-        den, acc = start.den, list(start.nums)
-    sign = -1 if subtract else 1
+    den, acc = 1, [0] * (k + 1)
     unit = (1,) + (0,) * k
     coords = range(k + 1)
     mul = _leibniz_rule(k)
@@ -314,7 +298,7 @@ def _accumulate(k: int, terms: Iterable, start: CkScalar | None = None,
                 up = tden // gcd(den, tden)
                 den *= up
                 acc = [a * up for a in acc]
-            weight *= sign * (den // tden)
+            weight *= den // tden
             for i in coords:
                 acc[i] += weight * x[i]
     return CkScalar._built(k, den, acc)
@@ -394,35 +378,18 @@ def ck_inverse(a: CkScalar) -> CkScalar:
     return CkScalar._built(k, sign * den, [sign * a.den * y[i] * n0 ** (k - i) for i in range(k + 1)])
 
 
-class LambdaVector:
+class LambdaVector(Value):
     """Weak composition (lambda_1, ..., lambda_n) of the integer `target`."""
 
-    __slots__ = ("entries", "target")
+    __slots__ = _fields = ("entries", "target")
 
     def __init__(self, entries, target: int):
-        entries = tuple(int(e) for e in entries)
+        entries = tuple(map(index, entries))
         if any(e < 0 for e in entries):
             raise ValueError("lambda entries must be non-negative")
         if sum(entries) != target:
             raise ValueError(f"lambda entries sum to {sum(entries)}, expected {target}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "target", target)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaVector is immutable")
-
-    def __reduce__(self):
-        return LambdaVector, (self.entries, self.target)
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is LambdaVector and self.entries == other.entries
-                and self.target == other.target)
-
-    def __hash__(self):
-        return hash((self.entries, self.target))
-
-    def __repr__(self):
-        return f"LambdaVector(entries={self.entries!r}, target={self.target!r})"
+        self._set(entries, target)
 
     def __len__(self):
         return len(self.entries)
@@ -438,7 +405,7 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     return num
 
 
-class CkSeries:
+class CkSeries(Value):
     """Truncated power series over C_k.
 
     Degrees 1..trunc are stored in `coeffs`; `const` is the degree-0 term,
@@ -446,7 +413,7 @@ class CkSeries:
     Binary operations truncate to the smaller trunc.
     """
 
-    __slots__ = ("k", "trunc", "const", "coeffs")
+    __slots__ = _fields = ("k", "trunc", "coeffs", "const")
 
     def __init__(self, k: int, trunc: int, coeffs: Iterable, const: CkScalar | None = None):
         if trunc < 1:
@@ -461,16 +428,7 @@ class CkSeries:
                 raise TypeError("series coefficients must be CkScalar")
             if c.k != k:
                 raise ValueError(f"order mismatch in coefficients: k={c.k} vs k={k}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "const", const)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CkSeries is immutable")
-
-    def __reduce__(self):
-        return CkSeries, (self.k, self.trunc, self.coeffs, self.const)
+        self._set(k, trunc, coeffs, const)
 
     @classmethod
     def zero(cls, k: int, trunc: int) -> "CkSeries":
@@ -489,18 +447,6 @@ class CkSeries:
         if trunc > self.trunc:
             raise ValueError("cannot extend a truncated series")
         return CkSeries(self.k, trunc, self.coeffs[:trunc], self.const)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CkSeries)
-            and self.k == other.k
-            and self.trunc == other.trunc
-            and self.const == other.const
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.trunc, self.const, self.coeffs))
 
     def __repr__(self):
         return f"CkSeries(k={self.k}, trunc={self.trunc}, const={self.const!r}, coeffs={list(self.coeffs)!r})"

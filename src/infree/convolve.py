@@ -240,7 +240,7 @@ def moment_series(law: InfLaw) -> CkSeries:
 
 
 def law_from_moment_series(m: CkSeries) -> InfLaw:
-    return InfLaw._built(
+    return InfLaw._of(
         m.k, 1, m.trunc, {(1,) * d: m.coeffs[d - 1] for d in range(1, m.trunc + 1)}
     )
 

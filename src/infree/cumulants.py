@@ -19,7 +19,8 @@ that cumulant is zero, before any gap moment is looked up: in a free
 product every block that mixes colours is dropped this way.  No entry is
 checked there, because every given one was validated once already, by the
 table constructor, and every computed one was built by the kernel itself;
-its outputs become tables through the trusted `_WordTable._built`.
+its outputs become tables through the trusted constructor `_of` that every
+value class shares, without the constructor's checks.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterator
 
+from ._value import Value
 from .ck import CkScalar, _first_block_table, _sum_of_products
 from .partitions import SetPartition, enumerate_nc, partition_join
 
@@ -43,10 +45,10 @@ def restrict(w: tuple, block: tuple) -> tuple:
     return tuple(w[i - 1] for i in block)
 
 
-class _WordTable:
+class _WordTable(Value):
     """Dense map from words to C_k scalars; base for laws and cumulant tables."""
 
-    __slots__ = ("k", "num_vars", "max_len", "values")
+    __slots__ = _fields = ("k", "num_vars", "max_len", "values")
 
     def __init__(self, k: int, num_vars: int, max_len: int, values: dict):
         if num_vars < 1 or max_len < 1 or k < 0:
@@ -71,28 +73,7 @@ class _WordTable:
         if len(values) != len(store):
             extra = sorted(set(values) - set(store))[:3]
             raise ValueError(f"unexpected word keys: {extra}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "max_len", max_len)
-        object.__setattr__(self, "values", store)
-
-    @classmethod
-    def _built(cls, k: int, num_vars: int, max_len: int, values: dict):
-        """Trusted construction for a table the library has just computed:
-        values holds an order-k scalar for every word, shortlex, so nothing
-        is checked again."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "max_len", max_len)
-        object.__setattr__(self, "values", values)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.k, self.num_vars, self.max_len, self.values)
+        self._set(k, num_vars, max_len, store)
 
     def value(self, w: tuple) -> CkScalar:
         if len(w) == 0:
@@ -102,18 +83,8 @@ class _WordTable:
     def words(self) -> Iterator[tuple]:
         return all_words(self.num_vars, self.max_len)
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(self) is type(other)
-            and self.k == other.k
-            and self.num_vars == other.num_vars
-            and self.max_len == other.max_len
-            and self.values == other.values
-        )
-
     def __hash__(self):
-        return hash((type(self).__name__, self.k, self.num_vars, self.max_len,
-                     tuple(sorted(self.values.items()))))
+        return hash((self.k, self.num_vars, self.max_len, tuple(sorted(self.values.items()))))
 
     def __repr__(self):
         return (f"{type(self).__name__}(k={self.k}, num_vars={self.num_vars}, "
@@ -168,7 +139,7 @@ def cumulants_to_moments(c: CumulantTable) -> InfLaw:
     block products of cumulants, by the first-block decomposition.  Words
     come shortest first, so the moments of the gaps are already known."""
     out = dict(_first_block_table(c.k, c.values, _levels(c.num_vars, c.max_len, False), False))
-    return InfLaw._built(c.k, c.num_vars, c.max_len, out)
+    return InfLaw._of(c.k, c.num_vars, c.max_len, out)
 
 
 def _cumulants_shortlex(m: InfLaw, max_len: int) -> Iterator[tuple]:
@@ -181,7 +152,7 @@ def moments_to_cumulants(m: InfLaw) -> CumulantTable:
     """Exact inverse of cumulants_to_moments: the first-block identity
     solved for its B = [n] term, kappa(w) = m(w) minus the sum over the
     proper blocks B, whose cumulants belong to shorter words."""
-    return CumulantTable._built(m.k, m.num_vars, m.max_len, dict(_cumulants_shortlex(m, m.max_len)))
+    return CumulantTable._of(m.k, m.num_vars, m.max_len, dict(_cumulants_shortlex(m, m.max_len)))
 
 
 def kappa_pi(c: CumulantTable, pi: SetPartition, w: tuple) -> CkScalar:

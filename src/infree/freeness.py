@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .ck import CkScalar, _accumulate
+from ._value import Value
+from .ck import CkScalar, _accumulate, _coerce
 from .cumulants import (
     CumulantTable,
     InfLaw,
@@ -26,28 +27,22 @@ from .convolve import additive_convolve, multiplicative_convolve
 from .partitions import enumerate_nc, kreweras
 
 
-class NcPolynomial:
+class NcPolynomial(Value):
     """Polynomial in non-commuting variables: finite map word -> rational.
 
     The empty word carries the constant term; zero coefficients are never
     stored.  Multiplication concatenates words bilinearly.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = _fields = ("terms",)
 
     def __init__(self, terms: dict | None = None):
         store = {}
         for w, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _coerce(c)
             if c != 0:
                 store[tuple(w)] = c
-        object.__setattr__(self, "terms", store)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NcPolynomial is immutable")
-
-    def __reduce__(self):
-        return NcPolynomial, (self.terms,)
+        self._set(store)
 
     @classmethod
     def variable(cls, v: int) -> "NcPolynomial":
@@ -60,9 +55,6 @@ class NcPolynomial:
     @classmethod
     def word(cls, w: tuple) -> "NcPolynomial":
         return cls({tuple(w): 1})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NcPolynomial) and self.terms == other.terms
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
@@ -88,7 +80,7 @@ class NcPolynomial:
         return NcPolynomial(out)
 
     def scale(self, c) -> "NcPolynomial":
-        c = Fraction(c)
+        c = _coerce(c)
         return NcPolynomial({w: c * v for w, v in self.terms.items()})
 
     def max_degree(self) -> int:
@@ -99,10 +91,10 @@ class NcPolynomial:
         return f"NcPolynomial({body or '0'})"
 
 
-class Derivation:
+class Derivation(Value):
     """Linear map fixed by its images on the variables, extended by Leibniz."""
 
-    __slots__ = ("images",)
+    __slots__ = _fields = ("images",)
 
     def __init__(self, images: dict):
         store = {}
@@ -110,16 +102,7 @@ class Derivation:
             if not isinstance(p, NcPolynomial):
                 raise TypeError("derivation images must be NcPolynomial")
             store[int(v)] = p
-        object.__setattr__(self, "images", store)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Derivation is immutable")
-
-    def __reduce__(self):
-        return Derivation, (self.images,)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Derivation) and self.images == other.images
+        self._set(store)
 
     def __hash__(self):
         return hash(tuple(sorted(self.images.items())))
@@ -155,31 +138,16 @@ def apply_derivation(d: Derivation, p: NcPolynomial, power: int = 1) -> NcPolyno
     return p
 
 
-class Coloring:
+class Coloring(Value):
     """Assignment of each variable 1..num_vars to a subalgebra label."""
 
-    __slots__ = ("colors",)
+    __slots__ = _fields = ("colors",)
 
     def __init__(self, colors):
         colors = tuple(int(c) for c in colors)
         if not colors:
             raise ValueError("coloring must cover at least one variable")
-        object.__setattr__(self, "colors", colors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Coloring is immutable")
-
-    def __reduce__(self):
-        return Coloring, (self.colors,)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Coloring and self.colors == other.colors
-
-    def __hash__(self):
-        return hash((self.colors,))
-
-    def __repr__(self):
-        return f"Coloring(colors={self.colors!r})"
+        self._set(colors)
 
     @property
     def num_vars(self) -> int:
@@ -222,7 +190,7 @@ def free_product_joint(laws: list, max_len: int):
             c = cset.pop()
             local = tuple(v - offset_of[c - 1] for v in w)
             table[w] = factor_cums[c - 1].value(local)
-    joint = cumulants_to_moments(CumulantTable._built(k, offset, max_len, table))
+    joint = cumulants_to_moments(CumulantTable._of(k, offset, max_len, table))
     return joint, coloring
 
 
@@ -266,62 +234,26 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
              + [values[restrict(bw, b)] for b in kr_blocks])
             for p_blocks, kr_blocks in block_pairs[len(w)]
         ))
-    return CumulantTable._built(joint.k, npairs, max_len, out)
+    return CumulantTable._of(joint.k, npairs, max_len, out)
 
 
-class Witness:
+class Witness(Value):
     """A failing word, the lowest nonzero coordinate of its cumulant, and
     that coordinate's t^i coefficient."""
 
-    __slots__ = ("word", "component", "value")
+    __slots__ = _fields = ("word", "component", "value")
 
     def __init__(self, word: tuple, component: int, value: Fraction):
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Witness is immutable")
-
-    def __reduce__(self):
-        return Witness, (self.word, self.component, self.value)
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is Witness and self.word == other.word
-                and self.component == other.component and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.word, self.component, self.value))
-
-    def __repr__(self):
-        return (f"Witness(word={self.word!r}, component={self.component!r}, "
-                f"value={self.value!r})")
+        self._set(word, component, value)
 
 
-class FreenessVerdict:
+class FreenessVerdict(Value):
     """Outcome of the freeness test: passed, or the first failure's witness."""
 
-    __slots__ = ("passed", "witness")
+    __slots__ = _fields = ("passed", "witness")
 
     def __init__(self, passed: bool, witness: Witness | None):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreenessVerdict is immutable")
-
-    def __reduce__(self):
-        return FreenessVerdict, (self.passed, self.witness)
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is FreenessVerdict and self.passed == other.passed
-                and self.witness == other.witness)
-
-    def __hash__(self):
-        return hash((self.passed, self.witness))
-
-    def __repr__(self):
-        return f"FreenessVerdict(passed={self.passed!r}, witness={self.witness!r})"
+        self._set(passed, witness)
 
 
 def _first_mixed(items, coloring: Coloring) -> tuple | None:
@@ -412,7 +344,7 @@ def derivative_of_convolution(mu: InfLaw, nu: InfLaw, mode: str) -> InfLaw:
 
 def law_at_t(derivs: InfLaw, t) -> InfLaw:
     """Taylor evaluation: order-0 law with moments sum_i m^(i) t^i / i!."""
-    t = Fraction(t)
+    t = _coerce(t)
     table = {}
     for w in derivs.words():
         coords = derivs.moment(w).coords

@@ -3,6 +3,9 @@
 Blocks are stored as sorted tuples of ints, the partition as a tuple of
 blocks sorted by minimum.  Kreweras complements are computed by a cycle
 formula on [2n] rather than by search, so both directions are O(n).
+A partition the library has just produced, enumerated or complemented, is
+canonical already, so it is built by the trusted `_of` and neither its
+coverage nor its crossings are checked again.
 """
 from __future__ import annotations
 
@@ -10,15 +13,17 @@ from functools import cmp_to_key, lru_cache
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
+from ._value import Value
+
 
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-class SetPartition:
+class SetPartition(Value):
     """Partition of {1, ..., n} into disjoint non-empty blocks."""
 
-    __slots__ = ("n", "blocks")
+    __slots__ = _fields = ("n", "blocks")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         blocks = tuple(tuple(sorted(b)) for b in blocks)
@@ -29,37 +34,16 @@ class SetPartition:
         # the count first, so that a huge n is refused without listing 1..n
         if len(seen) != n or sorted(seen) != list(range(1, n + 1)):
             raise ValueError(f"blocks do not partition 1..{n}: {blocks}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
-
-    @classmethod
-    def _built(cls, n: int, blocks: tuple):
-        """Trusted construction for blocks the library has just produced:
-        canonical (sorted tuples ordered by minimum), so neither coverage
-        nor crossings are checked again."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetPartition is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.n, self.blocks)
+        self._set(n, blocks)
 
     def num_blocks(self) -> int:
         return len(self.blocks)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SetPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
+        # a non-crossing partition equals its plain twin
+        return isinstance(other, SetPartition) and self.n == other.n and self.blocks == other.blocks
 
-    def __hash__(self):
-        return hash((self.n, self.blocks))
+    __hash__ = Value.__hash__
 
     def __repr__(self):
         body = ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
@@ -132,7 +116,7 @@ def enumerate_nc_blocks(n: int) -> Iterator[tuple]:
 
 @lru_cache(maxsize=None)
 def _nc_cache(n: int) -> tuple:
-    return tuple(NcPartition._built(n, blocks) for blocks in enumerate_nc_blocks(n))
+    return tuple(NcPartition._of(n, blocks) for blocks in enumerate_nc_blocks(n))
 
 
 def enumerate_nc(n: int) -> tuple:
@@ -183,7 +167,7 @@ def kreweras(p: NcPartition, direction: str = "forward") -> NcPartition:
             seen.add(x)
             x = step(x)
         blocks.append(tuple(sorted(cyc)))
-    return NcPartition._built(n, tuple(blocks))
+    return NcPartition._of(n, tuple(blocks))
 
 
 class BarredElement(NamedTuple):

@@ -7,10 +7,11 @@ enumerated directly by a constrained left-to-right scan: a block may only
 grow along the successor cycle of its reduced block, and may only close
 once its length is a multiple of that block's size.
 
-Fiber elements are built once per (p, k) and trusted: the scan produces
-only members, so they skip the membership test, and their shapes share
-one block index of p.  Only the public `TypeKPartition(pi, n, k)`, the
-route for partitions from outside the library, checks membership.
+Fiber elements are built once per (p, k) by the trusted constructor `_of`:
+the scan produces only members, so they skip the membership test, and
+their shapes share one block index of p.  Only the public
+`TypeKPartition(pi, n, k)`, the route for partitions from outside the
+library, checks membership.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
+from ._value import Value
 from .ck import LambdaVector
 from .partitions import (
     NcPartition,
@@ -53,7 +55,7 @@ def reduction_partition(p: SetPartition, n: int, k: int) -> NcPartition | None:
         return None
     if not is_noncrossing(images):
         return None
-    return NcPartition._built(n, images)
+    return NcPartition._of(n, images)
 
 
 def is_type_k(p: NcPartition, n: int, k: int) -> bool:
@@ -83,7 +85,7 @@ def _fiber_scan(p: NcPartition, k: int) -> Iterator[NcPartition]:
     def rec(pos: int, stack: list, closed: list, excess_closed: int):
         if pos > m:
             if all(len(e[0]) % e[2] == 0 for e in stack):
-                yield NcPartition._built(m, tuple(sorted([tuple(e[0]) for e in stack] + closed)))
+                yield NcPartition._of(m, tuple(sorted([tuple(e[0]) for e in stack] + closed)))
             return
         remaining = m - pos + 1
         # each open block still needs (-len) mod cycle elements to finish
@@ -122,47 +124,27 @@ def _fiber_scan(p: NcPartition, k: int) -> Iterator[NcPartition]:
     yield from rec(1, [], [], 0)
 
 
-class TypeKPartition:
+class TypeKPartition(Value):
     """Element of NC^(k)(n) with its reduction and shape cached."""
 
-    __slots__ = ("n", "k", "partition", "reduction", "shape")
+    __slots__ = _fields = ("partition", "n", "k", "reduction", "shape")
 
     def __init__(self, partition: NcPartition, n: int, k: int):
         if not is_type_k(partition, n, k):
             raise ValueError(f"not a type-{k} partition over [{(k + 1) * n}]: {partition!r}")
         reduction = reduction_partition(partition, n, k)
-        self._fill(partition, reduction, _block_index(reduction), k)
-
-    @classmethod
-    def _built(cls, partition: NcPartition, reduction: NcPartition, index_of: dict, k: int):
-        """Trusted construction for an element the fiber scan just produced
-        over `reduction`, whose block index the caller shares."""
-        self = object.__new__(cls)
-        self._fill(partition, reduction, index_of, k)
-        return self
-
-    def _fill(self, partition, reduction, index_of, k):
-        n = reduction.n
-        shape = _compute_shape(partition, index_of, n, k)
-        for name, value in zip(self.__slots__, (n, k, partition, reduction, shape)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TypeKPartition is immutable")
+        shape = _compute_shape(partition, _block_index(reduction), n, k)
+        self._set(partition, n, k, reduction, shape)
 
     def __reduce__(self):
         return TypeKPartition, (self.partition, self.n, self.k)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TypeKPartition)
-            and self.n == other.n
-            and self.k == other.k
-            and self.partition == other.partition
-        )
+        # over the constructor's arguments alone: the other two follow from them
+        return type(other) is TypeKPartition and self.__reduce__() == other.__reduce__()
 
     def __hash__(self):
-        return hash((self.n, self.k, self.partition))
+        return hash(self.__reduce__())
 
     def __repr__(self):
         return f"TypeKPartition(n={self.n}, k={self.k}, partition={self.partition!r})"
@@ -200,7 +182,8 @@ def shape_of(tk: TypeKPartition) -> LambdaVector:
 def fiber_over(p: NcPartition, k: int) -> tuple:
     """All TypeKPartition with reduction p, memoized per (p, k)."""
     index_of = _block_index(p)
-    return tuple(TypeKPartition._built(pi, p, index_of, k) for pi in _fiber_scan(p, k))
+    return tuple(TypeKPartition._of(pi, p.n, k, p, _compute_shape(pi, index_of, p.n, k))
+                 for pi in _fiber_scan(p, k))
 
 
 @lru_cache(maxsize=None)
@@ -257,5 +240,5 @@ def r_of_shape(lam: LambdaVector, n: int, k: int, p: NcPartition | None = None) 
     if len(lam.entries) != n + 1 or lam.target != k:
         raise ValueError(f"shape must have n+1 = {n + 1} entries summing to k = {k}")
     if p is None:
-        p = NcPartition._built(n, (tuple(range(1, n + 1)),))
+        p = NcPartition._of(n, (tuple(range(1, n + 1)),))
     return _shape_counts(p, k).get(lam.entries, 0)

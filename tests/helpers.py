@@ -343,15 +343,14 @@ def cauchy_series_mul_oracle(f: CkSeries, g: CkSeries) -> CkSeries:
     return CkSeries(f.k, n, coeffs, ck_mul(f.const, g.const))
 
 
-def first_block_sum(w: tuple, blocks, kappa: dict, moment: dict, k: int,
-                    start: CkScalar | None = None, subtract: bool = False) -> CkScalar:
-    """Sum over the given (on_b, gaps) of kappa(w|B) times prod m(w|gap),
-    added to start, or subtracted from it: one word at a time, every term a
-    chain of scalars handed to `ck._accumulate`.  kappa(w|B) is read first
-    and a block whose cumulant is zero is skipped."""
+def first_block_sum(w: tuple, blocks, kappa: dict, moment: dict, k: int) -> CkScalar:
+    """Sum over the given (on_b, gaps) of kappa(w|B) times prod m(w|gap):
+    one word at a time, every term a chain of scalars handed to
+    `ck._accumulate`.  kappa(w|B) is read first and a block whose cumulant
+    is zero is skipped."""
     chains = ((1, 1, [c] + [moment[w[lo:hi]] for lo, hi in gaps])
               for on_b, gaps in blocks if any((c := kappa[on_b(w)]).nums))
-    return _accumulate(k, chains, start, subtract)
+    return _accumulate(k, chains)
 
 
 def first_block_c2m_oracle(c: CumulantTable) -> InfLaw:
@@ -371,7 +370,7 @@ def first_block_m2c_shortlex(m: InfLaw, max_len: int):
     for n in range(1, max_len + 1):
         blocks = _first_blocks(n)[:-1]
         for w in iter_product(range(1, m.num_vars + 1), repeat=n):
-            x = out[w] = first_block_sum(w, blocks, out, m.values, m.k, m.values[w], True)
+            x = out[w] = m.values[w] - first_block_sum(w, blocks, out, m.values, m.k)
             yield w, x
 
 

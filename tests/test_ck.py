@@ -160,12 +160,12 @@ def test_ring_laws_property(abc):
 def test_sum_of_products_property(abc, q, subtract):
     a, b, c = abc
     k = a.k
-    got = _sum_of_products(k, [[a, b], [c, q], [b, c, a]], a, subtract)
-    total = a * b + c.scale(q) + ck_prod_many([b, c, a])
-    assert got == (a - total if subtract else a + total)
+    total = _sum_of_products(k, [[a, b], [c, q], [b, c, a]])
+    got = a - total if subtract else a + total
+    assert total == a * b + c.scale(q) + ck_prod_many([b, c, a])
     assert hash(got) == hash(CkScalar(k, got.coords))
     assert _sum_of_products(k, [[a, b], [b, a]]) == (a * b).scale(2)
-    assert _sum_of_products(k, [[a, b]], a * b, subtract=True).is_zero()
+    assert (a * b - _sum_of_products(k, [[a, b]])).is_zero()
     _assert_canonical(got)
 
 
@@ -198,10 +198,15 @@ def test_sum_of_products_matches_fraction_oracle():
             ]
             start = rand_wide_scalar(rng, k) if rng.random() < 0.5 else None
             subtract = rng.random() < 0.5
-            got = _sum_of_products(k, terms, start, subtract)
-            assert got.k == k
-            assert got.coords == _oracle_sum(k, terms, start, subtract)
-            _assert_canonical(got)
+            total = _sum_of_products(k, terms)
+            _assert_canonical(total)
+            if start is not None:
+                total = start - total if subtract else start + total
+            elif subtract:
+                total = -total
+            assert total.k == k
+            assert total.coords == _oracle_sum(k, terms, start, subtract)
+            _assert_canonical(total)
 
 
 def test_sum_of_products_edge_cases(monkeypatch):
@@ -209,12 +214,12 @@ def test_sum_of_products_edge_cases(monkeypatch):
     for k in range(5):
         a, b = rand_scalar(rng, k), rand_scalar(rng, k)
         assert _sum_of_products(k, []) == CkScalar.zero(k)
-        assert _sum_of_products(k, [], a) == a
-        assert _sum_of_products(k, [], a, subtract=True) == a
+        assert a + _sum_of_products(k, []) == a
+        assert a - _sum_of_products(k, []) == a
         assert _sum_of_products(k, [[]]) == CkScalar.one(k)  # the empty product
-        assert _sum_of_products(k, [[a, b]], a, subtract=True) == a - ck_mul(a, b)
+        assert a - _sum_of_products(k, [[a, b]]) == a - ck_mul(a, b)
         assert _sum_of_products(k, [[a, Fraction(2, 3)], [3, b]]) == a.scale(Fraction(2, 3)) + b.scale(3)
-        for x in (_sum_of_products(k, [[a]], -a), _sum_of_products(k, [[a, b], [-a, b]])):
+        for x in (-a + _sum_of_products(k, [[a]]), _sum_of_products(k, [[a, b], [-a, b]])):
             assert x == CkScalar.zero(k)
             _assert_canonical(x)
     # a term with a zero factor anywhere is skipped before any product
@@ -268,15 +273,13 @@ def test_leibniz_rule_matches_fraction_oracle():
 
 def test_sum_of_products_checks_every_factor():
     one1, one2, zero1 = CkScalar.one(1), CkScalar.one(2), CkScalar.zero(1)
-    for terms, start in (
-        ([[one1, one2]], None),
-        ([[zero1, one2]], None),  # after a zero factor, still checked
-        ([[zero1], [one1, 2, one2]], None),
-        ([[one1]], one2),
-        ([], one2),
+    for terms in (
+        [[one1, one2]],
+        [[zero1, one2]],  # after a zero factor, still checked
+        [[zero1], [one1, 2, one2]],
     ):
         with pytest.raises(ValueError, match="order mismatch"):
-            _sum_of_products(1, terms, start)
+            _sum_of_products(1, terms)
     for bad in (0.5, "1/2", None):
         with pytest.raises(TypeError):
             _sum_of_products(1, [[one1, bad]])

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from infree.ck import CkScalar, _first_block_table, ck_mul, ck_prod_many, multinomial
+from infree.ck import CkScalar, LambdaVector, _first_block_table, ck_mul, ck_prod_many, multinomial
 from infree.convolve import additive_convolve, example_law, multiplicative_convolve
 from infree.cumulants import (
     CumulantTable,
@@ -600,3 +600,24 @@ def test_law_at_t():
     assert law_at_t(law, 2).moment((1,)).coords[0] == 5 - 2 + 8  # a + bt + c t^2/2
     k1 = InfLaw(1, 1, 1, {(1,): CkScalar(1, [Fraction(7), Fraction(2)])})
     assert law_at_t(k1, 1).moment((1,)).coords[0] == 9
+
+
+def test_floats_are_refused_where_rationals_are_exact():
+    # a float is binary, not the rational it prints as: 0.1 would be stored
+    # as 3602879701896397/36028797018963968, and 1.9 truncated to 1
+    law = InfLaw(1, 1, 1, {(1,): CkScalar(1, [Fraction(7), Fraction(2)])})
+    for build in (
+        lambda: NcPolynomial({(1,): 0.1}),
+        lambda: NcPolynomial({(1,): 1, (): 0.0}),
+        lambda: X1.scale(0.5),
+        lambda: law_at_t(law, 0.1),
+    ):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            build()
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        LambdaVector((1.9, 1.1), 2)
+    # exact inputs are read as before
+    assert NcPolynomial({(1,): "1/10", (2,): Fraction(1, 3), (): 2}).terms == {
+        (1,): Fraction(1, 10), (2,): Fraction(1, 3), (): 2}
+    assert X1.scale("1/2") == NcPolynomial({(1,): Fraction(1, 2)})
+    assert law_at_t(law, Fraction(1, 2)).moment((1,)).coords == (8,)

@@ -32,7 +32,8 @@ from infree.jsonio import (
     encode_rational,
     to_jsonable,
 )
-from infree.cumulants import CumulantTable, moments_to_cumulants
+from infree._value import Value
+from infree.cumulants import CumulantTable, InfLaw, moments_to_cumulants
 from infree.partitions import NcPartition, SetPartition
 from infree.typek import TypeKPartition, enumerate_type_k
 
@@ -269,10 +270,16 @@ def test_every_library_value_pickles():
 
 
 def test_record_classes_keep_their_value_semantics():
-    # LambdaVector, Coloring, Witness and FreenessVerdict: equal fields give
-    # equal, equally hashed values; fields cannot be assigned; the
-    # constructors validate as before; repr is field=value in field order
+    # every value class: equal fields give equal, equally hashed values;
+    # fields cannot be assigned; the constructors validate as before; the
+    # records' repr is field=value in field order
     witness = Witness((1, 2), 2, Fraction(1, 2))
+    rng = random.Random(271)
+    law, law2 = rand_law(rng, k=1, num_vars=1, max_len=2), rand_law(rng, k=1, num_vars=1, max_len=2)
+    cumulants = moments_to_cumulants(law)
+    series = rand_series(rng, 1, 3)
+    poly = NcPolynomial({(1, 2): Fraction(1, 2), (): 3})
+    fiber = enumerate_type_k(2, 1)
     cases = [
         (LambdaVector([1, 0, 2], 3), LambdaVector((1, 0, 2), 3), LambdaVector((0, 1, 2), 3),
          "LambdaVector(entries=(1, 0, 2), target=3)"),
@@ -283,16 +290,43 @@ def test_record_classes_keep_their_value_semantics():
          FreenessVerdict(True, None),
          "FreenessVerdict(passed=False, witness=Witness(word=(1, 2), component=2, "
          "value=Fraction(1, 2)))"),
+        (Derivation({1: poly, 2: NcPolynomial.variable(1)}),
+         Derivation({1: NcPolynomial({(): 3, (1, 2): "1/2"}), 2: NcPolynomial.variable(1)}),
+         Derivation({1: poly}),
+         "Derivation(images={1: NcPolynomial(3*() + 1/2*(1, 2)), 2: NcPolynomial(1*(1,))})"),
+        (CkScalar(1, [Fraction(1, 2), 3]), CkScalar(1, ["1/2", 3]), CkScalar(2, [Fraction(1, 2), 3, 0]),
+         None),
+        (series, CkSeries(1, 3, list(series.coeffs)), series.truncate(2), None),
+        (law, InfLaw(1, 1, 2, dict(law.values)), law2, None),
+        (cumulants, CumulantTable(1, 1, 2, dict(cumulants.values)), moments_to_cumulants(law2), None),
+        (poly, NcPolynomial({(): 3, (1, 2): "1/2"}), poly.scale(2), None),
+        (SetPartition(4, [[1, 3], [2, 4]]), SetPartition(4, [(4, 2), (3, 1)]),
+         SetPartition(4, [[1, 2], [3, 4]]), None),
+        (NcPartition(4, [[1, 4], [2, 3]]), NcPartition(4, [[3, 2], [4, 1]]),
+         NcPartition(4, [[1], [2, 3], [4]]), None),
+        (fiber[3], TypeKPartition(fiber[3].partition, 2, 1), fiber[4], None),
     ]
+    assert {type(v) for v, *_ in cases} == {
+        CkScalar, CkSeries, InfLaw, CumulantTable, SetPartition, NcPartition, TypeKPartition,
+        NcPolynomial, Derivation, LambdaVector, Coloring, Witness, FreenessVerdict,
+    }
     for value, same, other, text in cases:
+        assert isinstance(value, Value)
         assert value == same and hash(value) == hash(same)
-        assert value != other
+        assert value != other and same != other
         assert len({value, same, other}) == 2
-        assert repr(value) == text
-        name = type(value).__slots__[0]
-        with pytest.raises(AttributeError):
-            setattr(value, name, None)
+        if text is not None:
+            assert repr(value) == text
+        for name in (*type(value)._fields, "extra"):
+            with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+                setattr(value, name, None)
         assert value == same
+    # a non-crossing partition equals its plain twin, and hashes alike
+    nc, plain = NcPartition(4, [[1, 4], [2, 3]]), SetPartition(4, [[1, 4], [2, 3]])
+    assert nc == plain and plain == nc and hash(nc) == hash(plain)
+    # a law and a cumulant table over the same entries are different values
+    assert law != CumulantTable(law.k, law.num_vars, law.max_len, law.values)
+    assert CumulantTable(law.k, law.num_vars, law.max_len, law.values) != law
     assert repr(FreenessVerdict(True, None)) == "FreenessVerdict(passed=True, witness=None)"
     assert len(LambdaVector((1, 0, 2), 3)) == 3
     assert LambdaVector((1, 2), 3) != (1, 2)

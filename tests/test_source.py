@@ -91,6 +91,40 @@ def test_one_jet_arithmetic():
     assert found == []
 
 
+def _value_plumbing(node: ast.AST, holder: str = ""):
+    """(holder, what) for every `__setattr__` or trusted constructor defined
+    or assigned, and every `object.__setattr__` named, under node; holder
+    is the dotted name of the enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        inner = holder
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{holder}.{child.name}".lstrip(".")
+            if child.name in {"__setattr__", "_built", "_fill", "_of"}:
+                yield holder, f"defines {child.name}"
+        elif isinstance(child, ast.Name) and child.id == "__setattr__":
+            yield holder, "assigns __setattr__"
+        elif (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+              and isinstance(child.value, ast.Name) and child.value.id == "object"):
+            yield holder, "object.__setattr__"
+        yield from _value_plumbing(child, inner)
+
+
+def test_one_immutable_value_base():
+    # immutability, slot writes and trusted construction belong to
+    # _value.Value alone, besides the trusted scalar constructor, which
+    # runs once per computed scalar
+    found = {
+        (path.name, holder, what)
+        for path in sorted(SRC.glob("*.py"))
+        for holder, what in _value_plumbing(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    }
+    assert {f for f in found if f[0] != "_value.py"} == {
+        ("ck.py", "CkScalar", "defines _built"),
+        ("ck.py", "CkScalar._built", "object.__setattr__"),
+    }
+    assert {("_value.py", "Value", "defines __setattr__"), ("_value.py", "Value", "defines _of")} <= found
+
+
 def _dynamic_code_calls(node: ast.AST, inside: str | None):
     """(function, line) of every call of eval, exec or compile under node,
     with the name of the module-level function that holds it."""
@@ -164,7 +198,7 @@ def test_cli_imports_only_the_layers_a_verb_runs(tmp_path):
     assert {m for m in loaded if m.startswith("infree")} == {"infree"}
     loaded = _loaded_modules(tmp_path, "import infree.cli")
     assert "dataclasses" not in loaded
-    assert loaded & layers == set()
+    assert loaded & (layers | {"infree._value"}) == set()
     partition = tmp_path / "p.json"
     partition.write_text('{"n": 4, "blocks": [[1, 4], [2, 3]]}', encoding="utf-8")
     out = tmp_path / "kr.json"
