@@ -5,26 +5,30 @@ violations, non-invertible elements, a computation that runs out of memory
 or of recursion depth, a request over budget), 3 I/O failure.  "-"
 reads standard input; output goes to --out or standard output.
 
-Verbs that enumerate or visit partitions size the work from closed forms
-before doing any of it, and refuse more than ENUM_BUDGET = 100,000 with
-exit code 2 and a message that gives the size and the budget:
-- nc-enum lists Catalan(n) partitions, nck-enum Catalan(n) times the
-  Fuss-Catalan fiber size: nc-enum runs up to n = 11, nck-enum up to
-  (n, k) = (6, 2) or (5, 3), for example.  Both sizes are running
-  products that stop once they pass the digits the interpreter prints,
-  and such a size is reported as that many digits, so a huge n or k is
-  refused in milliseconds;
+Every verb that could take long sizes its work from closed forms before
+doing any of it, with one check: the sizes of larger and larger parts of
+the request, the whole request last, are compared in turn with the
+budget, and the first part over it is refused with exit code 2 and one
+line, "VERB: SIZE WHAT are over the budget of BUDGET".  A huge n or k is
+refused at its first part over the budget, in milliseconds.  The budget
+is ENUM_BUDGET = 100,000 partitions, first blocks or derivation passes:
+- nc-enum lists Catalan(n) partitions, sized over NC(m) for m = 1..n;
+  nck-enum lists Catalan(n) times the Fuss-Catalan fiber size, sized over
+  NC(m) and then the type-j partitions of [n] for j = 1..k: nc-enum runs
+  up to n = 11, nck-enum up to (n, k) = (6, 2) or (5, 3), for example;
 - boxconv --type b and --type k sum over Catalan(m) times the fiber size
   of type-i elements for every degree m up to the smaller trunc and every
   i up to k (up to 1 for type b);
 - the table transforms (m2c, c2m, check-freeness) visit v^n 2^(n-1)
   first blocks at each word length n, for v variables: one variable runs
   up to length 16, two up to length 8;
-- upgrade makes k + 1 derivation passes over each of the v^n words.
-The series verbs (convolve-add, convolve-mul, deriv-demo, boxconv --type
-a) take about trunc^3 (k+1)^2 coordinate products, each costing about w^2
+- upgrade makes k + 1 derivation passes over each of the v^n words;
+these are running totals over the degree or length.  The series verbs
+(convolve-add, convolve-mul, deriv-demo, boxconv --type a) take about
+trunc^3 (k+1)^2 coordinate products, each costing about w^2 word products
 for w = ceil(trunc bits / 512) and bits the largest input bit length, and
-refuse more than SERIES_BUDGET = 500,000 the same way: at k = 2 and small
+refuse more than SERIES_BUDGET = 500,000 word products, sized over the
+orders up to k and then the degrees up to trunc: at k = 2 and small
 coefficients they run up to degree 38, at k = 0 and 1000-bit coefficients
 up to degree 10.  An output holding an integer longer than the interpreter
 converts to a string is an error that names the verb and that limit.
@@ -40,7 +44,7 @@ import argparse
 import json
 import re
 import sys
-from itertools import chain
+from itertools import accumulate, chain
 
 from . import __version__
 from .jsonio import (
@@ -112,45 +116,26 @@ def _write(text: str, out: str | None):
             fh.write(text)
 
 
-def _within_budget(verb: str, factors, divisor: int = 1) -> None:
-    """Refuse an enumeration of more than ENUM_BUDGET partitions.  Its size
-    is a running product, multiplied by a and divided exactly by b for each
-    pair (a, b) of factors and never decreasing, then divided by divisor.
-    The product stops once the size has more digits than the interpreter
-    prints, so a huge size costs no more than that."""
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    cap = 10 ** digits * divisor
-    size = 1
-    for a, b in factors:
-        size = size * a // b
-        if size >= cap:
-            raise ValueError(f"{verb}: output of a number of partitions with more than "
-                             f"{digits} digits is over the budget of {ENUM_BUDGET}")
-    size //= divisor
-    if size > ENUM_BUDGET:
-        raise ValueError(f"{verb}: output of {size} partitions is over the budget of {ENUM_BUDGET}")
+def _within_budget(verb: str, steps, budget: int = ENUM_BUDGET) -> None:
+    """Refuse a request whose work is over budget.  steps yields (size,
+    what) for larger and larger parts of the request, each size at least the
+    one before and the whole request last; the check stops at the first
+    size over budget, so a huge request costs no more than that part."""
+    for size, what in steps:
+        if size > budget:
+            raise ValueError(f"{verb}: {size} {what} are over the budget of {budget}")
 
 
-def _catalan_factors(n: int):
-    """Catalan(m + 1) = Catalan(m) * 2(2m + 1) / (m + 2), from Catalan(1) = 1."""
-    return ((2 * (2 * m + 1), m + 2) for m in range(1, n))
+def _totals(sizes, what: str):
+    """Steps for the running totals of sizes, the work at n = 1, 2, ...,
+    each named what followed by n."""
+    return ((total, f"{what} {n}") for n, total in enumerate(accumulate(sizes), start=1))
 
 
-def _within_running_budget(verb: str, sizes, what: str, upto: str) -> None:
-    """Refuse once the running total of sizes, the work at n = 1, 2, ...,
-    passes ENUM_BUDGET; the sum stops there, so a huge n costs nothing."""
-    total = 0
-    for n, size in enumerate(sizes, start=1):
-        total += size
-        if total > ENUM_BUDGET:
-            raise ValueError(f"{verb}: {total} {what} up to {upto} {n} are over "
-                             f"the budget of {ENUM_BUDGET}")
-
-
-def _within_table_budget(verb: str, num_vars: int, max_len: int) -> None:
+def _table_steps(num_vars: int, max_len: int):
     """A table transform visits num_vars^n 2^(n-1) first blocks at length n."""
-    _within_running_budget(verb, (num_vars ** n * 2 ** (n - 1) for n in range(1, max_len + 1)),
-                           "first blocks", "length")
+    return _totals((num_vars ** n * 2 ** (n - 1) for n in range(1, max_len + 1)),
+                   "first blocks up to length")
 
 
 def _bit_length(scalars) -> int:
@@ -158,24 +143,26 @@ def _bit_length(scalars) -> int:
     return max((n.bit_length() for x in scalars for n in (x.den, *x.nums)), default=0)
 
 
-def _within_series_budget(verb: str, k: int, trunc: int, scalars=()) -> None:
+def _series_steps(k: int, trunc: int, scalars=()):
     """A series verb takes about trunc products of series to degree trunc,
     each coefficient of each a Leibniz product of order k.  The integers in
-    that work grow to about trunc times the widest input coefficient, and
-    each operation on them costs about the square of their size once that
-    passes SERIES_WIDTH bits: so trunc^3 (k+1)^2 is multiplied by w^2, w =
-    ceil(trunc bits / SERIES_WIDTH) for the largest input bit length bits."""
+    that work grow to about trunc times the widest input coefficient, w =
+    ceil(trunc bits / SERIES_WIDTH) words of SERIES_WIDTH bits for the
+    largest input bit length bits, and a product of two of them costs about
+    w^2 word products: trunc^3 (k+1)^2 w^2 in all.  The steps raise the
+    order to k at degree 1, then the degree to trunc, so that a huge k or
+    trunc is refused at a size short enough to print."""
     bits = _bit_length(scalars)
-    width = max(1, -(-trunc * bits // SERIES_WIDTH))
-    size = trunc ** 3 * (k + 1) ** 2 * width ** 2
-    if size <= SERIES_BUDGET:
-        return
-    if width == 1:
-        raise ValueError(f"{verb}: series to degree {trunc} at order {k} are over the budget "
-                         f"of {SERIES_BUDGET} for trunc^3 (k+1)^2")
-    raise ValueError(f"{verb}: series to degree {trunc} at order {k} with {bits}-bit "
-                     f"coefficients have size {size} for trunc^3 (k+1)^2 w^2, "
-                     f"w = ceil(trunc bits / {SERIES_WIDTH}), over the budget of {SERIES_BUDGET}")
+
+    def step(order, degree):
+        width = max(1, -(-degree * bits // SERIES_WIDTH))
+        what = f"word products for series to degree {degree} at order {order}"
+        if width > 1:
+            what += f" with {bits}-bit coefficients"
+        return degree ** 3 * (order + 1) ** 2 * width ** 2, what
+
+    orders = range(k + 1) if trunc >= 1 else ()
+    return chain((step(j, 1) for j in orders), (step(k, d) for d in range(2, trunc + 1)))
 
 
 def _encoded(verb: str, value) -> str:
@@ -198,22 +185,25 @@ def _domain_errors() -> tuple:
 
 
 def _cmd_nc_enum(args):
-    from .partitions import enumerate_nc
+    from .partitions import catalan, enumerate_nc
 
-    if args.n >= 1:  # smaller n is refused by enumerate_nc
-        _within_budget("nc-enum", _catalan_factors(args.n))
+    _within_budget("nc-enum", ((catalan(m), f"partitions of [{m}]")
+                               for m in range(1, args.n + 1)))
     return list(enumerate_nc(args.n))
 
 
 def _cmd_nck_enum(args):
-    from .typek import enumerate_type_k
+    from .partitions import catalan
+    from .typek import enumerate_type_k, fiber_size_formula
 
-    n, b = args.n, args.k + 1
-    if n >= 1 and b >= 1:  # other values are refused by enumerate_type_k
-        # Catalan(n) times the Fuss-Catalan fiber size C((n+1)b, b) / (nb + 1),
-        # where C(nb + i, i) = C(nb + i - 1, i - 1) (nb + i) / i
-        fiber = ((n * b + i, i) for i in range(1, b + 1))
-        _within_budget("nck-enum", chain(_catalan_factors(n), fiber), n * b + 1)
+    n, k = args.n, args.k
+    if n >= 1 and k >= 0:  # other values are refused by enumerate_type_k
+        # NC(m) for m up to n, then Catalan(n) reductions times the
+        # Fuss-Catalan fiber of type j for j up to k
+        _within_budget("nck-enum", chain(
+            ((catalan(m), f"partitions of [{m}]") for m in range(1, n + 1)),
+            ((catalan(n) * fiber_size_formula(n, j), f"type-{j} partitions of [{n}]")
+             for j in range(1, k + 1))))
     return list(enumerate_type_k(n, args.k))
 
 
@@ -236,7 +226,7 @@ def _cmd_m2c(args):
     from .cumulants import moments_to_cumulants
 
     law = decode_law(_read_json(args.law))
-    _within_table_budget("m2c", law.num_vars, law.max_len)
+    _within_budget("m2c", _table_steps(law.num_vars, law.max_len))
     return moments_to_cumulants(law)
 
 
@@ -244,7 +234,7 @@ def _cmd_c2m(args):
     from .cumulants import cumulants_to_moments
 
     table = decode_cumulant_table(_read_json(args.law))
-    _within_table_budget("c2m", table.num_vars, table.max_len)
+    _within_budget("c2m", _table_steps(table.num_vars, table.max_len))
     return cumulants_to_moments(table)
 
 
@@ -259,15 +249,14 @@ def _cmd_boxconv(args):
         raise ValueError(f"series have k={f.k},{g.k}, flag says k={args.k}")
     if args.type == "a":
         n = min(f.trunc, g.trunc)
-        _within_series_budget("boxconv", f.k, n,
-                              chain(f.coeffs[:n], g.coeffs[:n], (f.const, g.const)))
+        _within_budget("boxconv", _series_steps(
+            f.k, n, chain(f.coeffs[:n], g.coeffs[:n], (f.const, g.const))), SERIES_BUDGET)
         return boxed_conv_ck(f, g)
     # the witness routes build every type-i element of degree m <= trunc
     top = 1 if args.type == "b" else f.k
-    _within_running_budget("boxconv", (
-        catalan(m) * sum(fiber_size_formula(m, i) for i in range(top + 1))
-        for m in range(1, min(f.trunc, g.trunc) + 1)
-    ), "type-k elements", "degree")
+    sizes = (catalan(m) * sum(fiber_size_formula(m, i) for i in range(top + 1))
+             for m in range(1, min(f.trunc, g.trunc) + 1))
+    _within_budget("boxconv", _totals(sizes, "type-k elements up to degree"))
     if args.type == "b":
         return boxed_conv_type_b(f, g)
     return boxed_conv_type_k(f, g)
@@ -278,8 +267,8 @@ def _cmd_convolve_add(args):
 
     mu = decode_law(_read_json(args.lhs), "lhs")
     nu = decode_law(_read_json(args.rhs), "rhs")
-    _within_series_budget("convolve-add", mu.k, mu.max_len,
-                          chain(mu.values.values(), nu.values.values()))
+    _within_budget("convolve-add", _series_steps(
+        mu.k, mu.max_len, chain(mu.values.values(), nu.values.values())), SERIES_BUDGET)
     return additive_convolve(mu, nu)
 
 
@@ -288,8 +277,8 @@ def _cmd_convolve_mul(args):
 
     mu = decode_law(_read_json(args.lhs), "lhs")
     nu = decode_law(_read_json(args.rhs), "rhs")
-    _within_series_budget("convolve-mul", mu.k, mu.max_len,
-                          chain(mu.values.values(), nu.values.values()))
+    _within_budget("convolve-mul", _series_steps(
+        mu.k, mu.max_len, chain(mu.values.values(), nu.values.values())), SERIES_BUDGET)
     return multiplicative_convolve(mu, nu)
 
 
@@ -300,7 +289,7 @@ def _cmd_check_freeness(args):
     coloring = decode_coloring(_read_json(args.colors), "colors")
     max_len = args.max_len if args.max_len is not None else law.max_len
     # a budget beyond the law's own length is refused before any word
-    _within_table_budget("check-freeness", law.num_vars, min(max_len, law.max_len))
+    _within_budget("check-freeness", _table_steps(law.num_vars, min(max_len, law.max_len)))
     return check_inf_freeness(law, coloring, max_len)
 
 
@@ -310,9 +299,8 @@ def _cmd_upgrade(args):
     base = decode_law(_read_json(args.base), "base")
     d = decode_derivation(_read_json(args.derivation), "derivation")
     passes = max(args.k + 1, 1)  # upgraded_law refuses k < 0; the sum must still grow
-    _within_running_budget("upgrade", (base.num_vars ** n * passes
-                                       for n in range(1, args.max_len + 1)),
-                           "derivation passes", "length")
+    sizes = (base.num_vars ** n * passes for n in range(1, args.max_len + 1))
+    _within_budget("upgrade", _totals(sizes, "derivation passes up to length"))
     return upgraded_law(base, d, args.k, args.max_len)
 
 
@@ -325,7 +313,7 @@ def _cmd_deriv_demo(args):
     from .freeness import derivative_of_convolution
 
     k, L = args.k, args.max_len
-    _within_series_budget("deriv-demo", k, L)
+    _within_budget("deriv-demo", _series_steps(k, L), SERIES_BUDGET)
     with_t = CkScalar(k, [1, 1] + [0] * (k - 1)) if k >= 1 else CkScalar(k, [1])
 
     def shifted(c0):

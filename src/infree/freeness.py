@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import index
 
 from ._value import Value
 from .ck import CkScalar, _accumulate, _coerce
@@ -101,7 +102,7 @@ class Derivation(Value):
         for v, p in images.items():
             if not isinstance(p, NcPolynomial):
                 raise TypeError("derivation images must be NcPolynomial")
-            store[int(v)] = p
+            store[index(v)] = p
         self._set(store)
 
     def __hash__(self):
@@ -144,7 +145,8 @@ class Coloring(Value):
     __slots__ = _fields = ("colors",)
 
     def __init__(self, colors):
-        colors = tuple(int(c) for c in colors)
+        # an ASCII digit string is read as its integer; a float is refused
+        colors = tuple(int(c) if isinstance(c, str) else index(c) for c in colors)
         if not colors:
             raise ValueError("coloring must cover at least one variable")
         self._set(colors)

@@ -9,8 +9,9 @@ coverage nor its crossings are checked again.
 """
 from __future__ import annotations
 
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from math import comb
+from operator import index, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from ._value import Value
@@ -26,7 +27,8 @@ class SetPartition(Value):
     __slots__ = _fields = ("n", "blocks")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        blocks = tuple(tuple(sorted(b)) for b in blocks)
+        # elements through operator.index: 1.0 == 1 would pass the coverage check
+        blocks = tuple(tuple(sorted(map(index, b))) for b in blocks)
         if not all(blocks):
             raise ValueError(f"blocks must be non-empty: {blocks}")
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
@@ -181,35 +183,19 @@ class BarredElement(NamedTuple):
         return f"{self.index}'" if self.barred else f"{self.index}"
 
 
-def block_order_cmp(v: tuple, w: tuple) -> int:
-    """Partial order on disjoint blocks: V before W when max V < min W, or W
-    nests around V (min W < min V and max V < max W).  Blocks here are sorted
-    tuples of comparable elements; on blocks of a single non-crossing
-    partition together with its complement this order is total."""
-    if v == w:
-        return 0
-    if v[-1] < w[0]:
-        return -1
-    if w[-1] < v[0]:
-        return 1
-    if w[0] < v[0] and v[-1] < w[-1]:
-        return -1
-    if v[0] < w[0] and w[-1] < v[-1]:
-        return 1
-    raise ValueError(f"blocks {v} and {w} are incomparable")
-
-
 def ordered_blocks(p: NcPartition) -> tuple:
     """Canonical block lists of p united with its Kreweras complement.
 
     Returns (mix_list, sep_list).  Both list the same n+1 blocks over the
     doubled alphabet 1 < 1bar < 2 < 2bar < ... < n < nbar, with p living on
     the unbarred copy and the complement on the barred one.  mix_list sorts
-    all blocks together by the nesting order; sep_list lists p's blocks in
-    that order first, then the complement's.
+    all blocks together by the nesting order, V before W when max V < min W
+    or W nests around V; on these blocks that is the order of their last
+    elements.  sep_list lists p's blocks in that order first, then the
+    complement's.
     """
     kr = kreweras(p)
-    key = cmp_to_key(block_order_cmp)
+    key = itemgetter(-1)
     p_blocks = [tuple(BarredElement(x, False) for x in b) for b in p.blocks]
     kr_blocks = [tuple(BarredElement(x, True) for x in b) for b in kr.blocks]
     mix_list = sorted(p_blocks + kr_blocks, key=key)

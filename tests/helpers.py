@@ -5,7 +5,7 @@ production code under test: brute-force filters, lattice recursions,
 direct formula evaluation, polynomial interpolation.
 """
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import product as iter_product
 from math import comb, factorial
 
@@ -37,6 +37,7 @@ from infree.jsonio import (
     decode_rational,
 )
 from infree.partitions import (
+    BarredElement,
     NcPartition,
     SetPartition,
     enumerate_nc,
@@ -51,6 +52,35 @@ from infree.typek import (
     is_type_k,
     r_of_shape,
 )
+
+
+def block_order_cmp(v: tuple, w: tuple) -> int:
+    """Partial order on disjoint blocks: V before W when max V < min W, or W
+    nests around V (min W < min V and max V < max W).  Blocks here are sorted
+    tuples of comparable elements; on blocks of a single non-crossing
+    partition together with its complement this order is total."""
+    if v == w:
+        return 0
+    if v[-1] < w[0]:
+        return -1
+    if w[-1] < v[0]:
+        return 1
+    if w[0] < v[0] and v[-1] < w[-1]:
+        return -1
+    if v[0] < w[0] and w[-1] < v[-1]:
+        return 1
+    raise ValueError(f"blocks {v} and {w} are incomparable")
+
+
+def ordered_blocks_oracle(p: NcPartition) -> tuple:
+    """(mix_list, sep_list) of `ordered_blocks`, sorted by the nesting
+    comparator itself rather than by last elements."""
+    kr = kreweras(p)
+    key = cmp_to_key(block_order_cmp)
+    p_blocks = [tuple(BarredElement(x, False) for x in b) for b in p.blocks]
+    kr_blocks = [tuple(BarredElement(x, True) for x in b) for b in kr.blocks]
+    return (tuple(sorted(p_blocks + kr_blocks, key=key)),
+            tuple(sorted(p_blocks, key=key) + sorted(kr_blocks, key=key)))
 
 
 def compositions(n: int, total: int):

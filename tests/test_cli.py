@@ -27,7 +27,7 @@ from infree.convolve import (
     moment_series,
     multiplicative_convolve,
 )
-from infree.cumulants import CumulantTable, InfLaw, all_words, moments_to_cumulants
+from infree.cumulants import CumulantTable, InfLaw, _first_blocks, all_words, moments_to_cumulants
 from infree.freeness import Coloring, free_product_joint
 from infree.jsonio import (
     decode_cumulant_table,
@@ -37,7 +37,7 @@ from infree.jsonio import (
     encode,
 )
 from infree.partitions import NcPartition, catalan, enumerate_nc, kreweras
-from infree.typek import fiber_size_formula
+from infree.typek import enumerate_type_k, fiber_size_formula
 
 from helpers import decode_verdict, rand_law, rand_series, t_poly_freeness_oracle
 
@@ -100,43 +100,92 @@ def test_enumeration_over_budget_is_refused_up_front(capsys, monkeypatch, tmp_pa
     f1 = write(tmp_path, "f1.json", rand_series(rng, 1, 12))
     assert _witness_size(5, 3) <= cli.ENUM_BUDGET < _witness_size(6, 3)
     assert _witness_size(9, 1) <= cli.ENUM_BUDGET < _witness_size(10, 1)
-    # sizes with more digits than the interpreter prints are never computed
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    unprintable = f"output of a number of partitions with more than {digits} digits is"
+    # the first part of a request over the budget is refused, so a huge n
+    # or k costs no more than that part: NC(12), or type-8 partitions of [2]
+    assert catalan(11) <= cli.ENUM_BUDGET < catalan(12)
+    assert catalan(2) * fiber_size_formula(2, 7) <= cli.ENUM_BUDGET < catalan(2) * fiber_size_formula(2, 8)
+    assert catalan(3) * fiber_size_formula(3, 5) <= cli.ENUM_BUDGET < catalan(3) * fiber_size_formula(3, 6)
     for argv, message in (
-        (["nc-enum", "--n", "3000000"], unprintable),
-        (["nck-enum", "--n", "2", "--k", "30000000"], unprintable),
-        (["nc-enum", "--n", "16"], f"output of {catalan(16)} partitions is"),
+        (["nc-enum", "--n", "3000000"], f"{catalan(12)} partitions of [12]"),
+        (["nck-enum", "--n", "3000000", "--k", "0"], f"{catalan(12)} partitions of [12]"),
+        (["nck-enum", "--n", "2", "--k", "30000000"],
+         f"{catalan(2) * fiber_size_formula(2, 8)} type-8 partitions of [2]"),
+        (["nc-enum", "--n", "16"], f"{catalan(12)} partitions of [12]"),
         (["nck-enum", "--n", "6", "--k", "3"],
-         f"output of {catalan(6) * fiber_size_formula(6, 3)} partitions is"),
+         f"{catalan(6) * fiber_size_formula(6, 3)} type-3 partitions of [6]"),
         (["nck-enum", "--n", "3", "--k", "40"],
-         f"output of {catalan(3) * fiber_size_formula(3, 40)} partitions is"),
+         f"{catalan(3) * fiber_size_formula(3, 6)} type-6 partitions of [3]"),
         (["boxconv", "--type", "k", "--lhs", f3, "--rhs", f3],
-         f"{_witness_size(6, 3)} type-k elements up to degree 6 are"),
+         f"{_witness_size(6, 3)} type-k elements up to degree 6"),
         (["boxconv", "--type", "b", "--lhs", f1, "--rhs", f1],
-         f"{_witness_size(10, 1)} type-k elements up to degree 10 are"),
+         f"{_witness_size(10, 1)} type-k elements up to degree 10"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err == f"error: {argv[0]}: {message} over the budget of {cli.ENUM_BUDGET}\n"
+        assert err == f"error: {argv[0]}: {message} are over the budget of {cli.ENUM_BUDGET}\n"
         assert "Traceback" not in err
 
 
 def test_enumeration_sizes_match_the_closed_forms(capsys, monkeypatch):
-    # with no budget every request is refused, and the refusal gives the
-    # running product's size: Catalan(n), times the fiber size for nck-enum
-    monkeypatch.setattr(cli, "ENUM_BUDGET", 0)
+    # one short of the closed form, Catalan(n) times the fiber size for
+    # nck-enum, the request is refused with exactly that size; at the closed
+    # form it runs, and the output has that many partitions
+    check = cli._within_budget
+
+    def budget(value):
+        monkeypatch.setattr(cli, "_within_budget", lambda verb, steps: check(verb, steps, value))
+
     for n in range(1, 25):
-        sizes = [(["nc-enum", "--n", str(n)], catalan(n))] + [
-            (["nck-enum", "--n", str(n), "--k", str(k)], catalan(n) * fiber_size_formula(n, k))
+        cases = [(["nc-enum", "--n", str(n)], catalan(n), f"partitions of [{n}]")] + [
+            (["nck-enum", "--n", str(n), "--k", str(k)], catalan(n) * fiber_size_formula(n, k),
+             f"type-{k} partitions of [{n}]" if k else f"partitions of [{n}]")
             for k in range(8)
         ]
-        for argv, size in sizes:
+        for argv, size, what in cases:
+            budget(size - 1)
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
-            assert err == f"error: {argv[0]}: output of {size} partitions is over the budget of 0\n"
+            assert err == f"error: {argv[0]}: {size} {what} are over the budget of {size - 1}\n"
+            if size <= 1000:
+                budget(size)
+                code, out, err = run(capsys, *argv)
+                assert (code, err) == (0, "") and len(json.loads(out)) == size
+
+
+def test_sizings_match_the_work_done(capsys, monkeypatch, tmp_path):
+    # the steps each call of the budget check is given, as lists
+    seen = []
+    check = cli._within_budget
+
+    def record(verb, steps, *budget):
+        seen.append(list(steps))
+        check(verb, seen[-1], *budget)
+
+    monkeypatch.setattr(cli, "_within_budget", record)
+    # an enumeration's whole request is the length of its output
+    for argv in (["nc-enum", "--n", "6"], ["nck-enum", "--n", "4", "--k", "2"],
+                 ["nck-enum", "--n", "2", "--k", "0"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and seen[-1][-1][0] == len(json.loads(out))
+    # the boxconv witness total is the number of type-i elements built
+    rng = random.Random(433)
+    for typ, top in (("b", 1), ("k", 2)):
+        path = write(tmp_path, "s.json", rand_series(rng, top, 4))
+        code, _, _ = run(capsys, "boxconv", "--type", typ, "--lhs", path, "--rhs", path)
+        assert code == 0
+        assert seen[-1][-1][0] == sum(len(enumerate_type_k(m, i))
+                                      for m in range(1, 5) for i in range(top + 1))
+    # a table transform visits every first block of every word
+    monkeypatch.setattr(infree.cumulants, "moments_to_cumulants", computed)
+    for num_vars, max_len in ((1, 6), (2, 4), (3, 3)):
+        law = write(tmp_path, "law.json", rand_law(rng, 0, num_vars, max_len))
+        assert run(capsys, "m2c", "--law", law)[0] == 0
+        assert seen[-1][-1][0] == sum(len(_first_blocks(len(w)))
+                                      for w in all_words(num_vars, max_len))
+    # every sizing grows step by step to its whole request
+    assert all(a[0] <= b[0] for steps in seen for a, b in zip(steps, steps[1:]))
 
 
 def test_benchmark_enumerations_are_within_budget(capsys, tmp_path):
@@ -180,22 +229,33 @@ def test_table_transforms_over_budget_are_refused_up_front(capsys, monkeypatch, 
                      ["check-freeness", "--law", law, "--colors", colors]):
             code, out, err = run(capsys, *argv)
             if refused:
+                total = sum(num_vars ** n * 2 ** (n - 1) for n in range(1, max_len + 1))
                 assert (code, out) == (2, "")
-                assert err.startswith(f"error: {argv[0]}: ") and "first blocks up to length" in err
+                assert err == (f"error: {argv[0]}: {total} first blocks up to length {max_len} "
+                               f"are over the budget of {cli.ENUM_BUDGET}\n")
             else:
                 assert (code, out, err) == (0, "{}\n", "")
 
 
-def _series_refusal(verb: str, k: int, trunc: int) -> str:
-    return (f"error: {verb}: series to degree {trunc} at order {k} are over the budget "
-            f"of {cli.SERIES_BUDGET} for trunc^3 (k+1)^2\n")
+def _series_refusal(verb: str, k: int, trunc: int, bits: int = 0) -> str:
+    """The refusal of series work at order k and degree trunc, w = 1 unless
+    bits are given."""
+    width = max(1, -(-trunc * bits // cli.SERIES_WIDTH))
+    wide = f" with {bits}-bit coefficients" if width > 1 else ""
+    return (f"error: {verb}: {trunc ** 3 * (k + 1) ** 2 * width ** 2} word products for series "
+            f"to degree {trunc} at order {k}{wide} are over the budget of {cli.SERIES_BUDGET}\n")
 
 
 def test_series_verbs_over_budget_are_refused_up_front(capsys, monkeypatch, tmp_path):
-    # about trunc^3 (k+1)^2 coordinate products, refused before any of them
+    # about trunc^3 (k+1)^2 coordinate products, refused before any of them:
+    # the sizing raises the order at degree 1, then the degree, and stops at
+    # the first part over the budget, order 707 or degree 51 at k = 1
+    assert 707 ** 2 <= cli.SERIES_BUDGET < 708 ** 2
+    assert 50 ** 3 * 4 <= cli.SERIES_BUDGET < 51 ** 3 * 4
     for argv, k, trunc in (
-        (["deriv-demo", "--k", "100000", "--max-len", "3"], 100000, 3),
-        (["deriv-demo", "--k", "1", "--max-len", "1" + "0" * 4000], 1, 10 ** 4000),
+        (["deriv-demo", "--k", "100000", "--max-len", "3"], 707, 1),
+        (["deriv-demo", "--k", "1" + "0" * 4000, "--max-len", "3"], 707, 1),
+        (["deriv-demo", "--k", "1", "--max-len", "1" + "0" * 4000], 1, 51),
         (["deriv-demo", "--k", "2", "--max-len", "39", "--mode", "multiplicative"], 2, 39),
     ):
         start = time.perf_counter()
@@ -239,7 +299,8 @@ def _wide_law(rng, max_len: int, digits: int = 300) -> InfLaw:
 
 def test_series_verbs_size_wide_coefficients(capsys, tmp_path):
     # 300-digit rationals at degree 24 are 13,824 by trunc^3 alone, but the
-    # integers of the work grow to about 24 times 997 bits: refused up front
+    # integers of the work grow to about 24 times 997 bits: refused up front,
+    # at degree 11, the first over the budget
     rng = random.Random(811)
     lhs = write(tmp_path, "lhs.json", _wide_law(rng, 24))
     rhs = write(tmp_path, "rhs.json", _wide_law(rng, 24))
@@ -247,22 +308,19 @@ def test_series_verbs_size_wide_coefficients(capsys, tmp_path):
                for x in decode_law(json.loads(Path(path).read_text(encoding="utf-8"))).values.values()
                for n in (x.den, *x.nums))
     assert bits == 997
-    width = -(-24 * bits // cli.SERIES_WIDTH)
     for verb in ("convolve-add", "convolve-mul"):
         start = time.perf_counter()
         code, out, err = run(capsys, verb, "--lhs", lhs, "--rhs", rhs)
         assert time.perf_counter() - start < 1.0
-        assert (code, out) == (2, "")
-        assert err == (f"error: {verb}: series to degree 24 at order 0 with {bits}-bit coefficients "
-                       f"have size {24 ** 3 * width ** 2} for trunc^3 (k+1)^2 w^2, "
-                       f"w = ceil(trunc bits / {cli.SERIES_WIDTH}), over the budget of "
-                       f"{cli.SERIES_BUDGET}\n")
+        assert (code, out, err) == (2, "", _series_refusal(verb, 0, 11, bits))
     # the same series as boxconv operands, and the same widths at degree 10
     # (400,000), which run
     series = write(tmp_path, "series.json", moment_series(_wide_law(rng, 24)))
     code, out, err = run(capsys, "boxconv", "--lhs", series, "--rhs", series)
-    assert (code, out) == (2, "") and err.startswith("error: boxconv: series to degree 24 ")
+    assert (code, out) == (2, "") and err.startswith("error: boxconv: ")
+    assert "word products for series to degree 11 at order 0 with " in err
     assert 10 ** 3 * (-(-10 * bits // cli.SERIES_WIDTH)) ** 2 <= cli.SERIES_BUDGET
+    assert 11 ** 3 * (-(-11 * bits // cli.SERIES_WIDTH)) ** 2 > cli.SERIES_BUDGET
     small = write(tmp_path, "small.json", _wide_law(rng, 10))
     code, out, err = run(capsys, "convolve-add", "--lhs", small, "--rhs", small)
     assert code == 2 and "series to degree" not in err  # sized in, failing only at the output

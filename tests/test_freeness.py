@@ -614,8 +614,17 @@ def test_floats_are_refused_where_rationals_are_exact():
     ):
         with pytest.raises(TypeError, match="expected an exact rational, got float"):
             build()
-    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
-        LambdaVector((1.9, 1.1), 2)
+    for build in (
+        lambda: LambdaVector((1.9, 1.1), 2),
+        lambda: Coloring([1.5, 2.7]),
+        lambda: Coloring([1, 2.0]),
+        lambda: Derivation({1.5: X1}),
+    ):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            build()
+    # colours may still be written as digit strings
+    assert Coloring([1, "2"]).colors == (1, 2)
+    assert Derivation({2: X1}).images == {2: X1}
     # exact inputs are read as before
     assert NcPolynomial({(1,): "1/10", (2,): Fraction(1, 3), (): 2}).terms == {
         (1,): Fraction(1, 10), (2,): Fraction(1, 3), (): 2}

@@ -6,7 +6,6 @@ from infree.partitions import (
     NcPartition,
     SetPartition,
     biane_permutation,
-    block_order_cmp,
     catalan,
     enumerate_nc,
     is_noncrossing,
@@ -17,9 +16,11 @@ from infree.partitions import (
 )
 
 from helpers import (
+    block_order_cmp,
     enumerate_set_partitions,
     mobius_recursive,
     nc_coarsenings,
+    ordered_blocks_oracle,
     refines,
     rotate_partition,
     union_noncrossing,
@@ -59,6 +60,17 @@ def test_partition_validation():
             SetPartition(n, [[1, 2], [3]] if n > 0 else [])
     p = SetPartition(4, [[4, 2], [3, 1]])
     assert p.blocks == ((1, 3), (2, 4))  # canonical: sorted, by minimum
+
+
+def test_float_elements_are_refused():
+    # 1.0 == 1, so a float element would pass the coverage check and the
+    # partition would equal the integer one
+    for cls in (SetPartition, NcPartition):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            cls(2, [[1.0, 2.0]])
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            cls(2, [[1], [2.0]])
+        assert cls(2, [[2, 1]]).blocks == ((1, 2),)
 
 
 def test_enumerate_nc_counts_and_oracle():
@@ -155,6 +167,8 @@ def test_ordered_blocks_properties():
     for n in range(1, 7):
         for p in enumerate_nc(n):
             mix, sep = ordered_blocks(p)
+            # sorting by last element is sorting by the nesting comparator
+            assert (mix, sep) == ordered_blocks_oracle(p)
             assert len(mix) == n + 1 and len(sep) == n + 1
             assert sorted(mix) == sorted(sep)
             # Mix(p,1) is a singleton

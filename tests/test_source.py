@@ -125,6 +125,24 @@ def test_one_immutable_value_base():
     assert {("_value.py", "Value", "defines __setattr__"), ("_value.py", "Value", "defines _of")} <= found
 
 
+def test_one_budget_check_in_the_cli():
+    # every verb sizes its work through one check, so the refusal line is
+    # spelt in one raise and no second sizing path can come back
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    phrase = "over the budget"
+    raises = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and phrase in ast.get_source_segment(source, node)]
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node) is not None}
+    strings = [node for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and phrase in node.value and id(node) not in docstrings]
+    assert len(raises) == 1 and len(strings) == 1
+    assert strings[0] in list(ast.walk(raises[0]))
+
+
 def _dynamic_code_calls(node: ast.AST, inside: str | None):
     """(function, line) of every call of eval, exec or compile under node,
     with the name of the module-level function that holds it."""
