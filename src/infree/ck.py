@@ -16,31 +16,33 @@ fetches it once per call and pays only the integer operations per product.
 Compiling grows as k^2, so higher orders keep the generic loop `_leibniz`.
 
 Every sum of C_k products in the package goes through one of two private
-cores.  `_accumulate` serves series products and compositions, the boxed
-gamma_m loop and block products of cumulants: it drops a term at its first
-zero factor, chains integer Leibniz products over the rest, adds them over
-a running lcm denominator and reduces once per output scalar, not once per
-term, and returns the sum alone.  `_first_block_table` does the same for
-the moment-cumulant first-block sums of a whole table, in both directions,
-reading the table's entries as (den, nums) pairs once rather than scalar by
-scalar.
+cores in this module.  `_accumulate` serves series products and
+compositions, the boxed gamma_m loop and block products of cumulants: it
+drops a term at its first zero factor, chains integer Leibniz products over
+the rest, adds them over a running lcm denominator and reduces once per
+output scalar, not once per term, and returns the sum alone.
+`_first_block_table` runs the moment-cumulant first-block recursion over a
+whole table, in both directions: it builds the words of each length and
+their first blocks itself, and reads the table's entries as (den, nums)
+pairs once rather than scalar by scalar.  `ck_inverse` runs Newton's
+iteration through the same Leibniz rule, at doubling orders.
 
 Validation happens once, where a value enters the library: the scalar,
 series and table constructors.  A scalar the library computes is built by
 the trusted `CkScalar._built`, one gcd reduction and no check.  So the
 cores trust their factors to be order-k scalars and check none of them:
-series products, the boxed loop and product-tuple cumulants, whose factors
-come from validated series and tables, hand `_accumulate` their (num, den,
-chain) terms directly, while `kappa_pi`, `cumulant_of_products` and
-`ck_prod_many` go through `_sum_of_products`, which checks every factor
-and then feeds the same core.
+every caller hands `_accumulate` (num, den, chain) terms whose factors come
+from validated series and tables.  `ck_prod_many`, the one public product
+of caller scalars, checks the type and order of each factor before it
+calls the same core.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from itertools import combinations, product
 from math import comb, factorial, gcd, lcm
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
@@ -231,45 +233,23 @@ def ck_mul(a: CkScalar, b: CkScalar) -> CkScalar:
 
 def ck_prod_many(factors: Sequence[CkScalar]) -> CkScalar:
     """Left fold of the Leibniz product over a non-empty list of uniform
-    order, reduced once at the end."""
+    order, reduced once at the end.  Every factor is type- and
+    order-checked, a zero one included, before `_accumulate` multiplies
+    them."""
     if not factors:
         raise ValueError("product of an empty list of C_k scalars")
-    return _sum_of_products(factors[0].k, (factors,))
-
-
-def _sum_of_products(k: int, terms: Iterable) -> CkScalar:
-    """The sum over terms of the product of each term's factors, reduced
-    once.
-
-    A factor is a C_k scalar of order k or an exact rational (int or
-    Fraction) weight.  Every factor is type- and order-checked, a zero one
-    included; the checked terms then go through `_accumulate`, which skips
-    a term with a zero factor before multiplying it out."""
-    return _accumulate(k, (_checked_term(k, factors) for factors in terms))
-
-
-def _checked_term(k: int, factors: Iterable) -> tuple:
-    """(weight numerator, weight denominator, chain of scalars) for one
-    term of `_sum_of_products`, every factor checked."""
-    num, den, chain = 1, 1, []
     for f in factors:
-        if isinstance(f, CkScalar):
-            if f.k != k:
-                raise ValueError(f"order mismatch: k={f.k} vs k={k}")
-            chain.append(f)
-        elif isinstance(f, (int, Fraction)):
-            num *= f.numerator
-            den *= f.denominator
-        else:
-            raise TypeError(f"expected a C_k scalar or an exact rational, got {type(f).__name__}")
-    return num, den, chain
+        if not isinstance(f, CkScalar):
+            raise TypeError(f"expected a C_k scalar, got {type(f).__name__}")
+        _check_order(factors[0], f)
+    return _accumulate(factors[0].k, ((1, 1, factors),))
 
 
 def _accumulate(k: int, terms: Iterable) -> CkScalar:
-    """The one trusted C_k sum-of-products core: the sum of num / den times
-    the product of the chain over the terms (num, den, chain).  The chain's
-    factors are order-k scalars the library built, so none is checked
-    again.
+    """The trusted C_k sum-of-products core: the sum of num / den times the
+    product of the chain over the terms (num, den, chain).  The chain's
+    factors are order-k scalars the library built or validated, so none is
+    checked again.
 
     A term is dropped at its zero weight or its first zero factor, before
     anything is multiplied.  Each product is a chain of order-k Leibniz
@@ -304,17 +284,33 @@ def _accumulate(k: int, terms: Iterable) -> CkScalar:
     return CkScalar._built(k, den, acc)
 
 
-def _first_block_table(k: int, given: dict, levels: Iterable, invert: bool) -> Iterator[tuple]:
-    """The trusted moment-cumulant core: (word, scalar) for every word of
-    levels, in order, by the first-block recursion
-    m(w) = sum over blocks B of kappa(w|B) prod m(w|gap).
+@lru_cache(maxsize=None)
+def _first_blocks(n: int) -> tuple:
+    """(on_b, gaps) for every block B containing position 0 of a word of
+    length n, the full block B = (0, ..., n-1) last.  Positions are 0-based;
+    on_b maps a word to its subword on B, and the gaps are the (start, stop)
+    slices of the maximal runs outside B."""
+    out = []
+    for size in range(n):
+        for rest in combinations(range(1, n), size):
+            b = (0,) + rest
+            gaps = tuple((lo + 1, hi) for lo, hi in zip(b, rest + (n,)) if hi > lo + 1)
+            # itemgetter of one index returns the item, not a 1-tuple
+            out.append((itemgetter(*b) if rest else itemgetter(slice(0, 1)), gaps))
+    return tuple(out)
+
+
+def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
+                       invert: bool) -> Iterator[tuple]:
+    """The trusted moment-cumulant core: (word, scalar) for every word over
+    {1..num_vars} of length 1..max_len, shortlex, by the first-block
+    recursion m(w) = sum over blocks B containing 1 of kappa(w|B) prod
+    m(w|gap), over the `_first_blocks` of each length.
 
     given is the input table of order-k scalars: cumulants, whose moments
     are computed, or, if invert, moments, whose cumulants are computed as
-    kappa(w) = m(w) minus the sum over the proper blocks.  levels yields one
-    (words, blocks) pair per length, shortest first: the words of that
-    length and their blocks (on_b, gaps), on_b mapping a word to its
-    subword on B and gaps listing the (start, stop) slices outside B.
+    kappa(w) = m(w) minus the sum over the proper blocks, all but the full
+    block B = [n], whose cumulant is the one being solved for.
 
     The nonzero entries of given are read once as (den, nums) pairs, and
     every nonzero output joins them as it is computed; a missing word is a
@@ -331,8 +327,9 @@ def _first_block_table(k: int, given: dict, levels: Iterable, invert: bool) -> I
     zero = (1, (0,) * (k + 1))
     coords = range(k + 1)
     mul = _leibniz_rule(k)
-    for words, blocks in levels:
-        for w in words:
+    for n in range(1, max_len + 1):
+        blocks = _first_blocks(n)[:-1] if invert else _first_blocks(n)
+        for w in product(range(1, num_vars + 1), repeat=n):
             den, acc = known.get(w, zero) if invert else zero
             acc = list(acc)
             for on_b, gaps in blocks:
@@ -361,21 +358,32 @@ def _first_block_table(k: int, given: dict, levels: Iterable, invert: bool) -> I
 
 
 def ck_inverse(a: CkScalar) -> CkScalar:
-    """Inverse in C_k by triangular back-substitution; needs a(0) != 0.
+    """Inverse in C_k by Newton's iteration; needs a(0) != 0.
 
-    With a = N/D, the inverse of N has coordinates y(i) / n0^(i+1) for the
-    integers y(0) = 1, y(i) = -sum_j C(i,j) N(j) y(i-j) n0^(j-1)."""
+    With a = N/D for integer numerators N, the integers y and e give
+    1/N = y / n0^e in the coordinates y covers: first y = (1) and e = 1.
+    A step y (2 - N y) doubles the coordinates covered, and coordinates
+    0..j of a product depend only on coordinates 0..j of its factors, so a
+    step takes two products by the order-j Leibniz rule on truncations.
+    The orders double too, so all steps together cost less than three
+    order-k products, where summing the geometric series of n0 - N term by
+    term would take k."""
     x = a.nums
     n0 = x[0]
     if n0 == 0:
         raise NotInvertible("first coordinate is zero")
     k = a.k
-    y = [1]
-    for i in range(1, k + 1):
-        y.append(-sum(comb(i, j) * x[j] * y[i - j] * n0 ** (j - 1) for j in range(1, i + 1)))
-    den = n0 ** (k + 1)
+    y, e = (1,), 1
+    while len(y) <= k:
+        s = min(2 * len(y), k + 1)
+        mul = _leibniz_rule(s - 1)
+        y += (0,) * (s - len(y))
+        r = mul(x[:s], y)  # n0^e N y
+        y = mul(y, (2 * n0 ** e - r[0],) + tuple(-c for c in r[1:]))
+        e *= 2
+    den = n0 ** e
     sign = -1 if den < 0 else 1
-    return CkScalar._built(k, sign * den, [sign * a.den * y[i] * n0 ** (k - i) for i in range(k + 1)])
+    return CkScalar._built(k, sign * den, [sign * a.den * c for c in y])
 
 
 class LambdaVector(Value):

@@ -22,7 +22,8 @@ is ENUM_BUDGET = 100,000 partitions, first blocks or derivation passes:
 - the table transforms (m2c, c2m, check-freeness) visit v^n 2^(n-1)
   first blocks at each word length n, for v variables: one variable runs
   up to length 16, two up to length 8;
-- upgrade makes k + 1 derivation passes over each of the v^n words;
+- upgrade makes k + 1 derivation passes over each of the v^n words,
+  sized over the passes at length 1 and then the lengths up to max-len;
 these are running totals over the degree or length.  The series verbs
 (convolve-add, convolve-mul, deriv-demo, boxconv --type a) take about
 trunc^3 (k+1)^2 coordinate products, each costing about w^2 word products
@@ -298,9 +299,14 @@ def _cmd_upgrade(args):
 
     base = decode_law(_read_json(args.base), "base")
     d = decode_derivation(_read_json(args.derivation), "derivation")
+    v = base.num_vars
     passes = max(args.k + 1, 1)  # upgraded_law refuses k < 0; the sum must still grow
-    sizes = (base.num_vars ** n * passes for n in range(1, args.max_len + 1))
-    _within_budget("upgrade", _totals(sizes, "derivation passes up to length"))
+    # the passes at length 1 ramp up one at a time, so that a huge k is
+    # refused at a size short enough to print
+    sizes = (v ** n * passes for n in range(1, args.max_len + 1))
+    _within_budget("upgrade", chain(
+        ((v * j, "derivation passes up to length 1") for j in range(1, passes)),
+        _totals(sizes, "derivation passes up to length")))
     return upgraded_law(base, d, args.k, args.max_len)
 
 

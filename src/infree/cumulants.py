@@ -12,9 +12,9 @@ outside B, and every other block lies inside one gap.  So
 2^(n-1) terms for a word of length n instead of Catalan(n).  The inverse
 direction solves the same identity for its B = [n] term.
 
-Both directions run through one trusted whole-table kernel,
-`ck._first_block_table`; this module hands it the words of each length and
-their first blocks.  Each term reads kappa(w|B) first and is dropped when
+Both directions are one call of the trusted whole-table kernel
+`ck._first_block_table`, which builds the words of each length and their
+first blocks itself.  Each term reads kappa(w|B) first and is dropped when
 that cumulant is zero, before any gap moment is looked up: in a free
 product every block that mixes colours is dropped this way.  No entry is
 checked there, because every given one was validated once already, by the
@@ -24,13 +24,11 @@ value class shares, without the constructor's checks.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, product
-from operator import itemgetter
+from itertools import product
 from typing import Iterator
 
 from ._value import Value
-from .ck import CkScalar, _first_block_table, _sum_of_products
+from .ck import CkScalar, _accumulate, _first_block_table
 from .partitions import SetPartition, enumerate_nc, partition_join
 
 
@@ -109,43 +107,18 @@ class CumulantTable(_WordTable):
         return self.value(w)
 
 
-@lru_cache(maxsize=None)
-def _first_blocks(n: int) -> tuple:
-    """(on_b, gaps) for every block B containing position 0 of a word of
-    length n, the full block B = (0, ..., n-1) last.  Positions are 0-based;
-    on_b maps a word to its subword on B, and the gaps are the (start, stop)
-    slices of the maximal runs outside B."""
-    out = []
-    for size in range(n):
-        for rest in combinations(range(1, n), size):
-            b = (0,) + rest
-            gaps = tuple((lo + 1, hi) for lo, hi in zip(b, rest + (n,)) if hi > lo + 1)
-            # itemgetter of one index returns the item, not a 1-tuple
-            out.append((itemgetter(*b) if rest else itemgetter(slice(0, 1)), gaps))
-    return tuple(out)
-
-
-def _levels(num_vars: int, max_len: int, proper: bool) -> Iterator[tuple]:
-    """(words, blocks) for each length 1..max_len in turn: the words of that
-    length, shortlex, and their first blocks, without the full block B = [n]
-    if proper."""
-    for n in range(1, max_len + 1):
-        blocks = _first_blocks(n)
-        yield product(range(1, num_vars + 1), repeat=n), blocks[:-1] if proper else blocks
-
-
 def cumulants_to_moments(c: CumulantTable) -> InfLaw:
     """Moment of each word as the sum over non-crossing partitions of the
     block products of cumulants, by the first-block decomposition.  Words
     come shortest first, so the moments of the gaps are already known."""
-    out = dict(_first_block_table(c.k, c.values, _levels(c.num_vars, c.max_len, False), False))
+    out = dict(_first_block_table(c.k, c.values, c.num_vars, c.max_len, False))
     return InfLaw._of(c.k, c.num_vars, c.max_len, out)
 
 
 def _cumulants_shortlex(m: InfLaw, max_len: int) -> Iterator[tuple]:
     """(word, cumulant) for the words of m up to length max_len, shortlex;
     a caller that stops early pays for no later word."""
-    return _first_block_table(m.k, m.values, _levels(m.num_vars, max_len, True), True)
+    return _first_block_table(m.k, m.values, m.num_vars, max_len, True)
 
 
 def moments_to_cumulants(m: InfLaw) -> CumulantTable:
@@ -159,7 +132,7 @@ def kappa_pi(c: CumulantTable, pi: SetPartition, w: tuple) -> CkScalar:
     """Product over the blocks of pi of the cumulants of the restricted word."""
     if pi.n != len(w):
         raise ValueError(f"partition on [{pi.n}] against a word of length {len(w)}")
-    return _sum_of_products(c.k, ([c.value(restrict(w, b)) for b in pi.blocks],))
+    return _accumulate(c.k, ((1, 1, [c.value(restrict(w, b)) for b in pi.blocks]),))
 
 
 def interval_partition(grouping: tuple, s: int) -> SetPartition:
@@ -186,8 +159,8 @@ def cumulant_of_products(c: CumulantTable, grouping: tuple, w: tuple) -> CkScala
     s = len(w)
     theta = interval_partition(tuple(grouping), s)
     top = SetPartition(s, [range(1, s + 1)])
-    return _sum_of_products(c.k, (
-        [c.value(restrict(w, b)) for b in pi.blocks]
+    return _accumulate(c.k, (
+        (1, 1, [c.value(restrict(w, b)) for b in pi.blocks])
         for pi in enumerate_nc(s) if partition_join(pi, theta) == top
     ))
 

@@ -119,8 +119,8 @@ def encode_series(f: CkSeries) -> dict:
     return out
 
 
-def decode_partition(data, path: str = "", noncrossing: bool = True):
-    from .partitions import NcPartition, SetPartition
+def decode_partition(data, path: str = ""):
+    from .partitions import NcPartition
 
     _expect(data, dict, path, "an object")
     _check_keys(data, {"n", "blocks"}, path)
@@ -133,7 +133,7 @@ def decode_partition(data, path: str = "", noncrossing: bool = True):
             _expect(x, int, f"{path}.blocks[{i}][{j}]", "an integer") for j, x in enumerate(b)
         ])
     try:
-        return NcPartition(n, parsed) if noncrossing else SetPartition(n, parsed)
+        return NcPartition(n, parsed)
     except ValueError as e:
         raise SchemaError(path, str(e)) from e
 

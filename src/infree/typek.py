@@ -201,15 +201,12 @@ def fiber_size_formula(n: int, k: int) -> int:
 
 
 def is_star(tk: TypeKPartition) -> bool:
-    """True when every block of the Kreweras complement is simple, i.e. the
-    barred half of the shape vanishes."""
-    kr = kreweras(tk.partition)
-    n = tk.n
-    for b in kr.blocks:
-        red = {residue(x, n) for x in b}
-        if len(b) != len(red):
-            return False
-    return True
+    """True when every barred entry of the shape vanishes.  A barred entry
+    sums (multiplicity - 1) >= 0 over the blocks of the Kreweras complement
+    that reduce to one block of Kr(reduction), so it vanishes exactly when
+    every such block is simple."""
+    entries = tk.shape.entries
+    return not any(entries[i] for (barred, _), i in _block_index(tk.reduction).items() if barred)
 
 
 @lru_cache(maxsize=None)

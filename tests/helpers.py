@@ -14,6 +14,7 @@ from infree.ck import (
     CkSeries,
     LambdaVector,
     _accumulate,
+    _first_blocks,
     ck_mul,
     ck_prod_many,
     multinomial,
@@ -21,7 +22,6 @@ from infree.ck import (
 from infree.cumulants import (
     CumulantTable,
     InfLaw,
-    _first_blocks,
     all_words,
     cumulants_to_moments,
     moments_to_cumulants,
@@ -51,6 +51,7 @@ from infree.typek import (
     enumerate_type_k_star,
     is_type_k,
     r_of_shape,
+    residue,
 )
 
 
@@ -130,6 +131,18 @@ def fraction_ck_inverse_oracle(a: CkScalar) -> tuple:
     for i in range(1, a.k + 1):
         out.append(-out[0] * sum((comb(i, j) * c[j] * out[i - j] for j in range(1, i + 1)), Fraction(0)))
     return tuple(out)
+
+
+def back_substitution_inverse_oracle(a: CkScalar) -> CkScalar:
+    """Inverse by triangular back-substitution on integer numerators: with
+    a = N/D, the inverse of N has coordinates y(i) / n0^(i+1) for the
+    integers y(0) = 1, y(i) = -sum_j C(i,j) N(j) y(i-j) n0^(j-1)."""
+    x, k = a.nums, a.k
+    n0 = x[0]
+    y = [1]
+    for i in range(1, k + 1):
+        y.append(-sum(comb(i, j) * x[j] * y[i - j] * n0 ** (j - 1) for j in range(1, i + 1)))
+    return CkScalar(k, [Fraction(a.den * y[i], n0 ** (i + 1)) for i in range(k + 1)])
 
 
 def assemble_components(k: int, components: list) -> CkScalar:
@@ -535,6 +548,13 @@ def kappa_component_oracle(law, w: tuple, i: int) -> Fraction:
                     break
             total += term
     return total
+
+
+def is_star_oracle(tk: TypeKPartition) -> bool:
+    """Star membership by definition: every block of the Kreweras
+    complement of the partition is simple, its elements of distinct
+    residues mod n."""
+    return all(len(b) == len({residue(x, tk.n) for x in b}) for b in kreweras(tk.partition).blocks)
 
 
 def star_shape(tk: TypeKPartition) -> LambdaVector:

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from infree import ck
 from infree.ck import (
     CkScalar,
-    _sum_of_products,
     CkSeries,
+    _accumulate,
     LambdaVector,
     NotInvertible,
     ck_inverse,
@@ -23,6 +23,7 @@ from infree.ck import (
 )
 
 from helpers import (
+    back_substitution_inverse_oracle,
     cauchy_series_mul_oracle,
     compositions,
     fraction_ck_inverse_oracle,
@@ -157,15 +158,15 @@ def test_ring_laws_property(abc):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.integers(0, 4).flatmap(_scalar_triples), _RATIONALS, st.booleans())
-def test_sum_of_products_property(abc, q, subtract):
+def test_accumulate_property(abc, q, subtract):
     a, b, c = abc
     k = a.k
-    total = _sum_of_products(k, [[a, b], [c, q], [b, c, a]])
+    total = _accumulate(k, [(1, 1, [a, b]), (q.numerator, q.denominator, [c]), (1, 1, [b, c, a])])
     got = a - total if subtract else a + total
     assert total == a * b + c.scale(q) + ck_prod_many([b, c, a])
     assert hash(got) == hash(CkScalar(k, got.coords))
-    assert _sum_of_products(k, [[a, b], [b, a]]) == (a * b).scale(2)
-    assert (a * b - _sum_of_products(k, [[a, b]])).is_zero()
+    assert _accumulate(k, [(1, 1, [a, b]), (1, 1, [b, a])]) == (a * b).scale(2)
+    assert (a * b - _accumulate(k, [(1, 1, [a, b])])).is_zero()
     _assert_canonical(got)
 
 
@@ -185,9 +186,21 @@ def _oracle_sum(k, terms, start=None, subtract=False) -> tuple:
     return tuple(total)
 
 
-def test_sum_of_products_matches_fraction_oracle():
+def _weighted(factors) -> tuple:
+    """The (num, den, chain) term of `_accumulate` for a list of scalars and
+    rational weights: the weights' numerators and denominators multiplied,
+    unreduced, and the scalars in order."""
+    num, den = 1, 1
+    for f in factors:
+        if not isinstance(f, CkScalar):
+            num, den = num * f.numerator, den * f.denominator
+    return num, den, [f for f in factors if isinstance(f, CkScalar)]
+
+
+def test_accumulate_matches_fraction_oracle():
     # zero, nilpotent and 400-bit factors over unequal denominators, rational
-    # weights (zero among them), with and without a start, added or subtracted
+    # weights (zero among them), with and without a start, added or
+    # subtracted; ck_prod_many of each term's chain against the same oracle
     rng = random.Random(157)
     for k in range(5):
         for _ in range(60):
@@ -198,7 +211,13 @@ def test_sum_of_products_matches_fraction_oracle():
             ]
             start = rand_wide_scalar(rng, k) if rng.random() < 0.5 else None
             subtract = rng.random() < 0.5
-            total = _sum_of_products(k, terms)
+            for factors in terms:
+                chain = _weighted(factors)[2]
+                if chain:
+                    prod = ck_prod_many(chain)
+                    assert prod.coords == _oracle_sum(k, [chain])
+                    _assert_canonical(prod)
+            total = _accumulate(k, [_weighted(factors) for factors in terms])
             _assert_canonical(total)
             if start is not None:
                 total = start - total if subtract else start + total
@@ -209,17 +228,22 @@ def test_sum_of_products_matches_fraction_oracle():
             _assert_canonical(total)
 
 
-def test_sum_of_products_edge_cases(monkeypatch):
+def test_accumulate_edge_cases(monkeypatch):
     rng = random.Random(163)
     for k in range(5):
         a, b = rand_scalar(rng, k), rand_scalar(rng, k)
-        assert _sum_of_products(k, []) == CkScalar.zero(k)
-        assert a + _sum_of_products(k, []) == a
-        assert a - _sum_of_products(k, []) == a
-        assert _sum_of_products(k, [[]]) == CkScalar.one(k)  # the empty product
-        assert a - _sum_of_products(k, [[a, b]]) == a - ck_mul(a, b)
-        assert _sum_of_products(k, [[a, Fraction(2, 3)], [3, b]]) == a.scale(Fraction(2, 3)) + b.scale(3)
-        for x in (-a + _sum_of_products(k, [[a]]), _sum_of_products(k, [[a, b], [-a, b]])):
+        assert _accumulate(k, []) == CkScalar.zero(k)
+        assert a + _accumulate(k, []) == a
+        assert a - _accumulate(k, []) == a
+        assert _accumulate(k, [(1, 1, [])]) == CkScalar.one(k)  # the empty product
+        assert _accumulate(k, [(3, 4, [])]) == CkScalar.from_rational(k, Fraction(3, 4))
+        assert a - _accumulate(k, [(1, 1, [a, b])]) == a - ck_mul(a, b)
+        assert _accumulate(k, [(2, 3, [a]), (3, 1, [b])]) == a.scale(Fraction(2, 3)) + b.scale(3)
+        assert _accumulate(k, [(4, 6, [a, b])]) == ck_mul(a, b).scale(Fraction(2, 3))
+        assert ck_prod_many([a]) == a
+        for x in (-a + _accumulate(k, [(1, 1, [a])]),
+                  _accumulate(k, [(1, 1, [a, b]), (1, 1, [-a, b])]),
+                  _accumulate(k, [(1, 2, [a, b]), (-2, 4, [a, b])])):
             assert x == CkScalar.zero(k)
             _assert_canonical(x)
     # a term with a zero factor anywhere is skipped before any product
@@ -232,12 +256,15 @@ def test_sum_of_products_edge_cases(monkeypatch):
 
     monkeypatch.setattr(ck, "_leibniz_rule", counted)
     a, b, zero = rand_scalar(rng, 2), rand_scalar(rng, 2), CkScalar.zero(2)
-    for term in ([zero, a, b], [a, zero, b], [a, b, zero], [a, b, 0], [Fraction(0), a, b]):
-        assert _sum_of_products(2, [term]) == zero
+    for chain in ([zero, a, b], [a, zero, b], [a, b, zero]):
+        assert _accumulate(2, [(1, 1, chain)]) == zero
+        assert ck_prod_many(chain) == zero
+    for weight, den in ((0, 1), (0, 7)):
+        assert _accumulate(2, [(weight, den, [a, b])]) == zero
     assert calls == []
     expected = ck_mul(a, b).scale(5)
     calls.clear()
-    assert _sum_of_products(2, [[a, b, 5]]) == expected
+    assert _accumulate(2, [(5, 1, [a, b])]) == expected
     assert len(calls) == 1
 
 
@@ -271,18 +298,56 @@ def test_leibniz_rule_matches_fraction_oracle():
     assert set(ck._RULES) <= set(range(ck._RULE_MAX_K + 1))
 
 
-def test_sum_of_products_checks_every_factor():
+def test_prod_many_checks_every_factor():
+    # the one public product of caller scalars checks the type and order of
+    # every factor, a zero one included, before anything is multiplied
     one1, one2, zero1 = CkScalar.one(1), CkScalar.one(2), CkScalar.zero(1)
-    for terms in (
-        [[one1, one2]],
-        [[zero1, one2]],  # after a zero factor, still checked
-        [[zero1], [one1, 2, one2]],
+    for factors in (
+        [one1, one2],
+        [zero1, one2],  # after a zero factor, still checked
+        [one2, zero1],
+        [zero1, one1, one2],
     ):
         with pytest.raises(ValueError, match="order mismatch"):
-            _sum_of_products(1, terms)
-    for bad in (0.5, "1/2", None):
-        with pytest.raises(TypeError):
-            _sum_of_products(1, [[one1, bad]])
+            ck_prod_many(factors)
+    # rationals are weights of `_accumulate` terms, not factors of a product
+    for bad in (0.5, "1/2", None, 2, Fraction(1, 2)):
+        for factors in ([one1, bad], [bad, one1], [zero1, one1, bad]):
+            with pytest.raises(TypeError, match="expected a C_k scalar"):
+                ck_prod_many(factors)
+    with pytest.raises(ValueError, match="empty"):
+        ck_prod_many([])
+
+
+def _invertible_inputs(rng, k: int):
+    """Signed small, wide, one-hot and zero-tail scalars of order k, each
+    with a nonzero first coordinate."""
+    def lead():
+        return rng.choice((-1, 1)) * Fraction(rng.randint(1, 9), rng.randint(1, 4))
+
+    yield CkScalar(k, [lead()] + [rand_fraction(rng) for _ in range(k)])
+    wide = rand_wide_scalar(rng, k).coords
+    yield CkScalar(k, [lead() * (2**300 + rng.getrandbits(300))] + list(wide[1:]))
+    hot = rng.randint(1, k) if k else 0
+    yield CkScalar(k, [lead()] + [(rand_fraction(rng) or 1) if i == hot else 0 for i in range(1, k + 1)])
+    yield CkScalar(k, [lead()] + [0] * k)
+    yield CkScalar(k, [Fraction(-1, 3)] + [rand_wide_fraction(rng) for _ in range(k)])
+
+
+def test_ck_inverse_matches_fraction_oracle():
+    # Newton's iteration against integer and Fraction back-substitution,
+    # on both sides of the compiled rule's cutoff, k = 0..20
+    rng = random.Random(521)
+    assert ck._RULE_MAX_K < 20
+    for k in range(21):
+        one = CkScalar.one(k)
+        for a in _invertible_inputs(rng, k):
+            inv = ck_inverse(a)
+            expected = back_substitution_inverse_oracle(a)
+            assert (inv.den, inv.nums) == (expected.den, expected.nums)
+            assert inv.coords == fraction_ck_inverse_oracle(a)
+            if k <= 8:
+                assert ck_mul(a, inv) == one
 
 
 def test_invertible_iff_first_coordinate_nonzero():

