@@ -29,12 +29,12 @@ iteration through the same Leibniz rule, at doubling orders.
 
 Validation happens once, where a value enters the library: the scalar,
 series and table constructors.  A scalar the library computes is built by
-the trusted `CkScalar._built`, one gcd reduction and no check.  So the
-cores trust their factors to be order-k scalars and check none of them:
-every caller hands `_accumulate` (num, den, chain) terms whose factors come
-from validated series and tables.  `ck_prod_many`, the one public product
-of caller scalars, checks the type and order of each factor before it
-calls the same core.
+the trusted `CkScalar._built`, one gcd reduction and no check, and a series
+product by the trusted `CkSeries._of`.  So the cores trust their factors to
+be order-k scalars and check none of them: every caller hands `_accumulate`
+(num, den, chain) terms whose factors come from validated series and
+tables.  `ck_prod_many`, the one public product of caller scalars, checks
+the type and order of each factor before it calls the same core.
 """
 from __future__ import annotations
 
@@ -318,13 +318,15 @@ def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
     is read, and a term is dropped at its first zero gap moment.  The rest is
     a chain of Leibniz products, gap by gap, by the rule `_leibniz_rule`
     gives once per call, added in place over a running lcm denominator and
-    reduced once per word.  A caller that stops early pays for no later
-    word."""
+    reduced once per word.  A word whose sum is zero gets one scalar shared
+    by every zero output, and only a nonzero output is built and recorded.
+    A caller that stops early pays for no later word."""
     known = {w: (x.den, x.nums) for w, x in given.items() if any(x.nums)}
     found = {}
     kappa, moment = (found, known) if invert else (known, found)
     sign = -1 if invert else 1
     zero = (1, (0,) * (k + 1))
+    shared_zero = CkScalar.zero(k)
     coords = range(k + 1)
     mul = _leibniz_rule(k)
     for n in range(1, max_len + 1):
@@ -351,10 +353,12 @@ def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
                     f = sign * (den // tden)
                     for i in coords:
                         acc[i] += f * x[i]
-            out = CkScalar._built(k, den, acc)
-            if any(out.nums):
+            if any(acc):
+                out = CkScalar._built(k, den, acc)
                 found[w] = (out.den, out.nums)
-            yield w, out
+                yield w, out
+            else:
+                yield w, shared_zero
 
 
 def ck_inverse(a: CkScalar) -> CkScalar:
@@ -473,14 +477,24 @@ class CkSeries(Value):
         return series_mul(self, other)
 
 
+def _valuation(x: tuple) -> int:
+    """Index of the first nonzero scalar of x, or len(x) if there is none."""
+    return next((i for i, c in enumerate(x) if any(c.nums)), len(x))
+
+
 def series_mul(f: CkSeries, g: CkSeries) -> CkSeries:
-    """Cauchy product truncated at min(f.trunc, g.trunc); constants included."""
+    """Cauchy product truncated at min(f.trunc, g.trunc); constants included.
+    The coefficient of z^m sums only i from the valuation of f to m minus
+    the valuation of g, the terms that can be nonzero.  Every coefficient is
+    an order-k scalar `_accumulate` just made, so the series is built
+    through the trusted `_of`."""
     _check_order(f, g)
     n = min(f.trunc, g.trunc)
     x, y = (f.const,) + f.coeffs, (g.const,) + g.coeffs
-    coeffs = [_accumulate(f.k, ((1, 1, (x[i], y[m - i])) for i in range(m + 1)))
-              for m in range(n + 1)]
-    return CkSeries(f.k, n, coeffs[1:], coeffs[0])
+    vf, vg = _valuation(x), _valuation(y)
+    coeffs = tuple(_accumulate(f.k, ((1, 1, (x[i], y[m - i])) for i in range(vf, m - vg + 1)))
+                   for m in range(n + 1))
+    return CkSeries._of(f.k, n, coeffs[1:], coeffs[0])
 
 
 def series_compose(f: CkSeries, g: CkSeries) -> CkSeries:

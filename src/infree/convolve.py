@@ -2,8 +2,10 @@
 
 One-variable laws take one route, the R-series of free cumulants
 (Nica-Speicher, Lectures 11 and 16): additive convolution adds R-series,
-multiplicative convolution boxes them, and an example law is a constant
-R-series pattern.  None visits the first blocks of the cumulants layer.
+multiplicative convolution boxes the R-series of one law with the moment
+series of the other, M_{mu boxtimes nu} = R_mu boxed M_nu (Nica-Speicher,
+Theorem 14.4), and an example law is a constant R-series pattern.  None
+visits the first blocks of the cumulants layer.
 
 Three routes to the same product: the type-A boxed convolution over C_k,
 the type-B double sum at k=1, and the type-k sum weighted by shapes.  The
@@ -260,12 +262,16 @@ def additive_convolve(mu: InfLaw, nu: InfLaw) -> InfLaw:
 
 
 def multiplicative_convolve(mu: InfLaw, nu: InfLaw) -> InfLaw:
-    """Free multiplicative convolution: R-series compose under the boxed
-    convolution.  Works for zero first moments too; the S-transform product
-    is a cross-checked secondary route, not this one."""
+    """Free multiplicative convolution: the moment series is
+    M_{mu boxtimes nu} = R_mu boxed M_nu, the boxed convolution of the
+    R-series of mu with the moment series of nu, by the moments of products
+    of free variables, phi((ab)^n) = sum over p in NC(n) of kappa_p[a]
+    phi_{Kr(p)}[b] (Nica-Speicher, Lectures on the Combinatorics of Free
+    Probability, Theorem 14.4).  Works for zero first moments too; the
+    S-transform product is a cross-checked secondary route, not this one."""
     _check_pair(mu, nu)
-    r = boxed_conv_ck(r_from_moments(moment_series(mu)), r_from_moments(moment_series(nu)))
-    return law_from_moment_series(moments_from_r(r))
+    return law_from_moment_series(
+        boxed_conv_ck(r_from_moments(moment_series(mu)), moment_series(nu)))
 
 
 def example_law(kind: str, params: CkScalar, k: int, max_len: int) -> InfLaw:

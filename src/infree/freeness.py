@@ -10,6 +10,7 @@ coordinate i divided by i!.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from operator import index
 
@@ -22,7 +23,6 @@ from .cumulants import (
     all_words,
     cumulants_to_moments,
     moments_to_cumulants,
-    restrict,
 )
 from .convolve import additive_convolve, multiplicative_convolve
 from .partitions import enumerate_nc, kreweras
@@ -207,11 +207,24 @@ def _require_two_equal_colors(coloring: Coloring):
     return first, second
 
 
+@lru_cache(maxsize=None)
+def _kreweras_index_blocks(m: int) -> tuple:
+    """(blocks of p, blocks of Kr(p)) for every p in NC(m), each block a
+    tuple of 0-based positions; computed once per length."""
+    def zero_based(blocks):
+        return tuple(tuple(i - 1 for i in b) for b in blocks)
+
+    return tuple((zero_based(p.blocks), zero_based(kreweras(p).blocks)) for p in enumerate_nc(m))
+
+
 def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: int) -> CumulantTable:
     """Cumulants of the pairwise products a_j b_j for a free two-color tuple.
 
     kappa_m of the products is the sum over non-crossing p of the p-indexed
     cumulants of the a's times the complement-indexed cumulants of the b's.
+    The blocks of p and Kr(p) come as 0-based positions from a per-length
+    cache, so no call after the first at a length computes a Kreweras
+    complement, and a restriction is read as the subword at those positions.
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the table")
@@ -221,20 +234,16 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     mixed = _first_mixed(joint.values.items(), coloring)
     if mixed is not None:
         raise ValueError(f"mixed cumulant does not vanish on {mixed[0]}")
-    block_pairs = {
-        m: [(p.blocks, kreweras(p).blocks) for p in enumerate_nc(m)]
-        for m in range(1, max_len + 1)
-    }
     npairs = len(first)
     values = joint.values  # the table's own validated scalars, none checked again
     out = {}
     for w in all_words(npairs, max_len):
-        aw = tuple(first[j - 1] for j in w)
-        bw = tuple(second[j - 1] for j in w)
+        a_at = tuple(first[j - 1] for j in w).__getitem__
+        b_at = tuple(second[j - 1] for j in w).__getitem__
         out[w] = _accumulate(joint.k, (
-            (1, 1, [values[restrict(aw, b)] for b in p_blocks]
-             + [values[restrict(bw, b)] for b in kr_blocks])
-            for p_blocks, kr_blocks in block_pairs[len(w)]
+            (1, 1, [values[tuple(map(a_at, b))] for b in p_blocks]
+             + [values[tuple(map(b_at, b))] for b in kr_blocks])
+            for p_blocks, kr_blocks in _kreweras_index_blocks(len(w))
         ))
     return CumulantTable._of(joint.k, npairs, max_len, out)
 

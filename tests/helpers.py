@@ -19,6 +19,13 @@ from infree.ck import (
     ck_prod_many,
     multinomial,
 )
+from infree.convolve import (
+    boxed_conv_ck,
+    law_from_moment_series,
+    moment_series,
+    moments_from_r,
+    r_from_moments,
+)
 from infree.cumulants import (
     CumulantTable,
     InfLaw,
@@ -639,6 +646,14 @@ def table_additive_convolve_oracle(mu: InfLaw, nu: InfLaw) -> InfLaw:
     cn = moments_to_cumulants(nu)
     summed = {w: cm.value(w) + cn.value(w) for w in cm.words()}
     return cumulants_to_moments(CumulantTable(mu.k, 1, mu.max_len, summed))
+
+
+def r_boxed_multiplicative_oracle(mu: InfLaw, nu: InfLaw) -> InfLaw:
+    """Free multiplicative convolution the long way: the R-series of the two
+    laws boxed together, R_mu boxed R_nu = R_(mu boxtimes nu), and taken
+    back to moments through zeta."""
+    r = boxed_conv_ck(r_from_moments(moment_series(mu)), r_from_moments(moment_series(nu)))
+    return law_from_moment_series(moments_from_r(r))
 
 
 def table_example_law_oracle(kind: str, params: CkScalar, k: int, max_len: int) -> InfLaw:

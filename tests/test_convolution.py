@@ -1,10 +1,13 @@
 """Boxed convolutions, special series, transforms, and law convolutions."""
+from collections import Counter
 from fractions import Fraction
 from math import comb
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
+from infree import convolve
 from infree.ck import CkScalar, CkSeries, NotInvertible, ck_mul, series_mul
 from infree.convolve import (
     _type_b_terms,
@@ -29,6 +32,7 @@ from infree.partitions import catalan
 from helpers import (
     nc_boxed_conv_oracle,
     nc_boxed_inverse_oracle,
+    r_boxed_multiplicative_oracle,
     rand_law,
     rand_scalar,
     rand_series,
@@ -172,6 +176,37 @@ def test_boxed_associative_commutative():
         assert boxed_conv_ck(boxed_conv_ck(f, g), h) == boxed_conv_ck(
             f, boxed_conv_ck(g, h)
         )
+
+
+_SPARSE_COORDS = st.one_of(st.just(Fraction(0)),
+                          st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def _sparse_series_triples(draw):
+    """Three series of one order k <= 3 and one trunc <= 6, each coefficient
+    zero or a scalar whose coordinates are each zero or a small rational."""
+    k = draw(st.integers(0, 3))
+    trunc = draw(st.integers(1, 6))
+    scalar = st.one_of(st.just(CkScalar.zero(k)),
+                       st.lists(_SPARSE_COORDS, min_size=k + 1, max_size=k + 1)
+                       .map(lambda c: CkScalar(k, c)))
+    series = st.lists(scalar, min_size=trunc, max_size=trunc).map(
+        lambda c: CkSeries(k, trunc, c))
+    return draw(series), draw(series), draw(series)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_sparse_series_triples())
+def test_boxed_product_laws_property(fgh):
+    f, g, h = fgh
+    k, trunc = f.k, f.trunc
+    delta = special_series("delta", k, trunc)
+    assert boxed_conv_ck(f, g) == boxed_conv_ck(g, f)
+    assert boxed_conv_ck(boxed_conv_ck(f, g), h) == boxed_conv_ck(f, boxed_conv_ck(g, h))
+    assert boxed_conv_ck(f, delta) == f == boxed_conv_ck(delta, f)
+    moebius, zeta = special_series("moebius", k, trunc), special_series("zeta", k, trunc)
+    assert boxed_conv_ck(moebius, zeta) == delta
 
 
 def test_boxed_invertibility():
@@ -339,6 +374,43 @@ def test_multiplicative_convolution():
     assert multiplicative_convolve(mu, delta1) == mu
     lhs = multiplicative_convolve(multiplicative_convolve(mu, nu), rho)
     assert lhs == multiplicative_convolve(mu, multiplicative_convolve(nu, rho))
+
+
+def test_multiplicative_convolve_matches_the_r_boxed_oracle():
+    # M_(mu boxtimes nu) = R_mu boxed M_nu against R_mu boxed R_nu taken back
+    # to moments, and against the third form M_mu boxed R_nu: first moments
+    # general, zero or nilpotent, in both argument orders
+    rng = random.Random(167)
+    for k in range(4):
+        for max_len in range(1, 9):
+            laws = [rand_law(rng, k=k, num_vars=1, max_len=max_len)]
+            for lead in (CkScalar.zero(k), CkScalar(k, (0,) + rand_scalar(rng, k).coords[1:])):
+                coeffs = [lead] + [rand_scalar(rng, k) for _ in range(max_len - 1)]
+                laws.append(law_from_moment_series(CkSeries(k, max_len, coeffs)))
+            for mu in laws:
+                for nu in laws:
+                    got = multiplicative_convolve(mu, nu)
+                    assert got == r_boxed_multiplicative_oracle(mu, nu), (k, max_len)
+                    assert got == multiplicative_convolve(nu, mu), (k, max_len)
+                    third = boxed_conv_ck(moment_series(mu), r_from_moments(moment_series(nu)))
+                    assert got == law_from_moment_series(third), (k, max_len)
+
+
+def test_multiplicative_convolve_runs_three_power_chains_and_two_boxed_sums(monkeypatch):
+    calls = Counter()
+    for name in ("_powers", "_boxed_sum"):
+        def counted(*args, _real=getattr(convolve, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(convolve, name, counted)
+    rng = random.Random(181)
+    for k, max_len in ((0, 1), (2, 6), (3, 5)):
+        mu = rand_law(rng, k=k, num_vars=1, max_len=max_len)
+        nu = rand_law(rng, k=k, num_vars=1, max_len=max_len)
+        calls.clear()
+        multiplicative_convolve(mu, nu)
+        assert calls == {"_powers": 3, "_boxed_sum": 2}, (k, max_len)
 
 
 def test_s_transform_multiplicative_on_bernoulli():

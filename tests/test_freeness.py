@@ -6,7 +6,18 @@ import random
 
 import pytest
 
-from infree.ck import CkScalar, LambdaVector, _first_block_table, ck_mul, ck_prod_many, multinomial
+from infree import freeness
+from infree.ck import (
+    CkScalar,
+    CkSeries,
+    LambdaVector,
+    _first_block_table,
+    _powers,
+    ck_mul,
+    ck_prod_many,
+    multinomial,
+    series_mul,
+)
 from infree.convolve import additive_convolve, example_law, multiplicative_convolve
 from infree.cumulants import (
     CumulantTable,
@@ -31,10 +42,11 @@ from infree.freeness import (
     product_tuple_cumulants,
     upgraded_law,
 )
-from infree.partitions import enumerate_nc
+from infree.partitions import catalan, enumerate_nc
 
 from helpers import (
     eval_poly,
+    first_block_m2c_oracle,
     jet_of_poly,
     lagrange_derivative_at_zero,
     lambda_vectors,
@@ -43,6 +55,7 @@ from helpers import (
     rand_law,
     rand_nc_polynomial,
     rand_scalar,
+    rand_series,
     rand_sparse_scalar,
     t_poly_freeness_oracle,
 )
@@ -194,6 +207,72 @@ def test_computed_tables_match_the_validating_constructor():
             checked = type(t)(t.k, t.num_vars, t.max_len, t.values)
             assert t == checked and hash(t) == hash(checked)
             assert list(t.values) == list(t.words()) == list(checked.values)
+    # the same for the series products and power chains, built through the
+    # trusted constructor: general, sparse and all-zero series, with and
+    # without a constant term
+    rng = random.Random(131)
+    for k in range(4):
+        for trunc in (1, 2, 5):
+            sparse = CkSeries(k, trunc, [rand_sparse_scalar(rng, k) for _ in range(trunc)])
+            with_const = CkSeries(k, trunc, rand_series(rng, k, trunc).coeffs, rand_scalar(rng, k))
+            series = [rand_series(rng, k, trunc), sparse, with_const, CkSeries.zero(k, trunc)]
+            built = [series_mul(f, g) for f in series for g in series]
+            built += [p for f in series for p in _powers(f)]
+            for s in built:
+                checked = CkSeries(s.k, s.trunc, s.coeffs, s.const)
+                assert s == checked and hash(s) == hash(checked), (k, trunc)
+
+
+def test_m2c_builds_one_scalar_per_nonzero_cumulant(monkeypatch):
+    # most cumulants of a free product vanish: the kernel builds a scalar
+    # for each nonzero one only, and every zero entry is one shared zero
+    rng = random.Random(173)
+    real = CkScalar._built.__func__
+    for k in range(3):
+        mu = rand_law(rng, k=k, num_vars=1, max_len=4)
+        nu = rand_law(rng, k=k, num_vars=2, max_len=4)
+        joint, _ = free_product_joint([mu, nu], 4)
+        made = []
+
+        def built(cls, *args):
+            made.append(real(cls, *args))
+            return made[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(CkScalar, "_built", classmethod(built))
+            cums = moments_to_cumulants(joint)
+        zeros = [x for x in cums.values.values() if x.is_zero()]
+        nonzero = [x for x in cums.values.values() if not x.is_zero()]
+        made_zero = [x for x in made if x.is_zero()]
+        assert len(zeros) > len(nonzero) > 0, k
+        assert len(made_zero) == 1 and made_zero[0] == CkScalar.zero(k), k
+        assert all(x is made_zero[0] for x in zeros), k
+        assert sorted(map(id, made)) == sorted(map(id, nonzero + made_zero)), k
+        assert cums == first_block_m2c_oracle(joint), k
+
+
+def test_product_tuple_cumulants_caches_kreweras_per_length(monkeypatch):
+    rng = random.Random(179)
+    mu = rand_law(rng, k=1, num_vars=1, max_len=4)
+    nu = rand_law(rng, k=1, num_vars=1, max_len=4)
+    joint, coloring = free_product_joint([mu, nu], 4)
+    cums = moments_to_cumulants(joint)
+    calls = []
+    real = freeness.kreweras
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(freeness, "kreweras", counted)
+    freeness._kreweras_index_blocks.cache_clear()
+    first = product_tuple_cumulants(cums, coloring, 4)
+    assert len(calls) == sum(catalan(m) for m in range(1, 5))
+    calls.clear()
+    assert product_tuple_cumulants(cums, coloring, 4) == first
+    assert product_tuple_cumulants(cums, coloring, 3).values == {
+        w: x for w, x in first.values.items() if len(w) <= 3}
+    assert calls == []
 
 
 def test_product_tuple_rejects_mixed_cumulants():
