@@ -3,14 +3,16 @@
 A value class names its fields once, `__slots__ = _fields = (...)`, in the
 order its validating constructor takes them.  Its `__init__` validates and
 stores them with `_set`; a value the library has just computed skips the
-validation through the trusted constructor `_of`.  Fields cannot be
-assigned afterwards, a pickled value is rebuilt through the validating
-constructor, and two values are equal when they have exactly the same type
-and equal fields, compared through the per-class key `attrgetter(*_fields)`.
+validation through the trusted constructor `_of`.  Both write the slots
+through `_setters`, the `__set__` of each field's slot descriptor, bound
+once per class when the class is created, so a write looks up no attribute
+name.  A class whose trusted constructor runs once per computed scalar
+unpacks `_setters` itself.  Fields cannot be assigned afterwards, a pickled
+value is rebuilt through the validating constructor, and two values are
+equal when they have exactly the same type and equal fields, compared
+through the per-class key `attrgetter(*_fields)`.
 """
 from operator import attrgetter
-
-_setattr = object.__setattr__
 
 
 class Value:
@@ -18,10 +20,13 @@ class Value:
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields)
+        # class access to a slot gives its member descriptor, wherever in
+        # the bases the slot is declared
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def _set(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            _setattr(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     @classmethod
     def _of(cls, *values):
@@ -29,8 +34,8 @@ class Value:
         nothing is checked.  It runs once per partition enumerated, so it
         writes the slots itself rather than through `_set`."""
         self = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            _setattr(self, name, value)
+        for setter, value in zip(cls._setters, values):
+            setter(self, value)
         return self
 
     def __setattr__(self, name, value):

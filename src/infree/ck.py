@@ -24,16 +24,18 @@ output scalar, not once per term, and returns the sum alone.
 `_first_block_table` runs the moment-cumulant first-block recursion over a
 whole table, in both directions: it builds the words of each length and
 their first blocks itself, and reads the table's entries as (den, nums)
-pairs once rather than scalar by scalar.  `ck_inverse` runs Newton's
-iteration through the same Leibniz rule, at doubling orders.
+pairs once rather than scalar by scalar.  Outputs the caller already knows
+come in seeded: the kernel yields them as given and visits none of their
+first blocks, so a free product sums only its mixed words.  `ck_inverse`
+runs Newton's iteration through the same Leibniz rule, at doubling orders.
 
 Validation happens once, where a value enters the library: the scalar,
 series and table constructors.  A scalar the library computes is built by
 the trusted `CkScalar._built`, one gcd reduction and no check, and a series
-product by the trusted `CkSeries._of`.  So the cores trust their factors to
-be order-k scalars and check none of them: every caller hands `_accumulate`
-(num, den, chain) terms whose factors come from validated series and
-tables.  `ck_prod_many`, the one public product of caller scalars, checks
+product, truncation or boxed sum by the trusted `CkSeries._of`.  So the
+cores trust their factors to be order-k scalars and check none of them:
+every caller hands `_accumulate` (num, den, chain) terms whose factors come
+from validated series and tables.  `ck_prod_many`, the one public product of caller scalars, checks
 the type and order of each factor before it calls the same core.
 """
 from __future__ import annotations
@@ -80,16 +82,17 @@ class CkScalar(Value):
     def _built(cls, k: int, den: int, nums: Iterable) -> "CkScalar":
         """Trusted construction from integers with den > 0: one gcd
         reduction and no validation.  It runs once per computed scalar, so
-        it writes the slots itself rather than through `_of`."""
+        it writes the three slots through their setters, bound once below,
+        rather than through `_of`'s loop."""
         nums = tuple(nums)
         g = gcd(den, *nums)
         if g != 1:
             den //= g
             nums = tuple(n // g for n in nums)
-        self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
+        self = _new(cls)
+        _set_k(self, k)
+        _set_den(self, den)
+        _set_nums(self, nums)
         return self
 
     def __reduce__(self):
@@ -154,6 +157,10 @@ class CkScalar(Value):
 
     def inverse(self) -> "CkScalar":
         return ck_inverse(self)
+
+
+_new = object.__new__
+_set_k, _set_den, _set_nums = CkScalar._setters
 
 
 def _check_order(a, b) -> None:
@@ -288,20 +295,20 @@ def _accumulate(k: int, terms: Iterable) -> CkScalar:
 def _first_blocks(n: int) -> tuple:
     """(on_b, gaps) for every block B containing position 0 of a word of
     length n, the full block B = (0, ..., n-1) last.  Positions are 0-based;
-    on_b maps a word to its subword on B, and the gaps are the (start, stop)
-    slices of the maximal runs outside B."""
+    on_b maps a word to its subword on B, and the gaps are the slices of
+    the maximal runs outside B."""
     out = []
     for size in range(n):
         for rest in combinations(range(1, n), size):
             b = (0,) + rest
-            gaps = tuple((lo + 1, hi) for lo, hi in zip(b, rest + (n,)) if hi > lo + 1)
+            gaps = tuple(slice(lo + 1, hi) for lo, hi in zip(b, rest + (n,)) if hi > lo + 1)
             # itemgetter of one index returns the item, not a 1-tuple
             out.append((itemgetter(*b) if rest else itemgetter(slice(0, 1)), gaps))
     return tuple(out)
 
 
 def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
-                       invert: bool) -> Iterator[tuple]:
+                       invert: bool, seeded: dict) -> Iterator[tuple]:
     """The trusted moment-cumulant core: (word, scalar) for every word over
     {1..num_vars} of length 1..max_len, shortlex, by the first-block
     recursion m(w) = sum over blocks B containing 1 of kappa(w|B) prod
@@ -310,7 +317,11 @@ def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
     given is the input table of order-k scalars: cumulants, whose moments
     are computed, or, if invert, moments, whose cumulants are computed as
     kappa(w) = m(w) minus the sum over the proper blocks, all but the full
-    block B = [n], whose cumulant is the one being solved for.
+    block B = [n], whose cumulant is the one being solved for.  seeded
+    holds outputs the caller already knows, word -> order-k scalar: each is
+    yielded as given, the same object, and recorded like a computed output,
+    and none of its first blocks is visited.  A free product seeds its pure
+    words with its factors' moments, so only its mixed words are summed.
 
     The nonzero entries of given are read once as (den, nums) pairs, and
     every nonzero output joins them as it is computed; a missing word is a
@@ -323,7 +334,7 @@ def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
     A caller that stops early pays for no later word."""
     known = {w: (x.den, x.nums) for w, x in given.items() if any(x.nums)}
     found = {}
-    kappa, moment = (found, known) if invert else (known, found)
+    kappa, moment = (found.get, known.get) if invert else (known.get, found.get)
     sign = -1 if invert else 1
     zero = (1, (0,) * (k + 1))
     shared_zero = CkScalar.zero(k)
@@ -332,15 +343,21 @@ def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
     for n in range(1, max_len + 1):
         blocks = _first_blocks(n)[:-1] if invert else _first_blocks(n)
         for w in product(range(1, num_vars + 1), repeat=n):
+            out = seeded.get(w)
+            if out is not None:
+                if any(out.nums):
+                    found[w] = (out.den, out.nums)
+                yield w, out
+                continue
             den, acc = known.get(w, zero) if invert else zero
             acc = list(acc)
             for on_b, gaps in blocks:
-                c = kappa.get(on_b(w))
+                c = kappa(on_b(w))
                 if c is None:
                     continue
                 tden, x = c
-                for lo, hi in gaps:
-                    g = moment.get(w[lo:hi])
+                for gap in gaps:
+                    g = moment(w[gap])
                     if g is None:
                         break
                     tden *= g[0]
@@ -456,9 +473,11 @@ class CkSeries(Value):
         return cls(k, trunc, coeffs)
 
     def truncate(self, trunc: int) -> "CkSeries":
-        if trunc > self.trunc:
-            raise ValueError("cannot extend a truncated series")
-        return CkSeries(self.k, trunc, self.coeffs[:trunc], self.const)
+        """The first trunc coefficients of this validated series, built
+        through the trusted `_of`."""
+        if not 1 <= trunc <= self.trunc:
+            raise ValueError(f"cannot truncate a series of trunc {self.trunc} to {trunc}")
+        return CkSeries._of(self.k, trunc, self.coeffs[:trunc], self.const)
 
     def __repr__(self):
         return f"CkSeries(k={self.k}, trunc={self.trunc}, const={self.const!r}, coeffs={list(self.coeffs)!r})"

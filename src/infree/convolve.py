@@ -68,7 +68,8 @@ def _boxed_sum(f: CkSeries, n: int, g_power) -> CkSeries:
     [z^m]f^a [z^m]g^b / (a b), where g_power(m, b) gives [z^m]g^b as a
     pair (q, chain): an exact rational q times the product of chain, a
     tuple of at most one C_k scalar.  The powers of f and the scalars of
-    g come from validated series, so the terms go to the trusted core."""
+    g come from validated series, so the terms go to the trusted core, and
+    its sums become the series through the trusted `_of`."""
     f_pows = _powers(f.truncate(n))
     out = []
     for m in range(1, n + 1):
@@ -78,7 +79,7 @@ def _boxed_sum(f: CkSeries, n: int, g_power) -> CkSeries:
             terms.append((m * q.numerator, a * b * q.denominator,
                           (f_pows[a - 1].coeffs[m - 1],) + chain))
         out.append(_accumulate(f.k, terms))
-    return CkSeries(f.k, n, out)
+    return CkSeries._of(f.k, n, tuple(out), CkScalar.zero(f.k))
 
 
 def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
@@ -233,12 +234,14 @@ def s_transform(law: InfLaw) -> CkSeries:
 
 
 def moment_series(law: InfLaw) -> CkSeries:
-    """Moments of a one-variable law as a series, degrees 1..max_len."""
+    """Moments of a one-variable law as a series, degrees 1..max_len: the
+    law's own validated scalars, built through the trusted `_of`."""
     if law.num_vars != 1:
         raise ValueError("moment series needs a one-variable law")
-    return CkSeries(
-        law.k, law.max_len, [law.moment((1,) * m) for m in range(1, law.max_len + 1)]
-    )
+    values = law.values
+    return CkSeries._of(law.k, law.max_len,
+                        tuple(values[(1,) * m] for m in range(1, law.max_len + 1)),
+                        CkScalar.zero(law.k))
 
 
 def law_from_moment_series(m: CkSeries) -> InfLaw:

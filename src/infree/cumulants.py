@@ -111,14 +111,14 @@ def cumulants_to_moments(c: CumulantTable) -> InfLaw:
     """Moment of each word as the sum over non-crossing partitions of the
     block products of cumulants, by the first-block decomposition.  Words
     come shortest first, so the moments of the gaps are already known."""
-    out = dict(_first_block_table(c.k, c.values, c.num_vars, c.max_len, False))
+    out = dict(_first_block_table(c.k, c.values, c.num_vars, c.max_len, False, {}))
     return InfLaw._of(c.k, c.num_vars, c.max_len, out)
 
 
 def _cumulants_shortlex(m: InfLaw, max_len: int) -> Iterator[tuple]:
     """(word, cumulant) for the words of m up to length max_len, shortlex;
     a caller that stops early pays for no later word."""
-    return _first_block_table(m.k, m.values, m.num_vars, max_len, True)
+    return _first_block_table(m.k, m.values, m.num_vars, max_len, True, {})
 
 
 def moments_to_cumulants(m: InfLaw) -> CumulantTable:

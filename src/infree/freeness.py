@@ -12,18 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import index
+from operator import index, itemgetter
 
 from ._value import Value
-from .ck import CkScalar, _accumulate, _coerce
-from .cumulants import (
-    CumulantTable,
-    InfLaw,
-    _cumulants_shortlex,
-    all_words,
-    cumulants_to_moments,
-    moments_to_cumulants,
-)
+from .ck import CkScalar, _accumulate, _coerce, _first_block_table
+from .cumulants import CumulantTable, InfLaw, _cumulants_shortlex, all_words
 from .convolve import additive_convolve, multiplicative_convolve
 from .partitions import enumerate_nc, kreweras
 
@@ -164,8 +157,16 @@ class Coloring(Value):
 
 def free_product_joint(laws: list, max_len: int):
     """Joint law of the disjoint union of the inputs' variables, free by
-    construction: mixed cumulants vanish, pure-color cumulants come from the
-    corresponding factor.  Returns the law and the coloring."""
+    construction, and its coloring.
+
+    A free product's pure cumulants are its factors' and its mixed ones
+    vanish (Nica-Speicher, Lectures on the Combinatorics of Free
+    Probability, Lecture 11).  So the joint cumulant table is sparse: each
+    factor's cumulants up to max_len, on its variables shifted past the
+    earlier factors', and a mixed word is missing, which the kernel reads
+    as zero.  Its c2m is seeded with each factor's own moment scalars on
+    the pure words, so it sums only the mixed words, and a pure joint
+    moment is the factor's scalar itself."""
     if not laws:
         raise ValueError("need at least one factor")
     k = laws[0].k
@@ -174,26 +175,19 @@ def free_product_joint(laws: list, max_len: int):
     if any(law.max_len < max_len for law in laws):
         raise ValueError(f"every factor needs moments up to length {max_len}")
     colors = []
-    offset_of = []
-    offset = 0
+    pure_cumulants = {}
+    pure_moments = {}
     for idx, law in enumerate(laws, start=1):
-        offset_of.append(offset)
+        offset = len(colors)
         colors.extend([idx] * law.num_vars)
-        offset += law.num_vars
-    coloring = Coloring(tuple(colors))
-    factor_cums = [moments_to_cumulants(law) for law in laws]
-    zero = CkScalar.zero(k)
-    table = {}
-    for w in all_words(offset, max_len):
-        cset = {colors[v - 1] for v in w}
-        if len(cset) > 1:
-            table[w] = zero
-        else:
-            c = cset.pop()
-            local = tuple(v - offset_of[c - 1] for v in w)
-            table[w] = factor_cums[c - 1].value(local)
-    joint = cumulants_to_moments(CumulantTable._of(k, offset, max_len, table))
-    return joint, coloring
+        values = law.values
+        for w, x in _cumulants_shortlex(law, max_len):
+            joint_word = tuple(v + offset for v in w)
+            pure_cumulants[joint_word] = x
+            pure_moments[joint_word] = values[w]
+    num_vars = len(colors)
+    table = dict(_first_block_table(k, pure_cumulants, num_vars, max_len, False, pure_moments))
+    return InfLaw._of(k, num_vars, max_len, table), Coloring(tuple(colors))
 
 
 def _require_two_equal_colors(coloring: Coloring):
@@ -209,12 +203,15 @@ def _require_two_equal_colors(coloring: Coloring):
 
 @lru_cache(maxsize=None)
 def _kreweras_index_blocks(m: int) -> tuple:
-    """(blocks of p, blocks of Kr(p)) for every p in NC(m), each block a
-    tuple of 0-based positions; computed once per length."""
-    def zero_based(blocks):
-        return tuple(tuple(i - 1 for i in b) for b in blocks)
+    """(getters of the blocks of p, getters of the blocks of Kr(p)) for
+    every p in NC(m), computed once per length.  A block's getter maps a
+    word of length m to its subword on the block, a tuple."""
+    def getters(blocks):
+        # itemgetter of one index returns the item, not a 1-tuple
+        return tuple(itemgetter(*(i - 1 for i in b)) if len(b) > 1
+                     else itemgetter(slice(b[0] - 1, b[0])) for b in blocks)
 
-    return tuple((zero_based(p.blocks), zero_based(kreweras(p).blocks)) for p in enumerate_nc(m))
+    return tuple((getters(p.blocks), getters(kreweras(p).blocks)) for p in enumerate_nc(m))
 
 
 def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: int) -> CumulantTable:
@@ -222,9 +219,10 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
 
     kappa_m of the products is the sum over non-crossing p of the p-indexed
     cumulants of the a's times the complement-indexed cumulants of the b's.
-    The blocks of p and Kr(p) come as 0-based positions from a per-length
-    cache, so no call after the first at a length computes a Kreweras
-    complement, and a restriction is read as the subword at those positions.
+    A word w is translated once into the word of its a's and the word of
+    its b's, and each restriction is read off one of them by a block getter
+    from a per-length cache, so no call after the first at a length
+    computes a Kreweras complement or builds a getter.
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the table")
@@ -235,14 +233,14 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     if mixed is not None:
         raise ValueError(f"mixed cumulant does not vanish on {mixed[0]}")
     npairs = len(first)
+    a_of = (None, *first).__getitem__
+    b_of = (None, *second).__getitem__
     values = joint.values  # the table's own validated scalars, none checked again
     out = {}
     for w in all_words(npairs, max_len):
-        a_at = tuple(first[j - 1] for j in w).__getitem__
-        b_at = tuple(second[j - 1] for j in w).__getitem__
+        a, b = tuple(map(a_of, w)), tuple(map(b_of, w))
         out[w] = _accumulate(joint.k, (
-            (1, 1, [values[tuple(map(a_at, b))] for b in p_blocks]
-             + [values[tuple(map(b_at, b))] for b in kr_blocks])
+            (1, 1, [values[on(a)] for on in p_blocks] + [values[on(b)] for on in kr_blocks])
             for p_blocks, kr_blocks in _kreweras_index_blocks(len(w))
         ))
     return CumulantTable._of(joint.k, npairs, max_len, out)
@@ -270,8 +268,9 @@ class FreenessVerdict(Value):
 def _first_mixed(items, coloring: Coloring) -> tuple | None:
     """First (word, value), in the order given, whose word mixes colours
     and whose value is nonzero."""
+    color_of = (None, *coloring.colors).__getitem__
     for w, x in items:
-        if not x.is_zero() and len({coloring.color_of(v) for v in w}) > 1:
+        if any(x.nums) and len(set(map(color_of, w))) > 1:
             return w, x
     return None
 

@@ -34,7 +34,7 @@ from infree.cumulants import (
     moments_to_cumulants,
     restrict,
 )
-from infree.freeness import Derivation, FreenessVerdict, NcPolynomial, Witness
+from infree.freeness import Coloring, Derivation, FreenessVerdict, NcPolynomial, Witness
 from infree.jsonio import (
     SchemaError,
     _check_keys,
@@ -341,6 +341,29 @@ def rand_law(rng, k: int, num_vars: int, max_len: int):
     return cumulants_to_moments(rand_cumulants(rng, k, num_vars, max_len))
 
 
+def free_product_joint_dense_oracle(laws: list, max_len: int):
+    """The free product's joint law and coloring through a dense joint
+    cumulant table: every mixed word an explicit zero, every pure word its
+    factor's cumulant from its whole table, all of it taken through the
+    validating constructor and cumulants_to_moments."""
+    k = laws[0].k
+    colors, offsets, factor_cums = [], [], []
+    for idx, law in enumerate(laws, start=1):
+        offsets.append(len(colors))
+        colors.extend([idx] * law.num_vars)
+        factor_cums.append(moments_to_cumulants(law))
+    table = {}
+    for w in all_words(len(colors), max_len):
+        cset = {colors[v - 1] for v in w}
+        if len(cset) > 1:
+            table[w] = CkScalar.zero(k)
+        else:
+            c = cset.pop()
+            table[w] = factor_cums[c - 1].value(tuple(v - offsets[c - 1] for v in w))
+    joint = cumulants_to_moments(CumulantTable(k, len(colors), max_len, table))
+    return joint, Coloring(tuple(colors))
+
+
 def nc_boxed_conv_oracle(f: CkSeries, g: CkSeries) -> CkSeries:
     """Boxed convolution as the plain sum over NC(m): prod alpha over the
     block sizes of p times prod beta over the block sizes of Kr(p)."""
@@ -398,7 +421,7 @@ def first_block_sum(w: tuple, blocks, kappa: dict, moment: dict, k: int) -> CkSc
     one word at a time, every term a chain of scalars handed to
     `ck._accumulate`.  kappa(w|B) is read first and a block whose cumulant
     is zero is skipped."""
-    chains = ((1, 1, [c] + [moment[w[lo:hi]] for lo, hi in gaps])
+    chains = ((1, 1, [c] + [moment[w[gap]] for gap in gaps])
               for on_b, gaps in blocks if any((c := kappa[on_b(w)]).nums))
     return _accumulate(k, chains)
 

@@ -468,6 +468,36 @@ def test_series_compose_inverse_round_trip():
         assert series_compose(inv, f).coeffs == comp.coeffs
 
 
+_SPARSE_COORDS = st.one_of(st.just(Fraction(0)),
+                          st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def _unit_lead_series(draw):
+    """A series of order k <= 3 and trunc <= 6 with zero constant term: its
+    lead a unit of C_k, each later coefficient zero, nilpotent or general,
+    every coordinate zero or a small rational."""
+    k = draw(st.integers(0, 3))
+    trunc = draw(st.integers(1, 6))
+    coords = st.lists(_SPARSE_COORDS, min_size=k, max_size=k)
+    unit = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 6))
+    lead = CkScalar(k, (draw(unit), *draw(coords)))
+    later = st.one_of(st.just(CkScalar.zero(k)),
+                      coords.map(lambda c: CkScalar(k, (0, *c))),
+                      st.tuples(_SPARSE_COORDS, coords).map(lambda c: CkScalar(k, (c[0], *c[1]))))
+    return CkSeries(k, trunc, [lead, *draw(st.lists(later, min_size=trunc - 1, max_size=trunc - 1))])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_unit_lead_series())
+def test_composition_inverse_property(f):
+    # the compositional inverse is a two-sided inverse for composition
+    k, trunc = f.k, f.trunc
+    identity = CkSeries(k, trunc, [CkScalar.one(k)] + [CkScalar.zero(k)] * (trunc - 1))
+    g = series_comp_inverse(f)
+    assert series_compose(f, g) == identity == series_compose(g, f)
+
+
 def test_series_comp_inverse_needs_unit_lead():
     f = CkSeries(1, 3, [CkScalar.eps(1), CkScalar.one(1), CkScalar.zero(1)])
     with pytest.raises(NotInvertible):
@@ -481,6 +511,10 @@ def test_series_coeff_access_and_truncate():
     with pytest.raises(IndexError):
         series_coeff(f, 4)
     assert f.truncate(2).coeffs == f.coeffs[:2]
+    assert f.truncate(3) == f
+    for trunc in (0, 4):
+        with pytest.raises(ValueError):
+            f.truncate(trunc)
 
 
 def test_scalar_validation():

@@ -209,6 +209,28 @@ def test_boxed_product_laws_property(fgh):
     assert boxed_conv_ck(moebius, zeta) == delta
 
 
+@st.composite
+def _sparse_series_pairs_with_small_leads(draw):
+    """Two series of one order k <= 3 and one trunc <= 5, each lead zero or
+    nilpotent and each later coefficient zero or sparse."""
+    k = draw(st.integers(0, 3))
+    trunc = draw(st.integers(1, 5))
+    coords = st.lists(_SPARSE_COORDS, min_size=k, max_size=k)
+    lead = st.one_of(st.just(CkScalar.zero(k)), coords.map(lambda c: CkScalar(k, (0, *c))))
+    later = st.one_of(st.just(CkScalar.zero(k)),
+                      st.tuples(_SPARSE_COORDS, coords).map(lambda c: CkScalar(k, (c[0], *c[1]))))
+    series = st.tuples(lead, st.lists(later, min_size=trunc - 1, max_size=trunc - 1)).map(
+        lambda c: CkSeries(k, trunc, [c[0], *c[1]]))
+    return draw(series), draw(series)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_sparse_series_pairs_with_small_leads())
+def test_boxed_kernel_matches_nc_sum_oracle_property(fg):
+    f, g = fg
+    assert boxed_conv_ck(f, g) == nc_boxed_conv_oracle(f, g)
+
+
 def test_boxed_invertibility():
     rng = random.Random(47)
     for k in range(3):
@@ -411,6 +433,27 @@ def test_multiplicative_convolve_runs_three_power_chains_and_two_boxed_sums(monk
         calls.clear()
         multiplicative_convolve(mu, nu)
         assert calls == {"_powers": 3, "_boxed_sum": 2}, (k, max_len)
+
+
+def test_series_routes_validate_no_series_they_build(monkeypatch):
+    # the moment series, truncations, power chains and boxed sums of a
+    # product are built from validated values, so none is checked again
+    calls = []
+    real = CkSeries.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        real(self, *args)
+
+    rng = random.Random(199)
+    for k, max_len in ((0, 1), (1, 7), (3, 5)):
+        mu = rand_law(rng, k=k, num_vars=1, max_len=max_len)
+        nu = rand_law(rng, k=k, num_vars=1, max_len=max_len)
+        with monkeypatch.context() as m:
+            m.setattr(CkSeries, "__init__", counted)
+            got = multiplicative_convolve(mu, nu)
+        assert calls == [], (k, max_len)
+        assert got == r_boxed_multiplicative_oracle(mu, nu), (k, max_len)
 
 
 def test_s_transform_multiplicative_on_bernoulli():

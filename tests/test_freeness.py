@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from infree import freeness
+from infree import ck, freeness
 from infree.ck import (
     CkScalar,
     CkSeries,
@@ -18,7 +18,15 @@ from infree.ck import (
     multinomial,
     series_mul,
 )
-from infree.convolve import additive_convolve, example_law, multiplicative_convolve
+from infree.convolve import (
+    additive_convolve,
+    boxed_conv_ck,
+    example_law,
+    moment_series,
+    moments_from_r,
+    multiplicative_convolve,
+    r_from_moments,
+)
 from infree.cumulants import (
     CumulantTable,
     InfLaw,
@@ -47,6 +55,7 @@ from infree.partitions import catalan, enumerate_nc
 from helpers import (
     eval_poly,
     first_block_m2c_oracle,
+    free_product_joint_dense_oracle,
     jet_of_poly,
     lagrange_derivative_at_zero,
     lambda_vectors,
@@ -122,10 +131,12 @@ def test_apply_derivation():
 
 
 def test_free_product_single_factor():
+    # a single factor comes back as its own law, scalar for scalar
     rng = random.Random(101)
     law = rand_law(rng, k=1, num_vars=2, max_len=3)
     joint, coloring = free_product_joint([law], 3)
     assert joint == law
+    assert all(joint.values[w] is x for w, x in law.values.items())
     assert coloring.colors == (1, 1)
 
 
@@ -148,6 +159,82 @@ def test_free_product_marginals_preserved():
     for w in all_words(2, 4):
         shifted = tuple(v + 1 for v in w)
         assert joint.moment(shifted) == nu.moment(w)
+
+
+def _sparse_law(rng, k: int, num_vars: int, max_len: int) -> InfLaw:
+    """Moments, or cumulants taken to moments, each entry zero, nilpotent or
+    general."""
+    values = {w: rand_sparse_scalar(rng, k) for w in all_words(num_vars, max_len)}
+    if rng.random() < 0.5:
+        return InfLaw(k, num_vars, max_len, values)
+    return cumulants_to_moments(CumulantTable(k, num_vars, max_len, values))
+
+
+def test_free_product_joint_matches_the_dense_oracle():
+    # the sparse, seeded route against the dense joint cumulant table with
+    # explicit zeros, on factors up to two letters longer than the joint
+    rng = random.Random(191)
+    shapes = [((1,), 5), ((2,), 3), ((1, 1), 5), ((2, 1), 4), ((1, 2), 3), ((2, 2), 3),
+              ((1, 1, 1), 4), ((1, 2, 1), 3), ((2, 1, 2), 2)]
+    for k in range(4):
+        for nvs, max_len in shapes:
+            laws = [_sparse_law(rng, k, nv, max_len + rng.randint(0, 2)) for nv in nvs]
+            got = free_product_joint(laws, max_len)
+            assert got == free_product_joint_dense_oracle(laws, max_len), (k, nvs, max_len)
+
+
+def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
+    # the joint's c2m builds no scalar for a pure word and visits none of
+    # its first blocks: each pure joint moment is the factor's own scalar
+    rng = random.Random(193)
+    visited, made = [], []
+    real_blocks = ck._first_blocks
+    real_built = CkScalar._built.__func__
+
+    def blocks(n):
+        def on(get):
+            return lambda w: visited.append(w) or get(w)
+        return tuple((on(get), gaps) for get, gaps in real_blocks(n))
+
+    def built(cls, *args):
+        made.append(real_built(cls, *args))
+        return made[-1]
+
+    def joint_c2m(*args):
+        visited.clear()
+        made.clear()
+        yield from _first_block_table(*args)
+
+    monkeypatch.setattr(ck, "_first_blocks", blocks)
+    monkeypatch.setattr(CkScalar, "_built", classmethod(built))
+    monkeypatch.setattr(freeness, "_first_block_table", joint_c2m)
+    for k, nvs, max_len in ((0, (1, 1), 5), (2, (2, 1), 4), (1, (1, 1, 1), 3)):
+        laws = [rand_law(rng, k, nv, max_len) for nv in nvs]
+        joint, coloring = free_product_joint(laws, max_len)
+        mixed = {w for w in joint.words() if len({coloring.color_of(v) for v in w}) > 1}
+        assert visited and set(visited) == mixed, (k, nvs)
+        # one scalar per nonzero mixed moment, and the one zero the kernel shares
+        nonzero_mixed = [joint.values[w] for w in mixed if not joint.values[w].is_zero()]
+        made_zero = [x for x in made if x.is_zero()]
+        assert len(made_zero) == 1, (k, nvs)
+        assert sorted(map(id, made)) == sorted(map(id, nonzero_mixed + made_zero)), (k, nvs)
+        offset = 0
+        for law in laws:
+            for w, x in law.values.items():
+                assert joint.values[tuple(v + offset for v in w)] is x, (k, nvs, w)
+            offset += law.num_vars
+        assert (joint, coloring) == free_product_joint_dense_oracle(laws, max_len)
+
+
+def test_free_product_reads_factor_cumulants_up_to_the_joint_length(monkeypatch):
+    # a factor longer than the joint has its cumulants computed up to the
+    # joint's length alone
+    rng = random.Random(197)
+    long, short = rand_law(rng, 1, 2, 7), rand_law(rng, 1, 1, 3)
+    calls = _kernel_words(monkeypatch)
+    joint, _ = free_product_joint([long, short], 3)
+    assert calls == list(all_words(2, 3)) + list(all_words(1, 3))
+    assert joint == free_product_joint_dense_oracle([long, short], 3)[0]
 
 
 def test_free_product_errors():
@@ -207,9 +294,11 @@ def test_computed_tables_match_the_validating_constructor():
             checked = type(t)(t.k, t.num_vars, t.max_len, t.values)
             assert t == checked and hash(t) == hash(checked)
             assert list(t.values) == list(t.words()) == list(checked.values)
-    # the same for the series products and power chains, built through the
-    # trusted constructor: general, sparse and all-zero series, with and
-    # without a constant term
+        s = moment_series(mu)
+        assert s == CkSeries(s.k, s.trunc, s.coeffs, s.const)
+    # the same for the series products, power chains, truncations and boxed
+    # sums, built through the trusted constructor: general, sparse and
+    # all-zero series, with and without a constant term
     rng = random.Random(131)
     for k in range(4):
         for trunc in (1, 2, 5):
@@ -218,6 +307,10 @@ def test_computed_tables_match_the_validating_constructor():
             series = [rand_series(rng, k, trunc), sparse, with_const, CkSeries.zero(k, trunc)]
             built = [series_mul(f, g) for f in series for g in series]
             built += [p for f in series for p in _powers(f)]
+            built += [f.truncate(t) for f in series for t in range(1, trunc + 1)]
+            boxable = [f for f in series if f.const.is_zero()]
+            built += [r_from_moments(f) for f in boxable] + [moments_from_r(f) for f in boxable]
+            built += [boxed_conv_ck(f, g) for f in boxable for g in boxable]
             for s in built:
                 checked = CkSeries(s.k, s.trunc, s.coeffs, s.const)
                 assert s == checked and hash(s) == hash(checked), (k, trunc)

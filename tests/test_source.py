@@ -115,8 +115,9 @@ def test_one_leibniz_rule_in_ck():
 
 def _value_plumbing(node: ast.AST, holder: str = ""):
     """(holder, what) for every `__setattr__` or trusted constructor defined
-    or assigned, and every `object.__setattr__` named, under node; holder
-    is the dotted name of the enclosing classes and functions."""
+    or assigned, and every `object.__setattr__` or descriptor `__set__`
+    named, under node; holder is the dotted name of the enclosing classes
+    and functions."""
     for child in ast.iter_child_nodes(node):
         inner = holder
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -128,23 +129,25 @@ def _value_plumbing(node: ast.AST, holder: str = ""):
         elif (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
               and isinstance(child.value, ast.Name) and child.value.id == "object"):
             yield holder, "object.__setattr__"
+        elif (isinstance(child, ast.Attribute) and child.attr == "__set__"
+              or isinstance(child, ast.Name) and child.id == "__set__"):
+            yield holder, "names __set__"
         yield from _value_plumbing(child, inner)
 
 
 def test_one_immutable_value_base():
-    # immutability, slot writes and trusted construction belong to
+    # immutability, the slot setters and trusted construction belong to
     # _value.Value alone, besides the trusted scalar constructor, which
-    # runs once per computed scalar
+    # runs once per computed scalar and writes through the setters Value
+    # binds
     found = {
         (path.name, holder, what)
         for path in sorted(SRC.glob("*.py"))
         for holder, what in _value_plumbing(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     }
-    assert {f for f in found if f[0] != "_value.py"} == {
-        ("ck.py", "CkScalar", "defines _built"),
-        ("ck.py", "CkScalar._built", "object.__setattr__"),
-    }
-    assert {("_value.py", "Value", "defines __setattr__"), ("_value.py", "Value", "defines _of")} <= found
+    assert {f for f in found if f[0] != "_value.py"} == {("ck.py", "CkScalar", "defines _built")}
+    assert {("_value.py", "Value", "defines __setattr__"), ("_value.py", "Value", "defines _of"),
+            ("_value.py", "Value.__init_subclass__", "names __set__")} <= found
 
 
 def test_one_budget_check_in_the_cli():
