@@ -28,7 +28,7 @@ _EXPORTS = {
     ), "partitions"),
     **dict.fromkeys((
         "TypeKPartition", "enumerate_type_k", "enumerate_type_k_star", "is_type_k",
-        "r_of_shape", "reduce_mod", "shape_of",
+        "r_of_shape", "reduce_mod",
     ), "typek"),
     **dict.fromkeys((
         "CumulantTable", "InfLaw", "cumulant_of_products", "cumulants_to_moments",

@@ -31,8 +31,9 @@ runs Newton's iteration through the same Leibniz rule, at doubling orders.
 
 Validation happens once, where a value enters the library: the scalar,
 series and table constructors.  A scalar the library computes is built by
-the trusted `CkScalar._built`, one gcd reduction and no check, and a series
-product, truncation or boxed sum by the trusted `CkSeries._of`.  So the
+the trusted `CkScalar._built`, one gcd reduction and no check, and every
+series it computes (a sum, product, truncation, composition, inverse or
+boxed sum) by the trusted `CkSeries._of`.  So the
 cores trust their factors to be order-k scalars and check none of them:
 every caller hands `_accumulate` (num, den, chain) terms whose factors come
 from validated series and tables.  `ck_prod_many`, the one public product of caller scalars, checks
@@ -484,13 +485,13 @@ class CkSeries(Value):
 
     def __add__(self, other: "CkSeries") -> "CkSeries":
         _check_order(self, other)
-        coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        return CkSeries(self.k, len(coeffs), coeffs, self.const + other.const)
+        coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return CkSeries._of(self.k, len(coeffs), coeffs, self.const + other.const)
 
     def __sub__(self, other: "CkSeries") -> "CkSeries":
         _check_order(self, other)
-        coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        return CkSeries(self.k, len(coeffs), coeffs, self.const - other.const)
+        coeffs = tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return CkSeries._of(self.k, len(coeffs), coeffs, self.const - other.const)
 
     def __mul__(self, other: "CkSeries") -> "CkSeries":
         return series_mul(self, other)
@@ -523,9 +524,9 @@ def series_compose(f: CkSeries, g: CkSeries) -> CkSeries:
         raise ValueError("composition needs a zero constant term in the inner series")
     n = min(f.trunc, g.trunc)
     pairs = list(zip(f.coeffs, _powers(g.truncate(n))))
-    out = [_accumulate(f.k, ((1, 1, (a, power.coeffs[d])) for a, power in pairs))
-           for d in range(n)]
-    return CkSeries(f.k, n, out, f.const)
+    out = tuple(_accumulate(f.k, ((1, 1, (a, power.coeffs[d])) for a, power in pairs))
+                for d in range(n))
+    return CkSeries._of(f.k, n, out, f.const)
 
 
 def _powers(f: CkSeries) -> list:
@@ -547,9 +548,10 @@ def series_comp_inverse(f: CkSeries) -> CkSeries:
     n = f.trunc
     k = f.k
     a1_inv = ck_inverse(f.coeffs[0])  # NotInvertible if leading coefficient is not a unit
-    g = [a1_inv]
+    zero = CkScalar.zero(k)
+    g = (a1_inv,)
     for d in range(2, n + 1):
         # with g known below degree d, [z^d] f(g(z)) = a_1 g_d + [z^d] f(g_{<d}(z))
-        known = CkSeries(k, d, g + [CkScalar.zero(k)])
-        g.append(ck_mul(-a1_inv, series_compose(f.truncate(d), known).coeffs[d - 1]))
-    return CkSeries(k, n, g)
+        known = CkSeries._of(k, d, g + (zero,), zero)
+        g += (ck_mul(-a1_inv, series_compose(f.truncate(d), known).coeffs[d - 1]),)
+    return CkSeries._of(k, n, g, zero)

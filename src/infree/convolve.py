@@ -162,10 +162,10 @@ def boxed_conv_type_b(f: CkSeries, g: CkSeries) -> CkSeries:
         raise ValueError("type-B convolution is defined at order k=1")
     _check_boxed_pair(f, g)
     n = min(f.trunc, g.trunc)
-    return CkSeries(1, n, [
+    return CkSeries._of(1, n, tuple(
         CkScalar(1, (_coord_sum(_type_k_terms(m, 0), f, g), _coord_sum(_type_b_terms(m), f, g)))
         for m in range(1, n + 1)
-    ])
+    ), CkScalar.zero(1))
 
 
 @lru_cache(maxsize=None)
@@ -192,10 +192,10 @@ def boxed_conv_type_k(f: CkSeries, g: CkSeries) -> CkSeries:
     shape multinomial over the shape count r."""
     _check_boxed_pair(f, g)
     n = min(f.trunc, g.trunc)
-    return CkSeries(f.k, n, [
+    return CkSeries._of(f.k, n, tuple(
         CkScalar(f.k, [_coord_sum(_type_k_terms(m, i), f, g) for i in range(f.k + 1)])
         for m in range(1, n + 1)
-    ])
+    ), CkScalar.zero(f.k))
 
 
 def _moebius_power(m: int, b: int) -> Fraction:
@@ -224,7 +224,7 @@ def fourier_transform(f: CkSeries) -> CkSeries:
     if f.trunc < 2:
         raise ValueError("fourier transform needs trunc >= 2")
     inv = series_comp_inverse(f)  # raises NotInvertible on a bad leading term
-    return CkSeries(f.k, f.trunc - 1, inv.coeffs[1:], inv.coeffs[0])
+    return CkSeries._of(f.k, f.trunc - 1, inv.coeffs[1:], inv.coeffs[0])
 
 
 def s_transform(law: InfLaw) -> CkSeries:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from operator import index, itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from ._value import Value
 
@@ -83,22 +83,20 @@ def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
     return True
 
 
-def enumerate_nc_blocks(n: int) -> Iterator[tuple]:
-    """Block tuples of all non-crossing partitions of [n], unvalidated and
-    uncached, for callers that keep only a few of them.
+@lru_cache(maxsize=None)
+def _nc_cache(n: int) -> tuple:
+    """Every non-crossing partition of [n], built by the trusted `_of`.
 
     Left-to-right scan with a stack of open blocks.  At each position either
     open a new block, or extend one of the open blocks; extending a block
     below the top closes everything above it, so each partition is produced
     exactly once.
     """
-    if n == 0:
-        yield ()
-        return
 
     def rec(pos: int, stack: list, closed: list):
         if pos > n:
-            yield tuple(sorted((tuple(b) for b in closed + stack), key=lambda b: b[0]))
+            blocks = sorted((tuple(b) for b in closed + stack), key=lambda b: b[0])
+            yield NcPartition._of(n, tuple(blocks))
             return
         stack.append([pos])
         yield from rec(pos + 1, stack, closed)
@@ -113,12 +111,7 @@ def enumerate_nc_blocks(n: int) -> Iterator[tuple]:
         while popped:
             stack.append(popped.pop())
 
-    yield from rec(1, [], [])
-
-
-@lru_cache(maxsize=None)
-def _nc_cache(n: int) -> tuple:
-    return tuple(NcPartition._of(n, blocks) for blocks in enumerate_nc_blocks(n))
+    return tuple(rec(1, [], []))
 
 
 def enumerate_nc(n: int) -> tuple:

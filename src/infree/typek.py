@@ -16,7 +16,7 @@ library, checks membership.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 from ._value import Value
@@ -174,10 +174,6 @@ def _compute_shape(pi: NcPartition, index_of: dict, n: int, k: int) -> LambdaVec
     return LambdaVector(tuple(entries), k)
 
 
-def shape_of(tk: TypeKPartition) -> LambdaVector:
-    return tk.shape
-
-
 @lru_cache(maxsize=None)
 def fiber_over(p: NcPartition, k: int) -> tuple:
     """All TypeKPartition with reduction p, memoized per (p, k)."""
@@ -217,25 +213,20 @@ def enumerate_type_k_star(n: int, k: int) -> tuple:
     return tuple(tk for tk in enumerate_type_k(n, k) if is_star(tk))
 
 
-@lru_cache(maxsize=None)
-def _shape_counts(p: NcPartition, k: int) -> dict:
-    counts = {}
-    for tk in fiber_over(p, k):
-        key = tk.shape.entries
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def r_of_shape(lam: LambdaVector, n: int, k: int) -> int:
+    """Number of elements with shape lam in the fiber over any reduction p
+    in NC(n): r(lam) = prod over j = 0..n of C(k+1, lam_j), over k+1.
 
-
-def r_of_shape(lam: LambdaVector, n: int, k: int, p: NcPartition | None = None) -> int:
-    """Number of elements in the fiber over p with the given shape vector.
-
-    The count does not depend on p; the default reference is the one-block
-    partition of [n].
+    The count does not depend on p.  The product is an identity checked
+    against enumerating the fibers, not derived here.  The division is
+    exact: for each prime factor of k+1 some entry is prime to it, as the
+    entries sum to k, and that entry's C(k+1, e) = (k+1)/e C(k, e-1)
+    keeps every power of the prime in k+1.  Summed over every shape the
+    product gives C((n+1)(k+1), k) / (k+1), the fiber size of
+    `fiber_size_formula`.
     """
     if n < 1:
         raise ValueError(f"r_of_shape needs n >= 1, got {n}")
     if len(lam.entries) != n + 1 or lam.target != k:
         raise ValueError(f"shape must have n+1 = {n + 1} entries summing to k = {k}")
-    if p is None:
-        p = NcPartition._of(n, (tuple(range(1, n + 1)),))
-    return _shape_counts(p, k).get(lam.entries, 0)
+    return prod(comb(k + 1, e) for e in lam.entries) // (k + 1)

@@ -56,6 +56,7 @@ from infree.partitions import (
 from infree.typek import (
     TypeKPartition,
     enumerate_type_k_star,
+    fiber_over,
     is_type_k,
     r_of_shape,
     residue,
@@ -549,35 +550,61 @@ def type_k_filter_oracle(n: int, k: int) -> set:
     return {p for p in enumerate_nc((k + 1) * n) if is_type_k(p, n, k)}
 
 
-def phi_component_oracle(c: CumulantTable, w: tuple, i: int) -> Fraction:
-    """Component i of the moment of w, by the componentwise double sum over
-    partitions and weak compositions."""
+@lru_cache(maxsize=None)
+def _componentwise_terms(n: int, i: int) -> tuple:
+    """(blocks, Mobius value to the top, ((composition, multinomial), ...))
+    for each p in NC(n): the pieces of the componentwise double sums at
+    component i, the compositions spreading i over the blocks of p."""
+    return tuple(
+        (p.blocks, mobius_to_top(p),
+         tuple((lam, multinomial(i, lam)) for lam in compositions(p.num_blocks(), i)))
+        for p in enumerate_nc(n)
+    )
+
+
+def _componentwise_sum(table, w: tuple, i: int, signed: bool) -> Fraction:
+    """Sum over p in NC(len(w)) and compositions lam of i over the blocks of
+    p of multinomial(i, lam) times the product of coordinate lam_j of the
+    table's value on block j of w, each term Mobius-weighted if signed.
+    Each block's coordinates are read once per call."""
     total = Fraction(0)
-    for p in enumerate_nc(len(w)):
-        for lam in lambda_vectors(p.num_blocks(), i):
-            term = Fraction(multinomial(i, lam.entries))
-            for j, b in enumerate(p.blocks):
-                term *= c.value(restrict(w, b)).coords[lam.entries[j]]
+    coords = {}
+    for blocks, mob, lams in _componentwise_terms(len(w), i):
+        for b in blocks:
+            if b not in coords:
+                coords[b] = table.value(restrict(w, b)).coords
+        factors = [coords[b] for b in blocks]
+        sign = mob if signed else 1
+        for lam, weight in lams:
+            term = Fraction(sign * weight)
+            for x, e in zip(factors, lam):
+                term *= x[e]
                 if term == 0:
                     break
             total += term
     return total
+
+
+def phi_component_oracle(c: CumulantTable, w: tuple, i: int) -> Fraction:
+    """Component i of the moment of w, by the componentwise double sum over
+    partitions and weak compositions."""
+    return _componentwise_sum(c, w, i, signed=False)
 
 
 def kappa_component_oracle(law, w: tuple, i: int) -> Fraction:
     """Component i of the cumulant of w: Mobius-weighted double sum over
     partitions and weak compositions of moment components."""
-    total = Fraction(0)
-    for p in enumerate_nc(len(w)):
-        mob = mobius_to_top(p)
-        for lam in lambda_vectors(p.num_blocks(), i):
-            term = Fraction(mob * multinomial(i, lam.entries))
-            for j, b in enumerate(p.blocks):
-                term *= law.value(restrict(w, b)).coords[lam.entries[j]]
-                if term == 0:
-                    break
-            total += term
-    return total
+    return _componentwise_sum(law, w, i, signed=True)
+
+
+@lru_cache(maxsize=None)
+def shape_counts_oracle(p: NcPartition, k: int) -> dict:
+    """Shape entries -> how many elements of the fiber over p have that
+    shape, by enumerating the fiber; shapes that never occur are absent."""
+    counts = {}
+    for tk in fiber_over(p, k):
+        counts[tk.shape.entries] = counts.get(tk.shape.entries, 0) + 1
+    return counts
 
 
 def is_star_oracle(tk: TypeKPartition) -> bool:

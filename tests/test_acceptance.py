@@ -63,6 +63,7 @@ from helpers import (
     rand_law,
     rand_series,
     rotate_partition,
+    shape_counts_oracle,
 )
 
 RESULTS = []
@@ -141,11 +142,12 @@ def test_criterion_4():
                 assert r_of_shape(lam, n, 2) == 1
             else:
                 assert r_of_shape(lam, n, 2) == 3
+    # every fiber has r(lam) elements of shape lam, counted by enumeration
     for k in range(3):
         for n in range(1, 5):
             for lam in lambda_vectors(n + 1, k):
-                counts = {r_of_shape(lam, n, k, p) for p in enumerate_nc(n)}
-                assert len(counts) == 1, (k, n, lam.entries)
+                counts = {shape_counts_oracle(p, k).get(lam.entries, 0) for p in enumerate_nc(n)}
+                assert counts == {r_of_shape(lam, n, k)}, (k, n, lam.entries)
 
 
 @criterion(5, "transform round trip and componentwise forms")

@@ -2,13 +2,22 @@
 from collections import Counter
 from fractions import Fraction
 from math import comb
+import operator
 import random
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from infree import convolve
-from infree.ck import CkScalar, CkSeries, NotInvertible, ck_mul, series_mul
+from infree.ck import (
+    CkScalar,
+    CkSeries,
+    NotInvertible,
+    ck_mul,
+    series_comp_inverse,
+    series_compose,
+    series_mul,
+)
 from infree.convolve import (
     _type_b_terms,
     _type_k_terms,
@@ -436,8 +445,9 @@ def test_multiplicative_convolve_runs_three_power_chains_and_two_boxed_sums(monk
 
 
 def test_series_routes_validate_no_series_they_build(monkeypatch):
-    # the moment series, truncations, power chains and boxed sums of a
-    # product are built from validated values, so none is checked again
+    # the moment series, truncations, power chains, boxed sums, sums,
+    # differences, compositions and inverses behind a product, a sum and an
+    # S-transform are built from validated values, so none is checked again
     calls = []
     real = CkSeries.__init__
 
@@ -445,15 +455,34 @@ def test_series_routes_validate_no_series_they_build(monkeypatch):
         calls.append(args)
         real(self, *args)
 
-    rng = random.Random(199)
-    for k, max_len in ((0, 1), (1, 7), (3, 5)):
-        mu = rand_law(rng, k=k, num_vars=1, max_len=max_len)
-        nu = rand_law(rng, k=k, num_vars=1, max_len=max_len)
+    def run(route, *args):
+        calls.clear()
         with monkeypatch.context() as m:
             m.setattr(CkSeries, "__init__", counted)
-            got = multiplicative_convolve(mu, nu)
-        assert calls == [], (k, max_len)
-        assert got == r_boxed_multiplicative_oracle(mu, nu), (k, max_len)
+            out = route(*args)
+        assert calls == [], (route.__name__, k, max_len)
+        return out
+
+    rng = random.Random(199)
+    transformed = 0
+    for k, max_len in ((0, 1), (1, 7), (3, 5), (2, 5)):
+        mu = rand_law(rng, k=k, num_vars=1, max_len=max_len)
+        nu = rand_law(rng, k=k, num_vars=1, max_len=max_len)
+        assert run(multiplicative_convolve, mu, nu) == r_boxed_multiplicative_oracle(mu, nu)
+        assert run(additive_convolve, mu, nu) == table_additive_convolve_oracle(mu, nu)
+        r_mu, r_nu = r_from_moments(moment_series(mu)), r_from_moments(moment_series(nu))
+        short = min(max_len, 3)
+        built = [run(operator.add, r_mu, r_nu), run(operator.sub, r_mu, r_nu),
+                 run(series_compose, r_mu, r_nu)]
+        if k == 1:
+            built.append(run(boxed_conv_type_b, r_mu.truncate(short), r_nu.truncate(short)))
+        built.append(run(boxed_conv_type_k, r_mu.truncate(short), r_nu.truncate(short)))
+        if max_len >= 2 and mu.moment((1,)).coords[0] != 0:
+            built += [run(series_comp_inverse, r_mu), run(s_transform, mu)]
+            transformed += 1
+        for s in built:
+            assert s == CkSeries(s.k, s.trunc, s.coeffs, s.const), (k, max_len)
+    assert transformed == 3
 
 
 def test_s_transform_multiplicative_on_bernoulli():

@@ -113,6 +113,48 @@ def test_one_leibniz_rule_in_ck():
                                                 "_first_block_table"}
 
 
+def _calls_series_constructor(node: ast.AST, in_series_class: bool) -> bool:
+    """Does node call the validating `CkSeries(...)`, or `cls(...)` inside
+    CkSeries itself?"""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call):
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "CkSeries" or in_series_class and name == "cls":
+                return True
+    return False
+
+
+def _series_validators() -> set:
+    """module.function, module.Class.method, module.Class or module.<module>
+    for every module-level function, method, other class statement and
+    other module statement of src that calls the validating series
+    constructor."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            units = [(getattr(node, "name", "<module>"), node, False)]
+            if isinstance(node, ast.ClassDef):
+                own = node.name == "CkSeries"
+                units = [(f"{node.name}.{c.name}" if hasattr(c, "name") else node.name, c, own)
+                         for c in node.body]
+            found |= {f"{path.stem}.{name}" for name, unit, own in units
+                      if _calls_series_constructor(unit, own)}
+    return found
+
+
+def test_only_caller_scalars_enter_the_validating_series_constructor():
+    # a series the library computed is built through the trusted
+    # CkSeries._of; only routes that start from scalars a caller gave, or
+    # from no scalar at all, pay for the check, so a route that re-validates
+    # its own result cannot come back unnoticed
+    assert _series_validators() == {
+        "ck.CkSeries.zero", "ck.CkSeries.from_rationals", "convolve.special_series",
+        "convolve.example_law", "jsonio.decode_series",
+    }
+
+
 def _value_plumbing(node: ast.AST, holder: str = ""):
     """(holder, what) for every `__setattr__` or trusted constructor defined
     or assigned, and every `object.__setattr__` or descriptor `__set__`
@@ -259,7 +301,7 @@ PUBLIC_NAMES = {
     "partitions": "BarredElement NcPartition SetPartition biane_permutation enumerate_nc "
                   "is_noncrossing kreweras mobius_to_top ordered_blocks partition_join",
     "typek": "TypeKPartition enumerate_type_k enumerate_type_k_star is_type_k r_of_shape "
-             "reduce_mod shape_of",
+             "reduce_mod",
     "cumulants": "CumulantTable InfLaw cumulant_of_products cumulants_to_moments "
                  "infinitesimal_component kappa_pi moments_to_cumulants",
     "convolve": "additive_convolve boxed_conv_ck boxed_conv_type_b boxed_conv_type_k example_law "

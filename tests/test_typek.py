@@ -23,10 +23,16 @@ from infree.typek import (
     reduce_mod,
     reduction_partition,
     residue,
-    shape_of,
 )
 
-from helpers import is_star_oracle, lambda_vectors, nc_meet, star_shape, type_k_filter_oracle
+from helpers import (
+    is_star_oracle,
+    lambda_vectors,
+    nc_meet,
+    shape_counts_oracle,
+    star_shape,
+    type_k_filter_oracle,
+)
 
 
 def nc(n, *blocks):
@@ -141,7 +147,7 @@ def test_multiplicity_divisibility():
 
 def test_shape_examples():
     for p in enumerate_nc(3):
-        assert shape_of(TypeKPartition(p, 3, 0)).entries == (0, 0, 0, 0)
+        assert TypeKPartition(p, 3, 0).shape.entries == (0, 0, 0, 0)
     tk = TypeKPartition(nc(4, [1, 3], [2], [4]), 2, 1)
     assert tk.shape.entries == (1, 0, 0)
     for k, n in SMALL:
@@ -185,12 +191,30 @@ def test_r_known_values():
                 assert r_of_shape(LambdaVector(v, 2), n, 2) == 3
 
 
+def test_r_matches_fiber_enumeration():
+    # the product formula against counting the fiber over every p in NC(n),
+    # for every shape: 2,450 (lam, p) pairs, k beyond criterion 4's k <= 2
+    pairs = 0
+    for n, top_k in ((1, 6), (2, 5), (3, 4), (4, 3), (5, 2)):
+        for k in range(top_k + 1):
+            for p in enumerate_nc(n):
+                counts = shape_counts_oracle(p, k)
+                for lam in lambda_vectors(n + 1, k):
+                    assert r_of_shape(lam, n, k) == counts.get(lam.entries, 0), (n, k, p, lam)
+                    pairs += 1
+    assert pairs == 2450
+
+
 def test_r_sums_to_fiber_size():
-    for k, n in SMALL:
+    # r enumerates no fiber, so it answers at (k, n) = (6, 12) too, where
+    # no fiber could be enumerated in time
+    built = fiber_over.cache_info().misses
+    for k, n in SMALL + [(6, 12)]:
         total = sum(
             r_of_shape(lam, n, k) for lam in lambda_vectors(n + 1, k)
         )
         assert total == fiber_size_formula(n, k)
+    assert fiber_over.cache_info().misses == built
 
 
 def test_r_rejects_bad_shape():
