@@ -31,8 +31,8 @@ _EXPORTS = {
         "r_of_shape", "reduce_mod",
     ), "typek"),
     **dict.fromkeys((
-        "CumulantTable", "InfLaw", "cumulant_of_products", "cumulants_to_moments",
-        "infinitesimal_component", "kappa_pi", "moments_to_cumulants",
+        "CumulantTable", "InfLaw", "cumulant_of_products", "cumulants_to_moments", "kappa_pi",
+        "moments_to_cumulants",
     ), "cumulants"),
     **dict.fromkeys((
         "additive_convolve", "boxed_conv_ck", "boxed_conv_type_b", "boxed_conv_type_k",
@@ -40,9 +40,9 @@ _EXPORTS = {
         "r_from_moments", "special_series",
     ), "convolve"),
     **dict.fromkeys((
-        "Coloring", "Derivation", "FreenessVerdict", "NcPolynomial", "apply_derivation",
-        "check_inf_freeness", "derivative_of_convolution", "free_product_joint", "law_at_t",
-        "product_tuple_cumulants", "upgraded_law",
+        "Coloring", "Derivation", "FreenessVerdict", "NcPolynomial", "check_inf_freeness",
+        "derivative_of_convolution", "free_product_joint", "product_tuple_cumulants",
+        "upgraded_law",
     ), "freeness"),
 }
 

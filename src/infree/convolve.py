@@ -7,19 +7,22 @@ series of the other, M_{mu boxtimes nu} = R_mu boxed M_nu (Nica-Speicher,
 Theorem 14.4), and an example law is a constant R-series pattern.  None
 visits the first blocks of the cumulants layer.
 
-Three routes to the same product: the type-A boxed convolution over C_k,
-the type-B double sum at k=1, and the type-k sum weighted by shapes.  The
-first is the production path and enumerates no partition: counting the p
-in NC(m) by the block types of p and Kr(p) (Goulden-Jackson, Europ. J.
-Combin. 13, 1992, through Biane's bijection, Nica-Speicher, Lectures on
-the Combinatorics of Free Probability, Lecture 18) turns the sum over NC(m)
-into gamma_m = m sum over a + b = m + 1 of [z^m]A^a [z^m]B^b / (a b), for
-A = sum alpha_n z^n and B = sum beta_n z^n.  The other two routes exist to
-witness the equality theorems.  Both read enumerated type-k partitions, the
-type-B route taking NC^(1)(m) as the inversion-invariant partitions of
-[2m], into grouped descriptors (weight, f side, g side), each side a sorted
-tuple of (degree, coordinate) and equal keys merged by adding their weights
-(218 instead of 9,240 at m=6, i=2).  One coordinate sum evaluates them.
+Two routes to the same product: the type-A boxed convolution over C_k,
+and the type-k sum weighted by shapes.  The first is the production path
+and enumerates no partition: counting the p in NC(m) by the block types of
+p and Kr(p) (Goulden-Jackson, Europ. J. Combin. 13, 1992, through Biane's
+bijection, Nica-Speicher, Lectures on the Combinatorics of Free
+Probability, Lecture 18) turns the sum over NC(m) into gamma_m = m sum
+over a + b = m + 1 of [z^m]A^a [z^m]B^b / (a b), for A = sum alpha_n z^n
+and B = sum beta_n z^n.  The second exists to witness the equality
+theorems.  It reads enumerated type-k partitions into grouped descriptors
+(weight, f side, g side), each side a sorted tuple of (degree, coordinate)
+and equal keys merged by adding their weights (218 instead of 9,240 at
+m=6, i=2), and one coordinate sum evaluates them.  The type-B double sum
+is that witness at order 1, since NC^(1)(m) is the set of
+inversion-invariant partitions of [2m] (Biane-Goodman-Nica, Trans. AMS
+355, 2003); reading those partitions by their mirror pairs of blocks is
+the test oracle it is checked against.
 """
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ from math import comb
 from .ck import CkScalar, CkSeries, multinomial, series_comp_inverse
 from .ck import _accumulate, _check_order, _powers
 from .cumulants import InfLaw
-from .partitions import catalan, enumerate_nc, kreweras, ordered_blocks
-from .typek import enumerate_type_k, fiber_over, r_of_shape
+from .partitions import catalan, enumerate_nc, ordered_blocks
+from .typek import fiber_over, r_of_shape
 
 
 def special_series(kind: str, k: int, trunc: int) -> CkSeries:
@@ -93,27 +96,6 @@ def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
     return _boxed_sum(f, n, lambda m, b: (1, (g_pows[b - 1].coeffs[m - 1],)))
 
 
-def _mirror(b: tuple, m: int) -> tuple:
-    """Image of a block of [2m] under the inversion x -> x +- m."""
-    return tuple(sorted(x + m if x <= m else x - m for x in b))
-
-
-def _mirror_reps(blocks: tuple, m: int) -> tuple:
-    """Split an inversion-invariant partition of [2m] into its zero-block
-    (None if absent) and one representative per mirror pair of blocks."""
-    zero = None
-    reps = []
-    for b in blocks:
-        mirrored = _mirror(b, m)
-        if mirrored == b:
-            if zero is not None:
-                raise ValueError("two inversion-invariant blocks")
-            zero = b
-        elif min(b) < min(mirrored):
-            reps.append(b)
-    return zero, tuple(reps)
-
-
 def _coord_sum(terms: tuple, f: CkSeries, g: CkSeries) -> Fraction:
     """Sum of weight * prod f_d[c] over the f side * prod g_d[c] over the g
     side, for grouped descriptors (weight, f side, g side) of (d, c) pairs."""
@@ -128,44 +110,6 @@ def _coord_sum(terms: tuple, f: CkSeries, g: CkSeries) -> Fraction:
         if num:
             acc += weight * Fraction(num, den)
     return acc
-
-
-def _grouped(counts: Counter) -> tuple:
-    return tuple((weight, f_side, g_side) for (f_side, g_side), weight in counts.items())
-
-
-@lru_cache(maxsize=None)
-def _type_b_terms(m: int) -> tuple:
-    """Grouped descriptors of the order-1 double sum at degree m, over the
-    inversion-invariant partitions of [2m], which are NC^(1)(m).  On each
-    side a mirror pair of blocks of size s gives (s, 0) and the zero-block
-    of size 2s gives (s, 1); exactly one side owns a zero-block."""
-    counts = Counter()
-    for tk in enumerate_type_k(m, 1):
-        sides = []
-        for part in (tk.partition, kreweras(tk.partition)):
-            zero, reps = _mirror_reps(part.blocks, m)
-            side = [(len(b), 0) for b in reps]
-            if zero is not None:
-                side.append((len(zero) // 2, 1))
-            sides.append(tuple(sorted(side)))
-        if sum(c for side in sides for _, c in side) != 1:
-            raise ValueError("exactly one of the pair must own the zero-block")
-        counts[tuple(sides)] += 1
-    return _grouped(counts)
-
-
-def boxed_conv_type_b(f: CkSeries, g: CkSeries) -> CkSeries:
-    """The two-coordinate double sum over inversion-invariant partitions;
-    defined only at order 1.  Coordinate 0 is the type-0 sum over NC(m)."""
-    if f.k != 1 or g.k != 1:
-        raise ValueError("type-B convolution is defined at order k=1")
-    _check_boxed_pair(f, g)
-    n = min(f.trunc, g.trunc)
-    return CkSeries._of(1, n, tuple(
-        CkScalar(1, (_coord_sum(_type_k_terms(m, 0), f, g), _coord_sum(_type_b_terms(m), f, g)))
-        for m in range(1, n + 1)
-    ), CkScalar.zero(1))
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +128,7 @@ def _type_k_terms(m: int, i: int) -> tuple:
             g_side = tuple(sorted((len(blk), entry_of[blk]) for blk in sep_list[nb:]))
             weight = Fraction(multinomial(i, tk.shape.entries), r_of_shape(tk.shape, m, i))
             counts[f_side, g_side] += weight
-    return _grouped(counts)
+    return tuple((weight, f_side, g_side) for (f_side, g_side), weight in counts.items())
 
 
 def boxed_conv_type_k(f: CkSeries, g: CkSeries) -> CkSeries:
@@ -196,6 +140,16 @@ def boxed_conv_type_k(f: CkSeries, g: CkSeries) -> CkSeries:
         CkScalar(f.k, [_coord_sum(_type_k_terms(m, i), f, g) for i in range(f.k + 1)])
         for m in range(1, n + 1)
     ), CkScalar.zero(f.k))
+
+
+def boxed_conv_type_b(f: CkSeries, g: CkSeries) -> CkSeries:
+    """The type-B double sum over NC^(1)(m), the inversion-invariant
+    partitions of [2m]; defined only at order 1, where it is the type-k sum:
+    a mirror pair of blocks of size s is a reduced block of shape entry 0,
+    the zero-block of size 2s one of entry 1, and every weight is 1."""
+    if f.k != 1 or g.k != 1:
+        raise ValueError("type-B convolution is defined at order k=1")
+    return boxed_conv_type_k(f, g)
 
 
 def _moebius_power(m: int, b: int) -> Fraction:

@@ -163,20 +163,3 @@ def cumulant_of_products(c: CumulantTable, grouping: tuple, w: tuple) -> CkScala
         (1, 1, [c.value(restrict(w, b)) for b in pi.blocks])
         for pi in enumerate_nc(s) if partition_join(pi, theta) == top
     ))
-
-
-def infinitesimal_component(x, i: int):
-    """Component i of a C_k scalar (a rational) or of a whole table (a dict).
-
-    Stored coordinate vectors are already the component tuples
-    (kappa^(0), ..., kappa^(k)), so this is a plain projection.
-    """
-    if isinstance(x, CkScalar):
-        if not 0 <= i <= x.k:
-            raise ValueError(f"component {i} out of range 0..{x.k}")
-        return x.coords[i]
-    if isinstance(x, _WordTable):
-        if not 0 <= i <= x.k:
-            raise ValueError(f"component {i} out of range 0..{x.k}")
-        return {w: v.coords[i] for w, v in x.values.items()}
-    raise TypeError(f"expected CkScalar or a word table, got {type(x).__name__}")

@@ -123,15 +123,6 @@ class Derivation(Value):
         return NcPolynomial(out)
 
 
-def apply_derivation(d: Derivation, p: NcPolynomial, power: int = 1) -> NcPolynomial:
-    """power-fold application of the derivation."""
-    if power < 0:
-        raise ValueError("power must be >= 0")
-    for _ in range(power):
-        p = d.apply_once(p)
-    return p
-
-
 class Coloring(Value):
     """Assignment of each variable 1..num_vars to a subalgebra label."""
 
@@ -155,6 +146,12 @@ class Coloring(Value):
         return tuple(sorted(set(self.colors)))
 
 
+def _check_max_len(max_len: int) -> None:
+    """A table or a length budget covers the words of length 1 and up."""
+    if max_len < 1:
+        raise ValueError(f"length budget must be >= 1, got {max_len}")
+
+
 def free_product_joint(laws: list, max_len: int):
     """Joint law of the disjoint union of the inputs' variables, free by
     construction, and its coloring.
@@ -169,6 +166,7 @@ def free_product_joint(laws: list, max_len: int):
     moment is the factor's scalar itself."""
     if not laws:
         raise ValueError("need at least one factor")
+    _check_max_len(max_len)
     k = laws[0].k
     if any(law.k != k for law in laws):
         raise ValueError("factors must share the order k")
@@ -226,6 +224,7 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the table")
+    _check_max_len(max_len)
     if max_len > joint.max_len:
         raise ValueError("joint table is too short for the requested length")
     first, second = _require_two_equal_colors(coloring)
@@ -292,8 +291,7 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the law")
-    if max_len < 1:
-        raise ValueError(f"length budget must be >= 1, got {max_len}")
+    _check_max_len(max_len)
     if max_len > joint.max_len:
         raise ValueError("law is too short for the requested length budget")
     mixed = _first_mixed(_cumulants_shortlex(joint, max_len), coloring)
@@ -309,6 +307,7 @@ def upgraded_law(base: InfLaw, d: Derivation, k: int, max_len: int) -> InfLaw:
     moment is the base expectation of the i-th derivative of the word."""
     if base.k != 0:
         raise ValueError("base law must have order 0")
+    _check_max_len(max_len)
     for v, image in sorted(d.images.items()):
         for x in sorted({x for word in image.terms for x in word}):
             if not 1 <= x <= base.num_vars:
@@ -339,7 +338,7 @@ def upgraded_law(base: InfLaw, d: Derivation, k: int, max_len: int) -> InfLaw:
             if i < k:
                 p = d.apply_once(p)
         table[w] = CkScalar(k, comps)
-    return InfLaw(k, base.num_vars, max_len, table)
+    return InfLaw._of(k, base.num_vars, max_len, table)
 
 
 def derivative_of_convolution(mu: InfLaw, nu: InfLaw, mode: str) -> InfLaw:
@@ -350,17 +349,3 @@ def derivative_of_convolution(mu: InfLaw, nu: InfLaw, mode: str) -> InfLaw:
     if mode == "multiplicative":
         return multiplicative_convolve(mu, nu)
     raise ValueError(f"mode must be 'additive' or 'multiplicative', not {mode!r}")
-
-
-def law_at_t(derivs: InfLaw, t) -> InfLaw:
-    """Taylor evaluation: order-0 law with moments sum_i m^(i) t^i / i!."""
-    t = _coerce(t)
-    table = {}
-    for w in derivs.words():
-        coords = derivs.moment(w).coords
-        val = sum(
-            (coords[i] * t**i / factorial(i) for i in range(derivs.k + 1)),
-            Fraction(0),
-        )
-        table[w] = CkScalar(0, (val,))
-    return InfLaw(0, derivs.num_vars, derivs.max_len, table)

@@ -200,14 +200,16 @@ def is_star(tk: TypeKPartition) -> bool:
     """True when every barred entry of the shape vanishes.  A barred entry
     sums (multiplicity - 1) >= 0 over the blocks of the Kreweras complement
     that reduce to one block of Kr(reduction), so it vanishes exactly when
-    every such block is simple."""
+    every such block is simple.  Public, with `enumerate_type_k_star`, as
+    the star subfamily the package documents as a feature."""
     entries = tk.shape.entries
     return not any(entries[i] for (barred, _), i in _block_index(tk.reduction).items() if barred)
 
 
 @lru_cache(maxsize=None)
 def enumerate_type_k_star(n: int, k: int) -> tuple:
-    """The subset NC*^(k)(n): no non-simple blocks in the complement."""
+    """The subset NC*^(k)(n): no non-simple blocks in the complement.
+    Public as the package's star subfamily, the elements `is_star` keeps."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     return tuple(tk for tk in enumerate_type_k(n, k) if is_star(tk))

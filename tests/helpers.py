@@ -4,16 +4,18 @@ Everything here recomputes expected values by a route independent of the
 production code under test: brute-force filters, lattice recursions,
 direct formula evaluation, polynomial interpolation.
 """
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import product as iter_product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from infree.ck import (
     CkScalar,
     CkSeries,
     LambdaVector,
     _accumulate,
+    _coerce,
     _first_blocks,
     ck_mul,
     ck_prod_many,
@@ -29,6 +31,7 @@ from infree.convolve import (
 from infree.cumulants import (
     CumulantTable,
     InfLaw,
+    _WordTable,
     all_words,
     cumulants_to_moments,
     moments_to_cumulants,
@@ -55,6 +58,7 @@ from infree.partitions import (
 )
 from infree.typek import (
     TypeKPartition,
+    enumerate_type_k,
     enumerate_type_k_star,
     fiber_over,
     is_type_k,
@@ -365,6 +369,14 @@ def free_product_joint_dense_oracle(laws: list, max_len: int):
     return joint, Coloring(tuple(colors))
 
 
+@lru_cache(maxsize=None)
+def nc_block_sizes(m: int) -> tuple:
+    """(block sizes of p, block sizes of Kr(p)) for every p in NC(m),
+    computed once per length."""
+    return tuple((tuple(map(len, p.blocks)), tuple(map(len, kreweras(p).blocks)))
+                 for p in enumerate_nc(m))
+
+
 def nc_boxed_conv_oracle(f: CkSeries, g: CkSeries) -> CkSeries:
     """Boxed convolution as the plain sum over NC(m): prod alpha over the
     block sizes of p times prod beta over the block sizes of Kr(p)."""
@@ -372,9 +384,8 @@ def nc_boxed_conv_oracle(f: CkSeries, g: CkSeries) -> CkSeries:
     coeffs = []
     for m in range(1, n + 1):
         acc = CkScalar.zero(f.k)
-        for p in enumerate_nc(m):
-            factors = [f.coeffs[len(b) - 1] for b in p.blocks]
-            factors += [g.coeffs[len(b) - 1] for b in kreweras(p).blocks]
+        for p_sizes, kr_sizes in nc_block_sizes(m):
+            factors = [f.coeffs[s - 1] for s in p_sizes] + [g.coeffs[s - 1] for s in kr_sizes]
             acc = acc + ck_prod_many(factors)
         coeffs.append(acc)
     return CkSeries(f.k, n, coeffs)
@@ -394,6 +405,107 @@ def nc_boxed_inverse_oracle(f: CkSeries) -> CkSeries:
         target = CkScalar.one(k) if m == 1 else CkScalar.zero(k)
         g.append(ck_prod_many([a1_inv] * m + [target - acc]))
     return CkSeries(k, f.trunc, g)
+
+
+def _mirror_reps(blocks: tuple, m: int) -> tuple:
+    """Split an inversion-invariant partition of [2m] into its zero-block
+    (None if absent) and one representative per mirror pair of blocks,
+    under the inversion x -> x +- m."""
+    zero = None
+    reps = []
+    for b in blocks:
+        mirrored = tuple(sorted(x + m if x <= m else x - m for x in b))
+        if mirrored == b:
+            if zero is not None:
+                raise ValueError("two inversion-invariant blocks")
+            zero = b
+        elif min(b) < min(mirrored):
+            reps.append(b)
+    return zero, tuple(reps)
+
+
+@lru_cache(maxsize=None)
+def type_b_terms_oracle(m: int) -> tuple:
+    """Grouped descriptors (weight, f side, g side) of the order-1 double sum
+    at degree m, read off the inversion-invariant partitions of [2m], which
+    are NC^(1)(m), and their Kreweras complements by mirror pairs: on each
+    side a mirror pair of blocks of size s gives (s, 0) and the zero-block
+    of size 2s gives (s, 1); exactly one side owns a zero-block, and every
+    element has weight 1."""
+    counts = Counter()
+    for tk in enumerate_type_k(m, 1):
+        sides = []
+        for part in (tk.partition, kreweras(tk.partition)):
+            zero, reps = _mirror_reps(part.blocks, m)
+            side = [(len(b), 0) for b in reps]
+            if zero is not None:
+                side.append((len(zero) // 2, 1))
+            sides.append(tuple(sorted(side)))
+        if sum(c for side in sides for _, c in side) != 1:
+            raise ValueError("exactly one of the pair must own the zero-block")
+        counts[tuple(sides)] += 1
+    return tuple((weight, f_side, g_side) for (f_side, g_side), weight in counts.items())
+
+
+def type_b_conv_oracle(f: CkSeries, g: CkSeries) -> CkSeries:
+    """The order-1 boxed convolution as the type-B double sum: coordinate 0
+    is the plain sum over NC(m), and coordinate 1 sums the mirror-pair
+    descriptors of type_b_terms_oracle, a pair (s, c) reading coordinate c
+    of the degree-s coefficient."""
+    if f.k != 1 or g.k != 1:
+        raise ValueError("type-B convolution is defined at order k=1")
+    plain = nc_boxed_conv_oracle(f, g)
+
+    def coord(series, s, c):
+        return series.coeffs[s - 1].coords[c]
+
+    coeffs = []
+    for m, x in enumerate(plain.coeffs, start=1):
+        mixed = sum((weight * prod(coord(f, s, c) for s, c in f_side)
+                     * prod(coord(g, s, c) for s, c in g_side)
+                     for weight, f_side, g_side in type_b_terms_oracle(m)), Fraction(0))
+        coeffs.append(CkScalar(1, (x.coords[0], mixed)))
+    return CkSeries(1, plain.trunc, coeffs)
+
+
+def infinitesimal_component(x, i: int):
+    """Component i of a C_k scalar (a rational) or of a whole table (a dict).
+
+    Stored coordinate vectors are already the component tuples
+    (kappa^(0), ..., kappa^(k)), so this is a plain projection.
+    """
+    if isinstance(x, CkScalar):
+        if not 0 <= i <= x.k:
+            raise ValueError(f"component {i} out of range 0..{x.k}")
+        return x.coords[i]
+    if isinstance(x, _WordTable):
+        if not 0 <= i <= x.k:
+            raise ValueError(f"component {i} out of range 0..{x.k}")
+        return {w: v.coords[i] for w, v in x.values.items()}
+    raise TypeError(f"expected CkScalar or a word table, got {type(x).__name__}")
+
+
+def apply_derivation(d: Derivation, p: NcPolynomial, power: int = 1) -> NcPolynomial:
+    """power-fold application of the derivation."""
+    if power < 0:
+        raise ValueError("power must be >= 0")
+    for _ in range(power):
+        p = d.apply_once(p)
+    return p
+
+
+def law_at_t(derivs: InfLaw, t) -> InfLaw:
+    """Taylor evaluation: order-0 law with moments sum_i m^(i) t^i / i!."""
+    t = _coerce(t)
+    table = {}
+    for w in derivs.words():
+        coords = derivs.moment(w).coords
+        val = sum(
+            (coords[i] * t**i / factorial(i) for i in range(derivs.k + 1)),
+            Fraction(0),
+        )
+        table[w] = CkScalar(0, (val,))
+    return InfLaw(0, derivs.num_vars, derivs.max_len, table)
 
 
 def series_coeff(f: CkSeries, m: int) -> CkScalar:

@@ -64,6 +64,7 @@ from helpers import (
     rand_series,
     rotate_partition,
     shape_counts_oracle,
+    type_b_conv_oracle,
 )
 
 RESULTS = []
@@ -125,7 +126,9 @@ def test_criterion_3():
     for _ in range(20):
         f = rand_series(rng, 1, 6)
         g = rand_series(rng, 1, 6)
-        assert boxed_conv_type_b(f, g) == boxed_conv_ck(f, g)
+        expected = boxed_conv_ck(f, g)
+        assert boxed_conv_type_b(f, g) == expected
+        assert type_b_conv_oracle(f, g) == expected
     assert time.monotonic() - start < 60
 
 

@@ -92,7 +92,7 @@ def test_enumeration_over_budget_is_refused_up_front(capsys, monkeypatch, tmp_pa
     monkeypatch.setattr(infree.partitions, "enumerate_nc", refuse)
     monkeypatch.setattr(infree.typek, "enumerate_type_k", refuse)
     monkeypatch.setattr(infree.convolve, "enumerate_nc", refuse)
-    monkeypatch.setattr(infree.convolve, "enumerate_type_k", refuse)
+    monkeypatch.setattr(infree.convolve, "fiber_over", refuse)
     # a pair of k = 3, trunc 8 series, a few hundred bytes each: the type-k
     # route passes the budget at degree 6, and type b at degree 10
     rng = random.Random(419)

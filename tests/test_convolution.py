@@ -19,7 +19,6 @@ from infree.ck import (
     series_mul,
 )
 from infree.convolve import (
-    _type_b_terms,
     _type_k_terms,
     additive_convolve,
     boxed_conv_ck,
@@ -48,6 +47,8 @@ from helpers import (
     rand_sparse_scalar,
     table_additive_convolve_oracle,
     table_example_law_oracle,
+    type_b_conv_oracle,
+    type_b_terms_oracle,
 )
 
 
@@ -120,8 +121,7 @@ def test_one_variable_kernel_enumerates_nothing(monkeypatch):
 
     for module in ("convolve", "cumulants", "partitions"):
         monkeypatch.setattr(f"infree.{module}.enumerate_nc", refuse)
-    for module in ("convolve", "partitions"):
-        monkeypatch.setattr(f"infree.{module}.kreweras", refuse)
+    monkeypatch.setattr("infree.partitions.kreweras", refuse)
     rng = random.Random(97)
     f = rand_series(rng, 2, 12)
     g = CkSeries(2, 12, [rand_sparse_scalar(rng, 2) for _ in range(12)])
@@ -264,7 +264,7 @@ def test_type_b_degree_one_and_agreement():
     )
     assert got == boxed_conv_ck(f, g)
     assert boxed_conv_type_b(f, special_series("delta", 1, 4)) == f
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^type-B convolution is defined at order k=1$"):
         boxed_conv_type_b(rand_series(rng, 0, 3), rand_series(rng, 0, 3))
 
 
@@ -275,13 +275,20 @@ def test_grouped_descriptor_invariants():
     for m in range(1, 6):
         for i in range(3):
             assert sum(w for w, _, _ in _type_k_terms(m, i)) == catalan(m) * (m + 1) ** i
-        assert sum(w for w, _, _ in _type_b_terms(m)) == comb(2 * m, m)
-    for terms in (_type_k_terms(6, 2), _type_b_terms(6)):
+        assert sum(w for w, _, _ in type_b_terms_oracle(m)) == comb(2 * m, m)
+    for terms in (_type_k_terms(6, 2), type_b_terms_oracle(6)):
         keys = [(f_side, g_side) for _, f_side, g_side in terms]
         assert len(set(keys)) == len(keys)
         assert all(list(side) == sorted(side) for key in keys for side in key)
     assert len(_type_k_terms(6, 2)) == 218
-    assert len(_type_b_terms(6)) == 74
+    assert len(type_b_terms_oracle(6)) == 74
+
+
+def test_type_k_order_one_descriptors_are_the_mirror_pair_reading():
+    # at order 1 a mirror pair of blocks is a reduced block of shape entry 0,
+    # a zero-block one of entry 1, and every weight multinomial/r is 1
+    for m in range(1, 7):
+        assert Counter(_type_k_terms(m, 1)) == Counter(type_b_terms_oracle(m)), m
 
 
 def test_type_k_agreement():
@@ -292,7 +299,7 @@ def test_type_k_agreement():
         assert boxed_conv_type_k(f, g) == boxed_conv_ck(f, g), k
     f = rand_series(rng, 1, 4)
     g = rand_series(rng, 1, 4)
-    assert boxed_conv_type_k(f, g) == boxed_conv_type_b(f, g)
+    assert boxed_conv_type_k(f, g) == type_b_conv_oracle(f, g)
 
 
 def test_r_transform_round_trip_and_semicircular():

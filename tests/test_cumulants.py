@@ -14,7 +14,6 @@ from infree.cumulants import (
     all_words,
     cumulant_of_products,
     cumulants_to_moments,
-    infinitesimal_component,
     interval_partition,
     kappa_pi,
     moments_to_cumulants,
@@ -28,6 +27,7 @@ from helpers import (
     first_block_m2c_oracle,
     first_block_m2c_shortlex,
     fraction_ck_mul_oracle,
+    infinitesimal_component,
     kappa_component_oracle,
     nc_c2m_oracle,
     nc_m2c_oracle,

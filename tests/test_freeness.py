@@ -30,6 +30,7 @@ from infree.convolve import (
 from infree.cumulants import (
     CumulantTable,
     InfLaw,
+    _WordTable,
     all_words,
     cumulant_of_products,
     cumulants_to_moments,
@@ -42,23 +43,23 @@ from infree.freeness import (
     FreenessVerdict,
     NcPolynomial,
     Witness,
-    apply_derivation,
     check_inf_freeness,
     derivative_of_convolution,
     free_product_joint,
-    law_at_t,
     product_tuple_cumulants,
     upgraded_law,
 )
 from infree.partitions import catalan, enumerate_nc
 
 from helpers import (
+    apply_derivation,
     eval_poly,
     first_block_m2c_oracle,
     free_product_joint_dense_oracle,
     jet_of_poly,
     lagrange_derivative_at_zero,
     lambda_vectors,
+    law_at_t,
     pieces_apply_once_oracle,
     rand_fraction,
     rand_law,
@@ -247,6 +248,24 @@ def test_free_product_errors():
         free_product_joint([a], 4)
     with pytest.raises(ValueError):
         free_product_joint([], 3)
+
+
+def test_builders_refuse_a_length_below_one():
+    # an empty table with max_len <= 0 is no law or cumulant table at all
+    rng = random.Random(113)
+    mu = rand_law(rng, k=1, num_vars=1, max_len=3)
+    nu = rand_law(rng, k=1, num_vars=1, max_len=3)
+    joint, coloring = free_product_joint([mu, nu], 3)
+    cjoint = moments_to_cumulants(joint)
+    base = rand_law(rng, k=0, num_vars=1, max_len=3)
+    for bad in (0, -1):
+        for build in (
+            lambda: free_product_joint([mu, nu], bad),
+            lambda: product_tuple_cumulants(cjoint, coloring, bad),
+            lambda: upgraded_law(base, Derivation({1: X1}), 1, bad),
+        ):
+            with pytest.raises(ValueError, match=f"^length budget must be >= 1, got {bad}$"):
+                build()
 
 
 def test_product_tuple_cumulants_basic():
@@ -661,6 +680,29 @@ def test_upgrade_preserving_subalgebras_stays_free():
     verdict = check_inf_freeness(up, coloring, 4)
     assert verdict == t_poly_freeness_oracle(up, coloring, 4)
     assert verdict.passed
+
+
+def test_upgrade_validates_no_table_it_builds(monkeypatch):
+    # every word's scalar is built from the base law's moments, so the
+    # complete table goes through the trusted InfLaw._of
+    calls = []
+    real = _WordTable.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        real(self, *args)
+
+    rng = random.Random(167)
+    for k, num_vars, max_len, d in ((0, 1, 3, Derivation({})),
+                                    (2, 1, 5, Derivation({1: X1})),
+                                    (1, 2, 3, Derivation({1: X2 * X1, 2: X1.scale(2)}))):
+        base = rand_law(rng, k=0, num_vars=num_vars, max_len=max_len + k)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(_WordTable, "__init__", counted)
+            up = upgraded_law(base, d, k, max_len)
+        assert calls == [], (k, num_vars, max_len)
+        assert up == InfLaw(up.k, up.num_vars, up.max_len, up.values), (k, num_vars, max_len)
 
 
 def test_derivative_of_convolution_examples():

@@ -302,14 +302,14 @@ PUBLIC_NAMES = {
                   "is_noncrossing kreweras mobius_to_top ordered_blocks partition_join",
     "typek": "TypeKPartition enumerate_type_k enumerate_type_k_star is_type_k r_of_shape "
              "reduce_mod",
-    "cumulants": "CumulantTable InfLaw cumulant_of_products cumulants_to_moments "
-                 "infinitesimal_component kappa_pi moments_to_cumulants",
+    "cumulants": "CumulantTable InfLaw cumulant_of_products cumulants_to_moments kappa_pi "
+                 "moments_to_cumulants",
     "convolve": "additive_convolve boxed_conv_ck boxed_conv_type_b boxed_conv_type_k example_law "
                 "fourier_transform moments_from_r multiplicative_convolve r_from_moments "
                 "special_series",
-    "freeness": "Coloring Derivation FreenessVerdict NcPolynomial apply_derivation "
-                "check_inf_freeness derivative_of_convolution free_product_joint law_at_t "
-                "product_tuple_cumulants upgraded_law",
+    "freeness": "Coloring Derivation FreenessVerdict NcPolynomial check_inf_freeness "
+                "derivative_of_convolution free_product_joint product_tuple_cumulants "
+                "upgraded_law",
 }
 
 
