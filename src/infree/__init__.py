@@ -19,8 +19,8 @@ _LAYERS = ("ck", "partitions", "typek", "cumulants", "convolve", "freeness", "js
 # public name -> the module that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "CkScalar", "CkSeries", "LambdaVector", "NotInvertible", "ck_inverse", "ck_mul",
-        "ck_prod_many", "series_comp_inverse", "series_compose", "series_mul",
+        "CkScalar", "CkSeries", "NotInvertible", "ck_inverse", "ck_mul", "ck_prod_many",
+        "series_comp_inverse", "series_compose", "series_mul",
     ), "ck"),
     **dict.fromkeys((
         "BarredElement", "NcPartition", "SetPartition", "biane_permutation", "enumerate_nc",
@@ -37,7 +37,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "additive_convolve", "boxed_conv_ck", "boxed_conv_type_b", "boxed_conv_type_k",
         "example_law", "fourier_transform", "moments_from_r", "multiplicative_convolve",
-        "r_from_moments", "special_series",
+        "r_from_moments", "s_transform", "special_series",
     ), "convolve"),
     **dict.fromkeys((
         "Coloring", "Derivation", "FreenessVerdict", "NcPolynomial", "check_inf_freeness",

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb, factorial, gcd, lcm
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
@@ -303,9 +303,17 @@ def _first_blocks(n: int) -> tuple:
         for rest in combinations(range(1, n), size):
             b = (0,) + rest
             gaps = tuple(slice(lo + 1, hi) for lo, hi in zip(b, rest + (n,)) if hi > lo + 1)
-            # itemgetter of one index returns the item, not a 1-tuple
-            out.append((itemgetter(*b) if rest else itemgetter(slice(0, 1)), gaps))
+            out.append((_subword_getter(b), gaps))
     return tuple(out)
+
+
+def _subword_getter(positions: tuple) -> itemgetter:
+    """The itemgetter that maps a word to its subword on the 0-based
+    positions, a tuple even for one position: itemgetter of one index
+    returns the item, not a 1-tuple, so one position gets a slice."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1))
 
 
 def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
@@ -406,23 +414,6 @@ def ck_inverse(a: CkScalar) -> CkScalar:
     den = n0 ** e
     sign = -1 if den < 0 else 1
     return CkScalar._built(k, sign * den, [sign * a.den * c for c in y])
-
-
-class LambdaVector(Value):
-    """Weak composition (lambda_1, ..., lambda_n) of the integer `target`."""
-
-    __slots__ = _fields = ("entries", "target")
-
-    def __init__(self, entries, target: int):
-        entries = tuple(map(index, entries))
-        if any(e < 0 for e in entries):
-            raise ValueError("lambda entries must be non-negative")
-        if sum(entries) != target:
-            raise ValueError(f"lambda entries sum to {sum(entries)}, expected {target}")
-        self._set(entries, target)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def multinomial(total: int, parts: Sequence[int]) -> int:
@@ -538,20 +529,24 @@ def _powers(f: CkSeries) -> list:
 
 
 def series_comp_inverse(f: CkSeries) -> CkSeries:
-    """Compositional inverse g with f(g(z)) = z up to trunc.
+    """Compositional inverse g with f(g(z)) = z up to trunc; the degree-1
+    coefficient a_1 must be invertible in C_k and the constant term must
+    vanish.
 
-    Degree-by-degree triangular solve; the degree-1 coefficient must be
-    invertible in C_k and the constant term must vanish.
+    g is also the left inverse, g(f(w)) = w, so sum over j <= d of
+    g_j [w^d] f^j is 1 at d = 1 and 0 above, and [w^d] f^d = a_1^d gives
+    g_d = -a_1^(-d) sum over j < d of g_j [w^d] f^j.  That reads one power
+    chain of f: trunc - 1 series products and one inverse in C_k.
     """
     if not f.const.is_zero():
         raise ValueError("compositional inverse needs a zero constant term")
-    n = f.trunc
     k = f.k
     a1_inv = ck_inverse(f.coeffs[0])  # NotInvertible if leading coefficient is not a unit
-    zero = CkScalar.zero(k)
-    g = (a1_inv,)
-    for d in range(2, n + 1):
-        # with g known below degree d, [z^d] f(g(z)) = a_1 g_d + [z^d] f(g_{<d}(z))
-        known = CkSeries._of(k, d, g + (zero,), zero)
-        g += (ck_mul(-a1_inv, series_compose(f.truncate(d), known).coeffs[d - 1]),)
-    return CkSeries._of(k, n, g, zero)
+    powers = _powers(f)
+    g = [a1_inv]
+    scale = a1_inv  # a_1^(-d) at degree d
+    for d in range(2, f.trunc + 1):
+        scale = ck_mul(scale, a1_inv)
+        rest = _accumulate(k, ((-1, 1, (g_j, f_j.coeffs[d - 1])) for g_j, f_j in zip(g, powers)))
+        g.append(ck_mul(scale, rest))
+    return CkSeries._of(k, f.trunc, tuple(g), CkScalar.zero(k))

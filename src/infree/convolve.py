@@ -123,10 +123,10 @@ def _type_k_terms(m: int, i: int) -> tuple:
         mix_list, sep_list = ordered_blocks(q)
         nb = q.num_blocks()
         for tk in fiber_over(q, i):
-            entry_of = dict(zip(mix_list, tk.shape.entries))
+            entry_of = dict(zip(mix_list, tk.shape))
             f_side = tuple(sorted((len(blk), entry_of[blk]) for blk in sep_list[:nb]))
             g_side = tuple(sorted((len(blk), entry_of[blk]) for blk in sep_list[nb:]))
-            weight = Fraction(multinomial(i, tk.shape.entries), r_of_shape(tk.shape, m, i))
+            weight = Fraction(multinomial(i, tk.shape), r_of_shape(tk.shape, m, i))
             counts[f_side, g_side] += weight
     return tuple((weight, f_side, g_side) for (f_side, g_side), weight in counts.items())
 
@@ -182,7 +182,9 @@ def fourier_transform(f: CkSeries) -> CkSeries:
 
 
 def s_transform(law: InfLaw) -> CkSeries:
-    """Fourier transform of the R-series; needs an invertible first moment."""
+    """Fourier transform of the R-series; needs an invertible first moment.
+    Public as the package's S-transform: it turns multiplicative free
+    convolution into series multiplication."""
     r = r_from_moments(moment_series(law))
     return fourier_transform(r)
 

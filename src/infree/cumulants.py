@@ -25,11 +25,12 @@ value class shares, without the constructor's checks.
 from __future__ import annotations
 
 from itertools import product
+from operator import index
 from typing import Iterator
 
 from ._value import Value
 from .ck import CkScalar, _accumulate, _first_block_table
-from .partitions import SetPartition, enumerate_nc, partition_join
+from .partitions import SetPartition, enumerate_nc, kreweras
 
 
 def all_words(num_vars: int, max_len: int) -> Iterator[tuple]:
@@ -135,31 +136,25 @@ def kappa_pi(c: CumulantTable, pi: SetPartition, w: tuple) -> CkScalar:
     return _accumulate(c.k, ((1, 1, [c.value(restrict(w, b)) for b in pi.blocks]),))
 
 
-def interval_partition(grouping: tuple, s: int) -> SetPartition:
-    """Intervals (1..s1), (s1+1..s2), ... for a strictly increasing grouping
-    ending at s."""
-    if not grouping or list(grouping) != sorted(set(grouping)) or grouping[-1] != s:
-        raise ValueError(f"grouping must be strictly increasing and end at {s}: {grouping}")
-    if grouping[0] < 1:
-        raise ValueError("grouping entries must be >= 1")
-    blocks = []
-    lo = 1
-    for hi in grouping:
-        blocks.append(range(lo, hi + 1))
-        lo = hi + 1
-    return SetPartition(s, blocks)
-
-
 def cumulant_of_products(c: CumulantTable, grouping: tuple, w: tuple) -> CkScalar:
     """Cumulant of the grouped products a_{w_1}..a_{w_s1}, a_{w_s1+1}.., ...
 
     Sum of kappa_pi over the non-crossing pi whose join with the grouping's
-    interval partition is the one-block partition.
+    interval partition theta is the one-block partition.  The grouping
+    holds the group ends, and Kr(theta) is one block of them plus
+    singletons, so these are the pi with no block of Kr(pi) holding two
+    group ends: an identity checked against the join by enumerating every
+    pi and grouping, not derived here.
     """
     s = len(w)
-    theta = interval_partition(tuple(grouping), s)
-    top = SetPartition(s, [range(1, s + 1)])
+    grouping = tuple(map(index, grouping))
+    if not grouping or list(grouping) != sorted(set(grouping)) or grouping[-1] != s:
+        raise ValueError(f"grouping must be strictly increasing and end at {s}: {grouping}")
+    if grouping[0] < 1:
+        raise ValueError("grouping entries must be >= 1")
+    ends = set(grouping)
     return _accumulate(c.k, (
         (1, 1, [c.value(restrict(w, b)) for b in pi.blocks])
-        for pi in enumerate_nc(s) if partition_join(pi, theta) == top
+        for pi in enumerate_nc(s)
+        if all(len(ends.intersection(b)) < 2 for b in kreweras(pi).blocks)
     ))

@@ -12,10 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import index, itemgetter
+from operator import index
 
 from ._value import Value
-from .ck import CkScalar, _accumulate, _coerce, _first_block_table
+from .ck import CkScalar, _accumulate, _coerce, _first_block_table, _subword_getter
 from .cumulants import CumulantTable, InfLaw, _cumulants_shortlex, all_words
 from .convolve import additive_convolve, multiplicative_convolve
 from .partitions import enumerate_nc, kreweras
@@ -205,9 +205,7 @@ def _kreweras_index_blocks(m: int) -> tuple:
     every p in NC(m), computed once per length.  A block's getter maps a
     word of length m to its subword on the block, a tuple."""
     def getters(blocks):
-        # itemgetter of one index returns the item, not a 1-tuple
-        return tuple(itemgetter(*(i - 1 for i in b)) if len(b) > 1
-                     else itemgetter(slice(b[0] - 1, b[0])) for b in blocks)
+        return tuple(_subword_getter(tuple(i - 1 for i in b)) for b in blocks)
 
     return tuple((getters(p.blocks), getters(kreweras(p).blocks)) for p in enumerate_nc(m))
 

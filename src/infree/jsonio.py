@@ -148,7 +148,7 @@ def encode_type_k(tk: TypeKPartition) -> dict:
         "k": tk.k,
         "blocks": [list(b) for b in tk.partition.blocks],
         "reduction": encode_partition(tk.reduction),
-        "shape": list(tk.shape.entries),
+        "shape": list(tk.shape),
     }
 
 
@@ -293,10 +293,6 @@ def encode(value) -> str:
     return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _encode_lambda_vector(v: LambdaVector) -> list:
-    return list(v.entries)
-
-
 def _encode_list(value) -> list:
     return [to_jsonable(v) for v in value]
 
@@ -310,7 +306,6 @@ def _encode_dict(value) -> dict:
 _ENCODERS = {
     "infree.ck.CkScalar": encode_ck_scalar,
     "infree.ck.CkSeries": encode_series,
-    "infree.ck.LambdaVector": _encode_lambda_vector,
     "infree.partitions.SetPartition": encode_partition,
     "infree.typek.TypeKPartition": encode_type_k,
     "infree.cumulants.InfLaw": encode_law,

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, prod
-from typing import Iterator
+from operator import index
+from typing import Iterator, Sequence
 
 from ._value import Value
-from .ck import LambdaVector
 from .partitions import (
     NcPartition,
     SetPartition,
@@ -125,7 +125,7 @@ def _fiber_scan(p: NcPartition, k: int) -> Iterator[NcPartition]:
 
 
 class TypeKPartition(Value):
-    """Element of NC^(k)(n) with its reduction and shape cached."""
+    """Element of NC^(k)(n) with its reduction and shape, a tuple, cached."""
 
     __slots__ = _fields = ("partition", "n", "k", "reduction", "shape")
 
@@ -133,7 +133,7 @@ class TypeKPartition(Value):
         if not is_type_k(partition, n, k):
             raise ValueError(f"not a type-{k} partition over [{(k + 1) * n}]: {partition!r}")
         reduction = reduction_partition(partition, n, k)
-        shape = _compute_shape(partition, _block_index(reduction), n, k)
+        shape = _compute_shape(partition, _block_index(reduction), n)
         self._set(partition, n, k, reduction, shape)
 
     def __reduce__(self):
@@ -157,9 +157,9 @@ def _block_index(q: NcPartition) -> dict:
     return {(blk[0].barred, tuple(e.index for e in blk)): i for i, blk in enumerate(mix_list)}
 
 
-def _compute_shape(pi: NcPartition, index_of: dict, n: int, k: int) -> LambdaVector:
-    """Shape vector over the n+1 blocks of the reduction q united with
-    Kr(q), indexed by `_block_index(q)`.
+def _compute_shape(pi: NcPartition, index_of: dict, n: int) -> tuple:
+    """Shape over the n+1 blocks of the reduction q united with Kr(q),
+    indexed by `_block_index(q)`: a weak composition of k, as a tuple.
 
     Entry i collects (multiplicity - 1) over the blocks of pi and Kr(pi)
     reducing to the i-th mixed block; multiplicity is |V| / |reduced V|.
@@ -171,14 +171,14 @@ def _compute_shape(pi: NcPartition, index_of: dict, n: int, k: int) -> LambdaVec
             if len(b) % len(red) != 0:
                 raise ValueError(f"block {b} has fractional multiplicity")
             entries[index_of[barred, red]] += len(b) // len(red) - 1
-    return LambdaVector(tuple(entries), k)
+    return tuple(entries)
 
 
 @lru_cache(maxsize=None)
 def fiber_over(p: NcPartition, k: int) -> tuple:
     """All TypeKPartition with reduction p, memoized per (p, k)."""
     index_of = _block_index(p)
-    return tuple(TypeKPartition._of(pi, p.n, k, p, _compute_shape(pi, index_of, p.n, k))
+    return tuple(TypeKPartition._of(pi, p.n, k, p, _compute_shape(pi, index_of, p.n))
                  for pi in _fiber_scan(p, k))
 
 
@@ -202,8 +202,7 @@ def is_star(tk: TypeKPartition) -> bool:
     that reduce to one block of Kr(reduction), so it vanishes exactly when
     every such block is simple.  Public, with `enumerate_type_k_star`, as
     the star subfamily the package documents as a feature."""
-    entries = tk.shape.entries
-    return not any(entries[i] for (barred, _), i in _block_index(tk.reduction).items() if barred)
+    return not any(tk.shape[i] for (barred, _), i in _block_index(tk.reduction).items() if barred)
 
 
 @lru_cache(maxsize=None)
@@ -215,20 +214,22 @@ def enumerate_type_k_star(n: int, k: int) -> tuple:
     return tuple(tk for tk in enumerate_type_k(n, k) if is_star(tk))
 
 
-def r_of_shape(lam: LambdaVector, n: int, k: int) -> int:
+def r_of_shape(lam: Sequence[int], n: int, k: int) -> int:
     """Number of elements with shape lam in the fiber over any reduction p
     in NC(n): r(lam) = prod over j = 0..n of C(k+1, lam_j), over k+1.
 
-    The count does not depend on p.  The product is an identity checked
-    against enumerating the fibers, not derived here.  The division is
-    exact: for each prime factor of k+1 some entry is prime to it, as the
-    entries sum to k, and that entry's C(k+1, e) = (k+1)/e C(k, e-1)
-    keeps every power of the prime in k+1.  Summed over every shape the
-    product gives C((n+1)(k+1), k) / (k+1), the fiber size of
-    `fiber_size_formula`.
+    lam is any sequence of n+1 non-negative ints summing to k; a float
+    entry is refused, not truncated.  The count does not depend on p.  The
+    product is an identity checked against enumerating the fibers, not
+    derived here.  The division is exact: for each prime factor of k+1
+    some entry is prime to it, as the entries sum to k, and that entry's
+    C(k+1, e) = (k+1)/e C(k, e-1) keeps every power of the prime in k+1.
+    Summed over every shape the product gives C((n+1)(k+1), k) / (k+1),
+    the fiber size of `fiber_size_formula`.
     """
     if n < 1:
         raise ValueError(f"r_of_shape needs n >= 1, got {n}")
-    if len(lam.entries) != n + 1 or lam.target != k:
-        raise ValueError(f"shape must have n+1 = {n + 1} entries summing to k = {k}")
-    return prod(comb(k + 1, e) for e in lam.entries) // (k + 1)
+    lam = tuple(map(index, lam))
+    if len(lam) != n + 1 or sum(lam) != k or min(lam) < 0:
+        raise ValueError(f"shape must have n+1 = {n + 1} non-negative entries summing to k = {k}")
+    return prod(comb(k + 1, e) for e in lam) // (k + 1)

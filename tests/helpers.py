@@ -13,13 +13,13 @@ from math import comb, factorial, prod
 from infree.ck import (
     CkScalar,
     CkSeries,
-    LambdaVector,
     _accumulate,
     _coerce,
     _first_blocks,
     ck_mul,
     ck_prod_many,
     multinomial,
+    series_compose,
 )
 from infree.convolve import (
     boxed_conv_ck,
@@ -110,11 +110,6 @@ def compositions(n: int, total: int):
             yield (first,) + rest
 
 
-def lambda_vectors(n: int, total: int):
-    for parts in compositions(n, total):
-        yield LambdaVector(parts, total)
-
-
 def to_toeplitz(a: CkScalar) -> tuple:
     """Upper-triangular Toeplitz matrix of a, entry a(d)/d! on offset d."""
     k = a.k
@@ -200,6 +195,21 @@ def rotate_partition(p: SetPartition, shift: int = 1) -> SetPartition:
     """Image of p under x -> x + shift modulo n (anticlockwise for shift=-1)."""
     n = p.n
     return type(p)(n, [[(x - 1 + shift) % n + 1 for x in b] for b in p.blocks])
+
+
+def interval_partition(grouping: tuple, s: int) -> SetPartition:
+    """Intervals (1..s1), (s1+1..s2), ... for a strictly increasing grouping
+    ending at s."""
+    if not grouping or list(grouping) != sorted(set(grouping)) or grouping[-1] != s:
+        raise ValueError(f"grouping must be strictly increasing and end at {s}: {grouping}")
+    if grouping[0] < 1:
+        raise ValueError("grouping entries must be >= 1")
+    blocks = []
+    lo = 1
+    for hi in grouping:
+        blocks.append(range(lo, hi + 1))
+        lo = hi + 1
+    return SetPartition(s, blocks)
 
 
 def refines(p: SetPartition, q: SetPartition) -> bool:
@@ -529,6 +539,21 @@ def cauchy_series_mul_oracle(f: CkSeries, g: CkSeries) -> CkSeries:
     return CkSeries(f.k, n, coeffs, ck_mul(f.const, g.const))
 
 
+def per_degree_comp_inverse_oracle(f: CkSeries) -> CkSeries:
+    """Compositional inverse by the degree-by-degree solve of f(g(z)) = z:
+    with g known below degree d, [z^d] f(g(z)) = a_1 g_d + [z^d] f(g_<d(z)),
+    one composition per degree."""
+    if not f.const.is_zero():
+        raise ValueError("compositional inverse needs a zero constant term")
+    k = f.k
+    a1_inv = f.coeffs[0].inverse()
+    g = [a1_inv]
+    for d in range(2, f.trunc + 1):
+        known = CkSeries(k, d, g + [CkScalar.zero(k)])
+        g.append(ck_mul(-a1_inv, series_compose(f.truncate(d), known).coeffs[d - 1]))
+    return CkSeries(k, f.trunc, g)
+
+
 def first_block_sum(w: tuple, blocks, kappa: dict, moment: dict, k: int) -> CkScalar:
     """Sum over the given (on_b, gaps) of kappa(w|B) times prod m(w|gap):
     one word at a time, every term a chain of scalars handed to
@@ -715,7 +740,7 @@ def shape_counts_oracle(p: NcPartition, k: int) -> dict:
     shape, by enumerating the fiber; shapes that never occur are absent."""
     counts = {}
     for tk in fiber_over(p, k):
-        counts[tk.shape.entries] = counts.get(tk.shape.entries, 0) + 1
+        counts[tk.shape] = counts.get(tk.shape, 0) + 1
     return counts
 
 
@@ -726,17 +751,14 @@ def is_star_oracle(tk: TypeKPartition) -> bool:
     return all(len(b) == len({residue(x, tk.n) for x in b}) for b in kreweras(tk.partition).blocks)
 
 
-def star_shape(tk: TypeKPartition) -> LambdaVector:
+def star_shape(tk: TypeKPartition) -> tuple:
     """Shape restricted to the blocks of the reduction, in nesting order.
 
     Only meaningful on NC* elements, where the dropped barred entries are
     all zero; the restriction then still sums to k.
     """
     mix_list, _ = ordered_blocks(tk.reduction)
-    entries = tuple(
-        e for blk, e in zip(mix_list, tk.shape.entries) if not blk[0].barred
-    )
-    return LambdaVector(entries, tk.k)
+    return tuple(e for blk, e in zip(mix_list, tk.shape) if not blk[0].barred)
 
 
 def nc_star_moment_oracle(c: CumulantTable, w: tuple, i: int) -> Fraction:
@@ -747,10 +769,10 @@ def nc_star_moment_oracle(c: CumulantTable, w: tuple, i: int) -> Fraction:
     total = Fraction(0)
     for tk in enumerate_type_k_star(n, i):
         weight = Fraction(
-            multinomial(i, tk.shape.entries), r_of_shape(tk.shape, n, i)
+            multinomial(i, tk.shape), r_of_shape(tk.shape, n, i)
         )
         mix_list, _ = ordered_blocks(tk.reduction)
-        exps = star_shape(tk).entries
+        exps = star_shape(tk)
         blocks = [
             tuple(e.index for e in blk) for blk in mix_list if not blk[0].barred
         ]
@@ -852,7 +874,7 @@ def decode_type_k(data, path: str = "") -> TypeKPartition:
             raise SchemaError(f"{path}.reduction", "does not match the recomputed reduction")
     if "shape" in data:
         shape = _expect(data["shape"], list, f"{path}.shape", "an array")
-        if tuple(shape) != tk.shape.entries:
+        if tuple(shape) != tk.shape:
             raise SchemaError(f"{path}.shape", "does not match the recomputed shape")
     return tk
 

@@ -51,11 +51,11 @@ from infree.typek import (
 )
 
 from helpers import (
+    compositions,
     eval_poly,
     jet_of_poly,
     kappa_component_oracle,
     lagrange_derivative_at_zero,
-    lambda_vectors,
     mobius_recursive,
     nc_star_moment_oracle,
     t_poly_freeness_oracle,
@@ -135,22 +135,22 @@ def test_criterion_3():
 @criterion(4, "r tables and reduction independence")
 def test_criterion_4():
     for n in range(1, 5):
-        zero_vec = lambda_vectors(n + 1, 0)
+        zero_vec = compositions(n + 1, 0)
         for lam in zero_vec:
             assert r_of_shape(lam, n, 0) == 1
-        for lam in lambda_vectors(n + 1, 1):
+        for lam in compositions(n + 1, 1):
             assert r_of_shape(lam, n, 1) == 1
-        for lam in lambda_vectors(n + 1, 2):
-            if max(lam.entries) == 2:
+        for lam in compositions(n + 1, 2):
+            if max(lam) == 2:
                 assert r_of_shape(lam, n, 2) == 1
             else:
                 assert r_of_shape(lam, n, 2) == 3
     # every fiber has r(lam) elements of shape lam, counted by enumeration
     for k in range(3):
         for n in range(1, 5):
-            for lam in lambda_vectors(n + 1, k):
-                counts = {shape_counts_oracle(p, k).get(lam.entries, 0) for p in enumerate_nc(n)}
-                assert counts == {r_of_shape(lam, n, k)}, (k, n, lam.entries)
+            for lam in compositions(n + 1, k):
+                counts = {shape_counts_oracle(p, k).get(lam, 0) for p in enumerate_nc(n)}
+                assert counts == {r_of_shape(lam, n, k)}, (k, n, lam)
 
 
 @criterion(5, "transform round trip and componentwise forms")

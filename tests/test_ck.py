@@ -11,7 +11,6 @@ from infree.ck import (
     CkScalar,
     CkSeries,
     _accumulate,
-    LambdaVector,
     NotInvertible,
     ck_inverse,
     ck_mul,
@@ -28,7 +27,7 @@ from helpers import (
     compositions,
     fraction_ck_inverse_oracle,
     fraction_ck_mul_oracle,
-    lambda_vectors,
+    per_degree_comp_inverse_oracle,
     rand_fraction,
     rand_scalar,
     rand_series,
@@ -387,24 +386,22 @@ def test_prod_many_multinomial_formula():
             prod = ck_prod_many(factors)
             for i in range(k + 1):
                 total = Fraction(0)
-                for lam in lambda_vectors(n, i):
-                    term = Fraction(multinomial(i, lam.entries))
+                for lam in compositions(n, i):
+                    term = Fraction(multinomial(i, lam))
                     for j in range(n):
-                        term *= factors[j].coords[lam.entries[j]]
+                        term *= factors[j].coords[lam[j]]
                     total += term
                 assert prod.coords[i] == total
 
 
 def test_lambda_vectors():
     for n, total in [(1, 3), (3, 2), (4, 0), (2, 4)]:
-        vecs = list(lambda_vectors(n, total))
+        vecs = list(compositions(n, total))
         assert len(vecs) == comb(n + total - 1, total)
-        assert len(set(v.entries for v in vecs)) == len(vecs)
-        assert all(sum(v.entries) == total for v in vecs)
+        assert len(set(vecs)) == len(vecs)
+        assert all(len(v) == n and sum(v) == total for v in vecs)
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(0, 1)) == []
-    with pytest.raises(ValueError):
-        LambdaVector((1, 2), 4)
 
 
 def test_multinomial():
@@ -491,11 +488,31 @@ def _unit_lead_series(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_unit_lead_series())
 def test_composition_inverse_property(f):
-    # the compositional inverse is a two-sided inverse for composition
+    # the compositional inverse is a two-sided inverse for composition, and
+    # equals the degree-by-degree solve of f(g(z)) = z
     k, trunc = f.k, f.trunc
     identity = CkSeries(k, trunc, [CkScalar.one(k)] + [CkScalar.zero(k)] * (trunc - 1))
     g = series_comp_inverse(f)
     assert series_compose(f, g) == identity == series_compose(g, f)
+    assert g == per_degree_comp_inverse_oracle(f)
+
+
+def test_comp_inverse_reads_one_power_chain(monkeypatch):
+    # one power chain f, ..., f^12 at trunc 12: 11 series products, where
+    # composing the partial inverse at every degree took 66
+    rng = random.Random(241)
+    f = rand_series(rng, 2, 12, invertible=True)
+    expected = per_degree_comp_inverse_oracle(f)
+    calls = []
+    real_mul = ck.series_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(ck, "series_mul", counted)
+    assert series_comp_inverse(f) == expected
+    assert len(calls) == 11
 
 
 def test_series_comp_inverse_needs_unit_lead():

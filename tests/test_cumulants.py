@@ -14,12 +14,11 @@ from infree.cumulants import (
     all_words,
     cumulant_of_products,
     cumulants_to_moments,
-    interval_partition,
     kappa_pi,
     moments_to_cumulants,
     restrict,
 )
-from infree.partitions import NcPartition, SetPartition, enumerate_nc, partition_join
+from infree.partitions import NcPartition, SetPartition, enumerate_nc, kreweras, partition_join
 
 from helpers import (
     assemble_components,
@@ -28,6 +27,7 @@ from helpers import (
     first_block_m2c_shortlex,
     fraction_ck_mul_oracle,
     infinitesimal_component,
+    interval_partition,
     kappa_component_oracle,
     nc_c2m_oracle,
     nc_m2c_oracle,
@@ -248,6 +248,31 @@ def test_cumulant_of_products():
         + ck_mul(c.cumulant((1, 3)), c.cumulant((2,)))
     )
     assert got == expected
+    for grouping, message in (
+        ((2, 2), r"^grouping must be strictly increasing and end at 3: \(2, 2\)$"),
+        ((2,), r"^grouping must be strictly increasing and end at 3: \(2,\)$"),
+        ((), r"^grouping must be strictly increasing and end at 3: \(\)$"),
+        ((0, 3), "^grouping entries must be >= 1$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            cumulant_of_products(c, grouping, w)
+
+
+def test_connected_pi_are_those_whose_complement_splits_the_group_ends():
+    # cumulant_of_products keeps pi when no block of Kr(pi) holds two group
+    # ends; that is pi joined with the interval partition being the one-block
+    # partition, for every pi and grouping up to s = 7 (32,489 pairs)
+    pairs = 0
+    for s in range(1, 8):
+        top = SetPartition(s, [range(1, s + 1)])
+        for mask in range(2 ** (s - 1)):
+            grouping = tuple(i for i in range(1, s) if mask >> (i - 1) & 1) + (s,)
+            theta = interval_partition(grouping, s)
+            for pi in enumerate_nc(s):
+                split = all(len(set(grouping) & set(b)) < 2 for b in kreweras(pi).blocks)
+                assert split == (partition_join(pi, theta) == top), (pi, grouping)
+                pairs += 1
+    assert pairs == 32489
 
 
 def test_block_products_match_fraction_folds():

@@ -10,7 +10,6 @@ from infree import ck, freeness
 from infree.ck import (
     CkScalar,
     CkSeries,
-    LambdaVector,
     _first_block_table,
     _powers,
     ck_mul,
@@ -50,15 +49,16 @@ from infree.freeness import (
     upgraded_law,
 )
 from infree.partitions import catalan, enumerate_nc
+from infree.typek import r_of_shape
 
 from helpers import (
     apply_derivation,
+    compositions,
     eval_poly,
     first_block_m2c_oracle,
     free_product_joint_dense_oracle,
     jet_of_poly,
     lagrange_derivative_at_zero,
-    lambda_vectors,
     law_at_t,
     pieces_apply_once_oracle,
     rand_fraction,
@@ -659,12 +659,12 @@ def test_upgrade_cumulant_identity():
         n = len(w)
         for i in range(k + 1):
             expected = Fraction(0)
-            for lam in lambda_vectors(n, i):
+            for lam in compositions(n, i):
                 polys = [
                     apply_derivation(d, NcPolynomial.variable(v), e)
-                    for v, e in zip(w, lam.entries)
+                    for v, e in zip(w, lam)
                 ]
-                expected += multinomial(i, lam.entries) * kappa_of_polys(
+                expected += multinomial(i, lam) * kappa_of_polys(
                     base_cums, polys
                 )
             assert up_cums.cumulant(w).coords[i] == expected, (w, i)
@@ -825,7 +825,8 @@ def test_floats_are_refused_where_rationals_are_exact():
         with pytest.raises(TypeError, match="expected an exact rational, got float"):
             build()
     for build in (
-        lambda: LambdaVector((1.9, 1.1), 2),
+        lambda: r_of_shape((1.9, 1.1), 1, 2),
+        lambda: cumulant_of_products(moments_to_cumulants(law), (1.0,), (1,)),
         lambda: Coloring([1.5, 2.7]),
         lambda: Coloring([1, 2.0]),
         lambda: Derivation({1.5: X1}),

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from infree.ck import CkScalar, CkSeries, LambdaVector
+from infree.ck import CkScalar, CkSeries
 from infree.freeness import (
     Coloring,
     Derivation,
@@ -233,7 +233,7 @@ def test_encoder_table_names_classes_and_serves_subclasses():
     p = NcPartition(4, [[1, 4], [2, 3]])
     assert to_jsonable(p) == to_jsonable(SetPartition(4, [[1, 4], [2, 3]]))
     assert to_jsonable([True, (1, Fraction(1, 2))]) == ["1", ["1", "1/2"]]
-    assert to_jsonable({1: LambdaVector((1, 2), 3)}) == {"1": [1, 2]}
+    assert to_jsonable({1: (1, 2)}) == {"1": ["1", "2"]}
 
 
 def test_every_library_value_pickles():
@@ -252,7 +252,6 @@ def test_every_library_value_pickles():
         enumerate_type_k(3, 2)[17],
         poly,
         Derivation({1: poly, 2: NcPolynomial.variable(1)}),
-        LambdaVector((2, 0, 1), 3),
         Coloring((1, 2, 1)),
         Witness((1, 2), 1, Fraction(-3, 4)),
         FreenessVerdict(False, Witness((1, 2), 1, Fraction(-3, 4))),
@@ -260,8 +259,7 @@ def test_every_library_value_pickles():
     ]
     assert {type(v) for v in values} == {
         CkScalar, CkSeries, type(law), CumulantTable, SetPartition, NcPartition,
-        TypeKPartition, NcPolynomial, Derivation, LambdaVector, Coloring, Witness,
-        FreenessVerdict,
+        TypeKPartition, NcPolynomial, Derivation, Coloring, Witness, FreenessVerdict,
     }
     for v in values:
         back = pickle.loads(pickle.dumps(v))
@@ -281,8 +279,6 @@ def test_record_classes_keep_their_value_semantics():
     poly = NcPolynomial({(1, 2): Fraction(1, 2), (): 3})
     fiber = enumerate_type_k(2, 1)
     cases = [
-        (LambdaVector([1, 0, 2], 3), LambdaVector((1, 0, 2), 3), LambdaVector((0, 1, 2), 3),
-         "LambdaVector(entries=(1, 0, 2), target=3)"),
         (Coloring([1, "2"]), Coloring((1, 2)), Coloring((2, 1)), "Coloring(colors=(1, 2))"),
         (witness, Witness((1, 2), 2, Fraction(1, 2)), Witness((1, 2), 1, Fraction(1, 2)),
          "Witness(word=(1, 2), component=2, value=Fraction(1, 2))"),
@@ -308,7 +304,7 @@ def test_record_classes_keep_their_value_semantics():
     ]
     assert {type(v) for v, *_ in cases} == {
         CkScalar, CkSeries, InfLaw, CumulantTable, SetPartition, NcPartition, TypeKPartition,
-        NcPolynomial, Derivation, LambdaVector, Coloring, Witness, FreenessVerdict,
+        NcPolynomial, Derivation, Coloring, Witness, FreenessVerdict,
     }
     for value, same, other, text in cases:
         assert isinstance(value, Value)
@@ -328,14 +324,9 @@ def test_record_classes_keep_their_value_semantics():
     assert law != CumulantTable(law.k, law.num_vars, law.max_len, law.values)
     assert CumulantTable(law.k, law.num_vars, law.max_len, law.values) != law
     assert repr(FreenessVerdict(True, None)) == "FreenessVerdict(passed=True, witness=None)"
-    assert len(LambdaVector((1, 0, 2), 3)) == 3
-    assert LambdaVector((1, 2), 3) != (1, 2)
     coloring = Coloring((3, 1, 3))
     assert (coloring.num_vars, coloring.color_of(3), coloring.palette()) == (3, 3, (1, 3))
     for build, error, message in (
-        (lambda: LambdaVector((1, -1), 0), ValueError, "lambda entries must be non-negative"),
-        (lambda: LambdaVector((1, 2), 4), ValueError, "lambda entries sum to 3, expected 4"),
-        (lambda: LambdaVector(3, 3), TypeError, "'int' object is not iterable"),
         (lambda: Coloring(()), ValueError, "coloring must cover at least one variable"),
         (lambda: Coloring(["x"]), ValueError, "invalid literal for int() with base 10: 'x'"),
     ):

@@ -265,6 +265,30 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
+def _imports_ck(node: ast.AST) -> bool:
+    """node imports the jet module ck or a name from it."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module in ("ck", "infree.ck") or (
+            node.module in (None, "infree") and any(a.name == "ck" for a in node.names))
+    return isinstance(node, ast.Import) and any(a.name == "infree.ck" for a in node.names)
+
+
+def test_partition_layers_import_nothing_from_the_jet_layer():
+    # a type-k shape is a plain tuple of ints, so neither partition layer
+    # carries a concept of the jet layer or loads it
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("partitions.py", "typek.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"), name))
+        if _imports_ck(node)
+    ]
+    assert found == []
+    assert [_imports_ck(ast.parse(line).body[0]) for line in (
+        "from .ck import multinomial", "from infree.ck import CkScalar", "from . import ck",
+        "import infree.ck", "from .partitions import kreweras", "import math")] == [
+        True, True, True, True, False, False]
+
+
 def _loaded_modules(tmp_path, code: str) -> set:
     """The modules loaded by a fresh interpreter once it has run code."""
     out = tmp_path / "modules.json"
@@ -293,10 +317,17 @@ def test_cli_imports_only_the_layers_a_verb_runs(tmp_path):
     assert json.loads(out.read_text(encoding="utf-8")) == {"n": 4, "blocks": [[1, 3], [2], [4]]}
     assert "dataclasses" not in loaded
     assert loaded & layers == {"infree.partitions"}
+    out = tmp_path / "nck.json"
+    loaded = _loaded_modules(tmp_path, (
+        "from infree.cli import main\n"
+        f"main(['nck-enum', '--n', '2', '--k', '1', '--out', {str(out)!r}])"))
+    assert [tk["shape"] for tk in json.loads(out.read_text(encoding="utf-8"))] == [
+        [0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    assert loaded & layers == {"infree.partitions", "infree.typek"}
 
 
 PUBLIC_NAMES = {
-    "ck": "CkScalar CkSeries LambdaVector NotInvertible ck_inverse ck_mul ck_prod_many "
+    "ck": "CkScalar CkSeries NotInvertible ck_inverse ck_mul ck_prod_many "
           "series_comp_inverse series_compose series_mul",
     "partitions": "BarredElement NcPartition SetPartition biane_permutation enumerate_nc "
                   "is_noncrossing kreweras mobius_to_top ordered_blocks partition_join",
@@ -306,7 +337,7 @@ PUBLIC_NAMES = {
                  "moments_to_cumulants",
     "convolve": "additive_convolve boxed_conv_ck boxed_conv_type_b boxed_conv_type_k example_law "
                 "fourier_transform moments_from_r multiplicative_convolve r_from_moments "
-                "special_series",
+                "s_transform special_series",
     "freeness": "Coloring Derivation FreenessVerdict NcPolynomial check_inf_freeness "
                 "derivative_of_convolution free_product_joint product_tuple_cumulants "
                 "upgraded_law",

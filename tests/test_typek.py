@@ -1,7 +1,6 @@
 """Type-k non-crossing partitions: membership, fibers, shapes, r counts."""
 import pytest
 
-from infree.ck import LambdaVector
 from infree.partitions import (
     NcPartition,
     SetPartition,
@@ -26,8 +25,8 @@ from infree.typek import (
 )
 
 from helpers import (
+    compositions,
     is_star_oracle,
-    lambda_vectors,
     nc_meet,
     shape_counts_oracle,
     star_shape,
@@ -147,13 +146,15 @@ def test_multiplicity_divisibility():
 
 def test_shape_examples():
     for p in enumerate_nc(3):
-        assert TypeKPartition(p, 3, 0).shape.entries == (0, 0, 0, 0)
+        assert TypeKPartition(p, 3, 0).shape == (0, 0, 0, 0)
     tk = TypeKPartition(nc(4, [1, 3], [2], [4]), 2, 1)
-    assert tk.shape.entries == (1, 0, 0)
+    assert tk.shape == (1, 0, 0)
+    assert type(tk.shape) is tuple
     for k, n in SMALL:
         for tk in enumerate_type_k(n, k):
-            assert sum(tk.shape.entries) == k
-            assert len(tk.shape.entries) == n + 1
+            assert type(tk.shape) is tuple and all(type(e) is int for e in tk.shape)
+            assert sum(tk.shape) == k
+            assert len(tk.shape) == n + 1
 
 
 def test_fiber_elements_match_validating_constructor():
@@ -176,19 +177,19 @@ def test_constructor_rejects_non_members():
 
 def test_r_known_values():
     for n in range(1, 4):
-        assert r_of_shape(LambdaVector((0,) * (n + 1), 0), n, 0) == 1
+        assert r_of_shape((0,) * (n + 1), n, 0) == 1
     for n in range(1, 4):
         for i in range(n + 1):
             e_i = tuple(1 if j == i else 0 for j in range(n + 1))
-            assert r_of_shape(LambdaVector(e_i, 1), n, 1) == 1
+            assert r_of_shape(e_i, n, 1) == 1
     for n in range(1, 3):
         for i in range(n + 1):
             v = tuple(2 if j == i else 0 for j in range(n + 1))
-            assert r_of_shape(LambdaVector(v, 2), n, 2) == 1
+            assert r_of_shape(v, n, 2) == 1
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 v = tuple(1 if t in (i, j) else 0 for t in range(n + 1))
-                assert r_of_shape(LambdaVector(v, 2), n, 2) == 3
+                assert r_of_shape(v, n, 2) == 3
 
 
 def test_r_matches_fiber_enumeration():
@@ -199,8 +200,8 @@ def test_r_matches_fiber_enumeration():
         for k in range(top_k + 1):
             for p in enumerate_nc(n):
                 counts = shape_counts_oracle(p, k)
-                for lam in lambda_vectors(n + 1, k):
-                    assert r_of_shape(lam, n, k) == counts.get(lam.entries, 0), (n, k, p, lam)
+                for lam in compositions(n + 1, k):
+                    assert r_of_shape(lam, n, k) == counts.get(lam, 0), (n, k, p, lam)
                     pairs += 1
     assert pairs == 2450
 
@@ -211,20 +212,27 @@ def test_r_sums_to_fiber_size():
     built = fiber_over.cache_info().misses
     for k, n in SMALL + [(6, 12)]:
         total = sum(
-            r_of_shape(lam, n, k) for lam in lambda_vectors(n + 1, k)
+            r_of_shape(lam, n, k) for lam in compositions(n + 1, k)
         )
         assert total == fiber_size_formula(n, k)
     assert fiber_over.cache_info().misses == built
 
 
 def test_r_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        r_of_shape(LambdaVector((1, 0), 1), 2, 1)  # wrong length
-    with pytest.raises(ValueError):
-        r_of_shape(LambdaVector((1, 0, 0), 1), 2, 2)  # wrong target
+    # r_of_shape is where a caller's shape enters, so it makes every check
+    refusal = "shape must have n\\+1 = 3 non-negative entries summing to k = 2"
+    for lam in ((1, 1), (1, 1, 0, 0),  # wrong length
+                (3, -1, 0),  # a negative entry
+                (1, 0, 0)):  # wrong sum
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            r_of_shape(lam, 2, 2)
+    for lam in ((1.0, 1, 0), (2.5, -0.5, 0)):  # floats, even integral ones
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            r_of_shape(lam, 2, 2)
+    assert r_of_shape([1, 1, 0], 2, 2) == r_of_shape((1, 1, 0), 2, 2) == 3  # any sequence
     for n, lam in ((0, (1,)), (-1, ())):
         with pytest.raises(ValueError, match="n >= 1"):
-            r_of_shape(LambdaVector(lam, sum(lam)), n, sum(lam))  # empty ground set
+            r_of_shape(lam, n, sum(lam))  # empty ground set
 
 
 def test_star_examples():
@@ -234,7 +242,7 @@ def test_star_examples():
     stars = enumerate_type_k_star(1, 1)
     assert len(stars) == 1
     assert stars[0].partition == nc(2, [1, 2])
-    assert star_shape(stars[0]).entries == (1,)
+    assert star_shape(stars[0]) == (1,)
 
 
 def test_is_star_matches_kreweras_oracle():
@@ -255,12 +263,12 @@ def test_star_shape_is_unbarred_restriction():
         for tk in enumerate_type_k_star(n, k):
             assert is_star(tk)
             mix_list, _ = ordered_blocks(tk.reduction)
-            full = dict(zip(mix_list, tk.shape.entries))
+            full = dict(zip(mix_list, tk.shape))
             # barred entries all vanish on star elements
             assert all(v == 0 for blk, v in full.items() if blk[0].barred)
             restricted = star_shape(tk)
-            assert len(restricted.entries) == tk.reduction.num_blocks()
-            assert sum(restricted.entries) == k
+            assert len(restricted) == tk.reduction.num_blocks()
+            assert sum(restricted) == k
 
 
 def test_star_double_count():
@@ -270,11 +278,11 @@ def test_star_double_count():
         for p in enumerate_nc(n):
             mix_list, _ = ordered_blocks(p)
             unbarred = [i for i, blk in enumerate(mix_list) if not blk[0].barred]
-            for lam in lambda_vectors(len(unbarred), k):
+            for lam in compositions(len(unbarred), k):
                 padded = [0] * (n + 1)
-                for pos, v in zip(unbarred, lam.entries):
+                for pos, v in zip(unbarred, lam):
                     padded[pos] = v
-                total += r_of_shape(LambdaVector(tuple(padded), k), n, k)
+                total += r_of_shape(padded, n, k)
         assert total == len(enumerate_type_k_star(n, k)), (k, n)
 
 
