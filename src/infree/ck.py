@@ -51,8 +51,9 @@ from typing import Iterable, Iterator, Sequence
 from ._value import Value
 
 
-class NotInvertible(ArithmeticError):
-    """Raised when an inverse is requested of a non-unit."""
+class NotInvertible(ArithmeticError, ValueError):
+    """Raised when an inverse is requested of a non-unit; a ValueError
+    too, so that a caller's bad value is one kind of error."""
 
 
 def _coerce(x) -> Fraction:
@@ -514,16 +515,16 @@ def series_compose(f: CkSeries, g: CkSeries) -> CkSeries:
     if not g.const.is_zero():
         raise ValueError("composition needs a zero constant term in the inner series")
     n = min(f.trunc, g.trunc)
-    pairs = list(zip(f.coeffs, _powers(g.truncate(n))))
+    pairs = list(zip(f.coeffs, _powers(g.truncate(n), n)))
     out = tuple(_accumulate(f.k, ((1, 1, (a, power.coeffs[d])) for a, power in pairs))
                 for d in range(n))
     return CkSeries._of(f.k, n, out, f.const)
 
 
-def _powers(f: CkSeries) -> list:
-    """f, f^2, ..., f^trunc."""
+def _powers(f: CkSeries, n: int) -> list:
+    """f, f^2, ..., f^n; f alone when n < 2."""
     out = [f]
-    for _ in range(1, f.trunc):
+    for _ in range(1, n):
         out.append(series_mul(out[-1], f))
     return out
 
@@ -536,13 +537,14 @@ def series_comp_inverse(f: CkSeries) -> CkSeries:
     g is also the left inverse, g(f(w)) = w, so sum over j <= d of
     g_j [w^d] f^j is 1 at d = 1 and 0 above, and [w^d] f^d = a_1^d gives
     g_d = -a_1^(-d) sum over j < d of g_j [w^d] f^j.  That reads one power
-    chain of f: trunc - 1 series products and one inverse in C_k.
+    chain of f, f^1 to f^(trunc - 1): trunc - 2 series products and one
+    inverse in C_k.
     """
     if not f.const.is_zero():
         raise ValueError("compositional inverse needs a zero constant term")
     k = f.k
     a1_inv = ck_inverse(f.coeffs[0])  # NotInvertible if leading coefficient is not a unit
-    powers = _powers(f)
+    powers = _powers(f, f.trunc - 1)
     g = [a1_inv]
     scale = a1_inv  # a_1^(-d) at degree d
     for d in range(2, f.trunc + 1):

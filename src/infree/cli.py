@@ -3,13 +3,16 @@
 Exit codes: 0 success, 1 usage error, 2 domain error (bad values, schema
 violations, non-invertible elements, a computation that runs out of memory
 or of recursion depth, a request over budget), 3 I/O failure.  "-"
-reads standard input; output goes to --out or standard output.
+reads standard input; output goes to --out or standard output.  A failure
+after the arguments parse prints one line on standard error, "KIND: VERB:
+MESSAGE", with KIND "error" for exit code 2 and "i/o error" for 3; a
+schema error's message starts with the JSON path it names.
 
 Every verb that could take long sizes its work from closed forms before
 doing any of it, with one check: the sizes of larger and larger parts of
 the request, the whole request last, are compared in turn with the
-budget, and the first part over it is refused with exit code 2 and one
-line, "VERB: SIZE WHAT are over the budget of BUDGET".  A huge n or k is
+budget, and the first part over it is refused with exit code 2 and the
+message "SIZE WHAT are over the budget of BUDGET".  A huge n or k is
 refused at its first part over the budget, in milliseconds.  The budget
 is ENUM_BUDGET = 100,000 partitions, first blocks or derivation passes:
 - nc-enum lists Catalan(n) partitions, sized over NC(m) for m = 1..n;
@@ -32,7 +35,7 @@ refuse more than SERIES_BUDGET = 500,000 word products, sized over the
 orders up to k and then the degrees up to trunc: at k = 2 and small
 coefficients they run up to degree 38, at k = 0 and 1000-bit coefficients
 up to degree 10.  An output holding an integer longer than the interpreter
-converts to a string is an error that names the verb and that limit.
+converts to a string is an error that names that limit.
 
 Importing this module loads only it and the JSON codec.  Each handler
 imports the functions it runs from their defining module when it runs, so
@@ -117,14 +120,14 @@ def _write(text: str, out: str | None):
             fh.write(text)
 
 
-def _within_budget(verb: str, steps, budget: int = ENUM_BUDGET) -> None:
+def _within_budget(steps, budget: int = ENUM_BUDGET) -> None:
     """Refuse a request whose work is over budget.  steps yields (size,
     what) for larger and larger parts of the request, each size at least the
     one before and the whole request last; the check stops at the first
     size over budget, so a huge request costs no more than that part."""
     for size, what in steps:
         if size > budget:
-            raise ValueError(f"{verb}: {size} {what} are over the budget of {budget}")
+            raise ValueError(f"{size} {what} are over the budget of {budget}")
 
 
 def _totals(sizes, what: str):
@@ -166,30 +169,20 @@ def _series_steps(k: int, trunc: int, scalars=()):
     return chain((step(j, 1) for j in orders), (step(k, d) for d in range(2, trunc + 1)))
 
 
-def _encoded(verb: str, value) -> str:
+def _encoded(value) -> str:
     """The JSON text of value; the one way it fails is an integer longer
     than the interpreter converts to a string."""
     try:
         return encode(value)
     except ValueError:
         limit = sys.get_int_max_str_digits()
-        raise ValueError(f"{verb}: the output holds an integer longer than {limit} digits") from None
-
-
-def _domain_errors() -> tuple:
-    """The exceptions reported as domain errors.  NotInvertible comes from
-    ck, imported here so that a verb that never loads ck does not pay for
-    it; main evaluates this only while it handles an exception."""
-    from .ck import NotInvertible
-
-    return SchemaError, ValueError, NotInvertible
+        raise ValueError(f"the output holds an integer longer than {limit} digits") from None
 
 
 def _cmd_nc_enum(args):
     from .partitions import catalan, enumerate_nc
 
-    _within_budget("nc-enum", ((catalan(m), f"partitions of [{m}]")
-                               for m in range(1, args.n + 1)))
+    _within_budget((catalan(m), f"partitions of [{m}]") for m in range(1, args.n + 1))
     return list(enumerate_nc(args.n))
 
 
@@ -201,7 +194,7 @@ def _cmd_nck_enum(args):
     if n >= 1 and k >= 0:  # other values are refused by enumerate_type_k
         # NC(m) for m up to n, then Catalan(n) reductions times the
         # Fuss-Catalan fiber of type j for j up to k
-        _within_budget("nck-enum", chain(
+        _within_budget(chain(
             ((catalan(m), f"partitions of [{m}]") for m in range(1, n + 1)),
             ((catalan(n) * fiber_size_formula(n, j), f"type-{j} partitions of [{n}]")
              for j in range(1, k + 1))))
@@ -227,7 +220,7 @@ def _cmd_m2c(args):
     from .cumulants import moments_to_cumulants
 
     law = decode_law(_read_json(args.law))
-    _within_budget("m2c", _table_steps(law.num_vars, law.max_len))
+    _within_budget(_table_steps(law.num_vars, law.max_len))
     return moments_to_cumulants(law)
 
 
@@ -235,7 +228,7 @@ def _cmd_c2m(args):
     from .cumulants import cumulants_to_moments
 
     table = decode_cumulant_table(_read_json(args.law))
-    _within_budget("c2m", _table_steps(table.num_vars, table.max_len))
+    _within_budget(_table_steps(table.num_vars, table.max_len))
     return cumulants_to_moments(table)
 
 
@@ -250,14 +243,14 @@ def _cmd_boxconv(args):
         raise ValueError(f"series have k={f.k},{g.k}, flag says k={args.k}")
     if args.type == "a":
         n = min(f.trunc, g.trunc)
-        _within_budget("boxconv", _series_steps(
+        _within_budget(_series_steps(
             f.k, n, chain(f.coeffs[:n], g.coeffs[:n], (f.const, g.const))), SERIES_BUDGET)
         return boxed_conv_ck(f, g)
     # the witness routes build every type-i element of degree m <= trunc
     top = 1 if args.type == "b" else f.k
     sizes = (catalan(m) * sum(fiber_size_formula(m, i) for i in range(top + 1))
              for m in range(1, min(f.trunc, g.trunc) + 1))
-    _within_budget("boxconv", _totals(sizes, "type-k elements up to degree"))
+    _within_budget(_totals(sizes, "type-k elements up to degree"))
     if args.type == "b":
         return boxed_conv_type_b(f, g)
     return boxed_conv_type_k(f, g)
@@ -268,7 +261,7 @@ def _cmd_convolve_add(args):
 
     mu = decode_law(_read_json(args.lhs), "lhs")
     nu = decode_law(_read_json(args.rhs), "rhs")
-    _within_budget("convolve-add", _series_steps(
+    _within_budget(_series_steps(
         mu.k, mu.max_len, chain(mu.values.values(), nu.values.values())), SERIES_BUDGET)
     return additive_convolve(mu, nu)
 
@@ -278,7 +271,7 @@ def _cmd_convolve_mul(args):
 
     mu = decode_law(_read_json(args.lhs), "lhs")
     nu = decode_law(_read_json(args.rhs), "rhs")
-    _within_budget("convolve-mul", _series_steps(
+    _within_budget(_series_steps(
         mu.k, mu.max_len, chain(mu.values.values(), nu.values.values())), SERIES_BUDGET)
     return multiplicative_convolve(mu, nu)
 
@@ -290,7 +283,7 @@ def _cmd_check_freeness(args):
     coloring = decode_coloring(_read_json(args.colors), "colors")
     max_len = args.max_len if args.max_len is not None else law.max_len
     # a budget beyond the law's own length is refused before any word
-    _within_budget("check-freeness", _table_steps(law.num_vars, min(max_len, law.max_len)))
+    _within_budget(_table_steps(law.num_vars, min(max_len, law.max_len)))
     return check_inf_freeness(law, coloring, max_len)
 
 
@@ -304,7 +297,7 @@ def _cmd_upgrade(args):
     # the passes at length 1 ramp up one at a time, so that a huge k is
     # refused at a size short enough to print
     sizes = (v ** n * passes for n in range(1, args.max_len + 1))
-    _within_budget("upgrade", chain(
+    _within_budget(chain(
         ((v * j, "derivation passes up to length 1") for j in range(1, passes)),
         _totals(sizes, "derivation passes up to length")))
     return upgraded_law(base, d, args.k, args.max_len)
@@ -319,7 +312,7 @@ def _cmd_deriv_demo(args):
     from .freeness import derivative_of_convolution
 
     k, L = args.k, args.max_len
-    _within_budget("deriv-demo", _series_steps(k, L), SERIES_BUDGET)
+    _within_budget(_series_steps(k, L), SERIES_BUDGET)
     with_t = CkScalar(k, [1, 1] + [0] * (k - 1)) if k >= 1 else CkScalar(k, [1])
 
     def shifted(c0):
@@ -416,21 +409,18 @@ def main(argv=None) -> int:
     except SystemExit as e:  # --help, --version
         return 0 if e.code in (0, None) else 1
     try:
-        text = _encoded(args.verb, args.func(args))
-        _write(text, args.out)
+        _write(_encoded(args.func(args)), args.out)
         return 0
     except MemoryError:
-        print(f"error: {args.verb}: out of memory", file=sys.stderr)
-        return 2
+        kind, code, message = "error", 2, "out of memory"
     except RecursionError:
-        print(f"error: {args.verb}: maximum recursion depth exceeded", file=sys.stderr)
-        return 2
+        kind, code, message = "error", 2, "maximum recursion depth exceeded"
     except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return 3
-    except _domain_errors() as e:  # evaluated only once an exception is raised
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        kind, code, message = "i/o error", 3, e
+    except ValueError as e:  # schema and domain errors, NotInvertible among them
+        kind, code, message = "error", 2, e
+    print(f"{kind}: {args.verb}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ def _boxed_sum(f: CkSeries, n: int, g_power) -> CkSeries:
     tuple of at most one C_k scalar.  The powers of f and the scalars of
     g come from validated series, so the terms go to the trusted core, and
     its sums become the series through the trusted `_of`."""
-    f_pows = _powers(f.truncate(n))
+    f_pows = _powers(f.truncate(n), n)
     out = []
     for m in range(1, n + 1):
         terms = []
@@ -92,7 +92,7 @@ def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
     bijection, Nica-Speicher Lecture 18).  alpha_1 may be zero or nilpotent."""
     _check_boxed_pair(f, g)
     n = min(f.trunc, g.trunc)
-    g_pows = _powers(g.truncate(n))
+    g_pows = _powers(g.truncate(n), n)
     return _boxed_sum(f, n, lambda m, b: (1, (g_pows[b - 1].coeffs[m - 1],)))
 
 

@@ -24,12 +24,13 @@ value class shares, without the constructor's checks.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from operator import index
 from typing import Iterator
 
 from ._value import Value
-from .ck import CkScalar, _accumulate, _first_block_table
+from .ck import CkScalar, _accumulate, _first_block_table, _subword_getter
 from .partitions import SetPartition, enumerate_nc, kreweras
 
 
@@ -37,11 +38,6 @@ def all_words(num_vars: int, max_len: int) -> Iterator[tuple]:
     """Non-empty words over {1..num_vars} of length <= max_len, shortlex."""
     for length in range(1, max_len + 1):
         yield from product(range(1, num_vars + 1), repeat=length)
-
-
-def restrict(w: tuple, block: tuple) -> tuple:
-    """Subword of w at the 1-based positions in block, in increasing order."""
-    return tuple(w[i - 1] for i in block)
 
 
 class _WordTable(Value):
@@ -133,7 +129,18 @@ def kappa_pi(c: CumulantTable, pi: SetPartition, w: tuple) -> CkScalar:
     """Product over the blocks of pi of the cumulants of the restricted word."""
     if pi.n != len(w):
         raise ValueError(f"partition on [{pi.n}] against a word of length {len(w)}")
-    return _accumulate(c.k, ((1, 1, [c.value(restrict(w, b)) for b in pi.blocks]),))
+    return _accumulate(c.k, ((1, 1, [c.value(tuple(w[i - 1] for i in b)) for b in pi.blocks]),))
+
+
+@lru_cache(maxsize=None)
+def _nc_block_getters(n: int) -> tuple:
+    """(getters of the blocks of p, getters of the blocks of Kr(p)) for
+    every p in NC(n), computed once per length.  A block's getter maps a
+    word of length n to its subword on the block, a tuple."""
+    def getters(blocks):
+        return tuple(_subword_getter(tuple(i - 1 for i in b)) for b in blocks)
+
+    return tuple((getters(p.blocks), getters(kreweras(p).blocks)) for p in enumerate_nc(n))
 
 
 def cumulant_of_products(c: CumulantTable, grouping: tuple, w: tuple) -> CkScalar:
@@ -144,17 +151,20 @@ def cumulant_of_products(c: CumulantTable, grouping: tuple, w: tuple) -> CkScala
     holds the group ends, and Kr(theta) is one block of them plus
     singletons, so these are the pi with no block of Kr(pi) holding two
     group ends: an identity checked against the join by enumerating every
-    pi and grouping, not derived here.
+    pi and grouping, not derived here.  The blocks of pi and Kr(pi) are
+    read through the per-length getters, Kr(pi)'s off the 0/1 word that
+    marks the group ends.
     """
+    w = tuple(w)  # a one-position getter slices, and a list's slice is no key
     s = len(w)
     grouping = tuple(map(index, grouping))
     if not grouping or list(grouping) != sorted(set(grouping)) or grouping[-1] != s:
         raise ValueError(f"grouping must be strictly increasing and end at {s}: {grouping}")
     if grouping[0] < 1:
         raise ValueError("grouping entries must be >= 1")
-    ends = set(grouping)
+    ends = tuple(int(i in grouping) for i in range(1, s + 1))
     return _accumulate(c.k, (
-        (1, 1, [c.value(restrict(w, b)) for b in pi.blocks])
-        for pi in enumerate_nc(s)
-        if all(len(ends.intersection(b)) < 2 for b in kreweras(pi).blocks)
+        (1, 1, [c.value(on(w)) for on in p_blocks])
+        for p_blocks, kr_blocks in _nc_block_getters(s)
+        if all(sum(on(ends)) < 2 for on in kr_blocks)
     ))

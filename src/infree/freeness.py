@@ -10,15 +10,13 @@ coordinate i divided by i!.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from operator import index
 
 from ._value import Value
-from .ck import CkScalar, _accumulate, _coerce, _first_block_table, _subword_getter
-from .cumulants import CumulantTable, InfLaw, _cumulants_shortlex, all_words
+from .ck import CkScalar, _accumulate, _coerce, _first_block_table
+from .cumulants import CumulantTable, InfLaw, _cumulants_shortlex, _nc_block_getters, all_words
 from .convolve import additive_convolve, multiplicative_convolve
-from .partitions import enumerate_nc, kreweras
 
 
 class NcPolynomial(Value):
@@ -199,17 +197,6 @@ def _require_two_equal_colors(coloring: Coloring):
     return first, second
 
 
-@lru_cache(maxsize=None)
-def _kreweras_index_blocks(m: int) -> tuple:
-    """(getters of the blocks of p, getters of the blocks of Kr(p)) for
-    every p in NC(m), computed once per length.  A block's getter maps a
-    word of length m to its subword on the block, a tuple."""
-    def getters(blocks):
-        return tuple(_subword_getter(tuple(i - 1 for i in b)) for b in blocks)
-
-    return tuple((getters(p.blocks), getters(kreweras(p).blocks)) for p in enumerate_nc(m))
-
-
 def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: int) -> CumulantTable:
     """Cumulants of the pairwise products a_j b_j for a free two-color tuple.
 
@@ -238,7 +225,7 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
         a, b = tuple(map(a_of, w)), tuple(map(b_of, w))
         out[w] = _accumulate(joint.k, (
             (1, 1, [values[on(a)] for on in p_blocks] + [values[on(b)] for on in kr_blocks])
-            for p_blocks, kr_blocks in _kreweras_index_blocks(len(w))
+            for p_blocks, kr_blocks in _nc_block_getters(len(w))
         ))
     return CumulantTable._of(joint.k, npairs, max_len, out)
 

@@ -35,7 +35,6 @@ from infree.cumulants import (
     all_words,
     cumulants_to_moments,
     moments_to_cumulants,
-    restrict,
 )
 from infree.freeness import Coloring, Derivation, FreenessVerdict, NcPolynomial, Witness
 from infree.jsonio import (
@@ -195,6 +194,11 @@ def rotate_partition(p: SetPartition, shift: int = 1) -> SetPartition:
     """Image of p under x -> x + shift modulo n (anticlockwise for shift=-1)."""
     n = p.n
     return type(p)(n, [[(x - 1 + shift) % n + 1 for x in b] for b in p.blocks])
+
+
+def restrict(w: tuple, block: tuple) -> tuple:
+    """Subword of w at the 1-based positions in block, in increasing order."""
+    return tuple(w[i - 1] for i in block)
 
 
 def interval_partition(grouping: tuple, s: int) -> SetPartition:

@@ -23,7 +23,6 @@ from infree.cumulants import (
     all_words,
     cumulants_to_moments,
     moments_to_cumulants,
-    restrict,
 )
 from infree.freeness import (
     Derivation,
@@ -62,6 +61,7 @@ from helpers import (
     phi_component_oracle,
     rand_law,
     rand_series,
+    restrict,
     rotate_partition,
     shape_counts_oracle,
     type_b_conv_oracle,

@@ -498,7 +498,7 @@ def test_composition_inverse_property(f):
 
 
 def test_comp_inverse_reads_one_power_chain(monkeypatch):
-    # one power chain f, ..., f^12 at trunc 12: 11 series products, where
+    # one power chain f, ..., f^11 at trunc 12: 10 series products, where
     # composing the partial inverse at every degree took 66
     rng = random.Random(241)
     f = rand_series(rng, 2, 12, invertible=True)
@@ -512,7 +512,7 @@ def test_comp_inverse_reads_one_power_chain(monkeypatch):
 
     monkeypatch.setattr(ck, "series_mul", counted)
     assert series_comp_inverse(f) == expected
-    assert len(calls) == 11
+    assert len(calls) == 10
 
 
 def test_series_comp_inverse_needs_unit_lead():

@@ -135,7 +135,7 @@ def test_enumeration_sizes_match_the_closed_forms(capsys, monkeypatch):
     check = cli._within_budget
 
     def budget(value):
-        monkeypatch.setattr(cli, "_within_budget", lambda verb, steps: check(verb, steps, value))
+        monkeypatch.setattr(cli, "_within_budget", lambda steps: check(steps, value))
 
     for n in range(1, 25):
         cases = [(["nc-enum", "--n", str(n)], catalan(n), f"partitions of [{n}]")] + [
@@ -159,9 +159,9 @@ def test_sizings_match_the_work_done(capsys, monkeypatch, tmp_path):
     seen = []
     check = cli._within_budget
 
-    def record(verb, steps, *budget):
+    def record(steps, *budget):
         seen.append(list(steps))
-        check(verb, seen[-1], *budget)
+        check(seen[-1], *budget)
 
     monkeypatch.setattr(cli, "_within_budget", record)
     # an enumeration's whole request is the length of its output
@@ -668,7 +668,7 @@ def test_deeply_nested_json_is_domain_error(capsys, tmp_path):
     path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     code, out, err = run(capsys, "mobius", "--lhs", str(path))
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {path}: invalid JSON") and "nested too deeply" in err
+    assert err.startswith(f"error: mobius: {path}: invalid JSON") and "nested too deeply" in err
 
 
 def test_aliased_word_key_is_domain_error(capsys, tmp_path):
@@ -678,7 +678,7 @@ def test_aliased_word_key_is_domain_error(capsys, tmp_path):
                     encoding="utf-8")
     code, out, err = run(capsys, "m2c", "--law", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("error: .moments. 1: malformed word key")
+    assert err.startswith("error: m2c: .moments. 1: malformed word key")
 
 
 def test_overlong_integers_are_domain_errors(capsys, tmp_path):
@@ -687,14 +687,14 @@ def test_overlong_integers_are_domain_errors(capsys, tmp_path):
     bare.write_text('{"n": %s, "blocks": []}' % digits, encoding="utf-8")
     code, out, err = run(capsys, "mobius", "--lhs", str(bare))
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {bare}: invalid JSON") and "digits" in err
+    assert err.startswith(f"error: mobius: {bare}: invalid JSON") and "digits" in err
     assert "set_int_max_str_digits" not in err
     lhs = tmp_path / "lhs.json"
     lhs.write_text(json.dumps({"k": 0, "trunc": 1, "coeffs": [["1/" + digits]]}), encoding="utf-8")
     rhs = write(tmp_path, "rhs.json", rand_series(random.Random(353), 0, 1))
     code, out, err = run(capsys, "boxconv", "--lhs", str(lhs), "--rhs", rhs)
     assert code == 2 and out == ""
-    assert err.startswith("error: lhs.coeffs[0][0]:") and "digits" in err
+    assert err.startswith("error: boxconv: lhs.coeffs[0][0]:") and "digits" in err
     assert "set_int_max_str_digits" not in err
 
 

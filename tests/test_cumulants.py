@@ -16,7 +16,6 @@ from infree.cumulants import (
     cumulants_to_moments,
     kappa_pi,
     moments_to_cumulants,
-    restrict,
 )
 from infree.partitions import NcPartition, SetPartition, enumerate_nc, kreweras, partition_join
 
@@ -39,6 +38,7 @@ from helpers import (
     rand_scalar,
     rand_sparse_scalar,
     rand_wide_scalar,
+    restrict,
 )
 
 

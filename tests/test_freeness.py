@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from infree import ck, freeness
+from infree import ck, cumulants, freeness
 from infree.ck import (
     CkScalar,
     CkSeries,
@@ -34,7 +34,6 @@ from infree.cumulants import (
     cumulant_of_products,
     cumulants_to_moments,
     moments_to_cumulants,
-    restrict,
 )
 from infree.freeness import (
     Coloring,
@@ -325,7 +324,7 @@ def test_computed_tables_match_the_validating_constructor():
             with_const = CkSeries(k, trunc, rand_series(rng, k, trunc).coeffs, rand_scalar(rng, k))
             series = [rand_series(rng, k, trunc), sparse, with_const, CkSeries.zero(k, trunc)]
             built = [series_mul(f, g) for f in series for g in series]
-            built += [p for f in series for p in _powers(f)]
+            built += [p for f in series for p in _powers(f, f.trunc)]
             built += [f.truncate(t) for f in series for t in range(1, trunc + 1)]
             boxable = [f for f in series if f.const.is_zero()]
             built += [r_from_moments(f) for f in boxable] + [moments_from_r(f) for f in boxable]
@@ -370,20 +369,31 @@ def test_product_tuple_cumulants_caches_kreweras_per_length(monkeypatch):
     joint, coloring = free_product_joint([mu, nu], 4)
     cums = moments_to_cumulants(joint)
     calls = []
-    real = freeness.kreweras
+    real = cumulants.kreweras
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(freeness, "kreweras", counted)
-    freeness._kreweras_index_blocks.cache_clear()
+    monkeypatch.setattr(cumulants, "kreweras", counted)
+    cumulants._nc_block_getters.cache_clear()
     first = product_tuple_cumulants(cums, coloring, 4)
     assert len(calls) == sum(catalan(m) for m in range(1, 5))
     calls.clear()
     assert product_tuple_cumulants(cums, coloring, 4) == first
     assert product_tuple_cumulants(cums, coloring, 3).values == {
         w: x for w, x in first.values.items() if len(w) <= 3}
+    assert calls == []
+    # cumulant_of_products reads the same table: Catalan(s) complements on
+    # its first call at a length, none on the next
+    c = moments_to_cumulants(rand_law(rng, k=1, num_vars=2, max_len=6))
+    w = (1, 2, 2, 1, 2, 1)
+    cumulants._nc_block_getters.cache_clear()
+    first = cumulant_of_products(c, (2, 3, 6), w)
+    assert len(calls) == catalan(6)
+    calls.clear()
+    assert cumulant_of_products(c, (1, 4, 6), w) != first
+    assert cumulant_of_products(c, (2, 3, 6), w) == first
     assert calls == []
 
 

@@ -265,12 +265,12 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
-def _imports_ck(node: ast.AST) -> bool:
-    """node imports the jet module ck or a name from it."""
+def _imports(node: ast.AST, layer: str) -> bool:
+    """node imports the package module layer or a name from it."""
     if isinstance(node, ast.ImportFrom):
-        return node.module in ("ck", "infree.ck") or (
-            node.module in (None, "infree") and any(a.name == "ck" for a in node.names))
-    return isinstance(node, ast.Import) and any(a.name == "infree.ck" for a in node.names)
+        return node.module in (layer, f"infree.{layer}") or (
+            node.module in (None, "infree") and any(a.name == layer for a in node.names))
+    return isinstance(node, ast.Import) and any(a.name == f"infree.{layer}" for a in node.names)
 
 
 def test_partition_layers_import_nothing_from_the_jet_layer():
@@ -280,13 +280,24 @@ def test_partition_layers_import_nothing_from_the_jet_layer():
         f"{name}:{node.lineno}"
         for name in ("partitions.py", "typek.py")
         for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"), name))
-        if _imports_ck(node)
+        if _imports(node, "ck")
     ]
     assert found == []
-    assert [_imports_ck(ast.parse(line).body[0]) for line in (
+    assert [_imports(ast.parse(line).body[0], "ck") for line in (
         "from .ck import multinomial", "from infree.ck import CkScalar", "from . import ck",
         "import infree.ck", "from .partitions import kreweras", "import math")] == [
         True, True, True, True, False, False]
+
+
+def test_one_nc_block_table_for_the_cumulant_sums():
+    # both sums over p and Kr(p), the cumulants with products as arguments
+    # and those of a product tuple, read one per-length table of block
+    # getters, so no call computes a complement and freeness holds no
+    # partition code of its own
+    tree = ast.parse((SRC / "cumulants.py").read_text(encoding="utf-8"))
+    assert _named_in(tree, "kreweras") == _named_in(tree, "enumerate_nc") == {"_nc_block_getters"}
+    freeness = ast.parse((SRC / "freeness.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(freeness) if _imports(node, "partitions")] == []
 
 
 def _loaded_modules(tmp_path, code: str) -> set:
