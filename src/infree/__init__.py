@@ -23,8 +23,8 @@ _EXPORTS = {
         "series_comp_inverse", "series_compose", "series_mul",
     ), "ck"),
     **dict.fromkeys((
-        "BarredElement", "NcPartition", "SetPartition", "biane_permutation", "enumerate_nc",
-        "is_noncrossing", "kreweras", "mobius_to_top", "ordered_blocks", "partition_join",
+        "NcPartition", "SetPartition", "biane_permutation", "enumerate_nc", "is_noncrossing",
+        "kreweras", "mobius_to_top", "ordered_blocks", "partition_join",
     ), "partitions"),
     **dict.fromkeys((
         "TypeKPartition", "enumerate_type_k", "enumerate_type_k_star", "is_type_k",

@@ -8,15 +8,8 @@ elements therefore have equal (k, den, nums), and the arithmetic is integer
 arithmetic followed by one gcd reduction.  `coords` gives the coordinates as
 Fractions; nothing here ever touches floats.
 
-Every C_k product is the order-k Leibniz rule `_leibniz_rule(k)`.  Up to
-k = 16 it is a straight-line function compiled once per order, at first
-use, from the binomial rule: one expression per coordinate over integer
-numerators, with no loop, no binomial call and no zero test, so a core
-fetches it once per call and pays only the integer operations per product.
-Compiling grows as k^2, so higher orders keep the generic loop `_leibniz`.
-
-Every sum of C_k products in the package goes through one of two private
-cores in this module.  `_accumulate` serves series products and
+Every sum of C_k products in the package goes through one of three
+private cores in this module.  `_accumulate` serves series products and
 compositions, the boxed gamma_m loop and block products of cumulants: it
 drops a term at its first zero factor, chains integer Leibniz products over
 the rest, adds them over a running lcm denominator and reduces once per
@@ -26,8 +19,22 @@ whole table, in both directions: it builds the words of each length and
 their first blocks itself, and reads the table's entries as (den, nums)
 pairs once rather than scalar by scalar.  Outputs the caller already knows
 come in seeded: the kernel yields them as given and visits none of their
-first blocks, so a free product sums only its mixed words.  `ck_inverse`
-runs Newton's iteration through the same Leibniz rule, at doubling orders.
+first blocks, so a free product sums only its mixed words.
+`_nc_block_sum` sums products of table entries over the blocks of p and
+Kr(p) in NC(n), for the cumulants of a product tuple.
+
+Each core, and the order-k Leibniz rule `_leibniz_rule(k)` that `ck_mul`
+and `ck_inverse` use, is one template in `_TEMPLATES`, compiled by `_core`
+once per order k at its first use.  Up to k = _RULE_MAX_K = 16 every
+Leibniz product is spelt out inline from the binomial rule, one expression
+per coordinate over integer numerators, with no loop, no binomial call and
+no zero test, and the k + 1 coordinates of each factor and of the running
+sum are locals, so a term pays only for its integer operations.  The blocks
+and words stay data, so the compiled functions grow with k alone.  The
+text grows as k^2, so above the cap each template compiles once, with
+coordinate loops over the generic `_leibniz`, for every order.
+`ck_inverse` runs Newton's iteration through the Leibniz rule, at doubling
+orders.
 
 Validation happens once, where a value enters the library: the scalar,
 series and table constructors.  A scalar the library computes is built by
@@ -43,9 +50,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations, product  # product: read by the first_block_table core
 from math import comb, factorial, gcd, lcm
 from operator import itemgetter
+import re
 from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
@@ -194,44 +202,210 @@ def _leibniz(k: int, x: Sequence[int], y: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-# Orders up to this one get a compiled straight-line rule.  Compiling it
-# takes time that grows as k^2, so at a high order one product, or a few,
-# would cost more to compile than to run: a guard on input size, not a
-# tuned option.
+# Orders up to this one get straight-line cores.  Their text grows as k^2,
+# so at a high order compiling would cost more than the few products it
+# saves: a guard on input size, not a tuned option.  Every order above it
+# shares one compile of each core, with coordinate loops.
 _RULE_MAX_K = 16
-_RULES: dict = {}
+_CORES: dict = {}  # (template name, order or None above the cap) -> function
+
+# Each template is the source of one function over numerator vectors.  A
+# field $op(names) stands for a vector operation: at an order k up to the
+# cap `_spelt` writes it out over the locals x0, ..., xk, and above the cap
+# it is the loop expression of `_LOOP_FIELDS`, which reads k at run time.
+# A vector is unpacked by `$vec(x) = ...` and rebuilt by `($vec(x))`.
+_TEMPLATES = {
+    "leibniz": """
+def leibniz(x, y):
+    $vec(x) = x
+    $vec(y) = y
+    return ($mul(x, y))
+""",
+    "accumulate": """
+def accumulate(k, terms):
+    den = 1
+    $vec(a) = $zeros()
+    for weight, tden, chain in terms:
+        if not weight:
+            continue
+        first = True
+        for f in chain:
+            $vec(y) = f.nums
+            if not $any(y):
+                break
+            tden *= f.den
+            if first:
+                $vec(z) = $vec(y)
+                first = False
+            else:
+                $vec(z) = $mul(z, y)
+        else:
+            if first:
+                $vec(z) = $unit()
+            if den % tden:
+                up = tden // gcd(den, tden)
+                den *= up
+                $vec(a) = $scale(a, up)
+            weight *= den // tden
+            $vec(a) = $axpy(a, weight, z)
+    return CkScalar._built(k, den, ($vec(a)))
+""",
+    "first_block_table": """
+def first_block_table(k, given, num_vars, max_len, sign, seeded, first_blocks):
+    built = CkScalar._built
+    known = _entries(given)
+    found = {}
+    kappa, moment = (found.get, known.get) if sign < 0 else (known.get, found.get)
+    zero = 1, ($zeros())
+    shared_zero = CkScalar.zero(k)
+    for n in range(1, max_len + 1):
+        blocks = first_blocks(n)[:-1] if sign < 0 else first_blocks(n)
+        for w in product(range(1, num_vars + 1), repeat=n):
+            out = seeded.get(w)
+            if out is not None:
+                if any(out.nums):
+                    found[w] = (out.den, out.nums)
+                yield w, out
+                continue
+            den, ($vec(a)) = known.get(w, zero) if sign < 0 else zero
+            for on_b, gaps in blocks:
+                c = kappa(on_b(w))
+                if c is None:
+                    continue
+                tden, ($vec(z)) = c
+                for gap in gaps:
+                    g = moment(w[gap])
+                    if g is None:
+                        break
+                    gden, ($vec(y)) = g
+                    tden *= gden
+                    $vec(z) = $mul(z, y)
+                else:
+                    if den % tden:
+                        up = tden // gcd(den, tden)
+                        den *= up
+                        $vec(a) = $scale(a, up)
+                    f = sign * (den // tden)
+                    $vec(a) = $axpy(a, f, z)
+            if $any(a):
+                out = built(k, den, ($vec(a)))
+                found[w] = (out.den, out.nums)
+                yield w, out
+            else:
+                yield w, shared_zero
+""",
+    "nc_block_sum": """
+def nc_block_sum(k, entry, a, b, blocks):
+    den = 1
+    $vec(s) = $zeros()
+    for a_blocks, b_blocks in blocks:
+        c = entry(a_blocks[0](a))
+        if c is None:
+            continue
+        tden, ($vec(z)) = c
+        for on in a_blocks[1:]:
+            g = entry(on(a))
+            if g is None:
+                break
+            gden, ($vec(y)) = g
+            tden *= gden
+            $vec(z) = $mul(z, y)
+        else:
+            for on in b_blocks:
+                g = entry(on(b))
+                if g is None:
+                    break
+                gden, ($vec(y)) = g
+                tden *= gden
+                $vec(z) = $mul(z, y)
+            else:
+                if den % tden:
+                    up = tden // gcd(den, tden)
+                    den *= up
+                    $vec(s) = $scale(s, up)
+                f = den // tden
+                $vec(s) = $axpy(s, f, z)
+    return CkScalar._built(k, den, ($vec(s)))
+""",
+}
+
+_LOOP_FIELDS = {
+    "vec": "{0}",
+    "zeros": "(0,) * (k + 1)",
+    "unit": "(1,) + (0,) * k",
+    "any": "any({0})",
+    "scale": "[c * {1} for c in {0}]",
+    "axpy": "[c + {1} * d for c, d in zip({0}, {2})]",
+    "mul": "_leibniz(k, {0}, {1})",
+}
+# The fields that are comma lists up to the cap, as the text of coordinate i.
+_COORD_FIELDS = {
+    "vec": "{0}{i},",
+    "zeros": "0,",
+    "scale": "{0}{i} * {1},",
+    "axpy": "{0}{i} + {1} * {2}{i},",
+}
+
+_FIELD = re.compile(r"\$(\w+)\(([^)]*)\)")
+
+
+def _spelt(op: str, args: list, k: int) -> str:
+    """The field $op(args) at order k, over the locals x0, ..., xk of each
+    vector x: a comma list, an `or` test, or, for mul, the binomial rule as
+    one expression per coordinate, with no loop, no comb call and no zero
+    test."""
+    coords = range(k + 1)
+    if op == "unit":
+        return "1," + " 0," * k
+    if op == "any":
+        return "(" + " or ".join(f"{args[0]}{i}" for i in coords) + ")"
+    if op == "mul":
+        x, y = args
+        return " ".join(
+            " + ".join(f"{x}{j} * {y}{i - j}" if j in (0, i) else f"{comb(i, j)} * {x}{j} * {y}{i - j}"
+                       for j in range(i + 1)) + ","
+            for i in coords)
+    return " ".join(_COORD_FIELDS[op].format(*args, i=i) for i in coords)
+
+
+def _core_source(name: str, order: int | None) -> str:
+    """The named template with every field spelt out at the order, or as
+    its loop expression for order None.  The text holds nothing but the
+    template's names, integer indices and binomial literals."""
+    def field(m):
+        args = [a.strip() for a in m[2].split(",")]
+        if order is None:
+            return _LOOP_FIELDS[m[1]].format(*args)
+        return _spelt(m[1], args, order)
+
+    return _FIELD.sub(field, _TEMPLATES[name])
+
+
+def _core(name: str, k: int):
+    """The named core at order k, compiled at its first use per order and
+    cached: straight-line up to _RULE_MAX_K, and one compile with
+    coordinate loops shared by every order above.  The function's globals
+    are this module's, so it reads `CkScalar._built` and the rest at call
+    time."""
+    key = (name, k if k <= _RULE_MAX_K else None)
+    fn = _CORES.get(key)
+    if fn is None:
+        namespace: dict = {}
+        exec(compile(_core_source(*key), f"<{name} core of order {key[1]}>", "exec"),
+             globals(), namespace)
+        fn = _CORES[key] = namespace[name]
+    return fn
 
 
 def _leibniz_rule(k: int):
     """The order-k Leibniz product: a callable (x, y) -> the tuple of the
     k + 1 integer numerators of the product of numerator sequences x and y.
 
-    Up to _RULE_MAX_K it is the straight-line rule `_compile_leibniz`
-    builds, compiled at first use and cached per order; above, it is the
-    `_leibniz` loop bound to k."""
+    Up to _RULE_MAX_K it is the straight-line `leibniz` core; above, it is
+    the `_leibniz` loop bound to k."""
     if k > _RULE_MAX_K:
         return partial(_leibniz, k)
-    rule = _RULES.get(k)
-    if rule is None:
-        rule = _RULES[k] = _compile_leibniz(k)
-    return rule
-
-
-def _compile_leibniz(k: int):
-    """The binomial rule of order k as one expression per coordinate, with
-    no loop, no comb call and no zero test.  Its source holds nothing but
-    integer indices and binomial literals."""
-    coords = ", ".join(
-        " + ".join(f"x{j} * y{i - j}" if j in (0, i) else f"{comb(i, j)} * x{j} * y{i - j}"
-                   for j in range(i + 1))
-        for i in range(k + 1))
-    source = (f"def leibniz(x, y):\n"
-              f"    {', '.join(f'x{j}' for j in range(k + 1))}, = x\n"
-              f"    {', '.join(f'y{j}' for j in range(k + 1))}, = y\n"
-              f"    return ({coords},)\n")
-    namespace: dict = {}
-    exec(compile(source, f"<Leibniz rule of order {k}>", "exec"), namespace)
-    return namespace["leibniz"]
+    return _core("leibniz", k)
 
 
 def ck_mul(a: CkScalar, b: CkScalar) -> CkScalar:
@@ -260,37 +434,12 @@ def _accumulate(k: int, terms: Iterable) -> CkScalar:
     factors are order-k scalars the library built or validated, so none is
     checked again.
 
-    A term is dropped at its zero weight or its first zero factor, before
-    anything is multiplied.  Each product is a chain of order-k Leibniz
-    products, by the rule `_leibniz_rule` gives once per call, over the
-    product of its denominators, and is added over a running lcm
-    denominator, so the only gcd reduction is the result's."""
-    den, acc = 1, [0] * (k + 1)
-    unit = (1,) + (0,) * k
-    coords = range(k + 1)
-    mul = _leibniz_rule(k)
-    for weight, tden, chain in terms:
-        if not weight:
-            continue
-        xs = []
-        for f in chain:
-            x = f.nums
-            if not (x[0] or any(x)):
-                break  # a zero factor
-            tden *= f.den
-            xs.append(x)
-        else:
-            x = xs[0] if xs else unit
-            for i in range(1, len(xs)):
-                x = mul(x, xs[i])
-            if den % tden:
-                up = tden // gcd(den, tden)
-                den *= up
-                acc = [a * up for a in acc]
-            weight *= den // tden
-            for i in coords:
-                acc[i] += weight * x[i]
-    return CkScalar._built(k, den, acc)
+    A term is dropped at its zero weight or its first zero factor, and no
+    factor after that one is read.  Each product is a chain of order-k
+    Leibniz products over the product of its denominators, and is added
+    over a running lcm denominator, so the only gcd reduction is the
+    result's."""
+    return _core("accumulate", k)(k, terms)
 
 
 @lru_cache(maxsize=None)
@@ -317,6 +466,12 @@ def _subword_getter(positions: tuple) -> itemgetter:
     return itemgetter(slice(positions[0], positions[0] + 1))
 
 
+def _entries(values: dict) -> dict:
+    """The nonzero scalars of a word table as (den, nums) pairs, the form
+    the table cores read; a missing word is a zero."""
+    return {w: (x.den, x.nums) for w, x in values.items() if any(x.nums)}
+
+
 def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
                        invert: bool, seeded: dict) -> Iterator[tuple]:
     """The trusted moment-cumulant core: (word, scalar) for every word over
@@ -327,8 +482,9 @@ def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
     given is the input table of order-k scalars: cumulants, whose moments
     are computed, or, if invert, moments, whose cumulants are computed as
     kappa(w) = m(w) minus the sum over the proper blocks, all but the full
-    block B = [n], whose cumulant is the one being solved for.  seeded
-    holds outputs the caller already knows, word -> order-k scalar: each is
+    block B = [n], whose cumulant is the one being solved for.  Both
+    directions are one core, the sign of the sum passed in.  seeded holds
+    outputs the caller already knows, word -> order-k scalar: each is
     yielded as given, the same object, and recorded like a computed output,
     and none of its first blocks is visited.  A free product seeds its pure
     words with its factors' moments, so only its mixed words are summed.
@@ -337,82 +493,58 @@ def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
     every nonzero output joins them as it is computed; a missing word is a
     zero.  A block whose kappa(w|B) is zero is skipped before any gap moment
     is read, and a term is dropped at its first zero gap moment.  The rest is
-    a chain of Leibniz products, gap by gap, by the rule `_leibniz_rule`
-    gives once per call, added in place over a running lcm denominator and
-    reduced once per word.  A word whose sum is zero gets one scalar shared
-    by every zero output, and only a nonzero output is built and recorded.
-    A caller that stops early pays for no later word."""
-    known = {w: (x.den, x.nums) for w, x in given.items() if any(x.nums)}
-    found = {}
-    kappa, moment = (found.get, known.get) if invert else (known.get, found.get)
-    sign = -1 if invert else 1
-    zero = (1, (0,) * (k + 1))
-    shared_zero = CkScalar.zero(k)
-    coords = range(k + 1)
-    mul = _leibniz_rule(k)
-    for n in range(1, max_len + 1):
-        blocks = _first_blocks(n)[:-1] if invert else _first_blocks(n)
-        for w in product(range(1, num_vars + 1), repeat=n):
-            out = seeded.get(w)
-            if out is not None:
-                if any(out.nums):
-                    found[w] = (out.den, out.nums)
-                yield w, out
-                continue
-            den, acc = known.get(w, zero) if invert else zero
-            acc = list(acc)
-            for on_b, gaps in blocks:
-                c = kappa(on_b(w))
-                if c is None:
-                    continue
-                tden, x = c
-                for gap in gaps:
-                    g = moment(w[gap])
-                    if g is None:
-                        break
-                    tden *= g[0]
-                    x = mul(x, g[1])
-                else:
-                    if den % tden:
-                        up = tden // gcd(den, tden)
-                        den *= up
-                        acc = [a * up for a in acc]
-                    f = sign * (den // tden)
-                    for i in coords:
-                        acc[i] += f * x[i]
-            if any(acc):
-                out = CkScalar._built(k, den, acc)
-                found[w] = (out.den, out.nums)
-                yield w, out
-            else:
-                yield w, shared_zero
+    a chain of Leibniz products, gap by gap, added over a running lcm
+    denominator and reduced once per word.  A word whose sum is zero gets
+    one scalar shared by every zero output, and only a nonzero output is
+    built and recorded.  A caller that stops early pays for no later word."""
+    return _core("first_block_table", k)(k, given, num_vars, max_len, -1 if invert else 1, seeded,
+                                         _first_blocks)
+
+
+def _nc_block_sum(k: int, entry, a: tuple, b: tuple, blocks: Iterable) -> CkScalar:
+    """The trusted NC-block core: the sum over (a_blocks, b_blocks) of the
+    product of the entries of the subwords of a on a_blocks and of b on
+    b_blocks.  A block is a subword getter, a_blocks is never empty, and
+    entry maps a word to its (den, nums) pair, None for a zero; a term is
+    dropped at its first zero entry, and no later entry is read.  The
+    products are added over a running lcm denominator and reduced once."""
+    return _core("nc_block_sum", k)(k, entry, a, b, blocks)
 
 
 def ck_inverse(a: CkScalar) -> CkScalar:
     """Inverse in C_k by Newton's iteration; needs a(0) != 0.
 
-    With a = N/D for integer numerators N, the integers y and e give
-    1/N = y / n0^e in the coordinates y covers: first y = (1) and e = 1.
-    A step y (2 - N y) doubles the coordinates covered, and coordinates
-    0..j of a product depend only on coordinates 0..j of its factors, so a
-    step takes two products by the order-j Leibniz rule on truncations.
-    The orders double too, so all steps together cost less than three
-    order-k products, where summing the geometric series of n0 - N term by
-    term would take k."""
+    With a = N/D for integer numerators N, the integers y and den give
+    1/N = y / den in the coordinates y covers: first y = (1) and den = n0.
+    A step y (2 den - N y) over den^2 doubles the coordinates covered, and
+    coordinates 0..j of a product depend only on coordinates 0..j of its
+    factors, so a step takes two products by the order-j Leibniz rule on
+    truncations.  The orders double too, so all steps together cost less
+    than three order-k products, where summing the geometric series of
+    n0 - N term by term would take k.  Between steps a wide y and den are
+    divided by their gcd: n0 carries the common denominator of every
+    coordinate, so its unreduced powers grow far wider than the inverse
+    itself (400-bit coordinates at k = 16: 600 ms unreduced, 130 ms
+    reduced)."""
     x = a.nums
     n0 = x[0]
     if n0 == 0:
         raise NotInvertible("first coordinate is zero")
     k = a.k
-    y, e = (1,), 1
+    y, den = (1,), n0
     while len(y) <= k:
         s = min(2 * len(y), k + 1)
         mul = _leibniz_rule(s - 1)
         y += (0,) * (s - len(y))
-        r = mul(x[:s], y)  # n0^e N y
-        y = mul(y, (2 * n0 ** e - r[0],) + tuple(-c for c in r[1:]))
-        e *= 2
-    den = n0 ** e
+        r = mul(x[:s], y)  # den N y
+        y = mul(y, (2 * den - r[0],) + tuple(-c for c in r[1:]))
+        den *= den
+        # the last reduction is _built's, and on narrow integers a gcd
+        # between steps costs more than it saves
+        g = gcd(den, *y) if s <= k and den.bit_length() > 512 else 1
+        if g != 1:
+            den //= g
+            y = tuple(c // g for c in y)
     sign = -1 if den < 0 else 1
     return CkScalar._built(k, sign * den, [sign * a.den * c for c in y])
 
@@ -510,7 +642,12 @@ def series_mul(f: CkSeries, g: CkSeries) -> CkSeries:
 
 
 def series_compose(f: CkSeries, g: CkSeries) -> CkSeries:
-    """f(g(z)) truncated at min trunc; the inner series must have zero constant."""
+    """f(g(z)) truncated at min trunc; the inner series must have zero constant.
+
+    No route of the package calls it since the compositional inverse reads
+    one power chain instead; it stays public because composition is one of
+    the series operations the package offers its users, and tests use it
+    to check the inverse."""
     _check_order(f, g)
     if not g.const.is_zero():
         raise ValueError("composition needs a zero constant term in the inner series")

@@ -14,7 +14,7 @@ from math import factorial
 from operator import index
 
 from ._value import Value
-from .ck import CkScalar, _accumulate, _coerce, _first_block_table
+from .ck import CkScalar, _coerce, _entries, _first_block_table, _nc_block_sum
 from .cumulants import CumulantTable, InfLaw, _cumulants_shortlex, _nc_block_getters, all_words
 from .convolve import additive_convolve, multiplicative_convolve
 
@@ -205,7 +205,9 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     A word w is translated once into the word of its a's and the word of
     its b's, and each restriction is read off one of them by a block getter
     from a per-length cache, so no call after the first at a length
-    computes a Kreweras complement or builds a getter.
+    computes a Kreweras complement or builds a getter.  The NC-block core
+    `ck._nc_block_sum` sums each word's terms over the table's nonzero
+    entries, read once per call as (den, nums) pairs.
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the table")
@@ -219,14 +221,11 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     npairs = len(first)
     a_of = (None, *first).__getitem__
     b_of = (None, *second).__getitem__
-    values = joint.values  # the table's own validated scalars, none checked again
+    entry = _entries(joint.values).get  # the table's own validated scalars, none checked again
     out = {}
     for w in all_words(npairs, max_len):
-        a, b = tuple(map(a_of, w)), tuple(map(b_of, w))
-        out[w] = _accumulate(joint.k, (
-            (1, 1, [values[on(a)] for on in p_blocks] + [values[on(b)] for on in kr_blocks])
-            for p_blocks, kr_blocks in _nc_block_getters(len(w))
-        ))
+        out[w] = _nc_block_sum(joint.k, entry, tuple(map(a_of, w)), tuple(map(b_of, w)),
+                               _nc_block_getters(len(w)))
     return CumulantTable._of(joint.k, npairs, max_len, out)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from operator import index, itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from ._value import Value
 
@@ -165,32 +165,22 @@ def kreweras(p: NcPartition, direction: str = "forward") -> NcPartition:
     return NcPartition._of(n, tuple(blocks))
 
 
-class BarredElement(NamedTuple):
-    """Element i or i-bar of the doubled ground set; tuple order interleaves
-    1 < 1bar < 2 < 2bar < ... so sorting gives the alternating arrangement."""
-
-    index: int
-    barred: bool
-
-    def __repr__(self):
-        return f"{self.index}'" if self.barred else f"{self.index}"
-
-
 def ordered_blocks(p: NcPartition) -> tuple:
     """Canonical block lists of p united with its Kreweras complement.
 
     Returns (mix_list, sep_list).  Both list the same n+1 blocks over the
     doubled alphabet 1 < 1bar < 2 < 2bar < ... < n < nbar, with p living on
-    the unbarred copy and the complement on the barred one.  mix_list sorts
-    all blocks together by the nesting order, V before W when max V < min W
-    or W nests around V; on these blocks that is the order of their last
-    elements.  sep_list lists p's blocks in that order first, then the
-    complement's.
+    the unbarred copy and the complement on the barred one.  An element i
+    is the plain tuple (i, False) and i-bar is (i, True), so tuple order
+    is the alternating order.  mix_list sorts all blocks together by the
+    nesting order, V before W when max V < min W or W nests around V; on
+    these blocks that is the order of their last elements.  sep_list lists
+    p's blocks in that order first, then the complement's.
     """
     kr = kreweras(p)
     key = itemgetter(-1)
-    p_blocks = [tuple(BarredElement(x, False) for x in b) for b in p.blocks]
-    kr_blocks = [tuple(BarredElement(x, True) for x in b) for b in kr.blocks]
+    p_blocks = [tuple((x, False) for x in b) for b in p.blocks]
+    kr_blocks = [tuple((x, True) for x in b) for b in kr.blocks]
     mix_list = sorted(p_blocks + kr_blocks, key=key)
     sep_list = sorted(p_blocks, key=key) + sorted(kr_blocks, key=key)
     return tuple(mix_list), tuple(sep_list)

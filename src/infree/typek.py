@@ -154,7 +154,7 @@ def _block_index(q: NcPartition) -> dict:
     """Position in the nesting order of each block of q, keyed (False,
     block), and of each block of Kr(q), keyed (True, block)."""
     mix_list, _ = ordered_blocks(q)
-    return {(blk[0].barred, tuple(e.index for e in blk)): i for i, blk in enumerate(mix_list)}
+    return {(blk[0][1], tuple(x for x, _ in blk)): i for i, blk in enumerate(mix_list)}
 
 
 def _compute_shape(pi: NcPartition, index_of: dict, n: int) -> tuple:

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import product as iter_product
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 from infree.ck import (
     CkScalar,
@@ -16,6 +16,7 @@ from infree.ck import (
     _accumulate,
     _coerce,
     _first_blocks,
+    _leibniz,
     ck_mul,
     ck_prod_many,
     multinomial,
@@ -46,7 +47,6 @@ from infree.jsonio import (
     decode_rational,
 )
 from infree.partitions import (
-    BarredElement,
     NcPartition,
     SetPartition,
     enumerate_nc,
@@ -89,8 +89,8 @@ def ordered_blocks_oracle(p: NcPartition) -> tuple:
     comparator itself rather than by last elements."""
     kr = kreweras(p)
     key = cmp_to_key(block_order_cmp)
-    p_blocks = [tuple(BarredElement(x, False) for x in b) for b in p.blocks]
-    kr_blocks = [tuple(BarredElement(x, True) for x in b) for b in kr.blocks]
+    p_blocks = [tuple((x, False) for x in b) for b in p.blocks]
+    kr_blocks = [tuple((x, True) for x in b) for b in kr.blocks]
     return (tuple(sorted(p_blocks + kr_blocks, key=key)),
             tuple(sorted(p_blocks, key=key) + sorted(kr_blocks, key=key)))
 
@@ -384,6 +384,19 @@ def free_product_joint_dense_oracle(laws: list, max_len: int):
 
 
 @lru_cache(maxsize=None)
+def kreweras_list(n: int) -> tuple:
+    """(p, Kr(p)) for every p in NC(n), computed once per length."""
+    return tuple((p, kreweras(p)) for p in enumerate_nc(n))
+
+
+@lru_cache(maxsize=None)
+def ordered_blocks_by_partition(n: int) -> dict:
+    """p -> ordered_blocks(p) for every p in NC(n), computed once per
+    length."""
+    return {p: ordered_blocks(p) for p in enumerate_nc(n)}
+
+
+@lru_cache(maxsize=None)
 def nc_block_sizes(m: int) -> tuple:
     """(block sizes of p, block sizes of Kr(p)) for every p in NC(m),
     computed once per length."""
@@ -556,6 +569,104 @@ def per_degree_comp_inverse_oracle(f: CkSeries) -> CkSeries:
         known = CkSeries(k, d, g + [CkScalar.zero(k)])
         g.append(ck_mul(-a1_inv, series_compose(f.truncate(d), known).coeffs[d - 1]))
     return CkSeries(k, f.trunc, g)
+
+
+def accumulate_oracle(k: int, terms) -> CkScalar:
+    """`ck._accumulate` as a plain loop over lists: a term is dropped at
+    its zero weight or its first zero factor, the rest chained by the
+    generic Leibniz loop `ck._leibniz` and added over a running lcm
+    denominator, reduced once."""
+    den, acc = 1, [0] * (k + 1)
+    unit = (1,) + (0,) * k
+    for weight, tden, chain in terms:
+        if not weight:
+            continue
+        xs = []
+        for f in chain:
+            if not any(f.nums):
+                break
+            tden *= f.den
+            xs.append(f.nums)
+        else:
+            x = xs[0] if xs else unit
+            for y in xs[1:]:
+                x = _leibniz(k, x, y)
+            if den % tden:
+                up = tden // gcd(den, tden)
+                den *= up
+                acc = [a * up for a in acc]
+            weight *= den // tden
+            acc = [a + weight * c for a, c in zip(acc, x)]
+    return CkScalar._built(k, den, acc)
+
+
+def first_block_table_oracle(k: int, given: dict, num_vars: int, max_len: int,
+                             invert: bool, seeded: dict):
+    """`ck._first_block_table` as a plain loop: (word, scalar) shortlex by
+    the first-block recursion over (den, nums) pairs, each term a chain of
+    generic Leibniz products, the zero outputs one shared scalar."""
+    known = {w: (x.den, x.nums) for w, x in given.items() if any(x.nums)}
+    found = {}
+    kappa, moment = (found.get, known.get) if invert else (known.get, found.get)
+    sign = -1 if invert else 1
+    zero = (1, (0,) * (k + 1))
+    shared_zero = CkScalar.zero(k)
+    for n in range(1, max_len + 1):
+        blocks = _first_blocks(n)[:-1] if invert else _first_blocks(n)
+        for w in iter_product(range(1, num_vars + 1), repeat=n):
+            out = seeded.get(w)
+            if out is not None:
+                if any(out.nums):
+                    found[w] = (out.den, out.nums)
+                yield w, out
+                continue
+            den, acc = known.get(w, zero) if invert else zero
+            for on_b, gaps in blocks:
+                c = kappa(on_b(w))
+                if c is None:
+                    continue
+                tden, x = c
+                for gap in gaps:
+                    g = moment(w[gap])
+                    if g is None:
+                        break
+                    tden *= g[0]
+                    x = _leibniz(k, x, g[1])
+                else:
+                    if den % tden:
+                        up = tden // gcd(den, tden)
+                        den *= up
+                        acc = [a * up for a in acc]
+                    f = sign * (den // tden)
+                    acc = [a + f * c for a, c in zip(acc, x)]
+            if any(acc):
+                out = CkScalar._built(k, den, acc)
+                found[w] = (out.den, out.nums)
+                yield w, out
+            else:
+                yield w, shared_zero
+
+
+def nc_block_sum_oracle(k: int, entry, a: tuple, b: tuple, blocks) -> CkScalar:
+    """`ck._nc_block_sum` as a plain loop: every entry of a term read into
+    a list, a term with a zero entry dropped, the rest chained by the
+    generic Leibniz loop and added over a running lcm denominator."""
+    den, acc = 1, [0] * (k + 1)
+    for a_blocks, b_blocks in blocks:
+        factors = [entry(on(a)) for on in a_blocks] + [entry(on(b)) for on in b_blocks]
+        if None in factors:
+            continue
+        tden, x = factors[0]
+        for fden, y in factors[1:]:
+            tden *= fden
+            x = _leibniz(k, x, y)
+        if den % tden:
+            up = tden // gcd(den, tden)
+            den *= up
+            acc = [v * up for v in acc]
+        f = den // tden
+        acc = [v + f * c for v, c in zip(acc, x)]
+    return CkScalar._built(k, den, acc)
 
 
 def first_block_sum(w: tuple, blocks, kappa: dict, moment: dict, k: int) -> CkScalar:
@@ -761,8 +872,8 @@ def star_shape(tk: TypeKPartition) -> tuple:
     Only meaningful on NC* elements, where the dropped barred entries are
     all zero; the restriction then still sums to k.
     """
-    mix_list, _ = ordered_blocks(tk.reduction)
-    return tuple(e for blk, e in zip(mix_list, tk.shape) if not blk[0].barred)
+    mix_list, _ = ordered_blocks_by_partition(tk.n)[tk.reduction]
+    return tuple(e for blk, e in zip(mix_list, tk.shape) if not blk[0][1])
 
 
 def nc_star_moment_oracle(c: CumulantTable, w: tuple, i: int) -> Fraction:
@@ -775,10 +886,10 @@ def nc_star_moment_oracle(c: CumulantTable, w: tuple, i: int) -> Fraction:
         weight = Fraction(
             multinomial(i, tk.shape), r_of_shape(tk.shape, n, i)
         )
-        mix_list, _ = ordered_blocks(tk.reduction)
+        mix_list, _ = ordered_blocks_by_partition(n)[tk.reduction]
         exps = star_shape(tk)
         blocks = [
-            tuple(e.index for e in blk) for blk in mix_list if not blk[0].barred
+            tuple(x for x, _ in blk) for blk in mix_list if not blk[0][1]
         ]
         term = weight
         for blk, e in zip(blocks, exps):

@@ -1,4 +1,5 @@
 """Truncated scalar algebra and series: frozen small values plus laws."""
+from itertools import islice
 import random
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -20,15 +21,20 @@ from infree.ck import (
     series_compose,
     series_mul,
 )
+from infree.cumulants import _nc_block_getters, all_words
 
 from helpers import (
+    accumulate_oracle,
     back_substitution_inverse_oracle,
     cauchy_series_mul_oracle,
     compositions,
+    first_block_table_oracle,
     fraction_ck_inverse_oracle,
     fraction_ck_mul_oracle,
+    nc_block_sum_oracle,
     per_degree_comp_inverse_oracle,
     rand_fraction,
+    rand_prime_den_table,
     rand_scalar,
     rand_series,
     rand_sparse_scalar,
@@ -227,7 +233,7 @@ def test_accumulate_matches_fraction_oracle():
             _assert_canonical(total)
 
 
-def test_accumulate_edge_cases(monkeypatch):
+def test_accumulate_edge_cases():
     rng = random.Random(163)
     for k in range(5):
         a, b = rand_scalar(rng, k), rand_scalar(rng, k)
@@ -245,26 +251,70 @@ def test_accumulate_edge_cases(monkeypatch):
                   _accumulate(k, [(1, 2, [a, b]), (-2, 4, [a, b])])):
             assert x == CkScalar.zero(k)
             _assert_canonical(x)
-    # a term with a zero factor anywhere is skipped before any product
-    calls = []
-    rule = ck._leibniz_rule
+    # a term is dropped at its zero weight or its first zero factor: no
+    # factor after that one is read, so none is multiplied, on both sides
+    # of the compiled cores' cutoff
+    class Unread:
+        @property
+        def nums(self):
+            raise AssertionError("a factor after a zero one was read")
 
-    def counted(k):
-        mul = rule(k)
-        return lambda x, y: calls.append((x, y)) or mul(x, y)
+        den = nums
 
-    monkeypatch.setattr(ck, "_leibniz_rule", counted)
-    a, b, zero = rand_scalar(rng, 2), rand_scalar(rng, 2), CkScalar.zero(2)
-    for chain in ([zero, a, b], [a, zero, b], [a, b, zero]):
-        assert _accumulate(2, [(1, 1, chain)]) == zero
-        assert ck_prod_many(chain) == zero
-    for weight, den in ((0, 1), (0, 7)):
-        assert _accumulate(2, [(weight, den, [a, b])]) == zero
-    assert calls == []
-    expected = ck_mul(a, b).scale(5)
-    calls.clear()
-    assert _accumulate(2, [(5, 1, [a, b])]) == expected
-    assert len(calls) == 1
+    for k in (2, ck._RULE_MAX_K + 4):
+        a, b, zero = rand_scalar(rng, k), rand_scalar(rng, k), CkScalar.zero(k)
+        for chain in ([zero, a, b], [a, zero, b], [a, b, zero]):
+            assert _accumulate(k, [(1, 1, chain + [Unread()])]) == zero
+            assert ck_prod_many(chain) == zero
+        for weight, den in ((0, 1), (0, 7)):
+            assert _accumulate(k, [(weight, den, [Unread(), a, b])]) == zero
+        assert _accumulate(k, [(5, 1, [a, b]), (1, 1, [a, zero, Unread()])]) == ck_mul(a, b).scale(5)
+
+
+def _core_tables(rng, k: int, num_vars: int, max_len: int):
+    """(kind, word table) for the dense, sparse, free, zero, nilpotent,
+    prime-denominator and 400-bit tables of order k."""
+    words = list(all_words(num_vars, max_len))
+    zero = CkScalar.zero(k)
+    yield "dense", {w: rand_scalar(rng, k) for w in words}
+    yield "sparse", {w: rand_sparse_scalar(rng, k) for w in words}
+    # the cumulants of a free pair: zero on every word with both variables
+    yield "free", {w: rand_scalar(rng, k) if len(set(w)) == 1 else zero for w in words}
+    yield "zero", {w: zero for w in words}
+    yield "nilpotent", {w: CkScalar(k, (0,) + rand_scalar(rng, k).coords[1:]) for w in words}
+    yield "prime", rand_prime_den_table(rng, k, num_vars, max_len)
+    yield "wide", {w: rand_wide_scalar(rng, k) for w in words}
+
+
+def test_compiled_cores_match_their_plain_oracles():
+    # each core compiled from its template, straight-line up to the cutoff
+    # and with loops above it, against its plain loop over the generic
+    # Leibniz product, on every kind of table, seeded words and early stops
+    rng = random.Random(541)
+    assert ck._RULE_MAX_K == 16  # the last straight-line order; 17 and 20 are above it
+    for k in (0, 1, 2, 3, 4, 16, 17, 20):
+        num_vars, max_len = (2, 4) if k <= 4 else (1, 3)
+        for kind, table in _core_tables(rng, k, num_vars, max_len):
+            values = list(table.values())
+            terms = [(rng.choice((0, 1, 1, -3)), rng.choice((1, 2, 6)),
+                      [rng.choice(values) for _ in range(rng.randint(0, 4))]) for _ in range(12)]
+            assert _accumulate(k, terms) == accumulate_oracle(k, terms), (k, kind)
+            seeded = {w: rng.choice(values) for w in rng.sample(sorted(table), 3)}
+            for invert, seeds in ((False, seeded), (True, {}), (True, seeded)):
+                args = (k, table, num_vars, max_len, invert, seeds)
+                got = list(ck._first_block_table(*args))
+                assert got == list(first_block_table_oracle(*args)), (k, kind, invert)
+                assert all(x is seeds[w] for w, x in got if w in seeds)
+                stop = rng.randint(1, len(got))
+                assert list(islice(ck._first_block_table(*args), stop)) == got[:stop]
+            entry = ck._entries(table).get
+            for n in range(1, max_len + 1):
+                a, b = (tuple(rng.randint(1, num_vars) for _ in range(n)) for _ in range(2))
+                blocks = _nc_block_getters(n)
+                one_side = [(p_blocks, ()) for p_blocks, _ in blocks]
+                for terms in (blocks, one_side, blocks[:1], ()):
+                    assert ck._nc_block_sum(k, entry, a, b, terms) == nc_block_sum_oracle(
+                        k, entry, a, b, terms), (k, kind, n)
 
 
 def _rule_inputs(rng, k: int):
@@ -294,7 +344,7 @@ def test_leibniz_rule_matches_fraction_oracle():
                 den = a.den * b.den
                 assert tuple(Fraction(n, den) for n in got) == fraction_ck_mul_oracle(a, b)
         assert (ck._leibniz_rule(k) is rule) == (k <= ck._RULE_MAX_K)
-    assert set(ck._RULES) <= set(range(ck._RULE_MAX_K + 1))
+    assert {order for name, order in ck._CORES if name == "leibniz"} <= set(range(ck._RULE_MAX_K + 1))
 
 
 def test_prod_many_checks_every_factor():

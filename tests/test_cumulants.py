@@ -17,7 +17,7 @@ from infree.cumulants import (
     kappa_pi,
     moments_to_cumulants,
 )
-from infree.partitions import NcPartition, SetPartition, enumerate_nc, kreweras, partition_join
+from infree.partitions import NcPartition, SetPartition, enumerate_nc, partition_join
 
 from helpers import (
     assemble_components,
@@ -27,6 +27,7 @@ from helpers import (
     fraction_ck_mul_oracle,
     infinitesimal_component,
     interval_partition,
+    kreweras_list,
     kappa_component_oracle,
     nc_c2m_oracle,
     nc_m2c_oracle,
@@ -268,8 +269,8 @@ def test_connected_pi_are_those_whose_complement_splits_the_group_ends():
         for mask in range(2 ** (s - 1)):
             grouping = tuple(i for i in range(1, s) if mask >> (i - 1) & 1) + (s,)
             theta = interval_partition(grouping, s)
-            for pi in enumerate_nc(s):
-                split = all(len(set(grouping) & set(b)) < 2 for b in kreweras(pi).blocks)
+            for pi, kr in kreweras_list(s):
+                split = all(len(set(grouping) & set(b)) < 2 for b in kr.blocks)
                 assert split == (partition_join(pi, theta) == top), (pi, grouping)
                 pairs += 1
     assert pairs == 32489

@@ -2,7 +2,6 @@
 import pytest
 
 from infree.partitions import (
-    BarredElement,
     NcPartition,
     SetPartition,
     biane_permutation,
@@ -158,9 +157,10 @@ def test_block_order():
 
 def test_ordered_blocks_example():
     mix, sep = ordered_blocks(zero(2))
-    b = BarredElement
-    assert mix == ((b(1, False),), (b(2, False),), (b(1, True), b(2, True)))
-    assert sep == ((b(1, False),), (b(2, False),), (b(1, True), b(2, True)))
+    # an element is the plain tuple (index, barred), so 1 < 1bar < 2
+    assert mix == (((1, False),), ((2, False),), ((1, True), (2, True)))
+    assert sep == (((1, False),), ((2, False),), ((1, True), (2, True)))
+    assert (1, False) < (1, True) < (2, False)
 
 
 def test_ordered_blocks_properties():
@@ -175,8 +175,8 @@ def test_ordered_blocks_properties():
             assert len(mix[0]) == 1
             # Sep(p,1) is an interval of the unbarred copy
             first = sep[0]
-            idxs = [e.index for e in first]
-            assert not first[0].barred
+            idxs = [x for x, _ in first]
+            assert not first[0][1]
             assert idxs == list(range(idxs[0], idxs[-1] + 1))
             # the order is total: consecutive comparisons all defined
             for a, c in zip(mix, mix[1:]):

@@ -3,14 +3,17 @@ import contract of the package and its CLI."""
 import ast
 import importlib
 import json
+from math import comb
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 
 import pytest
 
 import infree
+from infree import ck
 
 SRC = Path(infree.__file__).parent
 
@@ -65,12 +68,12 @@ def test_every_private_function_is_used():
     assert unused == []
 
 
-_JET_KERNELS = {"_leibniz", "_leibniz_rule", "_compile_leibniz"}
+_JET_KERNELS = {"_leibniz", "_leibniz_rule", "_core", "_core_source", "_spelt", "_TEMPLATES"}
 
 
 def _jet_kernel_use(node: ast.AST) -> bool:
-    """node names the Leibniz loop, its rule or the rule's builder in ck,
-    or CkScalar._built."""
+    """node names the Leibniz loop, its rule, the core builder or its
+    templates in ck, or CkScalar._built."""
     if isinstance(node, ast.Attribute):
         return node.attr in _JET_KERNELS or (
             node.attr == "_built" and isinstance(node.value, ast.Name) and node.value.id == "CkScalar")
@@ -103,14 +106,20 @@ def _named_in(tree: ast.Module, name: str) -> set:
 
 
 def test_one_leibniz_rule_in_ck():
-    # the binomial rule is spelt out by the Leibniz loop and the rule's
-    # builder alone, and ck takes every C_k product through the rule, so a
-    # second Leibniz loop or a third sum core cannot come back unnoticed
+    # the binomial rule is spelt out by the Leibniz loop and the template
+    # field writer alone, every template multiplies through its mul field,
+    # and ck takes every C_k product through the rule or one of three sum
+    # cores, so a second Leibniz loop or a fourth sum core cannot come back
+    # unnoticed
     tree = ast.parse((SRC / "ck.py").read_text(encoding="utf-8"))
-    assert _named_in(tree, "comb") == {"_leibniz", "_compile_leibniz"}
+    assert _named_in(tree, "comb") == {"_leibniz", "_spelt"}
     assert _named_in(tree, "_leibniz") == {"_leibniz_rule"}
-    assert _named_in(tree, "_leibniz_rule") == {"ck_mul", "ck_inverse", "_accumulate",
-                                                "_first_block_table"}
+    assert _named_in(tree, "_leibniz_rule") == {"ck_mul", "ck_inverse"}
+    assert _named_in(tree, "_core") == {"_leibniz_rule", "_accumulate", "_first_block_table",
+                                        "_nc_block_sum"}
+    assert set(ck._TEMPLATES) == {"leibniz", "accumulate", "first_block_table", "nc_block_sum"}
+    for template in ck._TEMPLATES.values():
+        assert "$mul(" in template and "_leibniz" not in template and "comb" not in template
 
 
 def _calls_series_constructor(node: ast.AST, in_series_class: bool) -> bool:
@@ -224,33 +233,60 @@ def _dynamic_code_calls(node: ast.AST, inside: str | None):
 
 
 def test_code_is_compiled_only_by_the_leibniz_rule_builder():
-    # the one place that turns text into code builds its source from
-    # integer indices and binomial literals alone
+    # the one place that turns text into code is the core builder, and the
+    # text it compiles holds the templates' own names and small integers,
+    # integer indices and binomial literals, at every order and above the
+    # cutoff
     calls = {
         (path.name, holder)
         for path in sorted(SRC.glob("*.py"))
         for holder, _ in _dynamic_code_calls(ast.parse(path.read_text(encoding="utf-8"), str(path)),
                                              None)
     }
-    assert calls == {("ck.py", "_compile_leibniz")}
+    assert calls == {("ck.py", "_core")}
+    for name, template in ck._TEMPLATES.items():
+        own = {int(n) for n in re.findall(r"\b\d+\b", template)}
+        for order in (*range(6), ck._RULE_MAX_K, None):
+            tree = ast.parse(ck._core_source(name, order))
+            consts = [n.value for n in ast.walk(tree)
+                      if isinstance(n, ast.Constant) and n.value is not None]
+            binomials = {comb(i, j) for i in range((order or 0) + 1) for j in range(i + 1)}
+            assert all(isinstance(c, int) for c in consts), (name, order)
+            assert set(consts) <= own | {0, 1} | binomials, (name, order)
+            assert not list(_dynamic_code_calls(tree, None)), (name, order)
+    assert {n.value for n in ast.walk(ast.parse(ck._core_source("leibniz", 4)))
+            if isinstance(n, ast.Constant)} == {comb(i, j) for i in range(5) for j in range(1, i)}
 
 
 def test_no_leibniz_rule_is_compiled_at_import(tmp_path):
-    out = tmp_path / "rules.json"
+    # nothing is compiled at import; each core is compiled at its first use
+    # per order, once, and every order above the cutoff shares one compile
+    out = tmp_path / "cores.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent), *filter(None, [env.get("PYTHONPATH")])])
     script = (
-        "import json\n"
+        "import builtins, json\n"
         "import infree.cli\n"
-        "from infree import ck\n"
-        "before = sorted(ck._RULES)\n"
+        "from infree import ck, cumulants\n"
+        "before = sorted(ck._CORES)\n"
+        "compiled = []\n"
+        "ck.compile = lambda source, name, mode: compiled.append(name) or builtins.compile(\n"
+        "    source, name, mode)\n"
         "ck.ck_mul(ck.CkScalar.one(2), ck.CkScalar.eps(2))\n"
         "ck.ck_mul(ck.CkScalar.one(40), ck.CkScalar.eps(40))\n"
+        "rules = sorted(ck._CORES)\n"
+        "for k in (2, 2, 40, 41):\n"
+        "    x = ck.CkScalar.eps(k)\n"
+        "    ck.ck_prod_many([x, x])\n"
+        "    law = cumulants.InfLaw(k, 1, 2, {(1,): x, (1, 1): x})\n"
+        "    cumulants.moments_to_cumulants(law)\n"
         f"with open({str(out)!r}, 'w') as fh:\n"
-        "    json.dump([before, sorted(ck._RULES)], fh)\n")
+        "    json.dump([before, rules, compiled], fh)\n")
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
-    # a rule is compiled at first use, and none above the cutoff
-    assert json.loads(out.read_text(encoding="utf-8")) == [[], [2]]
+    assert json.loads(out.read_text(encoding="utf-8")) == [[], [["leibniz", 2]], [
+        "<leibniz core of order 2>", "<accumulate core of order 2>",
+        "<first_block_table core of order 2>", "<accumulate core of order None>",
+        "<first_block_table core of order None>"]]
 
 
 def test_no_module_imports_dataclasses():
@@ -340,7 +376,7 @@ def test_cli_imports_only_the_layers_a_verb_runs(tmp_path):
 PUBLIC_NAMES = {
     "ck": "CkScalar CkSeries NotInvertible ck_inverse ck_mul ck_prod_many "
           "series_comp_inverse series_compose series_mul",
-    "partitions": "BarredElement NcPartition SetPartition biane_permutation enumerate_nc "
+    "partitions": "NcPartition SetPartition biane_permutation enumerate_nc "
                   "is_noncrossing kreweras mobius_to_top ordered_blocks partition_join",
     "typek": "TypeKPartition enumerate_type_k enumerate_type_k_star is_type_k r_of_shape "
              "reduce_mod",

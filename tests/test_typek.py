@@ -265,7 +265,7 @@ def test_star_shape_is_unbarred_restriction():
             mix_list, _ = ordered_blocks(tk.reduction)
             full = dict(zip(mix_list, tk.shape))
             # barred entries all vanish on star elements
-            assert all(v == 0 for blk, v in full.items() if blk[0].barred)
+            assert all(v == 0 for blk, v in full.items() if blk[0][1])
             restricted = star_shape(tk)
             assert len(restricted) == tk.reduction.num_blocks()
             assert sum(restricted) == k
@@ -277,7 +277,7 @@ def test_star_double_count():
         total = 0
         for p in enumerate_nc(n):
             mix_list, _ = ordered_blocks(p)
-            unbarred = [i for i, blk in enumerate(mix_list) if not blk[0].barred]
+            unbarred = [i for i, blk in enumerate(mix_list) if not blk[0][1]]
             for lam in compositions(len(unbarred), k):
                 padded = [0] * (n + 1)
                 for pos, v in zip(unbarred, lam):
