@@ -15,10 +15,14 @@ drops a term at its first zero factor, chains integer Leibniz products over
 the rest, adds them over a running lcm denominator and reduces once per
 output scalar, not once per term, and returns the sum alone.
 `_first_block_table` runs the moment-cumulant first-block recursion over a
-whole table, in both directions: it builds the words of each length and
-their first blocks itself, and reads the table's entries as (den, nums)
-pairs once rather than scalar by scalar.  Outputs the caller already knows
-come in seeded: the kernel yields them as given and visits none of their
+whole table, in both directions.  It holds the table's entries and its
+outputs as (den, nums) pairs in flat lists indexed by shortlex position,
+the offset of a word's length plus its base-num_vars value, and reads
+each given entry once, as its word comes up.  A block visit reads
+subwords and gaps through the integer index maps of `_position_maps`,
+built once per (num_vars, length) with list comprehensions and cached,
+so it builds and hashes no tuple.  Outputs the caller already knows come
+in seeded: the kernel yields them as given and visits none of their
 first blocks, so a free product sums only its mixed words.
 `_nc_block_sum` sums products of table entries over the blocks of p and
 Kr(p) in NC(n), for the cumulants of a product tuple.
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations, product  # product: read by the first_block_table core
+from itertools import product  # read by the first_block_table core
 from math import comb, factorial, gcd, lcm
 from operator import itemgetter
 import re
@@ -98,7 +102,7 @@ class CkScalar(Value):
         g = gcd(den, *nums)
         if g != 1:
             den //= g
-            nums = tuple(n // g for n in nums)
+            nums = tuple([n // g for n in nums])
         self = _new(cls)
         _set_k(self, k)
         _set_den(self, den)
@@ -251,30 +255,35 @@ def accumulate(k, terms):
     return CkScalar._built(k, den, ($vec(a)))
 """,
     "first_block_table": """
-def first_block_table(k, given, num_vars, max_len, sign, seeded, first_blocks):
+def first_block_table(k, given, num_vars, max_len, sign, seeded, position_maps):
     built = CkScalar._built
-    known = _entries(given)
-    found = {}
-    kappa, moment = (found.get, known.get) if sign < 0 else (known.get, found.get)
+    size = sum(num_vars ** n for n in range(max_len + 1))
+    known, found = [None] * size, [None] * size
+    kappa, moment = (found, known) if sign < 0 else (known, found)
     zero = 1, ($zeros())
     shared_zero = CkScalar.zero(k)
+    base = 1
     for n in range(1, max_len + 1):
-        blocks = first_blocks(n)[:-1] if sign < 0 else first_blocks(n)
-        for w in product(range(1, num_vars + 1), repeat=n):
-            out = seeded.get(w)
+        blocks = position_maps(num_vars, n)[:-1] if sign < 0 else position_maps(num_vars, n)
+        for j, w in enumerate(product(range(1, num_vars + 1), repeat=n)):
+            p = base + j
+            x = given.get(w)
+            if x is not None and any(x.nums):
+                known[p] = x.den, x.nums
+            out = seeded.get(w) if seeded else None
             if out is not None:
                 if any(out.nums):
-                    found[w] = (out.den, out.nums)
+                    found[p] = out.den, out.nums
                 yield w, out
                 continue
-            den, ($vec(a)) = known.get(w, zero) if sign < 0 else zero
-            for on_b, gaps in blocks:
-                c = kappa(on_b(w))
+            den, ($vec(a)) = (known[p] or zero) if sign < 0 else zero
+            for bmap, gmaps in blocks:
+                c = kappa[bmap[j]]
                 if c is None:
                     continue
                 tden, ($vec(z)) = c
-                for gap in gaps:
-                    g = moment(w[gap])
+                for gmap in gmaps:
+                    g = moment[gmap[j]]
                     if g is None:
                         break
                     gden, ($vec(y)) = g
@@ -289,10 +298,11 @@ def first_block_table(k, given, num_vars, max_len, sign, seeded, first_blocks):
                     $vec(a) = $axpy(a, f, z)
             if $any(a):
                 out = built(k, den, ($vec(a)))
-                found[w] = (out.den, out.nums)
+                found[p] = out.den, out.nums
                 yield w, out
             else:
                 yield w, shared_zero
+        base += num_vars ** n
 """,
     "nc_block_sum": """
 def nc_block_sum(k, entry, a, b, blocks):
@@ -443,17 +453,47 @@ def _accumulate(k: int, terms: Iterable) -> CkScalar:
 
 
 @lru_cache(maxsize=None)
-def _first_blocks(n: int) -> tuple:
-    """(on_b, gaps) for every block B containing position 0 of a word of
-    length n, the full block B = (0, ..., n-1) last.  Positions are 0-based;
-    on_b maps a word to its subword on B, and the gaps are the slices of
-    the maximal runs outside B."""
+def _position_maps(num_vars: int, n: int) -> tuple:
+    """(bmap, gmaps) for every block B containing position 0 of a word of
+    length n over {1..num_vars}, the full block B = (0, ..., n-1) last.
+
+    A word's position in a whole table is the offset of its length plus its
+    base-num_vars value: the empty word is at 0, the words of each length
+    follow the shorter ones in shortlex order, and the word w + (c,) sits at
+    num_vars * position(w) + c.  bmap[j] is the position of the subword on
+    B of the j-th word of length n, and gmaps holds, for each maximal run
+    of positions outside B, the same map for the subword on that run, one
+    list shared by every block with that run.  A map grows from a shorter
+    one by one letter column in one list comprehension, so no Python loop
+    runs per word."""
+    v = num_vars
+    # columns[i][j]: the letter at 0-based position i of the j-th word
+    columns = [[c for c in range(1, v + 1) for _ in range(v ** (n - 1 - i))] * v ** i
+               for i in range(n)]
+
+    def then(m: list, i: int) -> list:
+        """The map m of a subword extended by the letter at position i."""
+        return [v * p + c for p, c in zip(m, columns[i])]
+
+    # runs[a, b]: the map of the run of positions a .. b - 1, for 0 < a < b <= n
+    runs = {}
+    for a in range(1, n):
+        runs[a, a + 1] = m = columns[a]
+        for b in range(a + 1, n):
+            runs[a, b + 1] = m = then(m, b)
     out = []
-    for size in range(n):
-        for rest in combinations(range(1, n), size):
-            b = (0,) + rest
-            gaps = tuple(slice(lo + 1, hi) for lo, hi in zip(b, rest + (n,)) if hi > lo + 1)
-            out.append((_subword_getter(b), gaps))
+
+    def extend(last: int, bmap: list, gmaps: tuple) -> None:
+        """Record the block with map bmap, largest position last and the
+        maps gmaps of its runs before last, then every block that adds
+        positions after last to it."""
+        out.append((bmap, gmaps + (runs[last + 1, n],) if last < n - 1 else gmaps))
+        for i in range(last + 1, n):
+            extend(i, then(bmap, i), gmaps + (runs[last + 1, i],) if i > last + 1 else gmaps)
+
+    extend(0, columns[0], ())
+    # blocks are recorded depth first, so the full block is the n-th
+    out.append(out.pop(n - 1))
     return tuple(out)
 
 
@@ -477,7 +517,7 @@ def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
     """The trusted moment-cumulant core: (word, scalar) for every word over
     {1..num_vars} of length 1..max_len, shortlex, by the first-block
     recursion m(w) = sum over blocks B containing 1 of kappa(w|B) prod
-    m(w|gap), over the `_first_blocks` of each length.
+    m(w|gap), over the `_position_maps` of each length.
 
     given is the input table of order-k scalars: cumulants, whose moments
     are computed, or, if invert, moments, whose cumulants are computed as
@@ -489,16 +529,19 @@ def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
     and none of its first blocks is visited.  A free product seeds its pure
     words with its factors' moments, so only its mixed words are summed.
 
-    The nonzero entries of given are read once as (den, nums) pairs, and
-    every nonzero output joins them as it is computed; a missing word is a
-    zero.  A block whose kappa(w|B) is zero is skipped before any gap moment
-    is read, and a term is dropped at its first zero gap moment.  The rest is
-    a chain of Leibniz products, gap by gap, added over a running lcm
-    denominator and reduced once per word.  A word whose sum is zero gets
-    one scalar shared by every zero output, and only a nonzero output is
-    built and recorded.  A caller that stops early pays for no later word."""
+    Each entry of given is read once, as its word comes up, and a nonzero
+    one is kept as a (den, nums) pair at the word's shortlex position, as
+    is every nonzero output; a missing word is a zero.  A block's subword
+    and gaps are read by position through the block's maps.  A block whose
+    kappa(w|B) is zero is skipped before any gap moment is read, and a term
+    is dropped at its first zero gap moment.  The rest is a chain of Leibniz
+    products, gap by gap, added over a running lcm denominator and reduced
+    once per word.  A word whose sum is zero gets one scalar shared by every
+    zero output, and only a nonzero output is built and recorded.  A caller
+    that stops early pays for no later word, and no entry of a later word
+    is read."""
     return _core("first_block_table", k)(k, given, num_vars, max_len, -1 if invert else 1, seeded,
-                                         _first_blocks)
+                                         _position_maps)
 
 
 def _nc_block_sum(k: int, entry, a: tuple, b: tuple, blocks: Iterable) -> CkScalar:

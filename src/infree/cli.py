@@ -40,7 +40,10 @@ converts to a string is an error that names that limit.
 Importing this module loads only it and the JSON codec.  Each handler
 imports the functions it runs from their defining module when it runs, so
 a verb loads only the layers it uses: nc-enum, kreweras and mobius load
-partitions alone.
+partitions alone; m2c and c2m load ck and cumulants; convolve-add,
+convolve-mul and boxconv --type a add convolve to those, check-freeness
+and upgrade add freeness, and deriv-demo adds both; only nck-enum and
+boxconv --type b and k load typek.
 """
 from __future__ import annotations
 
@@ -234,8 +237,6 @@ def _cmd_c2m(args):
 
 def _cmd_boxconv(args):
     from .convolve import boxed_conv_ck, boxed_conv_type_b, boxed_conv_type_k
-    from .partitions import catalan
-    from .typek import fiber_size_formula
 
     f = decode_series(_read_json(args.lhs), "lhs")
     g = decode_series(_read_json(args.rhs), "rhs")
@@ -246,6 +247,9 @@ def _cmd_boxconv(args):
         _within_budget(_series_steps(
             f.k, n, chain(f.coeffs[:n], g.coeffs[:n], (f.const, g.const))), SERIES_BUDGET)
         return boxed_conv_ck(f, g)
+    from .partitions import catalan
+    from .typek import fiber_size_formula
+
     # the witness routes build every type-i element of degree m <= trunc
     top = 1 if args.type == "b" else f.k
     sizes = (catalan(m) * sum(fiber_size_formula(m, i) for i in range(top + 1))

@@ -34,14 +34,14 @@ from math import comb
 from .ck import CkScalar, CkSeries, multinomial, series_comp_inverse
 from .ck import _accumulate, _check_order, _powers
 from .cumulants import InfLaw
-from .partitions import catalan, enumerate_nc, ordered_blocks
-from .typek import fiber_over, r_of_shape
 
 
 def special_series(kind: str, k: int, trunc: int) -> CkSeries:
     """The unit (delta), all-ones (zeta) and inverse-of-zeta (moebius)
     series for the boxed convolution.  The moebius coefficient of z^n is
     the Mobius value of [0_n, 1_n] in NC(n), (-1)^(n-1) Catalan(n-1)."""
+    from .partitions import catalan
+
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
     one = CkScalar.one(k)
@@ -118,6 +118,9 @@ def _type_k_terms(m: int, i: int) -> tuple:
     shape lambda has weight multinomial(i, lambda) / r(lambda), and its sides
     hold (block size, shape entry) over the blocks of its reduction q (f
     side) and of Kr(q) (g side)."""
+    from .partitions import enumerate_nc, ordered_blocks
+    from .typek import fiber_over, r_of_shape
+
     counts = Counter()
     for q in enumerate_nc(m):
         mix_list, sep_list = ordered_blocks(q)

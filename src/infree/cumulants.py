@@ -13,25 +13,29 @@ outside B, and every other block lies inside one gap.  So
 direction solves the same identity for its B = [n] term.
 
 Both directions are one call of the trusted whole-table kernel
-`ck._first_block_table`, which builds the words of each length and their
-first blocks itself.  Each term reads kappa(w|B) first and is dropped when
-that cumulant is zero, before any gap moment is looked up: in a free
-product every block that mixes colours is dropped this way.  No entry is
-checked there, because every given one was validated once already, by the
-table constructor, and every computed one was built by the kernel itself;
-its outputs become tables through the trusted constructor `_of` that every
-value class shares, without the constructor's checks.
+`ck._first_block_table`, which builds the words of each length itself and
+reads each block's subword and gaps by shortlex position, through index
+maps cached per number of variables and length.  Each term reads
+kappa(w|B) first and is dropped when that cumulant is zero, before any
+gap moment is looked up: in a free product every block that mixes
+colours is dropped this way.  No entry is checked there, because every
+given one was validated once already, by the table constructor, and
+every computed one was built by the kernel itself; its outputs become
+tables through the trusted constructor `_of` that every value class
+shares, without the constructor's checks.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
 from operator import index
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ._value import Value
 from .ck import CkScalar, _accumulate, _first_block_table, _subword_getter
-from .partitions import SetPartition, enumerate_nc, kreweras
+
+if TYPE_CHECKING:
+    from .partitions import SetPartition
 
 
 def all_words(num_vars: int, max_len: int) -> Iterator[tuple]:
@@ -137,6 +141,8 @@ def _nc_block_getters(n: int) -> tuple:
     """(getters of the blocks of p, getters of the blocks of Kr(p)) for
     every p in NC(n), computed once per length.  A block's getter maps a
     word of length n to its subword on the block, a tuple."""
+    from .partitions import enumerate_nc, kreweras
+
     def getters(blocks):
         return tuple(_subword_getter(tuple(i - 1 for i in b)) for b in blocks)
 

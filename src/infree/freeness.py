@@ -16,7 +16,6 @@ from operator import index
 from ._value import Value
 from .ck import CkScalar, _coerce, _entries, _first_block_table, _nc_block_sum
 from .cumulants import CumulantTable, InfLaw, _cumulants_shortlex, _nc_block_getters, all_words
-from .convolve import additive_convolve, multiplicative_convolve
 
 
 class NcPolynomial(Value):
@@ -157,11 +156,13 @@ def free_product_joint(laws: list, max_len: int):
     A free product's pure cumulants are its factors' and its mixed ones
     vanish (Nica-Speicher, Lectures on the Combinatorics of Free
     Probability, Lecture 11).  So the joint cumulant table is sparse: each
-    factor's cumulants up to max_len, on its variables shifted past the
-    earlier factors', and a mixed word is missing, which the kernel reads
-    as zero.  Its c2m is seeded with each factor's own moment scalars on
-    the pure words, so it sums only the mixed words, and a pure joint
-    moment is the factor's scalar itself."""
+    factor's cumulants, on its variables shifted past the earlier
+    factors', and a mixed word is missing, which the kernel reads as zero.
+    Its c2m is seeded with each factor's own moment scalars on the pure
+    words, so it sums only the mixed words, and a pure joint moment is the
+    factor's scalar itself.  A pure block of a mixed word is shorter than
+    the word, so the factors' cumulants are computed below max_len
+    alone."""
     if not laws:
         raise ValueError("need at least one factor")
     _check_max_len(max_len)
@@ -177,10 +178,10 @@ def free_product_joint(laws: list, max_len: int):
         offset = len(colors)
         colors.extend([idx] * law.num_vars)
         values = law.values
-        for w, x in _cumulants_shortlex(law, max_len):
-            joint_word = tuple(v + offset for v in w)
-            pure_cumulants[joint_word] = x
-            pure_moments[joint_word] = values[w]
+        for w in all_words(law.num_vars, max_len):
+            pure_moments[tuple(v + offset for v in w)] = values[w]
+        for w, x in _cumulants_shortlex(law, max_len - 1):
+            pure_cumulants[tuple(v + offset for v in w)] = x
     num_vars = len(colors)
     table = dict(_first_block_table(k, pure_cumulants, num_vars, max_len, False, pure_moments))
     return InfLaw._of(k, num_vars, max_len, table), Coloring(tuple(colors))
@@ -328,6 +329,8 @@ def upgraded_law(base: InfLaw, d: Derivation, k: int, max_len: int) -> InfLaw:
 def derivative_of_convolution(mu: InfLaw, nu: InfLaw, mode: str) -> InfLaw:
     """Derivatives at t=0 of the convolution of two one-parameter families,
     given as the laws of derivative tuples."""
+    from .convolve import additive_convolve, multiplicative_convolve
+
     if mode == "additive":
         return additive_convolve(mu, nu)
     if mode == "multiplicative":

@@ -7,7 +7,7 @@ direct formula evaluation, polynomial interpolation.
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from math import comb, factorial, gcd, prod
 
 from infree.ck import (
@@ -15,8 +15,8 @@ from infree.ck import (
     CkSeries,
     _accumulate,
     _coerce,
-    _first_blocks,
     _leibniz,
+    _subword_getter,
     ck_mul,
     ck_prod_many,
     multinomial,
@@ -600,11 +600,29 @@ def accumulate_oracle(k: int, terms) -> CkScalar:
     return CkScalar._built(k, den, acc)
 
 
+@lru_cache(maxsize=None)
+def _first_blocks(n: int) -> tuple:
+    """(on_b, gaps) for every block B containing position 0 of a word of
+    length n, the full block B = (0, ..., n-1) last.  Positions are 0-based;
+    on_b maps a word to its subword on B, and the gaps are the slices of
+    the maximal runs outside B: the blocks as tuple getters, independent of
+    the position maps of `ck._first_block_table`."""
+    out = []
+    for size in range(n):
+        for rest in combinations(range(1, n), size):
+            b = (0,) + rest
+            gaps = tuple(slice(lo + 1, hi) for lo, hi in zip(b, rest + (n,)) if hi > lo + 1)
+            out.append((_subword_getter(b), gaps))
+    return tuple(out)
+
+
 def first_block_table_oracle(k: int, given: dict, num_vars: int, max_len: int,
                              invert: bool, seeded: dict):
-    """`ck._first_block_table` as a plain loop: (word, scalar) shortlex by
-    the first-block recursion over (den, nums) pairs, each term a chain of
-    generic Leibniz products, the zero outputs one shared scalar."""
+    """`ck._first_block_table` as a plain loop over tuple-keyed dicts:
+    (word, scalar) shortlex by the first-block recursion over (den, nums)
+    pairs, each block's subwords read by `_first_blocks`' getters and
+    slices, each term a chain of generic Leibniz products, the zero outputs
+    one shared scalar."""
     known = {w: (x.den, x.nums) for w, x in given.items() if any(x.nums)}
     found = {}
     kappa, moment = (found.get, known.get) if invert else (known.get, found.get)

@@ -286,35 +286,85 @@ def _core_tables(rng, k: int, num_vars: int, max_len: int):
     yield "wide", {w: rand_wide_scalar(rng, k) for w in words}
 
 
+class _ReadLog(dict):
+    """A dict that records, in order, every word read through get."""
+
+    def __init__(self, items, log: list):
+        super().__init__(items)
+        self.log = log
+
+    def get(self, w, default=None):
+        self.log.append(w)
+        return super().get(w, default)
+
+
+# (num_vars, max_len) per order: every num_vars from 1 to 4 and lengths up
+# to 6 below the cap, shorter tables above it
+_CORE_SHAPES = {0: ((1, 6), (2, 6), (4, 3)), 1: ((2, 4), (3, 3)), 2: ((2, 4), (4, 2)),
+                3: ((3, 3), (1, 5)), 4: ((2, 4),), 16: ((1, 4), (2, 2)), 17: ((1, 3), (3, 2)),
+                20: ((1, 3), (2, 2))}
+
+
+def _free_product_given(rng, k: int, num_vars: int, max_len: int) -> tuple:
+    """(cumulants, seeded moments) of a free product's c2m: the variables
+    alternate between two colours, the cumulants are given on the pure
+    words below max_len alone and the moments seeded on every pure word,
+    each dict in random insertion order."""
+    pure = [w for w in all_words(num_vars, max_len) if len({v % 2 for v in w}) == 1]
+    rng.shuffle(pure)
+    given = {w: rand_sparse_scalar(rng, k) for w in pure if len(w) < max_len}
+    return given, {w: rand_sparse_scalar(rng, k) for w in pure}
+
+
 def test_compiled_cores_match_their_plain_oracles():
     # each core compiled from its template, straight-line up to the cutoff
     # and with loops above it, against its plain loop over the generic
-    # Leibniz product, on every kind of table, seeded words and early stops
+    # Leibniz product, on every kind of table given in random insertion
+    # order, seeded words, sparse free-product tables and early stops
     rng = random.Random(541)
     assert ck._RULE_MAX_K == 16  # the last straight-line order; 17 and 20 are above it
-    for k in (0, 1, 2, 3, 4, 16, 17, 20):
-        num_vars, max_len = (2, 4) if k <= 4 else (1, 3)
-        for kind, table in _core_tables(rng, k, num_vars, max_len):
-            values = list(table.values())
-            terms = [(rng.choice((0, 1, 1, -3)), rng.choice((1, 2, 6)),
-                      [rng.choice(values) for _ in range(rng.randint(0, 4))]) for _ in range(12)]
-            assert _accumulate(k, terms) == accumulate_oracle(k, terms), (k, kind)
-            seeded = {w: rng.choice(values) for w in rng.sample(sorted(table), 3)}
-            for invert, seeds in ((False, seeded), (True, {}), (True, seeded)):
-                args = (k, table, num_vars, max_len, invert, seeds)
-                got = list(ck._first_block_table(*args))
-                assert got == list(first_block_table_oracle(*args)), (k, kind, invert)
-                assert all(x is seeds[w] for w, x in got if w in seeds)
-                stop = rng.randint(1, len(got))
-                assert list(islice(ck._first_block_table(*args), stop)) == got[:stop]
-            entry = ck._entries(table).get
-            for n in range(1, max_len + 1):
-                a, b = (tuple(rng.randint(1, num_vars) for _ in range(n)) for _ in range(2))
-                blocks = _nc_block_getters(n)
-                one_side = [(p_blocks, ()) for p_blocks, _ in blocks]
-                for terms in (blocks, one_side, blocks[:1], ()):
-                    assert ck._nc_block_sum(k, entry, a, b, terms) == nc_block_sum_oracle(
-                        k, entry, a, b, terms), (k, kind, n)
+    for k, shapes in _CORE_SHAPES.items():
+        for num_vars, max_len in shapes:
+            _check_cores_on(rng, k, num_vars, max_len)
+
+
+def _check_cores_on(rng, k: int, num_vars: int, max_len: int):
+    words = list(all_words(num_vars, max_len))
+    runs = []
+    for kind, table in _core_tables(rng, k, num_vars, max_len):
+        values = list(table.values())
+        terms = [(rng.choice((0, 1, 1, -3)), rng.choice((1, 2, 6)),
+                  [rng.choice(values) for _ in range(rng.randint(0, 4))]) for _ in range(12)]
+        assert _accumulate(k, terms) == accumulate_oracle(k, terms), (k, kind)
+        entry = ck._entries(table).get
+        for n in range(1, min(max_len, 4) + 1):  # the NC(n) sums grow as Catalan(n)
+            a, b = (tuple(rng.randint(1, num_vars) for _ in range(n)) for _ in range(2))
+            blocks = _nc_block_getters(n)
+            one_side = [(p_blocks, ()) for p_blocks, _ in blocks]
+            for terms in (blocks, one_side, blocks[:1], ()):
+                assert ck._nc_block_sum(k, entry, a, b, terms) == nc_block_sum_oracle(
+                    k, entry, a, b, terms), (k, kind, n)
+        seeded = {w: rng.choice(values) for w in rng.sample(words, min(3, len(words)))}
+        runs += [(kind, table, seeds, invert)
+                 for invert, seeds in ((False, seeded), (True, {}), (True, seeded))]
+    for invert in (False, True):
+        # a free product's c2m, and the inverse read of its seeded moments
+        runs.append(("free product", *_free_product_given(rng, k, num_vars, max_len), invert))
+    for kind, table, seeds, invert in runs:
+        # the kernel reads its inputs by position, not in the dicts' order
+        table = dict(rng.sample(list(table.items()), len(table)))
+        args = (k, table, num_vars, max_len, invert, seeds)
+        got = list(ck._first_block_table(*args))
+        assert [w for w, _ in got] == words, (k, kind)
+        assert got == list(first_block_table_oracle(*args)), (k, num_vars, max_len, kind, invert)
+        assert all(x is seeds[w] for w, x in got if w in seeds)
+        # a consumer that stops early: no entry of a later word is read
+        stop = rng.randint(1, len(got))
+        log = []
+        early = ck._first_block_table(k, _ReadLog(table, log), num_vars, max_len, invert,
+                                      _ReadLog(seeds, log))
+        assert list(islice(early, stop)) == got[:stop]
+        assert log and set(log) <= set(words[:stop]), (k, kind, invert, stop)
 
 
 def _rule_inputs(rng, k: int):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from infree import ck, cumulants, freeness
+from infree import ck, cumulants, freeness, partitions
 from infree.ck import (
     CkScalar,
     CkSeries,
@@ -188,13 +188,19 @@ def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
     # its first blocks: each pure joint moment is the factor's own scalar
     rng = random.Random(193)
     visited, made = [], []
-    real_blocks = ck._first_blocks
+    real_maps = ck._position_maps
     real_built = CkScalar._built.__func__
 
-    def blocks(n):
-        def on(get):
-            return lambda w: visited.append(w) or get(w)
-        return tuple((on(get), gaps) for get, gaps in real_blocks(n))
+    def maps(num_vars, n):
+        # each block's map records the word whose subword position it gives
+        words = list(iter_product(range(1, num_vars + 1), repeat=n))
+
+        class Recorded(list):
+            def __getitem__(self, j):
+                visited.append(words[j])
+                return list.__getitem__(self, j)
+
+        return tuple((Recorded(bmap), gmaps) for bmap, gmaps in real_maps(num_vars, n))
 
     def built(cls, *args):
         made.append(real_built(cls, *args))
@@ -205,7 +211,7 @@ def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
         made.clear()
         yield from _first_block_table(*args)
 
-    monkeypatch.setattr(ck, "_first_blocks", blocks)
+    monkeypatch.setattr(ck, "_position_maps", maps)
     monkeypatch.setattr(CkScalar, "_built", classmethod(built))
     monkeypatch.setattr(freeness, "_first_block_table", joint_c2m)
     for k, nvs, max_len in ((0, (1, 1), 5), (2, (2, 1), 4), (1, (1, 1, 1), 3)):
@@ -226,14 +232,16 @@ def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
         assert (joint, coloring) == free_product_joint_dense_oracle(laws, max_len)
 
 
-def test_free_product_reads_factor_cumulants_up_to_the_joint_length(monkeypatch):
-    # a factor longer than the joint has its cumulants computed up to the
-    # joint's length alone
+def test_free_product_reads_factor_cumulants_below_the_joint_length(monkeypatch):
+    # every pure joint word is seeded with its factor's moment, and a pure
+    # block of a mixed word is shorter than the word, so a factor longer
+    # than the joint has its cumulants computed below the joint's length
+    # alone
     rng = random.Random(197)
     long, short = rand_law(rng, 1, 2, 7), rand_law(rng, 1, 1, 3)
     calls = _kernel_words(monkeypatch)
     joint, _ = free_product_joint([long, short], 3)
-    assert calls == list(all_words(2, 3)) + list(all_words(1, 3))
+    assert calls == list(all_words(2, 2)) + list(all_words(1, 2))
     assert joint == free_product_joint_dense_oracle([long, short], 3)[0]
 
 
@@ -369,13 +377,13 @@ def test_product_tuple_cumulants_caches_kreweras_per_length(monkeypatch):
     joint, coloring = free_product_joint([mu, nu], 4)
     cums = moments_to_cumulants(joint)
     calls = []
-    real = cumulants.kreweras
+    real = partitions.kreweras
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cumulants, "kreweras", counted)
+    monkeypatch.setattr(partitions, "kreweras", counted)  # read by the getters at call time
     cumulants._nc_block_getters.cache_clear()
     first = product_tuple_cumulants(cums, coloring, 4)
     assert len(calls) == sum(catalan(m) for m in range(1, 5))

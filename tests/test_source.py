@@ -371,6 +371,33 @@ def test_cli_imports_only_the_layers_a_verb_runs(tmp_path):
     assert [tk["shape"] for tk in json.loads(out.read_text(encoding="utf-8"))] == [
         [0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0]]
     assert loaded & layers == {"infree.partitions", "infree.typek"}
+    # the table and series verbs load no partition layer: the first-block
+    # kernel and the boxed sum enumerate nothing
+    from infree.ck import CkScalar
+    from infree.cumulants import InfLaw
+    from infree.freeness import Coloring
+    from infree.jsonio import encode
+
+    one = CkScalar.from_rational(1, 2)
+    inputs = {"law1": InfLaw(1, 1, 3, {(1,) * n: one for n in range(1, 4)}),
+              "law2": InfLaw(1, 2, 2, {w: one for w in [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]}),
+              "colors": Coloring((1, 2))}
+    for name, value in inputs.items():
+        (tmp_path / f"{name}.json").write_text(encode(value), encoding="utf-8")
+    law1, law2, colors = (str(tmp_path / f"{name}.json") for name in inputs)
+    for argv, expected in (
+            (["m2c", "--law", law2], {"infree.ck", "infree.cumulants"}),
+            (["convolve-mul", "--lhs", law1, "--rhs", law1],
+             {"infree.ck", "infree.cumulants", "infree.convolve"}),
+            (["check-freeness", "--law", law2, "--colors", colors],
+             {"infree.ck", "infree.cumulants", "infree.freeness"})):
+        out = tmp_path / "out.json"
+        loaded = _loaded_modules(tmp_path, (
+            "from infree.cli import main\n"
+            f"code = main({argv + ['--out', str(out)]!r})\n"
+            "assert code == 0, code"))
+        assert json.loads(out.read_text(encoding="utf-8")), argv
+        assert loaded & layers == expected, argv
 
 
 PUBLIC_NAMES = {
