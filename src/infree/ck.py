@@ -8,12 +8,15 @@ elements therefore have equal (k, den, nums), and the arithmetic is integer
 arithmetic followed by one gcd reduction.  `coords` gives the coordinates as
 Fractions; nothing here ever touches floats.
 
-Every sum of C_k products in the package goes through one of three
-private cores in this module.  `_accumulate` serves series products and
-compositions, the boxed gamma_m loop and block products of cumulants: it
-drops a term at its first zero factor, chains integer Leibniz products over
-the rest, adds them over a running lcm denominator and reduces once per
-output scalar, not once per term, and returns the sum alone.
+Every sum of C_k products in the package goes through one of the private
+cores in this module.  `_accumulate` serves series products and
+compositions, and block products of cumulants: it drops a term at its
+first zero factor, chains integer Leibniz products over the rest, adds
+them over a running lcm denominator and reduces once per output scalar,
+not once per term, and returns the sum alone.  The other cores work on
+(den, nums) pairs, reduced integer numerators over their denominator, and
+build a scalar only for an output.
+
 `_first_block_table` runs the moment-cumulant first-block recursion over a
 whole table, in both directions.  It holds the table's entries and its
 outputs as (den, nums) pairs in flat lists indexed by shortlex position,
@@ -21,11 +24,35 @@ the offset of a word's length plus its base-num_vars value, and reads
 each given entry once, as its word comes up.  A block visit reads
 subwords and gaps through the integer index maps of `_position_maps`,
 built once per (num_vars, length) with list comprehensions and cached,
-so it builds and hashes no tuple.  Outputs the caller already knows come
-in seeded: the kernel yields them as given and visits none of their
-first blocks, so a free product sums only its mixed words.
-`_nc_block_sum` sums products of table entries over the blocks of p and
-Kr(p) in NC(n), for the cumulants of a product tuple.
+so it builds and hashes no tuple.
+
+`_free_block_table` is the same recursion for a table whose mixed
+cumulants vanish, given a colouring of its variables.  The non-crossing
+partitions of a word group by the block B that holds any one chosen
+position, the anchor; every other block lies in an inner gap of B, a run
+between two of its positions, or in the outer word, the positions before
+B followed by those after it (Nica-Speicher, Lectures on the
+Combinatorics of Free Probability, Lectures 9-11).  So for every anchor
+
+    m(w) = sum over B containing the anchor of
+           kappa(w|B) prod m(w|inner gap) m(w|outer word).
+
+When the mixed cumulants shorter than w vanish, only the blocks inside
+the anchor's colour count.  The core anchors a mixed word at the first
+position of its rarest colour, so a word with c positions of that colour
+sums 2^(c-1) blocks, not 2^(n-1), and it visits no block of a pure word.
+Its block maps come from the caller, one tuple per colour pattern, and
+the pure cumulants from each colour's own table, one length at a time,
+just before the mixed words that read them.  The table cores grow their
+position lists one length at a time, so a caller that stops early
+allocates nothing for the longer words.
+
+`_powers` computes the rows of a power chain, [z^m]f^a for every
+a, m <= n, and `_boxed_rows` sums the boxed-convolution coefficients
+gamma_m over such rows, building only the n outputs.
+`_product_tuple_table` sums, for every word of a product tuple, the
+products of cumulant entries over the blocks of p and Kr(p) in NC(n),
+read by shortlex position through per-length maps.
 
 Each core, and the order-k Leibniz rule `_leibniz_rule(k)` that `ck_mul`
 and `ck_inverse` use, is one template in `_TEMPLATES`, compiled by `_core`
@@ -54,7 +81,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product  # read by the first_block_table core
+from itertools import product  # read by the table cores
 from math import comb, factorial, gcd, lcm
 from operator import itemgetter
 import re
@@ -255,27 +282,22 @@ def accumulate(k, terms):
     return CkScalar._built(k, den, ($vec(a)))
 """,
     "first_block_table": """
-def first_block_table(k, given, num_vars, max_len, sign, seeded, position_maps):
+def first_block_table(k, given, num_vars, max_len, sign, position_maps):
     built = CkScalar._built
-    size = sum(num_vars ** n for n in range(max_len + 1))
-    known, found = [None] * size, [None] * size
+    known, found = [None], [None]
     kappa, moment = (found, known) if sign < 0 else (known, found)
     zero = 1, ($zeros())
     shared_zero = CkScalar.zero(k)
     base = 1
     for n in range(1, max_len + 1):
+        known += [None] * num_vars ** n
+        found += [None] * num_vars ** n
         blocks = position_maps(num_vars, n)[:-1] if sign < 0 else position_maps(num_vars, n)
         for j, w in enumerate(product(range(1, num_vars + 1), repeat=n)):
             p = base + j
             x = given.get(w)
             if x is not None and any(x.nums):
                 known[p] = x.den, x.nums
-            out = seeded.get(w) if seeded else None
-            if out is not None:
-                if any(out.nums):
-                    found[p] = out.den, out.nums
-                yield w, out
-                continue
             den, ($vec(a)) = (known[p] or zero) if sign < 0 else zero
             for bmap, gmaps in blocks:
                 c = kappa[bmap[j]]
@@ -304,38 +326,163 @@ def first_block_table(k, given, num_vars, max_len, sign, seeded, position_maps):
                 yield w, shared_zero
         base += num_vars ** n
 """,
-    "nc_block_sum": """
-def nc_block_sum(k, entry, a, b, blocks):
-    den = 1
-    $vec(s) = $zeros()
-    for a_blocks, b_blocks in blocks:
-        c = entry(a_blocks[0](a))
-        if c is None:
-            continue
-        tden, ($vec(z)) = c
-        for on in a_blocks[1:]:
-            g = entry(on(a))
-            if g is None:
-                break
-            gden, ($vec(y)) = g
-            tden *= gden
-            $vec(z) = $mul(z, y)
-        else:
-            for on in b_blocks:
-                g = entry(on(b))
-                if g is None:
-                    break
-                gden, ($vec(y)) = g
-                tden *= gden
-                $vec(z) = $mul(z, y)
+    "free_block_table": """
+def free_block_table(k, moments, pure, colors, max_len, sign, plan):
+    built = CkScalar._built
+    num_vars = len(colors)
+    moment, kappa = [None], [None]
+    zero = 1, ($zeros())
+    shared_zero = CkScalar.zero(k)
+    base = 1
+    for n in range(1, max_len + 1):
+        moment += [None] * num_vars ** n
+        kappa += [None] * num_vars ** n
+        blocks_at, index_at, _ = plan(colors, n)
+        if n > 1 and len(pure) > 1:
+            for positions, cumulants in zip(plan(colors, n - 1)[2], pure):
+                for p, (_, x) in zip(positions, cumulants):
+                    if any(x.nums):
+                        kappa[p] = x.den, x.nums
+        for j, w in enumerate(product(range(1, num_vars + 1), repeat=n)):
+            p = base + j
+            blocks = blocks_at[j]
+            if blocks is None or sign < 0:
+                x = moments.get(w)
+                if any(x.nums):
+                    moment[p] = x.den, x.nums
+                if blocks is None:
+                    if sign > 0:
+                        yield w, x
+                    continue
+                den, ($vec(a)) = moment[p] or zero
             else:
+                den, ($vec(a)) = zero
+            i = index_at[j]
+            for bmap, gmaps in blocks:
+                c = kappa[bmap[i]]
+                if c is None:
+                    continue
+                tden, ($vec(z)) = c
+                for gmap in gmaps:
+                    g = moment[gmap[i]]
+                    if g is None:
+                        break
+                    gden, ($vec(y)) = g
+                    tden *= gden
+                    $vec(z) = $mul(z, y)
+                else:
+                    if den % tden:
+                        up = tden // gcd(den, tden)
+                        den *= up
+                        $vec(a) = $scale(a, up)
+                    f = sign * (den // tden)
+                    $vec(a) = $axpy(a, f, z)
+            if $any(a):
+                out = built(k, den, ($vec(a)))
+                if sign > 0:
+                    moment[p] = out.den, out.nums
+                yield w, out
+            else:
+                yield w, shared_zero
+        base += num_vars ** n
+""",
+    "product_tuple_table": """
+def product_tuple_table(k, kappa, npairs, max_len, maps):
+    built = CkScalar._built
+    shared_zero = CkScalar.zero(k)
+    for n in range(1, max_len + 1):
+        terms = maps(n)
+        for j, w in enumerate(product(range(1, npairs + 1), repeat=n)):
+            den = 1
+            $vec(s) = $zeros()
+            for first, rest in terms:
+                c = kappa[first[j]]
+                if c is None:
+                    continue
+                tden, ($vec(z)) = c
+                for m in rest:
+                    g = kappa[m[j]]
+                    if g is None:
+                        break
+                    gden, ($vec(y)) = g
+                    tden *= gden
+                    $vec(z) = $mul(z, y)
+                else:
+                    if den % tden:
+                        up = tden // gcd(den, tden)
+                        den *= up
+                        $vec(s) = $scale(s, up)
+                    f = den // tden
+                    $vec(s) = $axpy(s, f, z)
+            if $any(s):
+                yield w, built(k, den, ($vec(s)))
+            else:
+                yield w, shared_zero
+""",
+    "power_rows": """
+def power_rows(k, first, n):
+    rows = [first]
+    prev = first
+    for a in range(2, n + 1):
+        row = [None] * n
+        for m in range(a, n + 1):
+            den = 1
+            $vec(s) = $zeros()
+            for i in range(m - a + 1):
+                x = first[i]
+                if x is None:
+                    continue
+                y = prev[m - i - 2]
+                if y is None:
+                    continue
+                tden, ($vec(z)) = x
+                yden, ($vec(y)) = y
+                tden *= yden
+                $vec(z) = $mul(z, y)
                 if den % tden:
                     up = tden // gcd(den, tden)
                     den *= up
                     $vec(s) = $scale(s, up)
                 f = den // tden
                 $vec(s) = $axpy(s, f, z)
-    return CkScalar._built(k, den, ($vec(s)))
+            if $any(s):
+                g = gcd(den, $args(s))
+                if g != 1:
+                    den //= g
+                    $vec(s) = $div(s, g)
+                row[m - 1] = den, ($tuple(s))
+        rows.append(row)
+        prev = row
+    return rows
+""",
+    "boxed_rows": """
+def boxed_rows(k, n, f_rows, g_rows, weights):
+    built = CkScalar._built
+    out = []
+    for m in range(1, n + 1):
+        den = 1
+        $vec(s) = $zeros()
+        for (num, tden), f_row, b in zip(weights[m - 1], f_rows, range(m, 0, -1)):
+            x = f_row[m - 1]
+            if x is None:
+                continue
+            xden, ($vec(z)) = x
+            tden *= xden
+            if g_rows is not None:
+                y = g_rows[b - 1][m - 1]
+                if y is None:
+                    continue
+                yden, ($vec(y)) = y
+                tden *= yden
+                $vec(z) = $mul(z, y)
+            if den % tden:
+                up = tden // gcd(den, tden)
+                den *= up
+                $vec(s) = $scale(s, up)
+            num *= den // tden
+            $vec(s) = $axpy(s, num, z)
+        out.append(built(k, den, ($vec(s))))
+    return out
 """,
 }
 
@@ -347,6 +494,9 @@ _LOOP_FIELDS = {
     "scale": "[c * {1} for c in {0}]",
     "axpy": "[c + {1} * d for c, d in zip({0}, {2})]",
     "mul": "_leibniz(k, {0}, {1})",
+    "args": "*{0}",
+    "div": "[c // {1} for c in {0}]",
+    "tuple": "tuple({0})",
 }
 # The fields that are comma lists up to the cap, as the text of coordinate i.
 _COORD_FIELDS = {
@@ -354,6 +504,9 @@ _COORD_FIELDS = {
     "zeros": "0,",
     "scale": "{0}{i} * {1},",
     "axpy": "{0}{i} + {1} * {2}{i},",
+    "args": "{0}{i},",
+    "div": "{0}{i} // {1},",
+    "tuple": "{0}{i},",
 }
 
 _FIELD = re.compile(r"\$(\w+)\(([^)]*)\)")
@@ -506,14 +659,8 @@ def _subword_getter(positions: tuple) -> itemgetter:
     return itemgetter(slice(positions[0], positions[0] + 1))
 
 
-def _entries(values: dict) -> dict:
-    """The nonzero scalars of a word table as (den, nums) pairs, the form
-    the table cores read; a missing word is a zero."""
-    return {w: (x.den, x.nums) for w, x in values.items() if any(x.nums)}
-
-
 def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
-                       invert: bool, seeded: dict) -> Iterator[tuple]:
+                       invert: bool) -> Iterator[tuple]:
     """The trusted moment-cumulant core: (word, scalar) for every word over
     {1..num_vars} of length 1..max_len, shortlex, by the first-block
     recursion m(w) = sum over blocks B containing 1 of kappa(w|B) prod
@@ -523,35 +670,67 @@ def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
     are computed, or, if invert, moments, whose cumulants are computed as
     kappa(w) = m(w) minus the sum over the proper blocks, all but the full
     block B = [n], whose cumulant is the one being solved for.  Both
-    directions are one core, the sign of the sum passed in.  seeded holds
-    outputs the caller already knows, word -> order-k scalar: each is
-    yielded as given, the same object, and recorded like a computed output,
-    and none of its first blocks is visited.  A free product seeds its pure
-    words with its factors' moments, so only its mixed words are summed.
+    directions are one core, the sign of the sum passed in.
 
-    Each entry of given is read once, as its word comes up, and a nonzero
-    one is kept as a (den, nums) pair at the word's shortlex position, as
-    is every nonzero output; a missing word is a zero.  A block's subword
-    and gaps are read by position through the block's maps.  A block whose
-    kappa(w|B) is zero is skipped before any gap moment is read, and a term
-    is dropped at its first zero gap moment.  The rest is a chain of Leibniz
-    products, gap by gap, added over a running lcm denominator and reduced
-    once per word.  A word whose sum is zero gets one scalar shared by every
-    zero output, and only a nonzero output is built and recorded.  A caller
-    that stops early pays for no later word, and no entry of a later word
-    is read."""
-    return _core("first_block_table", k)(k, given, num_vars, max_len, -1 if invert else 1, seeded,
+    Each entry of given is read once through its get, as its word comes
+    up, and a nonzero one is kept as a (den, nums) pair at the word's
+    shortlex position, as is every nonzero output; a missing word is a
+    zero.  A block's subword and gaps are read by position through the
+    block's maps.  A block whose kappa(w|B) is zero is skipped before any
+    gap moment is read, and a term is dropped at its first zero gap
+    moment.  The rest is a chain of Leibniz products, gap by gap, added
+    over a running lcm denominator and reduced once per word.  A word whose
+    sum is zero gets one scalar shared by every zero output, and only a
+    nonzero output is built and recorded.  A caller that stops early pays
+    for no later word, and no entry of a later word is read."""
+    return _core("first_block_table", k)(k, given, num_vars, max_len, -1 if invert else 1,
                                          _position_maps)
 
 
-def _nc_block_sum(k: int, entry, a: tuple, b: tuple, blocks: Iterable) -> CkScalar:
-    """The trusted NC-block core: the sum over (a_blocks, b_blocks) of the
-    product of the entries of the subwords of a on a_blocks and of b on
-    b_blocks.  A block is a subword getter, a_blocks is never empty, and
-    entry maps a word to its (den, nums) pair, None for a zero; a term is
-    dropped at its first zero entry, and no later entry is read.  The
-    products are added over a running lcm denominator and reduced once."""
-    return _core("nc_block_sum", k)(k, entry, a, b, blocks)
+def _free_block_table(k: int, moments: dict, pure: list, colors: tuple, max_len: int,
+                      invert: bool, plan) -> Iterator[tuple]:
+    """The trusted free-product core: the first-block recursion of
+    `_first_block_table` for a table whose variables are coloured by colors
+    and whose mixed cumulants vanish, summed over the blocks each mixed
+    word has in plan(colors, n) alone, anchored at its rarest colour.
+
+    plan(colors, n) gives (blocks, index, pure positions) for the words of
+    length n: blocks[j] is None for the j-th word if it is pure, and
+    otherwise its pattern's tuple of (bmap, gmaps), the maps of a block's
+    subword and of its inner gaps and outer word, read at index[j]; the
+    pure positions of a colour are the shortlex positions of its words,
+    in the order of its own words.
+
+    pure holds one iterator per colour of the sorted palette, each yielding
+    (word, cumulant) for that colour's own words, the letter x standing for
+    its x-th variable, shortlex; the cumulants of length n - 1 are drawn
+    just before the words of length n, so a caller that stops early draws
+    none of a later length.  moments gives, through its get, the moment of
+    every pure word and, if invert, of every mixed one too.
+
+    Without invert, (word, moment) comes for every word of length 1 to
+    max_len, shortlex: a pure word's is its entry of moments, the same
+    object, and a mixed word's is the sum.  With invert, (word, cumulant)
+    comes for every mixed word alone, kappa(w) = m(w) minus the sum: every
+    block inside one colour is proper, and once the mixed cumulants
+    shorter than w vanish, the others add nothing, so this is w's cumulant
+    whenever every earlier mixed word's was zero.  An entry of moments is
+    read once, as its word comes up; terms and zeros are handled as in
+    `_first_block_table`."""
+    return _core("free_block_table", k)(k, moments, pure, colors, max_len, -1 if invert else 1,
+                                        plan)
+
+
+def _product_tuple_table(k: int, kappa: list, npairs: int, max_len: int, maps) -> Iterator[tuple]:
+    """The trusted product-tuple core: (word, scalar) for every word over
+    {1..npairs} of length 1..max_len, shortlex, each the sum over the
+    entries maps(n) of the product of kappa's entries at first[j] and at
+    every map of rest, j the word's place among the words of its length.
+    kappa holds (den, nums) pairs by shortlex position, None for a zero; a
+    term is dropped at its first zero entry and no later entry is read.
+    The products are added over a running lcm denominator and reduced once
+    per word, every zero output one shared scalar."""
+    return _core("product_tuple_table", k)(k, kappa, npairs, max_len, maps)
 
 
 def ck_inverse(a: CkScalar) -> CkScalar:
@@ -688,25 +867,44 @@ def series_compose(f: CkSeries, g: CkSeries) -> CkSeries:
     """f(g(z)) truncated at min trunc; the inner series must have zero constant.
 
     No route of the package calls it since the compositional inverse reads
-    one power chain instead; it stays public because composition is one of
+    the power chain directly; it stays public because composition is one of
     the series operations the package offers its users, and tests use it
     to check the inverse."""
     _check_order(f, g)
     if not g.const.is_zero():
         raise ValueError("composition needs a zero constant term in the inner series")
+    k = f.k
     n = min(f.trunc, g.trunc)
-    pairs = list(zip(f.coeffs, _powers(g.truncate(n), n)))
-    out = tuple(_accumulate(f.k, ((1, 1, (a, power.coeffs[d])) for a, power in pairs))
+    pairs = list(zip(f.coeffs, _powers(g, n)))
+    out = tuple(_accumulate(k, ((1, 1, (a, CkScalar._built(k, *row[d])))
+                                for a, row in pairs if row[d] is not None))
                 for d in range(n))
-    return CkSeries._of(f.k, n, out, f.const)
+    return CkSeries._of(k, n, out, f.const)
 
 
 def _powers(f: CkSeries, n: int) -> list:
-    """f, f^2, ..., f^n; f alone when n < 2."""
-    out = [f]
-    for _ in range(1, n):
-        out.append(series_mul(out[-1], f))
-    return out
+    """The power chain of f up to n, as rows: rows[a - 1][m - 1] is
+    [z^m]f^a for a, m = 1..n, a reduced (den, nums) pair, or None for a
+    zero.  The constant term of f is taken to be zero, as it is in every
+    caller.
+
+    One call of the `power_rows` core computes every row from the one
+    before it, [z^m]f^a = sum over i of [z^i]f [z^(m-i)]f^(a-1), over the
+    terms that can be nonzero: m >= a, and a zero coefficient of either
+    factor drops its term.  It builds no intermediate scalar or series;
+    each entry is reduced once, by one gcd."""
+    k = f.k
+    first = [(c.den, c.nums) if any(c.nums) else None for c in f.coeffs[:n]]
+    return _core("power_rows", k)(k, first, n)
+
+
+def _boxed_rows(k: int, n: int, f_rows: list, g_rows: list | None, weights: tuple) -> list:
+    """The boxed sum over power-chain rows: gamma_m for m = 1..n, the sum
+    over a + b = m + 1 of num/den times [z^m]f^a times, unless g_rows is
+    None, [z^m]g^b, (num, den) = weights[m - 1][a - 1].  The terms are
+    added over a running lcm denominator and only the n outputs are
+    built."""
+    return _core("boxed_rows", k)(k, n, f_rows, g_rows, weights)
 
 
 def series_comp_inverse(f: CkSeries) -> CkSeries:
@@ -716,19 +914,19 @@ def series_comp_inverse(f: CkSeries) -> CkSeries:
 
     g is also the left inverse, g(f(w)) = w, so sum over j <= d of
     g_j [w^d] f^j is 1 at d = 1 and 0 above, and [w^d] f^d = a_1^d gives
-    g_d = -a_1^(-d) sum over j < d of g_j [w^d] f^j.  That reads one power
-    chain of f, f^1 to f^(trunc - 1): trunc - 2 series products and one
-    inverse in C_k.
+    g_d = -a_1^(-d) sum over j < d of g_j [w^d] f^j.  That reads the rows
+    of one power chain of f and one inverse in C_k.
     """
     if not f.const.is_zero():
         raise ValueError("compositional inverse needs a zero constant term")
     k = f.k
     a1_inv = ck_inverse(f.coeffs[0])  # NotInvertible if leading coefficient is not a unit
-    powers = _powers(f, f.trunc - 1)
+    rows = _powers(f, f.trunc)
     g = [a1_inv]
     scale = a1_inv  # a_1^(-d) at degree d
     for d in range(2, f.trunc + 1):
         scale = ck_mul(scale, a1_inv)
-        rest = _accumulate(k, ((-1, 1, (g_j, f_j.coeffs[d - 1])) for g_j, f_j in zip(g, powers)))
+        rest = _accumulate(k, ((-1, 1, (g_j, CkScalar._built(k, *row[d - 1])))
+                               for g_j, row in zip(g, rows) if row[d - 1] is not None))
         g.append(ck_mul(scale, rest))
     return CkSeries._of(k, f.trunc, tuple(g), CkScalar.zero(k))

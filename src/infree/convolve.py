@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import comb
 
 from .ck import CkScalar, CkSeries, multinomial, series_comp_inverse
-from .ck import _accumulate, _check_order, _powers
+from .ck import _boxed_rows, _check_order, _powers
 from .cumulants import InfLaw
 
 
@@ -66,23 +66,32 @@ def _check_boxed_pair(f: CkSeries, g: CkSeries) -> None:
     _check_zero_const(f, g)
 
 
-def _boxed_sum(f: CkSeries, n: int, g_power) -> CkSeries:
+def _boxed_sum(f: CkSeries, n: int, g_rows: list | None, weights: tuple) -> CkSeries:
     """The one gamma_m loop: gamma_m = m sum over a + b = m + 1 of
-    [z^m]f^a [z^m]g^b / (a b), where g_power(m, b) gives [z^m]g^b as a
-    pair (q, chain): an exact rational q times the product of chain, a
-    tuple of at most one C_k scalar.  The powers of f and the scalars of
-    g come from validated series, so the terms go to the trusted core, and
-    its sums become the series through the trusted `_of`."""
-    f_pows = _powers(f.truncate(n), n)
-    out = []
-    for m in range(1, n + 1):
-        terms = []
-        for a, b in zip(range(1, m + 1), range(m, 0, -1)):
-            q, chain = g_power(m, b)
-            terms.append((m * q.numerator, a * b * q.denominator,
-                          (f_pows[a - 1].coeffs[m - 1],) + chain))
-        out.append(_accumulate(f.k, terms))
-    return CkSeries._of(f.k, n, tuple(out), CkScalar.zero(f.k))
+    [z^m]f^a [z^m]g^b / (a b).  g_rows holds the power chain of a series g
+    as `_powers` rows, or is None when [z^m]g^b is the exact rational
+    that weights folds in; weights[m - 1][a - 1] is the (num, den) of the
+    term's rational factor.  One core call sums every gamma_m over the rows
+    of f's power chain, and its n sums become the series through the
+    trusted `_of`."""
+    return CkSeries._of(f.k, n, tuple(_boxed_rows(f.k, n, _powers(f, n), g_rows, weights)),
+                        CkScalar.zero(f.k))
+
+
+@lru_cache(maxsize=None)
+def _boxed_weights(kind: str, n: int) -> tuple:
+    """weights[m - 1][a - 1] = (num, den) of m q / (a b) for b = m + 1 - a,
+    m = 1..n, where q is [z^m]G^b for the named series G: the moebius
+    series' closed form, the zeta series' C(m-1, b-1), or 1 for "rows",
+    whose powers come as rows instead."""
+    def weight(m: int, a: int) -> tuple:
+        b = m + 1 - a
+        q = (_moebius_power(m, b) if kind == "moebius"
+             else comb(m - 1, b - 1) if kind == "zeta" else 1)
+        w = Fraction(m, a * b) * q
+        return w.numerator, w.denominator
+
+    return tuple(tuple(weight(m, a) for a in range(1, m + 1)) for m in range(1, n + 1))
 
 
 def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
@@ -92,8 +101,7 @@ def boxed_conv_ck(f: CkSeries, g: CkSeries) -> CkSeries:
     bijection, Nica-Speicher Lecture 18).  alpha_1 may be zero or nilpotent."""
     _check_boxed_pair(f, g)
     n = min(f.trunc, g.trunc)
-    g_pows = _powers(g.truncate(n), n)
-    return _boxed_sum(f, n, lambda m, b: (1, (g_pows[b - 1].coeffs[m - 1],)))
+    return _boxed_sum(f, n, _powers(g, n), _boxed_weights("rows", n))
 
 
 def _coord_sum(terms: tuple, f: CkSeries, g: CkSeries) -> Fraction:
@@ -164,14 +172,14 @@ def r_from_moments(m: CkSeries) -> CkSeries:
     """R-series from the moment series: boxed convolution with moebius, whose
     powers come in closed form."""
     _check_zero_const(m)
-    return _boxed_sum(m, m.trunc, lambda d, b: (_moebius_power(d, b), ()))
+    return _boxed_sum(m, m.trunc, None, _boxed_weights("moebius", m.trunc))
 
 
 def moments_from_r(r: CkSeries) -> CkSeries:
     """Moment series from the R-series: boxed convolution with zeta, whose
     powers are [z^m]Z^b = C(m-1, b-1)."""
     _check_zero_const(r)
-    return _boxed_sum(r, r.trunc, lambda d, b: (comb(d - 1, b - 1), ()))
+    return _boxed_sum(r, r.trunc, None, _boxed_weights("zeta", r.trunc))
 
 
 def fourier_transform(f: CkSeries) -> CkSeries:

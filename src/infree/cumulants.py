@@ -17,8 +17,10 @@ Both directions are one call of the trusted whole-table kernel
 reads each block's subword and gaps by shortlex position, through index
 maps cached per number of variables and length.  Each term reads
 kappa(w|B) first and is dropped when that cumulant is zero, before any
-gap moment is looked up: in a free product every block that mixes
-colours is dropped this way.  No entry is checked there, because every
+gap moment is looked up.  A table whose mixed cumulants vanish, a free
+product's or the freeness checker's, goes through the free core
+`ck._free_block_table` instead, which visits only the blocks inside one
+colour.  No entry is checked there, because every
 given one was validated once already, by the table constructor, and
 every computed one was built by the kernel itself; its outputs become
 tables through the trusted constructor `_of` that every value class
@@ -112,14 +114,14 @@ def cumulants_to_moments(c: CumulantTable) -> InfLaw:
     """Moment of each word as the sum over non-crossing partitions of the
     block products of cumulants, by the first-block decomposition.  Words
     come shortest first, so the moments of the gaps are already known."""
-    out = dict(_first_block_table(c.k, c.values, c.num_vars, c.max_len, False, {}))
+    out = dict(_first_block_table(c.k, c.values, c.num_vars, c.max_len, False))
     return InfLaw._of(c.k, c.num_vars, c.max_len, out)
 
 
 def _cumulants_shortlex(m: InfLaw, max_len: int) -> Iterator[tuple]:
     """(word, cumulant) for the words of m up to length max_len, shortlex;
     a caller that stops early pays for no later word."""
-    return _first_block_table(m.k, m.values, m.num_vars, max_len, True, {})
+    return _first_block_table(m.k, m.values, m.num_vars, max_len, True)
 
 
 def moments_to_cumulants(m: InfLaw) -> CumulantTable:

@@ -6,15 +6,27 @@ word that mixes colours vanishes as a C_k scalar.  A C_k scalar with
 coordinates (phi^(0), ..., phi^(k)) is phi_t = sum_i phi^(i) t^i / i!
 truncated beyond t^k, so the t^i coefficient of a cumulant is its
 coordinate i divided by i!.
+
+The test runs by induction on the word length.  While every mixed
+cumulant shorter than a word vanishes, the word's non-crossing partitions
+that hold a mixed block, other than the one-block partition, add nothing
+to its moment.  So a mixed word's cumulant is its moment minus the sum
+over the blocks inside its rarest colour that hold the first position of
+that colour, times the moments of the gaps and of the outer word around
+them: the free core of `ck`, which a free product runs the other way to
+build its mixed moments.  The first nonzero one found is exact, and the
+scan ends there.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache, partial
+from itertools import product
+from math import factorial, prod
 from operator import index
 
 from ._value import Value
-from .ck import CkScalar, _coerce, _entries, _first_block_table, _nc_block_sum
+from .ck import CkScalar, _coerce, _first_block_table, _free_block_table, _product_tuple_table
 from .cumulants import CumulantTable, InfLaw, _cumulants_shortlex, _nc_block_getters, all_words
 
 
@@ -149,20 +161,118 @@ def _check_max_len(max_len: int) -> None:
         raise ValueError(f"length budget must be >= 1, got {max_len}")
 
 
+@lru_cache(maxsize=None)
+def _free_plan(colors: tuple, n: int) -> tuple:
+    """(blocks, index, pure) for the words of length n over the variables
+    1..len(colors), variable x of colour colors[x - 1].
+
+    blocks[j] is None if the j-th word of length n, shortlex, is pure, and
+    otherwise the tuple of `_pattern_blocks` that every word of its colour
+    pattern shares; index[j] is the word's place among the words of its
+    pattern, the position its blocks' maps are read at.  pure[t] holds the
+    shortlex positions of the words of the t-th colour of the sorted
+    palette, in the shortlex order of that colour's own words, the letter
+    x standing for its x-th variable.  Every list is one comprehension per
+    letter column, so no Python loop runs per word, and a pattern's blocks
+    cost one map entry per word and block visited."""
+    v = len(colors)
+    palette = sorted(set(colors))
+    members = [[x for x in range(1, v + 1) if colors[x - 1] == c] for c in palette]
+    # tone[x], rank[x], size[x]: the palette index of variable x, its place
+    # among the variables of its colour, and their number
+    tone, rank, size = [0] * (v + 1), [0] * (v + 1), [0] * (v + 1)
+    for t, variables in enumerate(members):
+        for r, x in enumerate(variables):
+            tone[x], rank[x], size[x] = t, r, len(variables)
+    tones = len(palette)
+    pattern, index = [0] * v ** n, [0] * v ** n
+    for i in range(n):
+        column = [c for c in range(1, v + 1) for _ in range(v ** (n - 1 - i))] * v ** i
+        pattern = [tones * p + tone[c] for p, c in zip(pattern, column)]
+        index = [size[c] * q + rank[c] for q, c in zip(index, column)]
+    # the patterns in the order of their numbers in pattern
+    shared = [_pattern_blocks(v, members, pat) for pat in product(range(tones), repeat=n)]
+    pure = []
+    for variables in members:
+        m = variables
+        for _ in range(n - 1):
+            m = [v * p + x for p in m for x in variables]
+        pure.append(m)
+    return [shared[p] for p in pattern], index, pure
+
+
+def _pattern_blocks(num_vars: int, members: list, tones: tuple) -> tuple | None:
+    """The blocks of the words with colour pattern tones, tones[q] the
+    palette index of position q and members[t] the variables of colour t:
+    None for a pure pattern, and otherwise (bmap, gmaps) for every block B
+    that holds the anchor, the first position of the rarest colour, and
+    lies inside that colour.  bmap maps the i-th word of the pattern, in
+    shortlex order, to the shortlex position of its subword on B, and gmaps
+    holds the same maps for the nonempty inner gaps of B and its outer
+    word, the positions before B followed by those after it."""
+    present = set(tones)
+    if len(present) < 2:
+        return None
+    n = len(tones)
+    anchor_tone = min(present, key=lambda t: (tones.count(t), tones.index(t)))
+    anchor, *later = [q for q in range(n) if tones[q] == anchor_tone]
+    # suffix[q]: the shortlex position of the subword on q..n-1 of each
+    # word of the pattern, the words in shortlex order.  A word's position
+    # is its value in bijective base num_vars, the sum of u_i
+    # num_vars^(r - 1 - i) over its letters, so the run lo..hi-1 has the
+    # map (suffix[lo] - suffix[hi]) / num_vars^(n - hi): one comprehension
+    # per run, a letter's column included, whatever the run's length.
+    count = prod(len(members[t]) for t in tones)
+    suffix, tail = [[0] * count], [0]
+    for q in range(n - 1, -1, -1):
+        scale = num_vars ** (n - 1 - q)
+        tail = [x * scale + p for x in members[tones[q]] for p in tail]
+        suffix.append(tail * (count // len(tail)))
+    suffix.reverse()
+    runs: dict = {}
+
+    def run(lo: int, hi: int) -> tuple:
+        m = runs.get((lo, hi))
+        if m is None:
+            d = num_vars ** (n - hi)
+            m = runs[lo, hi] = tuple([(x - y) // d for x, y in zip(suffix[lo], suffix[hi])])
+        return m
+
+    # outer[last]: the map of the outer word of a block whose largest
+    # position is last, None if it is empty
+    head = run(0, anchor)
+    outer = {last: tuple([h * num_vars ** (n - 1 - last) + t
+                          for h, t in zip(head, suffix[last + 1])])
+             if anchor or last < n - 1 else None
+             for last in (anchor, *later)}
+    out = []
+
+    def extend(last: int, bmap: tuple, gmaps: tuple, rest: list) -> None:
+        """Record the block with map bmap, largest position last and inner
+        gap maps gmaps, then every block that adds later positions of the
+        anchor's colour to it."""
+        out.append((bmap, gmaps if outer[last] is None else gmaps + (outer[last],)))
+        for i, q in enumerate(rest):
+            extend(q, tuple([num_vars * p + c for p, c in zip(bmap, run(q, q + 1))]),
+                   gmaps + (run(last + 1, q),) if q > last + 1 else gmaps, rest[i + 1:])
+
+    extend(anchor, run(anchor, anchor + 1), (), later)
+    return tuple(out)
+
+
 def free_product_joint(laws: list, max_len: int):
     """Joint law of the disjoint union of the inputs' variables, free by
     construction, and its coloring.
 
     A free product's pure cumulants are its factors' and its mixed ones
     vanish (Nica-Speicher, Lectures on the Combinatorics of Free
-    Probability, Lecture 11).  So the joint cumulant table is sparse: each
-    factor's cumulants, on its variables shifted past the earlier
-    factors', and a mixed word is missing, which the kernel reads as zero.
-    Its c2m is seeded with each factor's own moment scalars on the pure
-    words, so it sums only the mixed words, and a pure joint moment is the
-    factor's scalar itself.  A pure block of a mixed word is shorter than
-    the word, so the factors' cumulants are computed below max_len
-    alone."""
+    Probability, Lecture 11).  So its moments come from the free core
+    `ck._free_block_table`: a pure joint moment is the factor's own
+    scalar, and a mixed one sums only the blocks inside the word's rarest
+    colour that hold its first position of that colour, over the factors'
+    cumulants and the shorter joint moments.  A pure block of a mixed word
+    is shorter than the word, so the factors' cumulants are computed below
+    max_len alone."""
     if not laws:
         raise ValueError("need at least one factor")
     _check_max_len(max_len)
@@ -172,7 +282,7 @@ def free_product_joint(laws: list, max_len: int):
     if any(law.max_len < max_len for law in laws):
         raise ValueError(f"every factor needs moments up to length {max_len}")
     colors = []
-    pure_cumulants = {}
+    pure_cumulants = []
     pure_moments = {}
     for idx, law in enumerate(laws, start=1):
         offset = len(colors)
@@ -180,11 +290,13 @@ def free_product_joint(laws: list, max_len: int):
         values = law.values
         for w in all_words(law.num_vars, max_len):
             pure_moments[tuple(v + offset for v in w)] = values[w]
-        for w, x in _cumulants_shortlex(law, max_len - 1):
-            pure_cumulants[tuple(v + offset for v in w)] = x
-    num_vars = len(colors)
-    table = dict(_first_block_table(k, pure_cumulants, num_vars, max_len, False, pure_moments))
-    return InfLaw._of(k, num_vars, max_len, table), Coloring(tuple(colors))
+        # every factor cumulant below max_len is read, so each factor's
+        # come in one pass, before the core draws them length by length
+        pure_cumulants.append(iter(list(_cumulants_shortlex(law, max_len - 1))))
+    colors = tuple(colors)
+    table = dict(_free_block_table(k, pure_moments, pure_cumulants, colors, max_len, False,
+                                   _free_plan))
+    return InfLaw._of(k, len(colors), max_len, table), Coloring(colors)
 
 
 def _require_two_equal_colors(coloring: Coloring):
@@ -203,12 +315,11 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
 
     kappa_m of the products is the sum over non-crossing p of the p-indexed
     cumulants of the a's times the complement-indexed cumulants of the b's.
-    A word w is translated once into the word of its a's and the word of
-    its b's, and each restriction is read off one of them by a block getter
-    from a per-length cache, so no call after the first at a length
-    computes a Kreweras complement or builds a getter.  The NC-block core
-    `ck._nc_block_sum` sums each word's terms over the table's nonzero
-    entries, read once per call as (den, nums) pairs.
+    One call of the product-tuple core `ck._product_tuple_table` sums the
+    whole table.  It reads the joint cumulants by shortlex position, through
+    the maps of `_product_tuple_maps`, built once per length from the
+    per-length block table, so no call after the first at a length
+    computes a Kreweras complement or builds a map.
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the table")
@@ -219,15 +330,48 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     mixed = _first_mixed(joint.values.items(), coloring)
     if mixed is not None:
         raise ValueError(f"mixed cumulant does not vanish on {mixed[0]}")
-    npairs = len(first)
-    a_of = (None, *first).__getitem__
-    b_of = (None, *second).__getitem__
-    entry = _entries(joint.values).get  # the table's own validated scalars, none checked again
-    out = {}
-    for w in all_words(npairs, max_len):
-        out[w] = _nc_block_sum(joint.k, entry, tuple(map(a_of, w)), tuple(map(b_of, w)),
-                               _nc_block_getters(len(w)))
-    return CumulantTable._of(joint.k, npairs, max_len, out)
+    values = joint.values  # the table's own validated scalars, none checked again
+    kappa = [None] + [(x.den, x.nums) if any(x.nums) else None
+                      for x in map(values.__getitem__, all_words(joint.num_vars, max_len))]
+    maps = partial(_product_tuple_maps, tuple(first), tuple(second), joint.num_vars)
+    out = dict(_product_tuple_table(joint.k, kappa, len(first), max_len, maps))
+    return CumulantTable._of(joint.k, len(first), max_len, out)
+
+
+@lru_cache(maxsize=None)
+def _product_tuple_maps(first: tuple, second: tuple, num_vars: int, n: int) -> tuple:
+    """(first map, other maps) for every p in NC(n), for the words of
+    length n over the pairs 1..len(first), pair j standing for variable
+    first[j - 1] on the a side and second[j - 1] on the b side.  A map
+    sends the place of a word among the words of length n, shortlex, to
+    the shortlex position, among the words over the num_vars joint
+    variables, of its a-word on a block of p or its b-word on a block of
+    Kr(p); the first map is that of p's first block.  Each block's
+    positions are read off the per-length getters by applying them to the
+    positions themselves, and each map is one comprehension per letter,
+    shared by every p with that block."""
+    pairs = len(first)
+    columns = [[c for c in range(pairs) for _ in range(pairs ** (n - 1 - i))] * pairs ** i
+               for i in range(n)]
+    sides = [[[side[c] for c in column] for column in columns] for side in (first, second)]
+    made: dict = {}
+
+    def block_map(side: int, positions: tuple) -> list:
+        m = made.get((side, positions))
+        if m is None:
+            letters = sides[side]
+            m = letters[positions[0]]
+            for q in positions[1:]:
+                m = [num_vars * p + c for p, c in zip(m, letters[q])]
+            made[side, positions] = m
+        return m
+
+    whole = tuple(range(n))
+    out = []
+    for p_blocks, kr_blocks in _nc_block_getters(n):
+        a_maps = [block_map(0, on(whole)) for on in p_blocks]
+        out.append((a_maps[0], (*a_maps[1:], *(block_map(1, on(whole)) for on in kr_blocks))))
+    return tuple(out)
 
 
 class Witness(Value):
@@ -259,6 +403,21 @@ def _first_mixed(items, coloring: Coloring) -> tuple | None:
     return None
 
 
+class _Restriction:
+    """A law's moments on the words of some of its variables, read through
+    get by the words over 1..len(variables), the letter x standing for
+    variables[x - 1]: one entry at a time, as the kernel asks for it."""
+
+    __slots__ = ("values", "letters")
+
+    def __init__(self, values: dict, variables: tuple):
+        self.values = values
+        self.letters = (None, *variables).__getitem__
+
+    def get(self, w: tuple):
+        return self.values.get(tuple(map(self.letters, w)))
+
+
 def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> FreenessVerdict:
     """Bounded test of infinitesimal freeness of order k: every cumulant of
     a word of length <= max_len that mixes colours must vanish.
@@ -271,18 +430,42 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
     cumulant every such product vanishes, and at that length it equals the
     word's cumulant (Krawczyk-Speicher products as arguments).  Any
     reported failure is a genuine one; a pass certifies freeness up to the
-    budget.  Cumulants are computed one word at a time, shortlex, and the
-    scan stops at the first failing word.
+    budget.
+
+    The mixed cumulants come from the free core `ck._free_block_table`,
+    one word at a time, shortlex, and the scan stops at the first nonzero
+    one.  By induction on the length, each is exact: while every mixed
+    cumulant shorter than a word w vanishes, the non-crossing partitions of
+    w with a mixed block other than the full one add nothing, so kappa(w)
+    is m(w) minus the sum over the blocks inside w's rarest colour that
+    hold its first position of that colour, with the gap and outer-word
+    moments around them.  Until the first nonzero mixed cumulant that
+    induction holds for every word the scan reaches, and at it the scan
+    ends.  The pure cumulants those blocks read come from each colour's own
+    moment-cumulant transform, `ck._first_block_table` on the law's
+    restriction to that colour's variables, drawn one length at a time, so
+    an early failure reads no moment and no restricted entry past its
+    length.  A law of one colour has no mixed word and passes at once.
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the law")
     _check_max_len(max_len)
     if max_len > joint.max_len:
         raise ValueError("law is too short for the requested length budget")
-    mixed = _first_mixed(_cumulants_shortlex(joint, max_len), coloring)
-    if mixed is None:
+    palette = coloring.palette()
+    if len(palette) < 2:
         return FreenessVerdict(True, None)
-    w, cumulant = mixed
+    colors, values = coloring.colors, joint.values
+    pure = []
+    for c in palette:
+        variables = tuple(v for v in range(1, joint.num_vars + 1) if colors[v - 1] == c)
+        pure.append(_first_block_table(joint.k, _Restriction(values, variables), len(variables),
+                                       max_len - 1, True))
+    cumulants = _free_block_table(joint.k, values, pure, colors, max_len, True, _free_plan)
+    failed = next(((w, x) for w, x in cumulants if any(x.nums)), None)
+    if failed is None:
+        return FreenessVerdict(True, None)
+    w, cumulant = failed
     i, x = next((i, x) for i, x in enumerate(cumulant.coords) if x != 0)
     return FreenessVerdict(False, Witness(w, i, x / factorial(i)))
 

@@ -665,26 +665,89 @@ def first_block_table_oracle(k: int, given: dict, num_vars: int, max_len: int,
                 yield w, shared_zero
 
 
-def nc_block_sum_oracle(k: int, entry, a: tuple, b: tuple, blocks) -> CkScalar:
-    """`ck._nc_block_sum` as a plain loop: every entry of a term read into
-    a list, a term with a zero entry dropped, the rest chained by the
-    generic Leibniz loop and added over a running lcm denominator."""
-    den, acc = 1, [0] * (k + 1)
-    for a_blocks, b_blocks in blocks:
-        factors = [entry(on(a)) for on in a_blocks] + [entry(on(b)) for on in b_blocks]
-        if None in factors:
-            continue
-        tden, x = factors[0]
-        for fden, y in factors[1:]:
-            tden *= fden
-            x = _leibniz(k, x, y)
-        if den % tden:
-            up = tden // gcd(den, tden)
-            den *= up
-            acc = [v * up for v in acc]
-        f = den // tden
-        acc = [v + f * c for v, c in zip(acc, x)]
-    return CkScalar._built(k, den, acc)
+class ReadLog(dict):
+    """A dict that records, in order, every word read through get."""
+
+    def __init__(self, items, log: list):
+        super().__init__(items)
+        self.log = log
+
+    def get(self, w, default=None):
+        self.log.append(w)
+        return super().get(w, default)
+
+
+def free_product_joint_seeded_oracle(laws: list, max_len: int):
+    """The free product's joint law and coloring by the whole-table
+    first-block recursion: the sparse joint cumulant table of the factors'
+    cumulants below max_len, every mixed word missing, summed by
+    first_block_table_oracle over all 2^(n-1) first blocks of each word,
+    with every pure word seeded with its factor's own moment."""
+    k = laws[0].k
+    colors, cumulants, moments = [], {}, {}
+    for idx, law in enumerate(laws, start=1):
+        offset = len(colors)
+        colors.extend([idx] * law.num_vars)
+        for w in all_words(law.num_vars, max_len):
+            moments[tuple(v + offset for v in w)] = law.values[w]
+        for w, x in first_block_table_oracle(k, law.values, law.num_vars, max_len - 1, True, {}):
+            cumulants[tuple(v + offset for v in w)] = x
+    table = dict(first_block_table_oracle(k, cumulants, len(colors), max_len, False, moments))
+    return InfLaw(k, len(colors), max_len, table), Coloring(tuple(colors))
+
+
+def check_inf_freeness_m2c_oracle(joint: InfLaw, coloring, max_len: int) -> FreenessVerdict:
+    """The freeness checker through the whole cumulant table: every
+    cumulant up to max_len by first_block_table_oracle, shortlex, and the
+    first nonzero one of a mixed word, its lowest nonzero coordinate and
+    that coordinate's t^i coefficient."""
+    for w, x in first_block_table_oracle(joint.k, joint.values, joint.num_vars, max_len, True, {}):
+        if any(x.nums) and len({coloring.color_of(v) for v in w}) > 1:
+            i, c = next((i, c) for i, c in enumerate(x.coords) if c != 0)
+            return FreenessVerdict(False, Witness(w, i, c / factorial(i)))
+    return FreenessVerdict(True, None)
+
+
+def product_tuple_table_oracle(k: int, table: dict, first: tuple, second: tuple, max_len: int):
+    """(word, scalar) for every word over the pairs 1..len(first) up to
+    max_len, shortlex: the sum over p in NC(n), from enumerate_nc and
+    kreweras, of the entries of table on the a-word's restrictions to the
+    blocks of p and the b-word's to those of Kr(p), pair j standing for
+    first[j - 1] and second[j - 1].  A term with a zero or missing entry
+    is dropped, the rest chained by the generic Leibniz loop and added over
+    a running lcm denominator; the zero outputs are one shared scalar."""
+    shared_zero = CkScalar.zero(k)
+    for w in all_words(len(first), max_len):
+        a = tuple(first[x - 1] for x in w)
+        b = tuple(second[x - 1] for x in w)
+        den, acc = 1, [0] * (k + 1)
+        for p, kr in kreweras_list(len(w)):
+            factors = [table.get(restrict(a, blk)) for blk in p.blocks]
+            factors += [table.get(restrict(b, blk)) for blk in kr.blocks]
+            if any(f is None or not any(f.nums) for f in factors):
+                continue
+            tden, x = factors[0].den, factors[0].nums
+            for f in factors[1:]:
+                tden *= f.den
+                x = _leibniz(k, x, f.nums)
+            if den % tden:
+                up = tden // gcd(den, tden)
+                den *= up
+                acc = [v * up for v in acc]
+            f = den // tden
+            acc = [v + f * c for v, c in zip(acc, x)]
+        yield w, CkScalar._built(k, den, acc) if any(acc) else shared_zero
+
+
+def power_rows_oracle(f: CkSeries, n: int) -> list:
+    """The rows [z^m]f^a, a, m = 1..n, of `ck._powers`, from repeated
+    plain Cauchy products: a (den, nums) pair of each nonzero coefficient,
+    None for a zero."""
+    rows, power = [], f.truncate(n)
+    for a in range(1, n + 1):
+        rows.append([(c.den, c.nums) if any(c.nums) else None for c in power.coeffs])
+        power = cauchy_series_mul_oracle(power, f.truncate(n))
+    return rows
 
 
 def first_block_sum(w: tuple, blocks, kappa: dict, moment: dict, k: int) -> CkScalar:

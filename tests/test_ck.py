@@ -1,4 +1,5 @@
 """Truncated scalar algebra and series: frozen small values plus laws."""
+from functools import partial
 from itertools import islice
 import random
 from fractions import Fraction
@@ -21,7 +22,9 @@ from infree.ck import (
     series_compose,
     series_mul,
 )
-from infree.cumulants import _nc_block_getters, all_words
+from infree.convolve import boxed_conv_ck
+from infree.cumulants import all_words
+from infree.freeness import _product_tuple_maps
 
 from helpers import (
     accumulate_oracle,
@@ -31,8 +34,10 @@ from helpers import (
     first_block_table_oracle,
     fraction_ck_inverse_oracle,
     fraction_ck_mul_oracle,
-    nc_block_sum_oracle,
+    nc_boxed_conv_oracle,
     per_degree_comp_inverse_oracle,
+    power_rows_oracle,
+    product_tuple_table_oracle,
     rand_fraction,
     rand_prime_den_table,
     rand_scalar,
@@ -40,6 +45,7 @@ from helpers import (
     rand_sparse_scalar,
     rand_wide_fraction,
     rand_wide_scalar,
+    ReadLog,
     series_coeff,
     to_toeplitz,
 )
@@ -286,18 +292,6 @@ def _core_tables(rng, k: int, num_vars: int, max_len: int):
     yield "wide", {w: rand_wide_scalar(rng, k) for w in words}
 
 
-class _ReadLog(dict):
-    """A dict that records, in order, every word read through get."""
-
-    def __init__(self, items, log: list):
-        super().__init__(items)
-        self.log = log
-
-    def get(self, w, default=None):
-        self.log.append(w)
-        return super().get(w, default)
-
-
 # (num_vars, max_len) per order: every num_vars from 1 to 4 and lengths up
 # to 6 below the cap, shorter tables above it
 _CORE_SHAPES = {0: ((1, 6), (2, 6), (4, 3)), 1: ((2, 4), (3, 3)), 2: ((2, 4), (4, 2)),
@@ -305,22 +299,11 @@ _CORE_SHAPES = {0: ((1, 6), (2, 6), (4, 3)), 1: ((2, 4), (3, 3)), 2: ((2, 4), (4
                 20: ((1, 3), (2, 2))}
 
 
-def _free_product_given(rng, k: int, num_vars: int, max_len: int) -> tuple:
-    """(cumulants, seeded moments) of a free product's c2m: the variables
-    alternate between two colours, the cumulants are given on the pure
-    words below max_len alone and the moments seeded on every pure word,
-    each dict in random insertion order."""
-    pure = [w for w in all_words(num_vars, max_len) if len({v % 2 for v in w}) == 1]
-    rng.shuffle(pure)
-    given = {w: rand_sparse_scalar(rng, k) for w in pure if len(w) < max_len}
-    return given, {w: rand_sparse_scalar(rng, k) for w in pure}
-
-
 def test_compiled_cores_match_their_plain_oracles():
     # each core compiled from its template, straight-line up to the cutoff
     # and with loops above it, against its plain loop over the generic
     # Leibniz product, on every kind of table given in random insertion
-    # order, seeded words, sparse free-product tables and early stops
+    # order, and early stops
     rng = random.Random(541)
     assert ck._RULE_MAX_K == 16  # the last straight-line order; 17 and 20 are above it
     for k, shapes in _CORE_SHAPES.items():
@@ -336,35 +319,67 @@ def _check_cores_on(rng, k: int, num_vars: int, max_len: int):
         terms = [(rng.choice((0, 1, 1, -3)), rng.choice((1, 2, 6)),
                   [rng.choice(values) for _ in range(rng.randint(0, 4))]) for _ in range(12)]
         assert _accumulate(k, terms) == accumulate_oracle(k, terms), (k, kind)
-        entry = ck._entries(table).get
-        for n in range(1, min(max_len, 4) + 1):  # the NC(n) sums grow as Catalan(n)
-            a, b = (tuple(rng.randint(1, num_vars) for _ in range(n)) for _ in range(2))
-            blocks = _nc_block_getters(n)
-            one_side = [(p_blocks, ()) for p_blocks, _ in blocks]
-            for terms in (blocks, one_side, blocks[:1], ()):
-                assert ck._nc_block_sum(k, entry, a, b, terms) == nc_block_sum_oracle(
-                    k, entry, a, b, terms), (k, kind, n)
-        seeded = {w: rng.choice(values) for w in rng.sample(words, min(3, len(words)))}
-        runs += [(kind, table, seeds, invert)
-                 for invert, seeds in ((False, seeded), (True, {}), (True, seeded))]
-    for invert in (False, True):
-        # a free product's c2m, and the inverse read of its seeded moments
-        runs.append(("free product", *_free_product_given(rng, k, num_vars, max_len), invert))
-    for kind, table, seeds, invert in runs:
+        # the product-tuple core, its pairs standing for random variables,
+        # over the NC(n) sums up to n = 4, which grow as Catalan(n)
+        npairs, top = rng.randint(1, 2), min(max_len, 4)
+        first, second = (tuple(rng.randint(1, num_vars) for _ in range(npairs)) for _ in range(2))
+        kappa = [None] + [(x.den, x.nums) if any(x.nums) else None
+                          for x in map(table.__getitem__, all_words(num_vars, top))]
+        maps = partial(_product_tuple_maps, first, second, num_vars)
+        got = list(ck._product_tuple_table(k, kappa, npairs, top, maps))
+        assert got == list(product_tuple_table_oracle(k, table, first, second, top)), (k, kind)
+        runs += [(kind, table, invert) for invert in (False, True)]
+    for kind, table, invert in runs:
         # the kernel reads its inputs by position, not in the dicts' order
         table = dict(rng.sample(list(table.items()), len(table)))
-        args = (k, table, num_vars, max_len, invert, seeds)
+        args = (k, table, num_vars, max_len, invert)
         got = list(ck._first_block_table(*args))
         assert [w for w, _ in got] == words, (k, kind)
-        assert got == list(first_block_table_oracle(*args)), (k, num_vars, max_len, kind, invert)
-        assert all(x is seeds[w] for w, x in got if w in seeds)
+        assert got == list(first_block_table_oracle(*args, {})), (k, num_vars, max_len, kind, invert)
         # a consumer that stops early: no entry of a later word is read
         stop = rng.randint(1, len(got))
         log = []
-        early = ck._first_block_table(k, _ReadLog(table, log), num_vars, max_len, invert,
-                                      _ReadLog(seeds, log))
+        early = ck._first_block_table(k, ReadLog(table, log), num_vars, max_len, invert)
         assert list(islice(early, stop)) == got[:stop]
         assert log and set(log) <= set(words[:stop]), (k, kind, invert, stop)
+
+
+_POWER_ORDERS = (0, 1, 2, 3, 16, 17, 20)
+
+
+def _power_inputs(rng, k: int, trunc: int):
+    """Series of order k: general, with a zero and with a nilpotent lead,
+    sparse, and with 200-bit coefficients."""
+    yield rand_series(rng, k, trunc)
+    for lead in (CkScalar.zero(k), CkScalar(k, (0,) + rand_scalar(rng, k).coords[1:])):
+        yield CkSeries(k, trunc, [lead] + list(rand_series(rng, k, trunc).coeffs[1:]))
+    yield CkSeries(k, trunc, [rand_sparse_scalar(rng, k) for _ in range(trunc)])
+    wide = [Fraction(rng.getrandbits(200) * rng.choice((-1, 1)), rng.getrandbits(200) + 1)
+            for _ in range(trunc * (k + 1))]
+    yield CkSeries(k, trunc, [CkScalar(k, wide[i * (k + 1):(i + 1) * (k + 1)])
+                              for i in range(trunc)])
+
+
+def test_power_chain_core_matches_repeated_products():
+    # every row [z^m]f^a of one compiled call against repeated plain Cauchy
+    # products, on both sides of the cutoff, each entry reduced
+    rng = random.Random(547)
+    for k in _POWER_ORDERS:
+        for trunc in range(1, 10 if k < 16 else 6):
+            for f in _power_inputs(rng, k, trunc):
+                for n in {1, trunc}:
+                    rows = ck._powers(f, n)
+                    assert rows == power_rows_oracle(f, n), (k, trunc, n)
+                    for den, nums in filter(None, (e for row in rows for e in row)):
+                        assert den > 0 and gcd(den, *nums) == 1 and type(nums) is tuple
+    # the boxed sums over the rows, against the boxed sum of series
+    # products from plain Cauchy powers
+    for k in _POWER_ORDERS:
+        for trunc in (1, 2, 5) if k < 16 else (1, 3):
+            fs, gs = list(_power_inputs(rng, k, trunc)), list(_power_inputs(rng, k, trunc))
+            for f, g in zip(fs, gs):
+                got = boxed_conv_ck(f, g)
+                assert got == nc_boxed_conv_oracle(f, g), (k, trunc)
 
 
 def _rule_inputs(rng, k: int):
@@ -598,21 +613,25 @@ def test_composition_inverse_property(f):
 
 
 def test_comp_inverse_reads_one_power_chain(monkeypatch):
-    # one power chain f, ..., f^11 at trunc 12: 10 series products, where
-    # composing the partial inverse at every degree took 66
+    # one call of the power-chain core at trunc 12, and no series product,
+    # where composing the partial inverse at every degree took 66
     rng = random.Random(241)
     f = rand_series(rng, 2, 12, invertible=True)
     expected = per_degree_comp_inverse_oracle(f)
     calls = []
-    real_mul = ck.series_mul
+    real_powers = ck._powers
 
-    def counted(a, b):
-        calls.append(1)
-        return real_mul(a, b)
+    def counted(*args):
+        calls.append(args)
+        return real_powers(*args)
 
-    monkeypatch.setattr(ck, "series_mul", counted)
+    def refused(a, b):
+        raise AssertionError("the inverse multiplied two series")
+
+    monkeypatch.setattr(ck, "_powers", counted)
+    monkeypatch.setattr(ck, "series_mul", refused)
     assert series_comp_inverse(f) == expected
-    assert len(calls) == 10
+    assert calls == [(f, 12)]
 
 
 def test_series_comp_inverse_needs_unit_lead():

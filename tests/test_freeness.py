@@ -1,7 +1,7 @@
 """Free products, the freeness checker, derivation upgrades, derivatives."""
 from fractions import Fraction
 from itertools import product as iter_product
-from math import factorial
+from math import factorial, gcd
 import random
 
 import pytest
@@ -11,6 +11,7 @@ from infree.ck import (
     CkScalar,
     CkSeries,
     _first_block_table,
+    _free_block_table,
     _powers,
     ck_mul,
     ck_prod_many,
@@ -51,11 +52,14 @@ from infree.partitions import catalan, enumerate_nc
 from infree.typek import r_of_shape
 
 from helpers import (
+    ReadLog,
     apply_derivation,
+    check_inf_freeness_m2c_oracle,
     compositions,
     eval_poly,
     first_block_m2c_oracle,
     free_product_joint_dense_oracle,
+    free_product_joint_seeded_oracle,
     jet_of_poly,
     lagrange_derivative_at_zero,
     law_at_t,
@@ -185,22 +189,27 @@ def test_free_product_joint_matches_the_dense_oracle():
 
 def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
     # the joint's c2m builds no scalar for a pure word and visits none of
-    # its first blocks: each pure joint moment is the factor's own scalar
+    # its blocks: each pure joint moment is the factor's own scalar
     rng = random.Random(193)
     visited, made = [], []
-    real_maps = ck._position_maps
+    real_plan = freeness._free_plan
     real_built = CkScalar._built.__func__
 
-    def maps(num_vars, n):
-        # each block's map records the word whose subword position it gives
-        words = list(iter_product(range(1, num_vars + 1), repeat=n))
+    class Recorded(list):
+        # a block map of one word, which records that word at every read
+        def __init__(self, items, word):
+            super().__init__(items)
+            self.word = word
 
-        class Recorded(list):
-            def __getitem__(self, j):
-                visited.append(words[j])
-                return list.__getitem__(self, j)
+        def __getitem__(self, i):
+            visited.append(self.word)
+            return list.__getitem__(self, i)
 
-        return tuple((Recorded(bmap), gmaps) for bmap, gmaps in real_maps(num_vars, n))
+    def plan(colors, n):
+        blocks, index, pure = real_plan(colors, n)
+        words = list(iter_product(range(1, len(colors) + 1), repeat=n))
+        return [None if bs is None else tuple((Recorded(bmap, w), gmaps) for bmap, gmaps in bs)
+                for bs, w in zip(blocks, words)], index, pure
 
     def built(cls, *args):
         made.append(real_built(cls, *args))
@@ -209,11 +218,11 @@ def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
     def joint_c2m(*args):
         visited.clear()
         made.clear()
-        yield from _first_block_table(*args)
+        yield from _free_block_table(*args)
 
-    monkeypatch.setattr(ck, "_position_maps", maps)
+    monkeypatch.setattr(freeness, "_free_plan", plan)
     monkeypatch.setattr(CkScalar, "_built", classmethod(built))
-    monkeypatch.setattr(freeness, "_first_block_table", joint_c2m)
+    monkeypatch.setattr(freeness, "_free_block_table", joint_c2m)
     for k, nvs, max_len in ((0, (1, 1), 5), (2, (2, 1), 4), (1, (1, 1, 1), 3)):
         laws = [rand_law(rng, k, nv, max_len) for nv in nvs]
         joint, coloring = free_product_joint(laws, max_len)
@@ -332,9 +341,11 @@ def test_computed_tables_match_the_validating_constructor():
             with_const = CkSeries(k, trunc, rand_series(rng, k, trunc).coeffs, rand_scalar(rng, k))
             series = [rand_series(rng, k, trunc), sparse, with_const, CkSeries.zero(k, trunc)]
             built = [series_mul(f, g) for f in series for g in series]
-            built += [p for f in series for p in _powers(f, f.trunc)]
             built += [f.truncate(t) for f in series for t in range(1, trunc + 1)]
             boxable = [f for f in series if f.const.is_zero()]
+            for f in boxable:
+                for den, nums in filter(None, (e for row in _powers(f, f.trunc) for e in row)):
+                    assert den > 0 and gcd(den, *nums) == 1 and len(nums) == k + 1, (k, trunc)
             built += [r_from_moments(f) for f in boxable] + [moments_from_r(f) for f in boxable]
             built += [boxed_conv_ck(f, g) for f in boxable for g in boxable]
             for s in built:
@@ -385,6 +396,7 @@ def test_product_tuple_cumulants_caches_kreweras_per_length(monkeypatch):
 
     monkeypatch.setattr(partitions, "kreweras", counted)  # read by the getters at call time
     cumulants._nc_block_getters.cache_clear()
+    freeness._product_tuple_maps.cache_clear()
     first = product_tuple_cumulants(cums, coloring, 4)
     assert len(calls) == sum(catalan(m) for m in range(1, 5))
     calls.clear()
@@ -495,6 +507,30 @@ def _kernel_words(monkeypatch) -> list:
     return calls
 
 
+def _free_core_words(monkeypatch) -> list:
+    """A list that records each word the free core computes: each colour's
+    pure words, as the core draws their cumulants, written over the joint
+    variables, and each mixed word, as the core yields it."""
+    calls = []
+
+    def drawn(words, variables):
+        for w, x in words:
+            calls.append(tuple(variables[v - 1] for v in w))
+            yield w, x
+
+    def counted(k, moments, pure, colors, *args):
+        palette = sorted(set(colors))
+        members = [[v for v in range(1, len(colors) + 1) if colors[v - 1] == c] for c in palette]
+        pure = [drawn(words, variables) for words, variables in zip(pure, members)]
+        for w, x in _free_block_table(k, moments, pure, colors, *args):
+            if len({colors[v - 1] for v in w}) > 1:
+                calls.append(w)
+            yield w, x
+
+    monkeypatch.setattr(freeness, "_free_block_table", counted)
+    return calls
+
+
 def test_checker_stops_at_the_first_failing_length(monkeypatch):
     # a law that fails at length 2 is decided from the words of length <= 2
     # alone, whatever the budget
@@ -503,7 +539,7 @@ def test_checker_stops_at_the_first_failing_length(monkeypatch):
     nu = rand_law(rng, k=1, num_vars=1, max_len=6)
     joint, coloring = free_product_joint([mu, nu], 6)
     bad = perturbed(joint, (1, 2), 1)
-    calls = _kernel_words(monkeypatch)
+    calls = _free_core_words(monkeypatch)
     for budget in (5, 6):
         calls.clear()
         verdict = check_inf_freeness(bad, coloring, budget)
@@ -515,21 +551,116 @@ def test_checker_stops_at_the_first_failing_length(monkeypatch):
 
 def test_checker_stops_at_the_first_failing_word(monkeypatch):
     # words are scanned one at a time in shortlex order, so a failure at
-    # (1, 2) computes no cumulant of (2, 1) or (2, 2), and no word beyond
-    # the budget is ever built
+    # (1, 2) computes no cumulant of (2, 1), and no pure cumulant of its
+    # own length; no word beyond the budget is ever built
     rng = random.Random(167)
     mu = rand_law(rng, k=2, num_vars=1, max_len=4)
     nu = rand_law(rng, k=2, num_vars=1, max_len=4)
     joint, coloring = free_product_joint([mu, nu], 4)
     bad = perturbed(joint, (1, 2), 2)
-    calls = _kernel_words(monkeypatch)
+    calls = _free_core_words(monkeypatch)
     verdict = check_inf_freeness(bad, coloring, 4)
     assert verdict == FreenessVerdict(False, Witness((1, 2), 2, Fraction(1, 2)))
-    assert calls == [(1,), (2,), (1, 1), (1, 2)]
-    for budget in (1, 2, 3):
+    assert calls == [(1,), (2,), (1, 2)]
+    mixed = [(1, 2), (2, 1)]
+    for budget, expected in ((1, []), (2, [(1,), (2,), *mixed]),
+                             (3, [(1,), (2,), *mixed, (1, 1), (2, 2), (1, 1, 2), (1, 2, 1),
+                                  (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 1)])):
         calls.clear()
         assert check_inf_freeness(joint, coloring, budget).passed
-        assert calls == list(all_words(2, budget))
+        assert calls == expected, budget
+
+
+# (factor variable counts, joint length) per order: two to four colours of
+# one or two variables below the cap, shorter tables above it
+_FREE_SHAPES = {0: (((1, 1), 5), ((2, 1), 4), ((1, 2, 1), 3), ((1, 1, 1, 1), 3)),
+                1: (((1, 1), 4), ((2, 2), 3), ((1, 1, 1), 4)),
+                2: (((2, 1), 3), ((1, 1, 2), 3)),
+                3: (((1, 1), 4), ((1, 2), 3), ((2, 1, 1, 1), 2)),
+                16: (((1, 1), 3), ((1, 1, 1), 2)),
+                17: (((2, 1), 2),),
+                20: (((1, 1), 3),)}
+
+
+def _shuffled(law: InfLaw, coloring: Coloring, rng) -> tuple:
+    """The same law with its variables renumbered at random, so that the
+    colours interleave: variable v of the result is variable perm[v - 1] of
+    law."""
+    perm = rng.sample(range(1, law.num_vars + 1), law.num_vars)
+    values = {w: law.values[tuple(perm[v - 1] for v in w)] for w in law.words()}
+    colors = tuple(coloring.color_of(perm[v - 1]) for v in range(1, law.num_vars + 1))
+    return InfLaw(law.k, law.num_vars, law.max_len, values), Coloring(colors)
+
+
+def _verdicts_agree(law: InfLaw, coloring: Coloring, budget: int, where,
+                    t_poly: bool = True) -> FreenessVerdict:
+    verdict = check_inf_freeness(law, coloring, budget)
+    assert verdict == check_inf_freeness_m2c_oracle(law, coloring, budget), where
+    if t_poly:  # its Fraction polynomials cost k^2 per product
+        assert verdict == t_poly_freeness_oracle(law, coloring, budget), where
+    return verdict
+
+
+def test_free_core_matches_the_whole_table_routes():
+    # the free product through the anchored free core against the seeded
+    # whole-table recursion and the dense joint cumulant table, and the
+    # checker against the whole cumulant table and the t-polynomial route:
+    # shuffled colourings, pure and mixed words perturbed at every length
+    # and coordinate, budgets below the law's length
+    rng = random.Random(557)
+    for k, shapes in _FREE_SHAPES.items():
+        for nvs, max_len in shapes:
+            where = (k, nvs, max_len)
+            laws = [_sparse_law(rng, k, nv, max_len + rng.randint(0, 1)) for nv in nvs]
+            joint, coloring = free_product_joint(laws, max_len)
+            assert (joint, coloring) == free_product_joint_seeded_oracle(laws, max_len), where
+            assert (joint, coloring) == free_product_joint_dense_oracle(laws, max_len), where
+            law, colors = _shuffled(joint, coloring, rng)
+            for budget in range(1, max_len + 1):
+                assert _verdicts_agree(law, colors, budget, where).passed, where
+            words = list(law.words())
+            for n in range(1, max_len + 1):
+                pure = [w for w in words if len(w) == n and len({colors.color_of(v) for v in w}) == 1]
+                mixed = [w for w in words if len(w) == n and w not in pure]
+                for i in range(k + 1):
+                    for w0 in (rng.choice(pure), *(rng.sample(mixed, 1) if mixed else ())):
+                        bad = perturbed(law, w0, i, rand_fraction(rng) or Fraction(1, 3))
+                        budget = rng.randint(1, max_len)
+                        verdict = _verdicts_agree(bad, colors, budget, (*where, w0, i, budget),
+                                                  k < 16 or i in (0, k))
+                        if w0 in mixed and budget >= n:
+                            assert verdict.witness.word == w0 and verdict.witness.component == i
+
+
+def test_checker_of_one_colour_runs_no_kernel(monkeypatch):
+    # a law of one colour has no mixed word: it passes before any table
+    # kernel runs
+    rng = random.Random(563)
+    laws = [rand_law(rng, 1, nv, 3) for nv in (1, 3)]
+
+    def refused(*args):
+        raise AssertionError("a one-colour law ran a table kernel")
+
+    for name in ("_free_block_table", "_first_block_table"):
+        monkeypatch.setattr(freeness, name, refused)
+    monkeypatch.setattr(cumulants, "_first_block_table", refused)
+    for law in laws:
+        colors = Coloring((7,) * law.num_vars)
+        assert check_inf_freeness(law, colors, 3) == FreenessVerdict(True, None)
+
+
+def test_checker_reads_nothing_past_the_failing_length():
+    # a 1+1 law of length 12 that fails at (1, 2): no moment and no entry
+    # of a colour's restriction longer than 2 is read
+    rng = random.Random(569)
+    joint, coloring = free_product_joint([rand_law(rng, 1, 1, 12), rand_law(rng, 1, 1, 12)], 12)
+    bad = perturbed(joint, (1, 2), 1)
+    log = []
+    logged = InfLaw._of(bad.k, bad.num_vars, bad.max_len, ReadLog(bad.values, log))
+    verdict = check_inf_freeness(logged, coloring, 12)
+    assert verdict == FreenessVerdict(False, Witness((1, 2), 1, Fraction(1)))
+    assert log and max(map(len, log)) == 2
+    assert set(log) == {(1,), (2,), (1, 1), (1, 2)}
 
 
 def test_checker_matches_t_polynomial_oracle():

@@ -108,16 +108,18 @@ def _named_in(tree: ast.Module, name: str) -> set:
 def test_one_leibniz_rule_in_ck():
     # the binomial rule is spelt out by the Leibniz loop and the template
     # field writer alone, every template multiplies through its mul field,
-    # and ck takes every C_k product through the rule or one of three sum
-    # cores, so a second Leibniz loop or a fourth sum core cannot come back
+    # and ck takes every C_k product through the rule or one of its six sum
+    # cores, so a second Leibniz loop or a seventh sum core cannot come back
     # unnoticed
     tree = ast.parse((SRC / "ck.py").read_text(encoding="utf-8"))
     assert _named_in(tree, "comb") == {"_leibniz", "_spelt"}
     assert _named_in(tree, "_leibniz") == {"_leibniz_rule"}
     assert _named_in(tree, "_leibniz_rule") == {"ck_mul", "ck_inverse"}
     assert _named_in(tree, "_core") == {"_leibniz_rule", "_accumulate", "_first_block_table",
-                                        "_nc_block_sum"}
-    assert set(ck._TEMPLATES) == {"leibniz", "accumulate", "first_block_table", "nc_block_sum"}
+                                        "_free_block_table", "_product_tuple_table", "_powers",
+                                        "_boxed_rows"}
+    assert set(ck._TEMPLATES) == {"leibniz", "accumulate", "first_block_table", "free_block_table",
+                                  "product_tuple_table", "power_rows", "boxed_rows"}
     for template in ck._TEMPLATES.values():
         assert "$mul(" in template and "_leibniz" not in template and "comb" not in template
 
