@@ -17,34 +17,29 @@ not once per term, and returns the sum alone.  The other cores work on
 (den, nums) pairs, reduced integer numerators over their denominator, and
 build a scalar only for an output.
 
-`_first_block_table` runs the moment-cumulant first-block recursion over a
-whole table, in both directions.  It holds the table's entries and its
-outputs as (den, nums) pairs in flat lists indexed by shortlex position,
-the offset of a word's length plus its base-num_vars value, and reads
-each given entry once, as its word comes up.  A block visit reads
-subwords and gaps through the integer index maps of `_position_maps`,
-built once per (num_vars, length) with list comprehensions and cached,
-so it builds and hashes no tuple.
-
-`_free_block_table` is the same recursion for a table whose mixed
-cumulants vanish, given a colouring of its variables.  The non-crossing
-partitions of a word group by the block B that holds any one chosen
-position, the anchor; every other block lies in an inner gap of B, a run
-between two of its positions, or in the outer word, the positions before
-B followed by those after it (Nica-Speicher, Lectures on the
-Combinatorics of Free Probability, Lectures 9-11).  So for every anchor
+`_block_table` runs the moment-cumulant first-block recursion over a
+whole table, in both directions.  The non-crossing partitions of a word
+group by the block B that holds any one chosen position, the anchor;
+every other block lies in an inner gap of B, a run between two of its
+positions, or in the outer word, the positions before B followed by
+those after it (Nica-Speicher, Lectures on the Combinatorics of Free
+Probability, Lectures 9-11).  So for every anchor
 
     m(w) = sum over B containing the anchor of
            kappa(w|B) prod m(w|inner gap) m(w|outer word).
 
-When the mixed cumulants shorter than w vanish, only the blocks inside
-the anchor's colour count.  The core anchors a mixed word at the first
-position of its rarest colour, so a word with c positions of that colour
-sums 2^(c-1) blocks, not 2^(n-1), and it visits no block of a pure word.
-Its block maps come from the caller, one tuple per colour pattern, and
-the pure cumulants from each colour's own table, one length at a time,
-just before the mixed words that read them.  The table cores grow their
-position lists one length at a time, so a caller that stops early
+A word of one colour is anchored at its first position and sums all
+2^(n-1) of its blocks.  While the mixed cumulants shorter than a mixed
+word vanish, only the blocks inside the anchor's colour count, so the
+word is anchored at the first position of its rarest colour, and with c
+positions of that colour it sums 2^(c-1) blocks, not 2^(n-1).  A dense
+table is the case of one colour.  The core holds the table's entries
+and outputs as (den, nums) pairs in flat lists indexed by shortlex
+position, the offset of a word's length plus its base-num_vars value,
+and reads each given entry once, as its word comes up.  A block visit
+reads subwords and gaps through the integer index maps of `_block_plan`,
+built once per (colouring, length) with list comprehensions and cached,
+so it builds and hashes no tuple, and a caller that stops early
 allocates nothing for the longer words.
 
 `_powers` computes the rows of a power chain, [z^m]f^a for every
@@ -81,8 +76,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product  # read by the table cores
-from math import comb, factorial, gcd, lcm
+from itertools import product
+from math import comb, factorial, gcd, lcm, prod
 from operator import itemgetter
 import re
 from typing import Iterable, Iterator, Sequence
@@ -281,82 +276,33 @@ def accumulate(k, terms):
             $vec(a) = $axpy(a, weight, z)
     return CkScalar._built(k, den, ($vec(a)))
 """,
-    "first_block_table": """
-def first_block_table(k, given, num_vars, max_len, sign, position_maps):
-    built = CkScalar._built
-    known, found = [None], [None]
-    kappa, moment = (found, known) if sign < 0 else (known, found)
-    zero = 1, ($zeros())
-    shared_zero = CkScalar.zero(k)
-    base = 1
-    for n in range(1, max_len + 1):
-        known += [None] * num_vars ** n
-        found += [None] * num_vars ** n
-        blocks = position_maps(num_vars, n)[:-1] if sign < 0 else position_maps(num_vars, n)
-        for j, w in enumerate(product(range(1, num_vars + 1), repeat=n)):
-            p = base + j
-            x = given.get(w)
-            if x is not None and any(x.nums):
-                known[p] = x.den, x.nums
-            den, ($vec(a)) = (known[p] or zero) if sign < 0 else zero
-            for bmap, gmaps in blocks:
-                c = kappa[bmap[j]]
-                if c is None:
-                    continue
-                tden, ($vec(z)) = c
-                for gmap in gmaps:
-                    g = moment[gmap[j]]
-                    if g is None:
-                        break
-                    gden, ($vec(y)) = g
-                    tden *= gden
-                    $vec(z) = $mul(z, y)
-                else:
-                    if den % tden:
-                        up = tden // gcd(den, tden)
-                        den *= up
-                        $vec(a) = $scale(a, up)
-                    f = sign * (den // tden)
-                    $vec(a) = $axpy(a, f, z)
-            if $any(a):
-                out = built(k, den, ($vec(a)))
-                found[p] = out.den, out.nums
-                yield w, out
-            else:
-                yield w, shared_zero
-        base += num_vars ** n
-""",
-    "free_block_table": """
-def free_block_table(k, moments, pure, colors, max_len, sign, plan):
+    "block_table": """
+def block_table(k, cumulants, moments, colors, max_len, sign, pure_len, plan):
     built = CkScalar._built
     num_vars = len(colors)
-    moment, kappa = [None], [None]
+    kappa, moment = [None], [None]
     zero = 1, ($zeros())
     shared_zero = CkScalar.zero(k)
     base = 1
     for n in range(1, max_len + 1):
-        moment += [None] * num_vars ** n
         kappa += [None] * num_vars ** n
-        blocks_at, index_at, _ = plan(colors, n)
-        if n > 1 and len(pure) > 1:
-            for positions, cumulants in zip(plan(colors, n - 1)[2], pure):
-                for p, (_, x) in zip(positions, cumulants):
-                    if any(x.nums):
-                        kappa[p] = x.den, x.nums
+        moment += [None] * num_vars ** n
+        every, mixed, index_at = plan(colors, n)
+        blocks_at = every if n <= pure_len else mixed
         for j, w in enumerate(product(range(1, num_vars + 1), repeat=n)):
             p = base + j
+            c = cumulants.get(w)
+            if c is not None and any(c.nums):
+                kappa[p] = c.den, c.nums
+            x = moments.get(w)
+            if x is not None and any(x.nums):
+                moment[p] = x.den, x.nums
             blocks = blocks_at[j]
-            if blocks is None or sign < 0:
-                x = moments.get(w)
-                if any(x.nums):
-                    moment[p] = x.den, x.nums
-                if blocks is None:
-                    if sign > 0:
-                        yield w, x
-                    continue
-                den, ($vec(a)) = moment[p] or zero
-            else:
-                den, ($vec(a)) = zero
+            if blocks is None:
+                if sign > 0:
+                    yield w, x
+                continue
+            den, ($vec(a)) = (moment[p] or zero) if sign < 0 else zero
             i = index_at[j]
             for bmap, gmaps in blocks:
                 c = kappa[bmap[i]]
@@ -379,8 +325,7 @@ def free_block_table(k, moments, pure, colors, max_len, sign, plan):
                     $vec(a) = $axpy(a, f, z)
             if $any(a):
                 out = built(k, den, ($vec(a)))
-                if sign > 0:
-                    moment[p] = out.den, out.nums
+                (kappa if sign < 0 else moment)[p] = out.den, out.nums
                 yield w, out
             else:
                 yield w, shared_zero
@@ -606,47 +551,96 @@ def _accumulate(k: int, terms: Iterable) -> CkScalar:
 
 
 @lru_cache(maxsize=None)
-def _position_maps(num_vars: int, n: int) -> tuple:
-    """(bmap, gmaps) for every block B containing position 0 of a word of
-    length n over {1..num_vars}, the full block B = (0, ..., n-1) last.
+def _block_plan(colors: tuple, n: int) -> tuple:
+    """(blocks, mixed, index) for the words of length n over the variables
+    1..len(colors), variable x of colour colors[x - 1], keyed on the
+    colouring and the length alone, so every caller of the table core
+    shares one plan.
 
-    A word's position in a whole table is the offset of its length plus its
-    base-num_vars value: the empty word is at 0, the words of each length
-    follow the shorter ones in shortlex order, and the word w + (c,) sits at
-    num_vars * position(w) + c.  bmap[j] is the position of the subword on
-    B of the j-th word of length n, and gmaps holds, for each maximal run
-    of positions outside B, the same map for the subword on that run, one
-    list shared by every block with that run.  A map grows from a shorter
-    one by one letter column in one list comprehension, so no Python loop
-    runs per word."""
-    v = num_vars
-    # columns[i][j]: the letter at 0-based position i of the j-th word
-    columns = [[c for c in range(1, v + 1) for _ in range(v ** (n - 1 - i))] * v ** i
-               for i in range(n)]
+    blocks[j] is the tuple of `_pattern_blocks` that every word of the
+    j-th word's colour pattern shares, shortlex, and mixed is the same
+    list with None at each pure word.  index[j] is the word's place among
+    the words of its pattern, the place its blocks' maps are read at.
+    Every list is one comprehension per letter column, so no Python loop
+    runs per word, and a pattern's blocks cost one map entry per word and
+    block visited."""
+    v = len(colors)
+    palette = sorted(set(colors))
+    members = [[x for x in range(1, v + 1) if colors[x - 1] == c] for c in palette]
+    # tone[x], rank[x], size[x]: the palette index of variable x, its place
+    # among the variables of its colour, and their number
+    tone, rank, size = [0] * (v + 1), [0] * (v + 1), [0] * (v + 1)
+    for t, variables in enumerate(members):
+        for r, x in enumerate(variables):
+            tone[x], rank[x], size[x] = t, r, len(variables)
+    tones = len(palette)
+    pattern, index = [0] * v ** n, [0] * v ** n
+    for i in range(n):
+        column = [c for c in range(1, v + 1) for _ in range(v ** (n - 1 - i))] * v ** i
+        pattern = [tones * p + tone[c] for p, c in zip(pattern, column)]
+        index = [size[c] * q + rank[c] for q, c in zip(index, column)]
+    # the patterns in the order of their numbers in pattern
+    patterns = list(product(range(tones), repeat=n))
+    shared = [_pattern_blocks(v, members, pat) for pat in patterns]
+    shared_mixed = [b if len(set(pat)) > 1 else None for b, pat in zip(shared, patterns)]
+    return [shared[p] for p in pattern], [shared_mixed[p] for p in pattern], index
 
-    def then(m: list, i: int) -> list:
-        """The map m of a subword extended by the letter at position i."""
-        return [v * p + c for p, c in zip(m, columns[i])]
 
-    # runs[a, b]: the map of the run of positions a .. b - 1, for 0 < a < b <= n
-    runs = {}
-    for a in range(1, n):
-        runs[a, a + 1] = m = columns[a]
-        for b in range(a + 1, n):
-            runs[a, b + 1] = m = then(m, b)
+def _pattern_blocks(num_vars: int, members: list, tones: tuple) -> tuple:
+    """The blocks of the words with colour pattern tones, tones[q] the
+    palette index of position q and members[t] the variables of colour t:
+    (bmap, gmaps) for every block B that holds the anchor, the first
+    position of the rarest colour, ties to the colour met first, and lies
+    inside that colour.  A pure pattern's anchor is position 0, and its
+    blocks are all the first blocks, the full one included.  bmap maps the
+    i-th word of the pattern, in shortlex order, to the shortlex position
+    of its subword on B, and gmaps holds the same maps for the nonempty
+    inner gaps of B and its outer word, the positions before B followed by
+    those after it."""
+    n = len(tones)
+    anchor_tone = min(set(tones), key=lambda t: (tones.count(t), tones.index(t)))
+    anchor, *later = [q for q in range(n) if tones[q] == anchor_tone]
+    # suffix[q]: the shortlex position of the subword on q..n-1 of each
+    # word of the pattern, the words in shortlex order.  A word's position
+    # is its value in bijective base num_vars, the sum of u_i
+    # num_vars^(r - 1 - i) over its letters, so the run lo..hi-1 has the
+    # map (suffix[lo] - suffix[hi]) / num_vars^(n - hi): one comprehension
+    # per run, a letter's column included, whatever the run's length.
+    count = prod(len(members[t]) for t in tones)
+    suffix, tail = [[0] * count], [0]
+    for q in range(n - 1, -1, -1):
+        scale = num_vars ** (n - 1 - q)
+        tail = [x * scale + p for x in members[tones[q]] for p in tail]
+        suffix.append(tail * (count // len(tail)))
+    suffix.reverse()
+    runs: dict = {}
+
+    def run(lo: int, hi: int) -> tuple:
+        m = runs.get((lo, hi))
+        if m is None:
+            d = num_vars ** (n - hi)
+            m = runs[lo, hi] = tuple([(x - y) // d for x, y in zip(suffix[lo], suffix[hi])])
+        return m
+
+    # outer[last]: the map of the outer word of a block whose largest
+    # position is last, None if it is empty
+    head = run(0, anchor)
+    outer = {last: tuple([h * num_vars ** (n - 1 - last) + t
+                          for h, t in zip(head, suffix[last + 1])])
+             if anchor or last < n - 1 else None
+             for last in (anchor, *later)}
     out = []
 
-    def extend(last: int, bmap: list, gmaps: tuple) -> None:
-        """Record the block with map bmap, largest position last and the
-        maps gmaps of its runs before last, then every block that adds
-        positions after last to it."""
-        out.append((bmap, gmaps + (runs[last + 1, n],) if last < n - 1 else gmaps))
-        for i in range(last + 1, n):
-            extend(i, then(bmap, i), gmaps + (runs[last + 1, i],) if i > last + 1 else gmaps)
+    def extend(last: int, bmap: tuple, gmaps: tuple, rest: list) -> None:
+        """Record the block with map bmap, largest position last and inner
+        gap maps gmaps, then every block that adds later positions of the
+        anchor's colour to it."""
+        out.append((bmap, gmaps if outer[last] is None else gmaps + (outer[last],)))
+        for i, q in enumerate(rest):
+            extend(q, tuple([num_vars * p + c for p, c in zip(bmap, run(q, q + 1))]),
+                   gmaps + (run(last + 1, q),) if q > last + 1 else gmaps, rest[i + 1:])
 
-    extend(0, columns[0], ())
-    # blocks are recorded depth first, so the full block is the n-th
-    out.append(out.pop(n - 1))
+    extend(anchor, run(anchor, anchor + 1), (), later)
     return tuple(out)
 
 
@@ -659,66 +653,37 @@ def _subword_getter(positions: tuple) -> itemgetter:
     return itemgetter(slice(positions[0], positions[0] + 1))
 
 
-def _first_block_table(k: int, given: dict, num_vars: int, max_len: int,
-                       invert: bool) -> Iterator[tuple]:
-    """The trusted moment-cumulant core: (word, scalar) for every word over
-    {1..num_vars} of length 1..max_len, shortlex, by the first-block
-    recursion m(w) = sum over blocks B containing 1 of kappa(w|B) prod
-    m(w|gap), over the `_position_maps` of each length.
+def _block_table(k: int, cumulants: dict, moments: dict, colors: tuple, max_len: int,
+                 invert: bool, pure_len: int) -> Iterator[tuple]:
+    """The trusted moment-cumulant core: (word, scalar) for the words over
+    the variables 1..len(colors), variable x of colour colors[x - 1], of
+    length 1..max_len, shortlex, by the anchored first-block recursion
+    over the blocks of `_block_plan`: every block of a word of length up
+    to pure_len, and above it those of the mixed words alone.
 
-    given is the input table of order-k scalars: cumulants, whose moments
-    are computed, or, if invert, moments, whose cumulants are computed as
-    kappa(w) = m(w) minus the sum over the proper blocks, all but the full
-    block B = [n], whose cumulant is the one being solved for.  Both
-    directions are one core, the sign of the sum passed in.
+    Without invert, it sums moments over the cumulants given, and a word
+    with no blocks yields its entry of moments, the same object.  With
+    invert, it solves for cumulants, kappa(w) = m(w) minus the sum, and a
+    word with no blocks yields nothing.  A pure word's blocks keep its full
+    block: its own cumulant is given before its sum without invert, and is
+    recorded only after its sum with invert, so there it adds nothing.  A
+    mixed word's blocks all lie inside one colour, so its sum is exact
+    while every mixed cumulant shorter than it vanishes: a missing one
+    without invert, and, with invert, whenever every earlier mixed output
+    was zero.  So one colour and pure_len = max_len give the dense
+    transforms.
 
-    Each entry of given is read once through its get, as its word comes
-    up, and a nonzero one is kept as a (den, nums) pair at the word's
-    shortlex position, as is every nonzero output; a missing word is a
-    zero.  A block's subword and gaps are read by position through the
-    block's maps.  A block whose kappa(w|B) is zero is skipped before any
-    gap moment is read, and a term is dropped at its first zero gap
-    moment.  The rest is a chain of Leibniz products, gap by gap, added
-    over a running lcm denominator and reduced once per word.  A word whose
-    sum is zero gets one scalar shared by every zero output, and only a
-    nonzero output is built and recorded.  A caller that stops early pays
-    for no later word, and no entry of a later word is read."""
-    return _core("first_block_table", k)(k, given, num_vars, max_len, -1 if invert else 1,
-                                         _position_maps)
-
-
-def _free_block_table(k: int, moments: dict, pure: list, colors: tuple, max_len: int,
-                      invert: bool, plan) -> Iterator[tuple]:
-    """The trusted free-product core: the first-block recursion of
-    `_first_block_table` for a table whose variables are coloured by colors
-    and whose mixed cumulants vanish, summed over the blocks each mixed
-    word has in plan(colors, n) alone, anchored at its rarest colour.
-
-    plan(colors, n) gives (blocks, index, pure positions) for the words of
-    length n: blocks[j] is None for the j-th word if it is pure, and
-    otherwise its pattern's tuple of (bmap, gmaps), the maps of a block's
-    subword and of its inner gaps and outer word, read at index[j]; the
-    pure positions of a colour are the shortlex positions of its words,
-    in the order of its own words.
-
-    pure holds one iterator per colour of the sorted palette, each yielding
-    (word, cumulant) for that colour's own words, the letter x standing for
-    its x-th variable, shortlex; the cumulants of length n - 1 are drawn
-    just before the words of length n, so a caller that stops early draws
-    none of a later length.  moments gives, through its get, the moment of
-    every pure word and, if invert, of every mixed one too.
-
-    Without invert, (word, moment) comes for every word of length 1 to
-    max_len, shortlex: a pure word's is its entry of moments, the same
-    object, and a mixed word's is the sum.  With invert, (word, cumulant)
-    comes for every mixed word alone, kappa(w) = m(w) minus the sum: every
-    block inside one colour is proper, and once the mixed cumulants
-    shorter than w vanish, the others add nothing, so this is w's cumulant
-    whenever every earlier mixed word's was zero.  An entry of moments is
-    read once, as its word comes up; terms and zeros are handled as in
-    `_first_block_table`."""
-    return _core("free_block_table", k)(k, moments, pure, colors, max_len, -1 if invert else 1,
-                                        plan)
+    Each word's entries of cumulants and moments are read once, through
+    their get, as it comes up, a missing one a zero, and a nonzero entry or
+    output is kept as a (den, nums) pair at the word's shortlex position.
+    A block whose kappa(w|B) is zero is skipped before any gap moment is
+    read, and a term is dropped at its first zero gap moment.  The rest is
+    a chain of Leibniz products, gap by gap, added over a running lcm
+    denominator and reduced once per word, every zero output one shared
+    scalar.  A caller that stops early pays for no later word, and no
+    entry of a later word is read."""
+    return _core("block_table", k)(k, cumulants, moments, colors, max_len, -1 if invert else 1,
+                                   pure_len, _block_plan)
 
 
 def _product_tuple_table(k: int, kappa: list, npairs: int, max_len: int, maps) -> Iterator[tuple]:

@@ -12,19 +12,18 @@ outside B, and every other block lies inside one gap.  So
 2^(n-1) terms for a word of length n instead of Catalan(n).  The inverse
 direction solves the same identity for its B = [n] term.
 
-Both directions are one call of the trusted whole-table kernel
-`ck._first_block_table`, which builds the words of each length itself and
-reads each block's subword and gaps by shortlex position, through index
-maps cached per number of variables and length.  Each term reads
+Both directions are one call of the trusted table core `ck._block_table`
+with every variable of one colour, which builds the words of each length
+itself and reads each block's subword and gaps by shortlex position,
+through index maps cached per colouring and length.  Each term reads
 kappa(w|B) first and is dropped when that cumulant is zero, before any
-gap moment is looked up.  A table whose mixed cumulants vanish, a free
-product's or the freeness checker's, goes through the free core
-`ck._free_block_table` instead, which visits only the blocks inside one
-colour.  No entry is checked there, because every
-given one was validated once already, by the table constructor, and
-every computed one was built by the kernel itself; its outputs become
-tables through the trusted constructor `_of` that every value class
-shares, without the constructor's checks.
+gap moment is looked up.  A free product and the freeness checker run the
+same core over a colouring, where a mixed word visits only the blocks
+inside one colour.  No entry is checked there, because every given one
+was validated once already, by the table constructor, and every computed
+one was built by the core itself; its outputs become tables through the
+trusted constructor `_of` that every value class shares, without the
+constructor's checks.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ from operator import index
 from typing import TYPE_CHECKING, Iterator
 
 from ._value import Value
-from .ck import CkScalar, _accumulate, _first_block_table, _subword_getter
+from .ck import CkScalar, _accumulate, _block_table, _subword_getter
 
 if TYPE_CHECKING:
     from .partitions import SetPartition
@@ -114,14 +113,14 @@ def cumulants_to_moments(c: CumulantTable) -> InfLaw:
     """Moment of each word as the sum over non-crossing partitions of the
     block products of cumulants, by the first-block decomposition.  Words
     come shortest first, so the moments of the gaps are already known."""
-    out = dict(_first_block_table(c.k, c.values, c.num_vars, c.max_len, False))
+    out = dict(_block_table(c.k, c.values, {}, (1,) * c.num_vars, c.max_len, False, c.max_len))
     return InfLaw._of(c.k, c.num_vars, c.max_len, out)
 
 
 def _cumulants_shortlex(m: InfLaw, max_len: int) -> Iterator[tuple]:
     """(word, cumulant) for the words of m up to length max_len, shortlex;
     a caller that stops early pays for no later word."""
-    return _first_block_table(m.k, m.values, m.num_vars, max_len, True)
+    return _block_table(m.k, {}, m.values, (1,) * m.num_vars, max_len, True, max_len)
 
 
 def moments_to_cumulants(m: InfLaw) -> CumulantTable:

@@ -13,20 +13,20 @@ that hold a mixed block, other than the one-block partition, add nothing
 to its moment.  So a mixed word's cumulant is its moment minus the sum
 over the blocks inside its rarest colour that hold the first position of
 that colour, times the moments of the gaps and of the outer word around
-them: the free core of `ck`, which a free product runs the other way to
-build its mixed moments.  The first nonzero one found is exact, and the
-scan ends there.
+them.  One call of the table core `ck._block_table` computes them, with
+the pure cumulants they read, and a free product runs the same core the
+other way to build its mixed moments.  The first nonzero one found is
+exact, and the scan ends there.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
-from math import factorial, prod
+from math import factorial
 from operator import index
 
 from ._value import Value
-from .ck import CkScalar, _coerce, _first_block_table, _free_block_table, _product_tuple_table
+from .ck import CkScalar, _block_table, _coerce, _product_tuple_table
 from .cumulants import CumulantTable, InfLaw, _cumulants_shortlex, _nc_block_getters, all_words
 
 
@@ -161,118 +161,19 @@ def _check_max_len(max_len: int) -> None:
         raise ValueError(f"length budget must be >= 1, got {max_len}")
 
 
-@lru_cache(maxsize=None)
-def _free_plan(colors: tuple, n: int) -> tuple:
-    """(blocks, index, pure) for the words of length n over the variables
-    1..len(colors), variable x of colour colors[x - 1].
-
-    blocks[j] is None if the j-th word of length n, shortlex, is pure, and
-    otherwise the tuple of `_pattern_blocks` that every word of its colour
-    pattern shares; index[j] is the word's place among the words of its
-    pattern, the position its blocks' maps are read at.  pure[t] holds the
-    shortlex positions of the words of the t-th colour of the sorted
-    palette, in the shortlex order of that colour's own words, the letter
-    x standing for its x-th variable.  Every list is one comprehension per
-    letter column, so no Python loop runs per word, and a pattern's blocks
-    cost one map entry per word and block visited."""
-    v = len(colors)
-    palette = sorted(set(colors))
-    members = [[x for x in range(1, v + 1) if colors[x - 1] == c] for c in palette]
-    # tone[x], rank[x], size[x]: the palette index of variable x, its place
-    # among the variables of its colour, and their number
-    tone, rank, size = [0] * (v + 1), [0] * (v + 1), [0] * (v + 1)
-    for t, variables in enumerate(members):
-        for r, x in enumerate(variables):
-            tone[x], rank[x], size[x] = t, r, len(variables)
-    tones = len(palette)
-    pattern, index = [0] * v ** n, [0] * v ** n
-    for i in range(n):
-        column = [c for c in range(1, v + 1) for _ in range(v ** (n - 1 - i))] * v ** i
-        pattern = [tones * p + tone[c] for p, c in zip(pattern, column)]
-        index = [size[c] * q + rank[c] for q, c in zip(index, column)]
-    # the patterns in the order of their numbers in pattern
-    shared = [_pattern_blocks(v, members, pat) for pat in product(range(tones), repeat=n)]
-    pure = []
-    for variables in members:
-        m = variables
-        for _ in range(n - 1):
-            m = [v * p + x for p in m for x in variables]
-        pure.append(m)
-    return [shared[p] for p in pattern], index, pure
-
-
-def _pattern_blocks(num_vars: int, members: list, tones: tuple) -> tuple | None:
-    """The blocks of the words with colour pattern tones, tones[q] the
-    palette index of position q and members[t] the variables of colour t:
-    None for a pure pattern, and otherwise (bmap, gmaps) for every block B
-    that holds the anchor, the first position of the rarest colour, and
-    lies inside that colour.  bmap maps the i-th word of the pattern, in
-    shortlex order, to the shortlex position of its subword on B, and gmaps
-    holds the same maps for the nonempty inner gaps of B and its outer
-    word, the positions before B followed by those after it."""
-    present = set(tones)
-    if len(present) < 2:
-        return None
-    n = len(tones)
-    anchor_tone = min(present, key=lambda t: (tones.count(t), tones.index(t)))
-    anchor, *later = [q for q in range(n) if tones[q] == anchor_tone]
-    # suffix[q]: the shortlex position of the subword on q..n-1 of each
-    # word of the pattern, the words in shortlex order.  A word's position
-    # is its value in bijective base num_vars, the sum of u_i
-    # num_vars^(r - 1 - i) over its letters, so the run lo..hi-1 has the
-    # map (suffix[lo] - suffix[hi]) / num_vars^(n - hi): one comprehension
-    # per run, a letter's column included, whatever the run's length.
-    count = prod(len(members[t]) for t in tones)
-    suffix, tail = [[0] * count], [0]
-    for q in range(n - 1, -1, -1):
-        scale = num_vars ** (n - 1 - q)
-        tail = [x * scale + p for x in members[tones[q]] for p in tail]
-        suffix.append(tail * (count // len(tail)))
-    suffix.reverse()
-    runs: dict = {}
-
-    def run(lo: int, hi: int) -> tuple:
-        m = runs.get((lo, hi))
-        if m is None:
-            d = num_vars ** (n - hi)
-            m = runs[lo, hi] = tuple([(x - y) // d for x, y in zip(suffix[lo], suffix[hi])])
-        return m
-
-    # outer[last]: the map of the outer word of a block whose largest
-    # position is last, None if it is empty
-    head = run(0, anchor)
-    outer = {last: tuple([h * num_vars ** (n - 1 - last) + t
-                          for h, t in zip(head, suffix[last + 1])])
-             if anchor or last < n - 1 else None
-             for last in (anchor, *later)}
-    out = []
-
-    def extend(last: int, bmap: tuple, gmaps: tuple, rest: list) -> None:
-        """Record the block with map bmap, largest position last and inner
-        gap maps gmaps, then every block that adds later positions of the
-        anchor's colour to it."""
-        out.append((bmap, gmaps if outer[last] is None else gmaps + (outer[last],)))
-        for i, q in enumerate(rest):
-            extend(q, tuple([num_vars * p + c for p, c in zip(bmap, run(q, q + 1))]),
-                   gmaps + (run(last + 1, q),) if q > last + 1 else gmaps, rest[i + 1:])
-
-    extend(anchor, run(anchor, anchor + 1), (), later)
-    return tuple(out)
-
-
 def free_product_joint(laws: list, max_len: int):
     """Joint law of the disjoint union of the inputs' variables, free by
     construction, and its coloring.
 
     A free product's pure cumulants are its factors' and its mixed ones
     vanish (Nica-Speicher, Lectures on the Combinatorics of Free
-    Probability, Lecture 11).  So its moments come from the free core
-    `ck._free_block_table`: a pure joint moment is the factor's own
-    scalar, and a mixed one sums only the blocks inside the word's rarest
-    colour that hold its first position of that colour, over the factors'
-    cumulants and the shorter joint moments.  A pure block of a mixed word
-    is shorter than the word, so the factors' cumulants are computed below
-    max_len alone."""
+    Probability, Lecture 11).  So its moments come from the table core
+    `ck._block_table` with no pure word summed: a pure joint moment is the
+    factor's own scalar, and a mixed one sums only the blocks inside the
+    word's rarest colour that hold its first position of that colour, over
+    the factors' cumulants and the shorter joint moments.  A pure block of
+    a mixed word is shorter than the word, so the factors' cumulants are
+    computed below max_len alone."""
     if not laws:
         raise ValueError("need at least one factor")
     _check_max_len(max_len)
@@ -281,21 +182,17 @@ def free_product_joint(laws: list, max_len: int):
         raise ValueError("factors must share the order k")
     if any(law.max_len < max_len for law in laws):
         raise ValueError(f"every factor needs moments up to length {max_len}")
-    colors = []
-    pure_cumulants = []
-    pure_moments = {}
+    colors, pure_cumulants, pure_moments = [], {}, {}
     for idx, law in enumerate(laws, start=1):
         offset = len(colors)
         colors.extend([idx] * law.num_vars)
         values = law.values
         for w in all_words(law.num_vars, max_len):
             pure_moments[tuple(v + offset for v in w)] = values[w]
-        # every factor cumulant below max_len is read, so each factor's
-        # come in one pass, before the core draws them length by length
-        pure_cumulants.append(iter(list(_cumulants_shortlex(law, max_len - 1))))
+        for w, x in _cumulants_shortlex(law, max_len - 1):
+            pure_cumulants[tuple(v + offset for v in w)] = x
     colors = tuple(colors)
-    table = dict(_free_block_table(k, pure_moments, pure_cumulants, colors, max_len, False,
-                                   _free_plan))
+    table = dict(_block_table(k, pure_cumulants, pure_moments, colors, max_len, False, 0))
     return InfLaw._of(k, len(colors), max_len, table), Coloring(colors)
 
 
@@ -403,21 +300,6 @@ def _first_mixed(items, coloring: Coloring) -> tuple | None:
     return None
 
 
-class _Restriction:
-    """A law's moments on the words of some of its variables, read through
-    get by the words over 1..len(variables), the letter x standing for
-    variables[x - 1]: one entry at a time, as the kernel asks for it."""
-
-    __slots__ = ("values", "letters")
-
-    def __init__(self, values: dict, variables: tuple):
-        self.values = values
-        self.letters = (None, *variables).__getitem__
-
-    def get(self, w: tuple):
-        return self.values.get(tuple(map(self.letters, w)))
-
-
 def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> FreenessVerdict:
     """Bounded test of infinitesimal freeness of order k: every cumulant of
     a word of length <= max_len that mixes colours must vanish.
@@ -432,37 +314,30 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
     reported failure is a genuine one; a pass certifies freeness up to the
     budget.
 
-    The mixed cumulants come from the free core `ck._free_block_table`,
-    one word at a time, shortlex, and the scan stops at the first nonzero
-    one.  By induction on the length, each is exact: while every mixed
-    cumulant shorter than a word w vanishes, the non-crossing partitions of
-    w with a mixed block other than the full one add nothing, so kappa(w)
-    is m(w) minus the sum over the blocks inside w's rarest colour that
-    hold its first position of that colour, with the gap and outer-word
-    moments around them.  Until the first nonzero mixed cumulant that
-    induction holds for every word the scan reaches, and at it the scan
-    ends.  The pure cumulants those blocks read come from each colour's own
-    moment-cumulant transform, `ck._first_block_table` on the law's
-    restriction to that colour's variables, drawn one length at a time, so
-    an early failure reads no moment and no restricted entry past its
-    length.  A law of one colour has no mixed word and passes at once.
+    The cumulants come from one call of the table core `ck._block_table`
+    over the law's own moments, one word at a time, shortlex, and the scan
+    stops at the first nonzero mixed one.  Below max_len every word is
+    summed, a pure one over all its first blocks, so the pure cumulants are
+    each colour's own transform.  By induction on the length, each mixed
+    one is exact: while every mixed cumulant shorter than a word w
+    vanishes, the non-crossing partitions of w with a mixed block other
+    than the full one add nothing, so kappa(w) is m(w) minus the sum over
+    the blocks inside w's rarest colour that hold its first position of
+    that colour, with the gap and outer-word moments around them.  Until
+    the first nonzero mixed cumulant that induction holds for every word
+    the scan reaches, and at it the scan ends, so an early failure reads
+    no moment past its length.  A law of one colour has no mixed word and
+    passes at once.
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the law")
     _check_max_len(max_len)
     if max_len > joint.max_len:
         raise ValueError("law is too short for the requested length budget")
-    palette = coloring.palette()
-    if len(palette) < 2:
+    if len(coloring.palette()) < 2:
         return FreenessVerdict(True, None)
-    colors, values = coloring.colors, joint.values
-    pure = []
-    for c in palette:
-        variables = tuple(v for v in range(1, joint.num_vars + 1) if colors[v - 1] == c)
-        pure.append(_first_block_table(joint.k, _Restriction(values, variables), len(variables),
-                                       max_len - 1, True))
-    cumulants = _free_block_table(joint.k, values, pure, colors, max_len, True, _free_plan)
-    failed = next(((w, x) for w, x in cumulants if any(x.nums)), None)
+    failed = _first_mixed(_block_table(joint.k, {}, joint.values, coloring.colors, max_len, True,
+                                       max_len - 1), coloring)
     if failed is None:
         return FreenessVerdict(True, None)
     w, cumulant = failed

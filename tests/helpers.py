@@ -606,7 +606,7 @@ def _first_blocks(n: int) -> tuple:
     length n, the full block B = (0, ..., n-1) last.  Positions are 0-based;
     on_b maps a word to its subword on B, and the gaps are the slices of
     the maximal runs outside B: the blocks as tuple getters, independent of
-    the position maps of `ck._first_block_table`."""
+    the position maps of `ck._block_table`."""
     out = []
     for size in range(n):
         for rest in combinations(range(1, n), size):
@@ -618,7 +618,7 @@ def _first_blocks(n: int) -> tuple:
 
 def first_block_table_oracle(k: int, given: dict, num_vars: int, max_len: int,
                              invert: bool, seeded: dict):
-    """`ck._first_block_table` as a plain loop over tuple-keyed dicts:
+    """`ck._block_table` of one colour as a plain loop over tuple-keyed dicts:
     (word, scalar) shortlex by the first-block recursion over (den, nums)
     pairs, each block's subwords read by `_first_blocks`' getters and
     slices, each term a chain of generic Leibniz products, the zero outputs
@@ -663,6 +663,47 @@ def first_block_table_oracle(k: int, given: dict, num_vars: int, max_len: int,
                 yield w, out
             else:
                 yield w, shared_zero
+
+
+def shortlex_position(w: tuple, num_vars: int) -> int:
+    """The place of w among all words over 1..num_vars, shortlex, the
+    empty word at 0: its value in bijective base num_vars."""
+    p = 0
+    for c in w:
+        p = num_vars * p + c
+    return p
+
+
+def block_plan_oracle(colors: tuple, n: int) -> list:
+    """(index, pure, blocks) for each word of length n over the variables
+    1..len(colors), shortlex, from position tuples: index is the word's
+    place among the earlier words of its colour pattern, and blocks the
+    sorted (subword position, gap positions) of each of its blocks.  A
+    pure word's blocks are the position sets that hold position 0; a mixed
+    word's are the subsets of its rarest colour's positions that hold that
+    colour's first position, ties to the colour that appears first.  A
+    block's gaps are its nonempty inner runs, in order, then its outer
+    word, the positions before it followed by those after it, if any."""
+    v = len(colors)
+    seen = Counter()
+    out = []
+    for w in iter_product(range(1, v + 1), repeat=n):
+        pattern = tuple(colors[x - 1] for x in w)
+        present = list(dict.fromkeys(pattern))  # in order of first appearance
+        rarest = min(present, key=pattern.count)
+        first, *rest = [q for q in range(n) if pattern[q] == rarest]
+        blocks = []
+        for size in range(len(rest) + 1):
+            for later in combinations(rest, size):
+                b = (first,) + later
+                gaps = [tuple(range(lo + 1, hi)) for lo, hi in zip(b, b[1:]) if hi > lo + 1]
+                outer = tuple(range(b[0])) + tuple(range(b[-1] + 1, n))
+                gaps += [outer] if outer else []
+                on = [shortlex_position(tuple(w[q] for q in g), v) for g in [b] + gaps]
+                blocks.append((on[0], tuple(on[1:])))
+        out.append((seen[pattern], len(present) == 1, sorted(blocks)))
+        seen[pattern] += 1
+    return out
 
 
 class ReadLog(dict):

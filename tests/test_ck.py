@@ -329,19 +329,39 @@ def _check_cores_on(rng, k: int, num_vars: int, max_len: int):
         got = list(ck._product_tuple_table(k, kappa, npairs, top, maps))
         assert got == list(product_tuple_table_oracle(k, table, first, second, top)), (k, kind)
         runs += [(kind, table, invert) for invert in (False, True)]
+        # the free-product direction: the table's pure words below max_len
+        # as the cumulants of a random colouring, whose mixed ones vanish,
+        # and the pure moments they give, against the whole-table recursion
+        # seeded with those moments
+        colors = tuple(rng.randint(1, 3) for _ in range(num_vars))
+        pure = {w: x for w, x in table.items()
+                if len(w) < max_len and len({colors[v - 1] for v in w}) == 1}
+        moments = {w: x for w, x in first_block_table_oracle(k, pure, num_vars, max_len, False, {})
+                   if len({colors[v - 1] for v in w}) == 1}
+        got = list(ck._block_table(k, pure, moments, colors, max_len, False, 0))
+        assert got == list(first_block_table_oracle(k, pure, num_vars, max_len, False, moments)), \
+            (k, colors, max_len, kind)
+        _check_early_stop(rng, got, words, k, pure, moments, colors, max_len, False, 0)
     for kind, table, invert in runs:
         # the kernel reads its inputs by position, not in the dicts' order
         table = dict(rng.sample(list(table.items()), len(table)))
         args = (k, table, num_vars, max_len, invert)
-        got = list(ck._first_block_table(*args))
+        given = ({}, table) if invert else (table, {})
+        got = list(ck._block_table(k, *given, (1,) * num_vars, max_len, invert, max_len))
         assert [w for w, _ in got] == words, (k, kind)
         assert got == list(first_block_table_oracle(*args, {})), (k, num_vars, max_len, kind, invert)
-        # a consumer that stops early: no entry of a later word is read
-        stop = rng.randint(1, len(got))
-        log = []
-        early = ck._first_block_table(k, ReadLog(table, log), num_vars, max_len, invert)
-        assert list(islice(early, stop)) == got[:stop]
-        assert log and set(log) <= set(words[:stop]), (k, kind, invert, stop)
+        _check_early_stop(rng, got, words, k, *given, (1,) * num_vars, max_len, invert, max_len)
+
+
+def _check_early_stop(rng, got: list, words: list, k: int, cumulants: dict, moments: dict,
+                      *args):
+    """A consumer of the table core that stops early: no entry of a later
+    word is read from either dict."""
+    stop = rng.randint(1, len(got))
+    log = []
+    early = ck._block_table(k, ReadLog(cumulants, log), ReadLog(moments, log), *args)
+    assert list(islice(early, stop)) == got[:stop]
+    assert log and set(log) <= set(words[:stop]), (k, args, stop)
 
 
 _POWER_ORDERS = (0, 1, 2, 3, 16, 17, 20)

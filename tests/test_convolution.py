@@ -133,7 +133,7 @@ def test_one_variable_kernel_enumerates_nothing(monkeypatch):
     def no_first_blocks(*args, **kwargs):
         raise AssertionError("a one-variable law visited first blocks")
 
-    monkeypatch.setattr("infree.cumulants._first_block_table", no_first_blocks)
+    monkeypatch.setattr("infree.cumulants._block_table", no_first_blocks)
     assert multiplicative_convolve(mu, nu).max_len == 7
     assert additive_convolve(mu, nu).max_len == 7
     params = rand_scalar(rng, 2)

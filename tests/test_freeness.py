@@ -10,8 +10,7 @@ from infree import ck, cumulants, freeness, partitions
 from infree.ck import (
     CkScalar,
     CkSeries,
-    _first_block_table,
-    _free_block_table,
+    _block_table,
     _powers,
     ck_mul,
     ck_prod_many,
@@ -54,6 +53,7 @@ from infree.typek import r_of_shape
 from helpers import (
     ReadLog,
     apply_derivation,
+    block_plan_oracle,
     check_inf_freeness_m2c_oracle,
     compositions,
     eval_poly,
@@ -192,7 +192,7 @@ def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
     # its blocks: each pure joint moment is the factor's own scalar
     rng = random.Random(193)
     visited, made = [], []
-    real_plan = freeness._free_plan
+    real_plan = ck._block_plan
     real_built = CkScalar._built.__func__
 
     class Recorded(list):
@@ -206,10 +206,11 @@ def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
             return list.__getitem__(self, i)
 
     def plan(colors, n):
-        blocks, index, pure = real_plan(colors, n)
-        words = list(iter_product(range(1, len(colors) + 1), repeat=n))
-        return [None if bs is None else tuple((Recorded(bmap, w), gmaps) for bmap, gmaps in bs)
-                for bs, w in zip(blocks, words)], index, pure
+        every, mixed, index = real_plan(colors, n)
+        words = iter_product(range(1, len(colors) + 1), repeat=n)
+        every = [tuple((Recorded(bmap, w), gmaps) for bmap, gmaps in bs)
+                 for bs, w in zip(every, words)]
+        return every, [None if bs is None else r for bs, r in zip(mixed, every)], index
 
     def built(cls, *args):
         made.append(real_built(cls, *args))
@@ -218,11 +219,11 @@ def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
     def joint_c2m(*args):
         visited.clear()
         made.clear()
-        yield from _free_block_table(*args)
+        yield from _block_table(*args)
 
-    monkeypatch.setattr(freeness, "_free_plan", plan)
+    monkeypatch.setattr(ck, "_block_plan", plan)
     monkeypatch.setattr(CkScalar, "_built", classmethod(built))
-    monkeypatch.setattr(freeness, "_free_block_table", joint_c2m)
+    monkeypatch.setattr(freeness, "_block_table", joint_c2m)
     for k, nvs, max_len in ((0, (1, 1), 5), (2, (2, 1), 4), (1, (1, 1, 1), 3)):
         laws = [rand_law(rng, k, nv, max_len) for nv in nvs]
         joint, coloring = free_product_joint(laws, max_len)
@@ -248,7 +249,7 @@ def test_free_product_reads_factor_cumulants_below_the_joint_length(monkeypatch)
     # alone
     rng = random.Random(197)
     long, short = rand_law(rng, 1, 2, 7), rand_law(rng, 1, 1, 3)
-    calls = _kernel_words(monkeypatch)
+    calls = _core_words(monkeypatch, cumulants)
     joint, _ = free_product_joint([long, short], 3)
     assert calls == list(all_words(2, 2)) + list(all_words(1, 2))
     assert joint == free_product_joint_dense_oracle([long, short], 3)[0]
@@ -493,41 +494,17 @@ def test_checker_witnesses_the_perturbed_moment():
         )
 
 
-def _kernel_words(monkeypatch) -> list:
-    """A list that records each word the first-block kernel computes, as
-    the kernel yields it."""
+def _core_words(monkeypatch, module) -> list:
+    """A list that records each word the table core computes when module
+    calls it, as the core yields it."""
     calls = []
 
     def counted(*args):
-        for w, x in _first_block_table(*args):
+        for w, x in _block_table(*args):
             calls.append(w)
             yield w, x
 
-    monkeypatch.setattr("infree.cumulants._first_block_table", counted)
-    return calls
-
-
-def _free_core_words(monkeypatch) -> list:
-    """A list that records each word the free core computes: each colour's
-    pure words, as the core draws their cumulants, written over the joint
-    variables, and each mixed word, as the core yields it."""
-    calls = []
-
-    def drawn(words, variables):
-        for w, x in words:
-            calls.append(tuple(variables[v - 1] for v in w))
-            yield w, x
-
-    def counted(k, moments, pure, colors, *args):
-        palette = sorted(set(colors))
-        members = [[v for v in range(1, len(colors) + 1) if colors[v - 1] == c] for c in palette]
-        pure = [drawn(words, variables) for words, variables in zip(pure, members)]
-        for w, x in _free_block_table(k, moments, pure, colors, *args):
-            if len({colors[v - 1] for v in w}) > 1:
-                calls.append(w)
-            yield w, x
-
-    monkeypatch.setattr(freeness, "_free_block_table", counted)
+    monkeypatch.setattr(module, "_block_table", counted)
     return calls
 
 
@@ -539,7 +516,7 @@ def test_checker_stops_at_the_first_failing_length(monkeypatch):
     nu = rand_law(rng, k=1, num_vars=1, max_len=6)
     joint, coloring = free_product_joint([mu, nu], 6)
     bad = perturbed(joint, (1, 2), 1)
-    calls = _free_core_words(monkeypatch)
+    calls = _core_words(monkeypatch, freeness)
     for budget in (5, 6):
         calls.clear()
         verdict = check_inf_freeness(bad, coloring, budget)
@@ -551,20 +528,20 @@ def test_checker_stops_at_the_first_failing_length(monkeypatch):
 
 def test_checker_stops_at_the_first_failing_word(monkeypatch):
     # words are scanned one at a time in shortlex order, so a failure at
-    # (1, 2) computes no cumulant of (2, 1), and no pure cumulant of its
-    # own length; no word beyond the budget is ever built
+    # (1, 2) computes no cumulant of (2, 1) and none of a later pure word;
+    # no word beyond the budget is ever built, nor a pure word at it
     rng = random.Random(167)
     mu = rand_law(rng, k=2, num_vars=1, max_len=4)
     nu = rand_law(rng, k=2, num_vars=1, max_len=4)
     joint, coloring = free_product_joint([mu, nu], 4)
     bad = perturbed(joint, (1, 2), 2)
-    calls = _free_core_words(monkeypatch)
+    calls = _core_words(monkeypatch, freeness)
     verdict = check_inf_freeness(bad, coloring, 4)
     assert verdict == FreenessVerdict(False, Witness((1, 2), 2, Fraction(1, 2)))
-    assert calls == [(1,), (2,), (1, 2)]
+    assert calls == [(1,), (2,), (1, 1), (1, 2)]
     mixed = [(1, 2), (2, 1)]
     for budget, expected in ((1, []), (2, [(1,), (2,), *mixed]),
-                             (3, [(1,), (2,), *mixed, (1, 1), (2, 2), (1, 1, 2), (1, 2, 1),
+                             (3, [(1,), (2,), (1, 1), *mixed, (2, 2), (1, 1, 2), (1, 2, 1),
                                   (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 1)])):
         calls.clear()
         assert check_inf_freeness(joint, coloring, budget).passed
@@ -641,12 +618,43 @@ def test_checker_of_one_colour_runs_no_kernel(monkeypatch):
     def refused(*args):
         raise AssertionError("a one-colour law ran a table kernel")
 
-    for name in ("_free_block_table", "_first_block_table"):
-        monkeypatch.setattr(freeness, name, refused)
-    monkeypatch.setattr(cumulants, "_first_block_table", refused)
+    for module in (freeness, cumulants):
+        monkeypatch.setattr(module, "_block_table", refused)
     for law in laws:
         colors = Coloring((7,) * law.num_vars)
         assert check_inf_freeness(law, colors, 3) == FreenessVerdict(True, None)
+
+
+def test_block_plan_matches_the_position_sets():
+    # every word's blocks, gap maps and place in its pattern against
+    # position tuples, over shuffled colourings of one to four colours
+    rng = random.Random(571)
+    for tones in range(1, 5):
+        for num_vars in range(tones, 5):
+            colors = [rng.randint(1, 9) for _ in range(num_vars)]
+            while len(set(colors)) != tones:
+                colors = [rng.randint(1, 9) for _ in range(num_vars)]
+            colors = tuple(colors)
+            for n in range(1, 6):
+                every, mixed, index = ck._block_plan(colors, n)
+                for j, (i, pure, blocks) in enumerate(block_plan_oracle(colors, n)):
+                    where = (colors, n, j)
+                    assert index[j] == i, where
+                    assert mixed[j] is (None if pure else every[j]), where
+                    got = [(bmap[i], tuple(g[i] for g in gmaps)) for bmap, gmaps in every[j]]
+                    assert sorted(got) == blocks, where
+
+
+def test_checker_after_a_product_builds_no_plan():
+    # the plans are keyed on the colouring and the length alone, so a
+    # check of a free product's joint law reads the ones the product built
+    rng = random.Random(587)
+    ck._block_plan.cache_clear()
+    joint, coloring = free_product_joint([rand_law(rng, 1, 1, 7), rand_law(rng, 1, 2, 7)], 7)
+    misses = ck._block_plan.cache_info().misses
+    assert misses
+    assert check_inf_freeness(joint, coloring, 7).passed
+    assert ck._block_plan.cache_info().misses == misses
 
 
 def test_checker_reads_nothing_past_the_failing_length():

@@ -108,18 +108,17 @@ def _named_in(tree: ast.Module, name: str) -> set:
 def test_one_leibniz_rule_in_ck():
     # the binomial rule is spelt out by the Leibniz loop and the template
     # field writer alone, every template multiplies through its mul field,
-    # and ck takes every C_k product through the rule or one of its six sum
-    # cores, so a second Leibniz loop or a seventh sum core cannot come back
+    # and ck takes every C_k product through the rule or one of its five sum
+    # cores, so a second Leibniz loop or a sixth sum core cannot come back
     # unnoticed
     tree = ast.parse((SRC / "ck.py").read_text(encoding="utf-8"))
     assert _named_in(tree, "comb") == {"_leibniz", "_spelt"}
     assert _named_in(tree, "_leibniz") == {"_leibniz_rule"}
     assert _named_in(tree, "_leibniz_rule") == {"ck_mul", "ck_inverse"}
-    assert _named_in(tree, "_core") == {"_leibniz_rule", "_accumulate", "_first_block_table",
-                                        "_free_block_table", "_product_tuple_table", "_powers",
-                                        "_boxed_rows"}
-    assert set(ck._TEMPLATES) == {"leibniz", "accumulate", "first_block_table", "free_block_table",
-                                  "product_tuple_table", "power_rows", "boxed_rows"}
+    assert _named_in(tree, "_core") == {"_leibniz_rule", "_accumulate", "_block_table",
+                                        "_product_tuple_table", "_powers", "_boxed_rows"}
+    assert set(ck._TEMPLATES) == {"leibniz", "accumulate", "block_table", "product_tuple_table",
+                                  "power_rows", "boxed_rows"}
     for template in ck._TEMPLATES.values():
         assert "$mul(" in template and "_leibniz" not in template and "comb" not in template
 
@@ -287,8 +286,8 @@ def test_no_leibniz_rule_is_compiled_at_import(tmp_path):
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
     assert json.loads(out.read_text(encoding="utf-8")) == [[], [["leibniz", 2]], [
         "<leibniz core of order 2>", "<accumulate core of order 2>",
-        "<first_block_table core of order 2>", "<accumulate core of order None>",
-        "<first_block_table core of order None>"]]
+        "<block_table core of order 2>", "<accumulate core of order None>",
+        "<block_table core of order None>"]]
 
 
 def test_no_module_imports_dataclasses():
