@@ -550,6 +550,12 @@ def _accumulate(k: int, terms: Iterable) -> CkScalar:
     return _core("accumulate", k)(k, terms)
 
 
+def _built_all(k: int, den: int, rows: Iterable) -> list:
+    """The trusted scalars nums / den, each reduced once, for the numerator
+    tuples of rows: the outputs of a caller that computes integers itself."""
+    return [CkScalar._built(k, den, nums) for nums in rows]
+
+
 @lru_cache(maxsize=None)
 def _block_plan(colors: tuple, n: int) -> tuple:
     """(blocks, mixed, index) for the words of length n over the variables
@@ -629,18 +635,15 @@ def _pattern_blocks(num_vars: int, members: list, tones: tuple) -> tuple:
                           for h, t in zip(head, suffix[last + 1])])
              if anchor or last < n - 1 else None
              for last in (anchor, *later)}
-    out = []
-
-    def extend(last: int, bmap: tuple, gmaps: tuple, rest: list) -> None:
-        """Record the block with map bmap, largest position last and inner
-        gap maps gmaps, then every block that adds later positions of the
-        anchor's colour to it."""
+    # depth first, each block (largest position, map, inner gap maps, the
+    # positions that may follow) before the blocks that add some of those
+    out, stack = [], [(anchor, run(anchor, anchor + 1), (), later)]
+    while stack:
+        last, bmap, gmaps, rest = stack.pop()
         out.append((bmap, gmaps if outer[last] is None else gmaps + (outer[last],)))
-        for i, q in enumerate(rest):
-            extend(q, tuple([num_vars * p + c for p, c in zip(bmap, run(q, q + 1))]),
-                   gmaps + (run(last + 1, q),) if q > last + 1 else gmaps, rest[i + 1:])
-
-    extend(anchor, run(anchor, anchor + 1), (), later)
+        for i, q in reversed(list(enumerate(rest))):
+            stack.append((q, tuple([num_vars * p + c for p, c in zip(bmap, run(q, q + 1))]),
+                          gmaps + (run(last + 1, q),) if q > last + 1 else gmaps, rest[i + 1:]))
     return tuple(out)
 
 

@@ -14,7 +14,7 @@ the request, the whole request last, are compared in turn with the
 budget, and the first part over it is refused with exit code 2 and the
 message "SIZE WHAT are over the budget of BUDGET".  A huge n or k is
 refused at its first part over the budget, in milliseconds.  The budget
-is ENUM_BUDGET = 100,000 partitions, first blocks or derivation passes:
+is ENUM_BUDGET = 100,000 partitions, first blocks or entries and terms:
 - nc-enum lists Catalan(n) partitions, sized over NC(m) for m = 1..n;
   nck-enum lists Catalan(n) times the Fuss-Catalan fiber size, sized over
   NC(m) and then the type-j partitions of [n] for j = 1..k: nc-enum runs
@@ -25,8 +25,10 @@ is ENUM_BUDGET = 100,000 partitions, first blocks or derivation passes:
 - the table transforms (m2c, c2m, check-freeness) visit v^n 2^(n-1)
   first blocks at each word length n, for v variables: one variable runs
   up to length 16, two up to length 8;
-- upgrade makes k + 1 derivation passes over each of the v^n words,
-  sized over the passes at length 1 and then the lengths up to max-len;
+- upgrade counts the entries and image terms of its recursion: level
+  i = 0..k covers lengths up to max-len + (k - i) g, for images of
+  degree g + 1 or less, with v^n entries at length n plus n v^(n-1) T
+  image terms above level 0, sized by levels at length 1, then by length;
 these are running totals over the degree or length.  The series verbs
 (convolve-add, convolve-mul, deriv-demo, boxconv --type a) take about
 trunc^3 (k+1)^2 coordinate products, each costing about w^2 word products
@@ -68,7 +70,7 @@ from .jsonio import (
 
 _INT = re.compile(r"-?[0-9]+")
 
-ENUM_BUDGET = 100_000  # the most partitions, first blocks or derivation passes a verb visits
+ENUM_BUDGET = 100_000  # the most partitions, first blocks or upgrade entries and terms
 SERIES_BUDGET = 500_000  # the most trunc^3 (k+1)^2 w^2 a series verb will take on
 SERIES_WIDTH = 512  # trunc times the input bit length per unit of w
 
@@ -260,24 +262,14 @@ def _cmd_boxconv(args):
     return boxed_conv_type_k(f, g)
 
 
-def _cmd_convolve_add(args):
-    from .convolve import additive_convolve
+def _cmd_convolve(args):
+    from .convolve import additive_convolve, multiplicative_convolve
 
     mu = decode_law(_read_json(args.lhs), "lhs")
     nu = decode_law(_read_json(args.rhs), "rhs")
     _within_budget(_series_steps(
         mu.k, mu.max_len, chain(mu.values.values(), nu.values.values())), SERIES_BUDGET)
-    return additive_convolve(mu, nu)
-
-
-def _cmd_convolve_mul(args):
-    from .convolve import multiplicative_convolve
-
-    mu = decode_law(_read_json(args.lhs), "lhs")
-    nu = decode_law(_read_json(args.rhs), "rhs")
-    _within_budget(_series_steps(
-        mu.k, mu.max_len, chain(mu.values.values(), nu.values.values())), SERIES_BUDGET)
-    return multiplicative_convolve(mu, nu)
+    return (additive_convolve if args.verb == "convolve-add" else multiplicative_convolve)(mu, nu)
 
 
 def _cmd_check_freeness(args):
@@ -291,19 +283,25 @@ def _cmd_check_freeness(args):
     return check_inf_freeness(law, coloring, max_len)
 
 
+def _upgrade_steps(num_vars: int, d, k: int, max_len: int):
+    """The work of upgrade by the count in the module docstring, one level
+    of one length at a time, so a huge k is refused at length 1."""
+    terms = sum(len(p.terms) for x, p in d.images.items() if 1 <= x <= num_vars)
+    growth, total = max(d.max_image_degree() - 1, 0), 0
+    for n in range(1, max_len + k * growth + 1):
+        for i in range(k + 1):
+            if n > max_len + (k - i) * growth:
+                break
+            total += num_vars ** n + (n * num_vars ** (n - 1) * terms if i else 0)
+            yield total, f"entries and image terms up to length {n}"
+
+
 def _cmd_upgrade(args):
     from .freeness import upgraded_law
 
     base = decode_law(_read_json(args.base), "base")
     d = decode_derivation(_read_json(args.derivation), "derivation")
-    v = base.num_vars
-    passes = max(args.k + 1, 1)  # upgraded_law refuses k < 0; the sum must still grow
-    # the passes at length 1 ramp up one at a time, so that a huge k is
-    # refused at a size short enough to print
-    sizes = (v ** n * passes for n in range(1, args.max_len + 1))
-    _within_budget(chain(
-        ((v * j, "derivation passes up to length 1") for j in range(1, passes)),
-        _totals(sizes, "derivation passes up to length")))
+    _within_budget(_upgrade_steps(base.num_vars, d, args.k, args.max_len))
     return upgraded_law(base, d, args.k, args.max_len)
 
 
@@ -369,15 +367,11 @@ def build_parser() -> _Parser:
     p.add_argument("--rhs", required=True)
     p.set_defaults(func=_cmd_boxconv)
 
-    p = sub.add_parser("convolve-add", help="free additive convolution of two laws")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    p.set_defaults(func=_cmd_convolve_add)
-
-    p = sub.add_parser("convolve-mul", help="free multiplicative convolution of two laws")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    p.set_defaults(func=_cmd_convolve_mul)
+    for verb, kind in (("convolve-add", "additive"), ("convolve-mul", "multiplicative")):
+        p = sub.add_parser(verb, help=f"free {kind} convolution of two laws")
+        p.add_argument("--lhs", required=True)
+        p.add_argument("--rhs", required=True)
+        p.set_defaults(func=_cmd_convolve)
 
     p = sub.add_parser("check-freeness", help="moment test of infinitesimal freeness")
     p.add_argument("--law", required=True)

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
+from itertools import product
+from math import factorial, lcm
 from operator import index
 
 from ._value import Value
-from .ck import CkScalar, _block_table, _coerce, _product_tuple_table
+from .ck import _block_table, _built_all, _coerce, _product_tuple_table
 from .cumulants import CumulantTable, InfLaw, _cumulants_shortlex, _nc_block_getters, all_words
 
 
@@ -34,7 +35,10 @@ class NcPolynomial(Value):
     """Polynomial in non-commuting variables: finite map word -> rational.
 
     The empty word carries the constant term; zero coefficients are never
-    stored.  Multiplication concatenates words bilinearly.
+    stored.  Multiplication concatenates words bilinearly.  No computation
+    in the package uses `+`, `-`, `*`, `scale`, `variable` or `constant`;
+    they are public as the way to build derivation images, and the tests
+    and the acceptance suite build theirs with them.
     """
 
     __slots__ = _fields = ("terms",)
@@ -55,31 +59,20 @@ class NcPolynomial(Value):
     def constant(cls, c) -> "NcPolynomial":
         return cls({(): c})
 
-    @classmethod
-    def word(cls, w: tuple) -> "NcPolynomial":
-        return cls({tuple(w): 1})
-
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return NcPolynomial(out)
+        return NcPolynomial(self.terms | {w: self.terms.get(w, 0) + c
+                                          for w, c in other.terms.items()})
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) - c
-        return NcPolynomial(out)
+        return self + other.scale(-1)
 
     def __mul__(self, other: "NcPolynomial") -> "NcPolynomial":
         out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
+        for (w1, c1), (w2, c2) in product(self.terms.items(), other.terms.items()):
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
         return NcPolynomial(out)
 
     def scale(self, c) -> "NcPolynomial":
@@ -115,21 +108,6 @@ class Derivation(Value):
 
     def max_image_degree(self) -> int:
         return max((p.max_degree() for p in self.images.values()), default=0)
-
-    def apply_once(self, p: NcPolynomial) -> NcPolynomial:
-        """Leibniz expansion: each letter of each word in turn replaced by its
-        image, summed into one map and built once."""
-        out: dict = {}
-        for w, c in p.terms.items():
-            for pos, v in enumerate(w):
-                image = self.images.get(v)
-                if image is None:
-                    continue
-                prefix, suffix = w[:pos], w[pos + 1:]
-                for w2, c2 in image.terms.items():
-                    key = prefix + w2 + suffix
-                    out[key] = out.get(key, 0) + c * c2
-        return NcPolynomial(out)
 
 
 class Coloring(Value):
@@ -200,8 +178,8 @@ def _require_two_equal_colors(coloring: Coloring):
     palette = coloring.palette()
     if len(palette) != 2:
         raise ValueError("product tuples need exactly two colors")
-    first = [v for v in range(1, coloring.num_vars + 1) if coloring.color_of(v) == palette[0]]
-    second = [v for v in range(1, coloring.num_vars + 1) if coloring.color_of(v) == palette[1]]
+    first, second = ([v for v in range(1, coloring.num_vars + 1) if coloring.color_of(v) == c]
+                     for c in palette)
     if len(first) != len(second):
         raise ValueError("the two colors must pair up variable for variable")
     return first, second
@@ -314,6 +292,10 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
     reported failure is a genuine one; a pass certifies freeness up to the
     budget.
 
+    The component is the first failing word's, not the law's order of
+    freeness: a later word can fail at a lower coordinate, and a law can
+    fail in C_1 at a word that passes in C_2.
+
     The cumulants come from one call of the table core `ck._block_table`
     over the law's own moments, one word at a time, shortlex, and the scan
     stops at the first nonzero mixed one.  Below max_len every word is
@@ -346,42 +328,60 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
 
 
 def upgraded_law(base: InfLaw, d: Derivation, k: int, max_len: int) -> InfLaw:
-    """Order-k law from an order-0 law and a derivation: component i of each
-    moment is the base expectation of the i-th derivative of the word."""
+    """Order-k law from an order-0 law and a derivation: coordinate i of each
+    moment is the base expectation of the i-th derivative of the word.
+
+    That is psi_i(w) for one recursion over words: psi_0 is the base law,
+    with psi_0(()) = 1, and for i >= 1 psi_i(()) = 0 and psi_i(u) is the
+    sum of c psi_{i-1}(u_{<p} v u_{>p}) over the positions p of u and the
+    terms c v of D(x_{u_p}).  Level i covers the words up to length
+    max_len + (k - i) g, for images of degree g + 1 or less, as integers
+    over B E^i, for B the lcm of the base denominators and E that of the
+    image coefficients; only the level before it is kept.  With u_{<p}
+    fixed, the words u over every suffix are one run of a list by shortlex
+    place, and so are the words they read, so a term adds c times one
+    slice to another.  The CLI budget counts this work."""
     if base.k != 0:
         raise ValueError("base law must have order 0")
     _check_max_len(max_len)
     for v, image in sorted(d.images.items()):
         for x in sorted({x for word in image.terms for x in word}):
             if not 1 <= x <= base.num_vars:
-                raise ValueError(
-                    f"derivation image of variable {v} uses variable {x}, "
-                    f"but the base law has {base.num_vars} variable(s)"
-                )
+                raise ValueError(f"derivation image of variable {v} uses variable {x}, "
+                                 f"but the base law has {base.num_vars} variable(s)")
     growth = max(d.max_image_degree() - 1, 0)
     needed = max_len + k * growth
     if base.max_len < needed:
-        raise ValueError(
-            f"base law supports length {base.max_len}, need {needed} "
-            f"(= {max_len} + {k} * {growth})"
-        )
-
-    def evaluate(p: NcPolynomial) -> Fraction:
-        acc = Fraction(0)
-        for word, c in p.terms.items():
-            acc += c * base.moment(word).coords[0]
-        return acc
-
-    table = {}
-    for w in all_words(base.num_vars, max_len):
-        comps = []
-        p = NcPolynomial.word(w)
-        for i in range(k + 1):
-            comps.append(evaluate(p))
-            if i < k:
-                p = d.apply_once(p)
-        table[w] = CkScalar(k, comps)
-    return InfLaw._of(k, base.num_vars, max_len, table)
+        raise ValueError(f"base law supports length {base.max_len}, need {needed} "
+                         f"(= {max_len} + {k} * {growth})")
+    if k < 0:
+        raise ValueError("order k must be >= 0")
+    v = base.num_vars
+    letters = range(1, v + 1)
+    # (letter - 1, coefficient, length and base-v value of the image word)
+    terms = [(x - 1, c, len(w), sum((y - 1) * v ** (len(w) - 1 - r) for r, y in enumerate(w)))
+             for x in letters for w, c in d.image(x).terms.items()]
+    e = lcm(*(c.denominator for _, c, _, _ in terms))
+    terms = [(x, c.numerator * (e // c.denominator), size, code) for x, c, size, code in terms]
+    rows = [[base.values[w] for w in product(letters, repeat=n)] for n in range(1, needed + 1)]
+    b = lcm(*(x.den for row in rows for x in row))
+    level = [[b], *([x.nums[0] * (b // x.den) for x in row] for row in rows)]
+    coords = [[x * e ** k for row in level[1:max_len + 1] for x in row]]
+    for i in range(1, k + 1):
+        prev, level = level, [[0]]
+        for n in range(1, max_len + (k - i) * growth + 1):
+            row = [0] * v ** n
+            for p in range(n):
+                run = v ** (n - 1 - p)  # the suffixes after position p
+                for x, c, size, code in terms:
+                    src, stride = prev[n - 1 + size], v ** size
+                    for h in range(v ** p):  # the prefix before position p
+                        j, t = (h * v + x) * run, (h * stride + code) * run
+                        row[j:j + run] = [a + c * y for a, y in zip(row[j:j + run], src[t:t + run])]
+            level.append(row)
+        coords.append([x * e ** (k - i) for row in level[1:max_len + 1] for x in row])
+    table = dict(zip(all_words(v, max_len), _built_all(k, b * e ** k, zip(*coords))))
+    return InfLaw._of(k, v, max_len, table)
 
 
 def derivative_of_convolution(mu: InfLaw, nu: InfLaw, mode: str) -> InfLaw:

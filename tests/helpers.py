@@ -351,9 +351,42 @@ def pieces_apply_once_oracle(d: Derivation, p: NcPolynomial) -> NcPolynomial:
     out = NcPolynomial()
     for w, c in p.terms.items():
         for pos, v in enumerate(w):
-            piece = NcPolynomial.word(w[:pos]) * d.image(v) * NcPolynomial.word(w[pos + 1:])
+            piece = NcPolynomial({w[:pos]: 1}) * d.image(v) * NcPolynomial({w[pos + 1:]: 1})
             out = out + piece.scale(c)
     return out
+
+
+def apply_once_oracle(d: Derivation, p: NcPolynomial) -> NcPolynomial:
+    """One Leibniz application: each letter of each word in turn replaced
+    by its image, summed into one map and built once."""
+    out: dict = {}
+    for w, c in p.terms.items():
+        for pos, v in enumerate(w):
+            image = d.images.get(v)
+            if image is None:
+                continue
+            prefix, suffix = w[:pos], w[pos + 1:]
+            for w2, c2 in image.terms.items():
+                key = prefix + w2 + suffix
+                out[key] = out.get(key, 0) + c * c2
+    return NcPolynomial(out)
+
+
+def upgraded_law_expansion_oracle(base: InfLaw, d: Derivation, k: int, max_len: int) -> InfLaw:
+    """`freeness.upgraded_law` by expansion: coordinate i of the moment of w
+    is the base law applied to D^i(x_w), expanded as a polynomial word by
+    word.  The base law must cover the words of the expanded polynomials."""
+    table = {}
+    for w in all_words(base.num_vars, max_len):
+        comps = []
+        p = NcPolynomial({w: 1})
+        for i in range(k + 1):
+            comps.append(sum((c * base.moment(u).coords[0] for u, c in p.terms.items()),
+                             Fraction(0)))
+            if i < k:
+                p = apply_once_oracle(d, p)
+        table[w] = CkScalar(k, comps)
+    return InfLaw(k, base.num_vars, max_len, table)
 
 
 def rand_law(rng, k: int, num_vars: int, max_len: int):
@@ -517,7 +550,7 @@ def apply_derivation(d: Derivation, p: NcPolynomial, power: int = 1) -> NcPolyno
     if power < 0:
         raise ValueError("power must be >= 0")
     for _ in range(power):
-        p = d.apply_once(p)
+        p = apply_once_oracle(d, p)
     return p
 
 

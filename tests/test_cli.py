@@ -1,6 +1,7 @@
 """Command-line interface: verbs, exit codes, stdin/stdout plumbing."""
 from fractions import Fraction
 import io
+from itertools import product
 import json
 from pathlib import Path
 import random
@@ -28,7 +29,7 @@ from infree.convolve import (
     multiplicative_convolve,
 )
 from infree.cumulants import CumulantTable, InfLaw, all_words, moments_to_cumulants
-from infree.freeness import Coloring, free_product_joint
+from infree.freeness import Coloring, Derivation, NcPolynomial, free_product_joint
 from infree.jsonio import (
     decode_cumulant_table,
     decode_law,
@@ -342,34 +343,71 @@ def test_oversized_output_integer_names_the_verb(capsys, tmp_path):
 
 
 def test_upgrade_over_budget_is_refused_up_front(capsys, monkeypatch, tmp_path):
-    # k + 1 derivation passes over each of the v^n words of length n
+    # one unit per entry of each level of the recursion and one per image
+    # term it reads: v^n at length n of level 0, v^n + n v^(n-1) T above
     base = write(tmp_path, "base.json", InfLaw(0, 1, 2, {(1,): CkScalar.one(0),
                                                           (1, 1): CkScalar.one(0)}))
     euler = tmp_path / "d.json"
     euler.write_text(json.dumps({"images": {"1": {"terms": {"1": "1"}}}}), encoding="utf-8")
-    # the passes at length 1 ramp up, so a huge k is refused at the first
-    # pass over the budget, even where k + 1 has more digits than print
+    # the levels at length 1 ramp up, 1 unit at level 0 and 2 at each level
+    # above it, so a huge k is refused at the first level over the budget,
+    # even where k + 1 has more digits than print
     for k in ("3000000", "9" * 4300):
         start = time.perf_counter()
         code, out, err = run(capsys, "upgrade", "--base", base, "--derivation", str(euler),
                              "--k", k, "--max-len", "2")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err == ("error: upgrade: 100001 derivation passes up to length 1 are over "
+        assert err == ("error: upgrade: 100001 entries and image terms up to length 1 are over "
                        f"the budget of {cli.ENUM_BUDGET}\n")
-    # two variables at k = 2: 3 (2^15 - 2) passes up to length 14 run, and
-    # length 15 is refused
+    # two variables at k = 2 with one image term: (L + 2) 2^(L + 1) - 4
+    # units up to length L, so length 11 runs and length 12 is refused
     monkeypatch.setattr(infree.freeness, "upgraded_law", computed)
     pair = write(tmp_path, "pair.json", InfLaw(0, 2, 1, {(1,): CkScalar.one(0),
                                                           (2,): CkScalar.one(0)}))
     code, out, err = run(capsys, "upgrade", "--base", pair, "--derivation", str(euler),
-                         "--k", "2", "--max-len", "14")
+                         "--k", "2", "--max-len", "11")
     assert (code, out, err) == (0, "{}\n", "")
     code, out, err = run(capsys, "upgrade", "--base", pair, "--derivation", str(euler),
-                         "--k", "2", "--max-len", "15")
+                         "--k", "2", "--max-len", "12")
     assert (code, out) == (2, "")
-    assert err == (f"error: upgrade: {3 * (2 ** 16 - 2)} derivation passes up to length 15 are "
-                   f"over the budget of {cli.ENUM_BUDGET}\n")
+    assert err == (f"error: upgrade: {14 * 2 ** 13 - 4} entries and image terms up to length 12 "
+                   f"are over the budget of {cli.ENUM_BUDGET}\n")
+
+
+def _upgrade_work(num_vars: int, images: dict, growth: int, k: int, max_len: int) -> int:
+    """The entries and image terms of the recursion of `upgraded_law`,
+    counted by running its loops: every word of each level i = 0..k up to
+    length max_len + (k - i) growth, and above level 0 every image term of
+    every letter of the word."""
+    count = 0
+    for i in range(k + 1):
+        for n in range(1, max_len + (k - i) * growth + 1):
+            for u in product(range(1, num_vars + 1), repeat=n):
+                count += 1
+                if i:
+                    count += sum(len(images.get(x, ())) for x in u)
+    return count
+
+
+def test_upgrade_budget_counts_the_recursions_work():
+    # (num_vars, images by letter as lists of words, k, max_len): a zero
+    # derivation, constant terms, degree-0 to degree-3 images, a letter
+    # with no image and one outside the base law, which is never read
+    cases = (
+        (1, {}, 3, 4),
+        (2, {1: [(1, 2), (1,)], 2: [(1,), (2, 2)]}, 4, 3),
+        (2, {1: [(), (2,)]}, 2, 5),
+        (3, {2: [(1, 2, 3), (3,), ()], 3: [(2, 1)]}, 2, 3),
+        (1, {1: [(1, 1, 1)], 2: [(1,)]}, 3, 2),
+        (3, {1: [(1,)], 2: [(2,)], 3: [(3,)]}, 0, 4),
+    )
+    for num_vars, images, k, max_len in cases:
+        d = Derivation({x: NcPolynomial(dict.fromkeys(words, 1)) for x, words in images.items()})
+        growth = max(max((len(w) for p in images.values() for w in p), default=0) - 1, 0)
+        *_, (size, what) = cli._upgrade_steps(num_vars, d, k, max_len)
+        assert size == _upgrade_work(num_vars, images, growth, k, max_len), (num_vars, images, k)
+        assert what == f"entries and image terms up to length {max_len + k * growth}"
 
 
 def test_kreweras_roundtrip(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Free products, the freeness checker, derivation upgrades, derivatives."""
 from fractions import Fraction
+import gc
 from itertools import product as iter_product
 from math import factorial, gcd
 import random
@@ -53,6 +54,7 @@ from infree.typek import r_of_shape
 from helpers import (
     ReadLog,
     apply_derivation,
+    apply_once_oracle,
     block_plan_oracle,
     check_inf_freeness_m2c_oracle,
     compositions,
@@ -71,6 +73,7 @@ from helpers import (
     rand_series,
     rand_sparse_scalar,
     t_poly_freeness_oracle,
+    upgraded_law_expansion_oracle,
 )
 
 
@@ -90,7 +93,7 @@ def test_nc_polynomial_algebra():
     assert (X1 - X1).terms == {}
     assert p.scale(0).terms == {}
     assert p.max_degree() == 2
-    assert NcPolynomial.word((1, 1, 2)).max_degree() == 3
+    assert NcPolynomial({(1, 1, 2): 1}).max_degree() == 3
 
 
 def test_apply_once_matches_piecewise_oracle():
@@ -105,14 +108,14 @@ def test_apply_once_matches_piecewise_oracle():
         p = rand_nc_polynomial(rng, num_vars, 4, rng.randint(0, 6))
         for _ in range(3):
             expected = pieces_apply_once_oracle(d, p)
-            got = d.apply_once(p)
+            got = apply_once_oracle(d, p)
             assert got == expected
             assert all(c != 0 for c in got.terms.values())
             p = got
     # x1 -> x2, x2 -> -x1 sends x1 x1 + x2 x2 to zero
     rotate = Derivation({1: X2, 2: X1.scale(-1)})
-    assert rotate.apply_once(X1 * X1 + X2 * X2) == NcPolynomial()
-    assert rotate.apply_once(X1 * X1 + X2 * X2).terms == {}
+    assert apply_once_oracle(rotate, X1 * X1 + X2 * X2) == NcPolynomial()
+    assert apply_once_oracle(rotate, X1 * X1 + X2 * X2).terms == {}
 
 
 def test_apply_derivation():
@@ -127,8 +130,8 @@ def test_apply_derivation():
     d2 = Derivation({1: X2, 2: X1 * X1})
     a = X1 * X2 + NcPolynomial.constant(3)
     b = X2 * X1
-    lhs = d2.apply_once(a * b)
-    rhs = d2.apply_once(a) * b + a * d2.apply_once(b)
+    lhs = apply_once_oracle(d2, a * b)
+    rhs = apply_once_oracle(d2, a) * b + a * apply_once_oracle(d2, b)
     assert lhs == rhs
     with pytest.raises(ValueError):
         apply_derivation(d, p, -1)
@@ -494,6 +497,27 @@ def test_checker_witnesses_the_perturbed_moment():
         )
 
 
+def test_witness_component_is_not_the_order_of_freeness():
+    # the witness is the first failing word's lowest coordinate; a later
+    # word can fail at a lower one, so the law is free of order 0 alone
+    rng = random.Random(173)
+    mu = rand_law(rng, k=2, num_vars=1, max_len=4)
+    nu = rand_law(rng, k=2, num_vars=1, max_len=4)
+    joint, coloring = free_product_joint([mu, nu], 4)
+    values = dict(joint.values)
+    values[1, 2] = values[1, 2] + CkScalar(2, [0, 0, 4])  # 2 t^2
+    values[1, 1, 2] = values[1, 1, 2] + CkScalar(2, [0, 1, 0])  # t
+    bad = InfLaw(2, 2, 4, values)
+
+    def truncated(j):
+        return InfLaw(j, 2, 4, {w: CkScalar(j, x.coords[:j + 1]) for w, x in values.items()})
+
+    assert check_inf_freeness(bad, coloring, 4) == FreenessVerdict(False, Witness((1, 2), 2, 2))
+    assert check_inf_freeness(truncated(1), coloring, 4) == FreenessVerdict(
+        False, Witness((1, 1, 2), 1, 1))
+    assert check_inf_freeness(truncated(0), coloring, 4) == FreenessVerdict(True, None)
+
+
 def _core_words(monkeypatch, module) -> list:
     """A list that records each word the table core computes when module
     calls it, as the core yields it."""
@@ -645,6 +669,20 @@ def test_block_plan_matches_the_position_sets():
                     assert sorted(got) == blocks, where
 
 
+def test_block_plan_leaves_no_garbage_cycle():
+    # a plan's maps are freed by reference counting alone, so none of the
+    # per-length lists outlives the build until the cyclic collector runs
+    ck._block_plan.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(1, 7):
+            ck._block_plan((1, 1, 1), n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_checker_after_a_product_builds_no_plan():
     # the plans are keyed on the colouring and the length alone, so a
     # check of a free product's joint law reads the ones the product built
@@ -773,6 +811,54 @@ def test_upgrade_support_error():
     with pytest.raises(ValueError):
         upgraded_law(base, quad, 1, 3)  # needs length 4
     upgraded_law(base, quad, 1, 2)  # length 3 suffices here
+
+
+def _rand_base(rng, num_vars: int, max_len: int) -> InfLaw:
+    """An order-0 law whose moments are drawn one word at a time."""
+    return InfLaw(0, num_vars, max_len,
+                  {w: CkScalar(0, [rand_fraction(rng)]) for w in all_words(num_vars, max_len)})
+
+
+def test_upgrade_matches_the_expansion_oracle():
+    # the recursion over words against D^i(x_w) expanded word by word, on
+    # seeded derivations of one to three variables: images of degree 0 to
+    # 3 with constant terms, letters with no image, the zero derivation,
+    # and k = 0
+    rng = random.Random(179)
+    half = Fraction(1, 2)
+    fixed = (
+        (1, Derivation({}), 3, 3),
+        (2, Derivation({}), 0, 3),
+        (1, Derivation({1: NcPolynomial.constant(3)}), 3, 3),
+        (2, Derivation({2: NcPolynomial({(1, 2, 1): half, (): -2})}), 2, 3),
+        (2, Derivation({1: X1 * X2 + X1.scale(half), 2: X1 - X2 * X2}), 3, 3),
+        (3, Derivation({1: NcPolynomial({(3, 3, 3): 1}), 3: X2}), 2, 2),
+    )
+    drawn = []
+    for _ in range(60):
+        num_vars, k, max_len = rng.randint(1, 3), rng.randint(0, 3), rng.randint(1, 3)
+        images = {v: rand_nc_polynomial(rng, num_vars, rng.randint(0, 3), rng.randint(0, 3))
+                  for v in range(1, num_vars + 1) if rng.random() < 0.7}
+        drawn.append((num_vars, Derivation(images), k, max_len))
+    for num_vars, d, k, max_len in fixed + tuple(drawn):
+        base = _rand_base(rng, num_vars, max_len + k * max(d.max_image_degree() - 1, 0))
+        up = upgraded_law(base, d, k, max_len)
+        assert up == upgraded_law_expansion_oracle(base, d, k, max_len), (num_vars, d, k)
+
+
+def test_upgrade_refuses_a_negative_order_and_a_short_base():
+    rng = random.Random(181)
+    base = _rand_base(rng, 2, 3)
+    quad = Derivation({1: X1 * X2})
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match="^order k must be >= 0$"):
+            upgraded_law(base, quad, k, 2)
+    # a base law too short for max_len + k * 1 is refused by its lengths,
+    # a negative k that still needs more than the base holds too
+    for k, max_len, needed in ((2, 2, 4), (0, 4, 4), (-1, 6, 5)):
+        message = rf"^base law supports length 3, need {needed} \(= {max_len} \+ {k} \* 1\)$"
+        with pytest.raises(ValueError, match=message):
+            upgraded_law(base, quad, k, max_len)
 
 
 def kappa_of_polys(c0: CumulantTable, polys: list) -> Fraction:
