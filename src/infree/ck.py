@@ -18,29 +18,27 @@ not once per term, and returns the sum alone.  The other cores work on
 build a scalar only for an output.
 
 `_block_table` runs the moment-cumulant first-block recursion over a
-whole table, in both directions.  The non-crossing partitions of a word
-group by the block B that holds any one chosen position, the anchor;
-every other block lies in an inner gap of B, a run between two of its
-positions, or in the outer word, the positions before B followed by
-those after it (Nica-Speicher, Lectures on the Combinatorics of Free
-Probability, Lectures 9-11).  So for every anchor
+whole table.  The non-crossing partitions of a word group by the block B
+that holds any one chosen position, the anchor; every other block lies in
+an inner gap of B, a run between two of its positions, or in the outer
+word, the positions before B followed by those after it (Nica-Speicher,
+Lectures on the Combinatorics of Free Probability, Lectures 9-11).  So
+for every anchor
 
     m(w) = sum over B containing the anchor of
            kappa(w|B) prod m(w|inner gap) m(w|outer word).
 
-A word of one colour is anchored at its first position and sums all
-2^(n-1) of its blocks.  While the mixed cumulants shorter than a mixed
-word vanish, only the blocks inside the anchor's colour count, so the
-word is anchored at the first position of its rarest colour, and with c
-positions of that colour it sums 2^(c-1) blocks, not 2^(n-1).  A dense
-table is the case of one colour.  The core holds the table's entries
-and outputs as (den, nums) pairs in flat lists indexed by shortlex
-position, the offset of a word's length plus its base-num_vars value,
-and reads each given entry once, as its word comes up.  A block visit
-reads subwords and gaps through the integer index maps of `_block_plan`,
-built once per (colouring, length) with list comprehensions and cached,
-so it builds and hashes no tuple, and a caller that stops early
-allocates nothing for the longer words.
+A word whose moment is given has this solved for its cumulant, and any
+other word has its moment summed, a missing cumulant a zero.  A word of
+one colour is anchored at its first position and sums all 2^(n-1) of its
+blocks.  While the mixed cumulants shorter than a mixed word vanish, only
+the blocks inside the anchor's colour count, so the word is anchored at
+the first position of its rarest colour, and with c positions of that
+colour it sums 2^(c-1) blocks, not 2^(n-1).  A dense table is the case of
+one colour.  A block visit reads subwords and gaps by shortlex position,
+through the integer index maps of `_block_plan`, built once per
+(colouring, length) with list comprehensions and cached, so it builds and
+hashes no tuple.
 
 `_powers` computes the rows of a power chain, [z^m]f^a for every
 a, m <= n, and `_boxed_rows` sums the boxed-convolution coefficients
@@ -277,7 +275,7 @@ def accumulate(k, terms):
     return CkScalar._built(k, den, ($vec(a)))
 """,
     "block_table": """
-def block_table(k, cumulants, moments, colors, max_len, sign, pure_len, plan):
+def block_table(k, cumulants, moments, colors, max_len, plan):
     built = CkScalar._built
     num_vars = len(colors)
     kappa, moment = [None], [None]
@@ -288,27 +286,28 @@ def block_table(k, cumulants, moments, colors, max_len, sign, pure_len, plan):
         kappa += [None] * num_vars ** n
         moment += [None] * num_vars ** n
         every, mixed, index_at = plan(colors, n)
-        blocks_at = every if n <= pure_len else mixed
+        blocks_at = mixed if n == max_len and len(set(colors)) > 1 else every
         for j, w in enumerate(product(range(1, num_vars + 1), repeat=n)):
             p = base + j
-            c = cumulants.get(w)
-            if c is not None and any(c.nums):
-                kappa[p] = c.den, c.nums
             x = moments.get(w)
-            if x is not None and any(x.nums):
-                moment[p] = x.den, x.nums
+            c = cumulants.get(w)
             blocks = blocks_at[j]
             if blocks is None:
-                if sign > 0:
-                    yield w, x
+                yield w, x, c
                 continue
+            if x is None:
+                entry, given, found, sign = c, kappa, moment, 1
+            else:
+                entry, given, found, sign = x, moment, kappa, -1
+            if entry is not None and any(entry.nums):
+                given[p] = entry.den, entry.nums
             den, ($vec(a)) = (moment[p] or zero) if sign < 0 else zero
             i = index_at[j]
             for bmap, gmaps in blocks:
-                c = kappa[bmap[i]]
-                if c is None:
+                e = kappa[bmap[i]]
+                if e is None:
                     continue
-                tden, ($vec(z)) = c
+                tden, ($vec(z)) = e
                 for gmap in gmaps:
                     g = moment[gmap[i]]
                     if g is None:
@@ -325,10 +324,10 @@ def block_table(k, cumulants, moments, colors, max_len, sign, pure_len, plan):
                     $vec(a) = $axpy(a, f, z)
             if $any(a):
                 out = built(k, den, ($vec(a)))
-                (kappa if sign < 0 else moment)[p] = out.den, out.nums
-                yield w, out
+                found[p] = out.den, out.nums
             else:
-                yield w, shared_zero
+                out = shared_zero
+            yield (w, out, c) if sign > 0 else (w, x, out)
         base += num_vars ** n
 """,
     "product_tuple_table": """
@@ -656,37 +655,35 @@ def _subword_getter(positions: tuple) -> itemgetter:
     return itemgetter(slice(positions[0], positions[0] + 1))
 
 
-def _block_table(k: int, cumulants: dict, moments: dict, colors: tuple, max_len: int,
-                 invert: bool, pure_len: int) -> Iterator[tuple]:
-    """The trusted moment-cumulant core: (word, scalar) for the words over
-    the variables 1..len(colors), variable x of colour colors[x - 1], of
-    length 1..max_len, shortlex, by the anchored first-block recursion
-    over the blocks of `_block_plan`: every block of a word of length up
-    to pure_len, and above it those of the mixed words alone.
+def _block_table(k: int, cumulants: dict, moments: dict, colors: tuple,
+                 max_len: int) -> Iterator[tuple]:
+    """The trusted moment-cumulant core: (word, moment, cumulant) for the
+    words over the variables 1..len(colors), variable x of colour
+    colors[x - 1], of length 1..max_len, shortlex, by the anchored
+    first-block recursion over the blocks of `_block_plan`.
 
-    Without invert, it sums moments over the cumulants given, and a word
-    with no blocks yields its entry of moments, the same object.  With
-    invert, it solves for cumulants, kappa(w) = m(w) minus the sum, and a
-    word with no blocks yields nothing.  A pure word's blocks keep its full
-    block: its own cumulant is given before its sum without invert, and is
-    recorded only after its sum with invert, so there it adds nothing.  A
-    mixed word's blocks all lie inside one colour, so its sum is exact
-    while every mixed cumulant shorter than it vanishes: a missing one
-    without invert, and, with invert, whenever every earlier mixed output
-    was zero.  So one colour and pure_len = max_len give the dense
-    transforms.
+    A word whose moment is given has its cumulant solved, kappa(w) = m(w)
+    minus the sum; any other word has its moment summed over the
+    cumulants given or solved so far, a missing one a zero.  A given
+    entry is yielded as it is, the same object, a missing one as None.  A
+    pure word's blocks keep its full block: a given cumulant is read
+    before the sum, and a solved one recorded only after it, so there it
+    adds nothing.  A mixed word's blocks all lie inside one colour, so its
+    sum is exact while every mixed cumulant shorter than it vanishes.
+    With more than one colour the pure words of length max_len, which no
+    longer word reads, are yielded as given, unsummed; with one colour
+    every word is summed, as the dense transforms need.
 
     Each word's entries of cumulants and moments are read once, through
-    their get, as it comes up, a missing one a zero, and a nonzero entry or
-    output is kept as a (den, nums) pair at the word's shortlex position.
-    A block whose kappa(w|B) is zero is skipped before any gap moment is
-    read, and a term is dropped at its first zero gap moment.  The rest is
-    a chain of Leibniz products, gap by gap, added over a running lcm
-    denominator and reduced once per word, every zero output one shared
-    scalar.  A caller that stops early pays for no later word, and no
-    entry of a later word is read."""
-    return _core("block_table", k)(k, cumulants, moments, colors, max_len, -1 if invert else 1,
-                                   pure_len, _block_plan)
+    their get, as it comes up, and a nonzero entry or output is kept as a
+    (den, nums) pair at the word's shortlex position.  A block whose
+    kappa(w|B) is zero is skipped before any gap moment is read, and a
+    term is dropped at its first zero gap moment.  The rest is a chain of
+    Leibniz products, gap by gap, added over a running lcm denominator and
+    reduced once per word, every zero output one shared scalar.  A caller
+    that stops early pays for no later word, and no entry of a later word
+    is read."""
+    return _core("block_table", k)(k, cumulants, moments, colors, max_len, _block_plan)
 
 
 def _product_tuple_table(k: int, kappa: list, npairs: int, max_len: int, maps) -> Iterator[tuple]:

@@ -26,9 +26,10 @@ is ENUM_BUDGET = 100,000 partitions, first blocks or entries and terms:
   first blocks at each word length n, for v variables: one variable runs
   up to length 16, two up to length 8;
 - upgrade counts the entries and image terms of its recursion: level
-  i = 0..k covers lengths up to max-len + (k - i) g, for images of
-  degree g + 1 or less, with v^n entries at length n plus n v^(n-1) T
-  image terms above level 0, sized by levels at length 1, then by length;
+  i = 0..k covers lengths up to max-len + (k - i) g, for images of the
+  letters 1..v of degree g + 1 or less, with v^n entries at length n plus
+  n v^(n-1) T image terms above level 0, sized by levels at length 1,
+  then by length;
 these are running totals over the degree or length.  The series verbs
 (convolve-add, convolve-mul, deriv-demo, boxconv --type a) take about
 trunc^3 (k+1)^2 coordinate products, each costing about w^2 word products
@@ -287,7 +288,7 @@ def _upgrade_steps(num_vars: int, d, k: int, max_len: int):
     """The work of upgrade by the count in the module docstring, one level
     of one length at a time, so a huge k is refused at length 1."""
     terms = sum(len(p.terms) for x, p in d.images.items() if 1 <= x <= num_vars)
-    growth, total = max(d.max_image_degree() - 1, 0), 0
+    growth, total = d.growth(num_vars), 0
     for n in range(1, max_len + k * growth + 1):
         for i in range(k + 1):
             if n > max_len + (k - i) * growth:

@@ -13,16 +13,14 @@ outside B, and every other block lies inside one gap.  So
 direction solves the same identity for its B = [n] term.
 
 Both directions are one call of the trusted table core `ck._block_table`
-with every variable of one colour, which builds the words of each length
-itself and reads each block's subword and gaps by shortlex position,
-through index maps cached per colouring and length.  Each term reads
-kappa(w|B) first and is dropped when that cumulant is zero, before any
-gap moment is looked up.  A free product and the freeness checker run the
-same core over a colouring, where a mixed word visits only the blocks
-inside one colour.  No entry is checked there, because every given one
-was validated once already, by the table constructor, and every computed
-one was built by the core itself; its outputs become tables through the
-trusted constructor `_of` that every value class shares, without the
+with every variable of one colour: given the moments it solves each
+word's cumulant, and given the cumulants it sums each word's moment.  A
+free product and the freeness checker make the same one call over a
+colouring, where a mixed word visits only the blocks inside one colour.
+No entry is checked there, because every given one was validated once
+already, by the table constructor, and every computed one was built by
+the core itself; its outputs become tables through the trusted
+constructor `_of` that every value class shares, without the
 constructor's checks.
 """
 from __future__ import annotations
@@ -78,7 +76,11 @@ class _WordTable(Value):
     def value(self, w: tuple) -> CkScalar:
         if len(w) == 0:
             return CkScalar.one(self.k)
-        return self.values[w]
+        try:
+            return self.values[w]
+        except KeyError:
+            raise ValueError(f"word {w} is outside the table of the words over {self.num_vars} "
+                             f"variable(s) up to length {self.max_len}") from None
 
     def words(self) -> Iterator[tuple]:
         return all_words(self.num_vars, self.max_len)
@@ -113,21 +115,16 @@ def cumulants_to_moments(c: CumulantTable) -> InfLaw:
     """Moment of each word as the sum over non-crossing partitions of the
     block products of cumulants, by the first-block decomposition.  Words
     come shortest first, so the moments of the gaps are already known."""
-    out = dict(_block_table(c.k, c.values, {}, (1,) * c.num_vars, c.max_len, False, c.max_len))
+    out = {w: x for w, x, _ in _block_table(c.k, c.values, {}, (1,) * c.num_vars, c.max_len)}
     return InfLaw._of(c.k, c.num_vars, c.max_len, out)
-
-
-def _cumulants_shortlex(m: InfLaw, max_len: int) -> Iterator[tuple]:
-    """(word, cumulant) for the words of m up to length max_len, shortlex;
-    a caller that stops early pays for no later word."""
-    return _block_table(m.k, {}, m.values, (1,) * m.num_vars, max_len, True, max_len)
 
 
 def moments_to_cumulants(m: InfLaw) -> CumulantTable:
     """Exact inverse of cumulants_to_moments: the first-block identity
     solved for its B = [n] term, kappa(w) = m(w) minus the sum over the
     proper blocks B, whose cumulants belong to shorter words."""
-    return CumulantTable._of(m.k, m.num_vars, m.max_len, dict(_cumulants_shortlex(m, m.max_len)))
+    out = {w: x for w, _, x in _block_table(m.k, {}, m.values, (1,) * m.num_vars, m.max_len)}
+    return CumulantTable._of(m.k, m.num_vars, m.max_len, out)
 
 
 def kappa_pi(c: CumulantTable, pi: SetPartition, w: tuple) -> CkScalar:

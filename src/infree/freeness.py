@@ -13,9 +13,10 @@ that hold a mixed block, other than the one-block partition, add nothing
 to its moment.  So a mixed word's cumulant is its moment minus the sum
 over the blocks inside its rarest colour that hold the first position of
 that colour, times the moments of the gaps and of the outer word around
-them.  One call of the table core `ck._block_table` computes them, with
-the pure cumulants they read, and a free product runs the same core the
-other way to build its mixed moments.  The first nonzero one found is
+them.  One call of the table core `ck._block_table` over the law's
+moments solves them, with the pure cumulants they read, and a free
+product makes the same one call over its factors' moments alone, its
+mixed cumulants missing and so zero.  The first nonzero one found is
 exact, and the scan ends there.
 """
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import index
 
 from ._value import Value
 from .ck import _block_table, _built_all, _coerce, _product_tuple_table
-from .cumulants import CumulantTable, InfLaw, _cumulants_shortlex, _nc_block_getters, all_words
+from .cumulants import CumulantTable, InfLaw, _nc_block_getters, all_words
 
 
 class NcPolynomial(Value):
@@ -106,8 +107,10 @@ class Derivation(Value):
     def image(self, v: int) -> NcPolynomial:
         return self.images.get(v, NcPolynomial())
 
-    def max_image_degree(self) -> int:
-        return max((p.max_degree() for p in self.images.values()), default=0)
+    def growth(self, num_vars: int) -> int:
+        """The most letters one derivative adds to a word over the letters
+        1..num_vars, whose images alone it reads: their top degree less one, at least 0."""
+        return max(max(self.image(x).max_degree() for x in range(1, num_vars + 1)) - 1, 0)
 
 
 class Coloring(Value):
@@ -145,13 +148,13 @@ def free_product_joint(laws: list, max_len: int):
 
     A free product's pure cumulants are its factors' and its mixed ones
     vanish (Nica-Speicher, Lectures on the Combinatorics of Free
-    Probability, Lecture 11).  So its moments come from the table core
-    `ck._block_table` with no pure word summed: a pure joint moment is the
-    factor's own scalar, and a mixed one sums only the blocks inside the
-    word's rarest colour that hold its first position of that colour, over
-    the factors' cumulants and the shorter joint moments.  A pure block of
-    a mixed word is shorter than the word, so the factors' cumulants are
-    computed below max_len alone."""
+    Probability, Lecture 11).  So its moments come from one call of the
+    table core `ck._block_table` over the factors' moments alone, shifted
+    onto the joint variables: a pure joint moment is the factor's own
+    scalar, a pure word below max_len has its cumulant solved, and a mixed
+    word sums only the blocks inside its rarest colour that hold its first
+    position of that colour, over those cumulants and the shorter joint
+    moments."""
     if not laws:
         raise ValueError("need at least one factor")
     _check_max_len(max_len)
@@ -160,18 +163,16 @@ def free_product_joint(laws: list, max_len: int):
         raise ValueError("factors must share the order k")
     if any(law.max_len < max_len for law in laws):
         raise ValueError(f"every factor needs moments up to length {max_len}")
-    colors, pure_cumulants, pure_moments = [], {}, {}
+    colors, moments = [], {}
     for idx, law in enumerate(laws, start=1):
         offset = len(colors)
         colors.extend([idx] * law.num_vars)
-        values = law.values
         for w in all_words(law.num_vars, max_len):
-            pure_moments[tuple(v + offset for v in w)] = values[w]
-        for w, x in _cumulants_shortlex(law, max_len - 1):
-            pure_cumulants[tuple(v + offset for v in w)] = x
+            moments[tuple(v + offset for v in w)] = law.values[w]
     colors = tuple(colors)
-    table = dict(_block_table(k, pure_cumulants, pure_moments, colors, max_len, False, 0))
-    return InfLaw._of(k, len(colors), max_len, table), Coloring(colors)
+    if len(laws) > 1:  # a single factor is its own free product
+        moments = {w: x for w, x, _ in _block_table(k, {}, moments, colors, max_len)}
+    return InfLaw._of(k, len(colors), max_len, moments), Coloring._of(colors)
 
 
 def _require_two_equal_colors(coloring: Coloring):
@@ -202,12 +203,13 @@ def product_tuple_cumulants(joint: CumulantTable, coloring: Coloring, max_len: i
     if max_len > joint.max_len:
         raise ValueError("joint table is too short for the requested length")
     first, second = _require_two_equal_colors(coloring)
-    mixed = _first_mixed(joint.values.items(), coloring)
+    values = joint.values  # the table's own validated scalars, none checked again
+    words = list(all_words(joint.num_vars, max_len))
+    mixed = _first_mixed(((w, values[w]) for w in words), coloring)
     if mixed is not None:
         raise ValueError(f"mixed cumulant does not vanish on {mixed[0]}")
-    values = joint.values  # the table's own validated scalars, none checked again
     kappa = [None] + [(x.den, x.nums) if any(x.nums) else None
-                      for x in map(values.__getitem__, all_words(joint.num_vars, max_len))]
+                      for x in map(values.__getitem__, words)]
     maps = partial(_product_tuple_maps, tuple(first), tuple(second), joint.num_vars)
     out = dict(_product_tuple_table(joint.k, kappa, len(first), max_len, maps))
     return CumulantTable._of(joint.k, len(first), max_len, out)
@@ -270,10 +272,11 @@ class FreenessVerdict(Value):
 
 def _first_mixed(items, coloring: Coloring) -> tuple | None:
     """First (word, value), in the order given, whose word mixes colours
-    and whose value is nonzero."""
+    and whose value is nonzero; a value of None, a word not computed, is
+    passed over."""
     color_of = (None, *coloring.colors).__getitem__
     for w, x in items:
-        if any(x.nums) and len(set(map(color_of, w))) > 1:
+        if x is not None and any(x.nums) and len(set(map(color_of, w))) > 1:
             return w, x
     return None
 
@@ -298,18 +301,19 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
 
     The cumulants come from one call of the table core `ck._block_table`
     over the law's own moments, one word at a time, shortlex, and the scan
-    stops at the first nonzero mixed one.  Below max_len every word is
-    summed, a pure one over all its first blocks, so the pure cumulants are
-    each colour's own transform.  By induction on the length, each mixed
-    one is exact: while every mixed cumulant shorter than a word w
-    vanishes, the non-crossing partitions of w with a mixed block other
-    than the full one add nothing, so kappa(w) is m(w) minus the sum over
-    the blocks inside w's rarest colour that hold its first position of
-    that colour, with the gap and outer-word moments around them.  Until
-    the first nonzero mixed cumulant that induction holds for every word
-    the scan reaches, and at it the scan ends, so an early failure reads
-    no moment past its length.  A law of one colour has no mixed word and
-    passes at once.
+    stops at the first nonzero mixed one.  Every moment is given, so each
+    word's cumulant is solved, a pure one over all its first blocks as its
+    colour's own transform, up to the pure words of length max_len, which
+    no mixed word reads.  By induction on the length, each mixed one is
+    exact: while every mixed cumulant shorter than a word w vanishes, the
+    non-crossing partitions of w with a mixed block other than the full
+    one add nothing, so kappa(w) is m(w) minus the sum over the blocks
+    inside w's rarest colour that hold its first position of that colour,
+    with the gap and outer-word moments around them.  Until the first
+    nonzero mixed cumulant that induction holds for every word the scan
+    reaches, and at it the scan ends, so an early failure reads no moment
+    past its length.  A law of one colour has no mixed word and passes at
+    once.
     """
     if coloring.num_vars != joint.num_vars:
         raise ValueError("coloring does not match the law")
@@ -318,8 +322,8 @@ def check_inf_freeness(joint: InfLaw, coloring: Coloring, max_len: int) -> Freen
         raise ValueError("law is too short for the requested length budget")
     if len(coloring.palette()) < 2:
         return FreenessVerdict(True, None)
-    failed = _first_mixed(_block_table(joint.k, {}, joint.values, coloring.colors, max_len, True,
-                                       max_len - 1), coloring)
+    cumulants = _block_table(joint.k, {}, joint.values, coloring.colors, max_len)
+    failed = _first_mixed(((w, x) for w, _, x in cumulants), coloring)
     if failed is None:
         return FreenessVerdict(True, None)
     w, cumulant = failed
@@ -335,12 +339,12 @@ def upgraded_law(base: InfLaw, d: Derivation, k: int, max_len: int) -> InfLaw:
     with psi_0(()) = 1, and for i >= 1 psi_i(()) = 0 and psi_i(u) is the
     sum of c psi_{i-1}(u_{<p} v u_{>p}) over the positions p of u and the
     terms c v of D(x_{u_p}).  Level i covers the words up to length
-    max_len + (k - i) g, for images of degree g + 1 or less, as integers
-    over B E^i, for B the lcm of the base denominators and E that of the
-    image coefficients; only the level before it is kept.  With u_{<p}
-    fixed, the words u over every suffix are one run of a list by shortlex
-    place, and so are the words they read, so a term adds c times one
-    slice to another.  The CLI budget counts this work."""
+    max_len + (k - i) g, for images of the base's letters of degree g + 1
+    or less, as integers over B E^i, for B the lcm of the base
+    denominators and E that of the image coefficients; only the level
+    before it is kept.  With u_{<p} fixed, the words u over every suffix
+    are one run of a list by shortlex place, and so are the words they
+    read, so a term adds c times one slice to another.  The CLI budget counts this work."""
     if base.k != 0:
         raise ValueError("base law must have order 0")
     _check_max_len(max_len)
@@ -349,7 +353,7 @@ def upgraded_law(base: InfLaw, d: Derivation, k: int, max_len: int) -> InfLaw:
             if not 1 <= x <= base.num_vars:
                 raise ValueError(f"derivation image of variable {v} uses variable {x}, "
                                  f"but the base law has {base.num_vars} variable(s)")
-    growth = max(d.max_image_degree() - 1, 0)
+    growth = d.growth(base.num_vars)
     needed = max_len + k * growth
     if base.max_len < needed:
         raise ValueError(f"base law supports length {base.max_len}, need {needed} "

@@ -740,7 +740,8 @@ def block_plan_oracle(colors: tuple, n: int) -> list:
 
 
 class ReadLog(dict):
-    """A dict that records, in order, every word read through get."""
+    """A dict that records, in order, every word read through get or by
+    subscript."""
 
     def __init__(self, items, log: list):
         super().__init__(items)
@@ -749,6 +750,10 @@ class ReadLog(dict):
     def get(self, w, default=None):
         self.log.append(w)
         return super().get(w, default)
+
+    def __getitem__(self, w):
+        self.log.append(w)
+        return super().__getitem__(w)
 
 
 def free_product_joint_seeded_oracle(laws: list, max_len: int):

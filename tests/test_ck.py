@@ -329,28 +329,41 @@ def _check_cores_on(rng, k: int, num_vars: int, max_len: int):
         got = list(ck._product_tuple_table(k, kappa, npairs, top, maps))
         assert got == list(product_tuple_table_oracle(k, table, first, second, top)), (k, kind)
         runs += [(kind, table, invert) for invert in (False, True)]
-        # the free-product direction: the table's pure words below max_len
-        # as the cumulants of a random colouring, whose mixed ones vanish,
-        # and the pure moments they give, against the whole-table recursion
-        # seeded with those moments
+        # the free-product case: the table's pure words below max_len as
+        # the cumulants of a random colouring, whose mixed ones vanish, and
+        # only the pure moments they give, against the whole-table
+        # recursion seeded with those moments; the core solves the pure
+        # cumulants back from them and passes the pure moments through
         colors = tuple(rng.randint(1, 3) for _ in range(num_vars))
         pure = {w: x for w, x in table.items()
                 if len(w) < max_len and len({colors[v - 1] for v in w}) == 1}
         moments = {w: x for w, x in first_block_table_oracle(k, pure, num_vars, max_len, False, {})
                    if len({colors[v - 1] for v in w}) == 1}
-        got = list(ck._block_table(k, pure, moments, colors, max_len, False, 0))
-        assert got == list(first_block_table_oracle(k, pure, num_vars, max_len, False, moments)), \
+        got = list(ck._block_table(k, {}, moments, colors, max_len))
+        assert [(w, x) for w, x, _ in got] == list(
+            first_block_table_oracle(k, pure, num_vars, max_len, False, moments)), \
             (k, colors, max_len, kind)
-        _check_early_stop(rng, got, words, k, pure, moments, colors, max_len, False, 0)
+        zero = CkScalar.zero(k)
+        for w, x, c in got:
+            if w in moments:
+                assert x is moments[w], (k, colors, w)
+            if c is not None or len(w) < max_len and w in moments:
+                assert c == pure.get(w, zero), (k, colors, max_len, kind, w)
+        _check_early_stop(rng, got, words, k, {}, moments, colors, max_len)
     for kind, table, invert in runs:
         # the kernel reads its inputs by position, not in the dicts' order
         table = dict(rng.sample(list(table.items()), len(table)))
         args = (k, table, num_vars, max_len, invert)
         given = ({}, table) if invert else (table, {})
-        got = list(ck._block_table(k, *given, (1,) * num_vars, max_len, invert, max_len))
-        assert [w for w, _ in got] == words, (k, kind)
-        assert got == list(first_block_table_oracle(*args, {})), (k, num_vars, max_len, kind, invert)
-        _check_early_stop(rng, got, words, k, *given, (1,) * num_vars, max_len, invert, max_len)
+        got = list(ck._block_table(k, *given, (1,) * num_vars, max_len))
+        assert [w for w, _, _ in got] == words, (k, kind)
+        # (word, moment, cumulant): the given entry of each word is passed
+        # through, the same object, and the other one is computed
+        given_at = 0 if invert else 1
+        assert all(pair[given_at] is table[w] for w, *pair in got), (k, kind)
+        assert [(w, pair[1 - given_at]) for w, *pair in got] == list(
+            first_block_table_oracle(*args, {})), (k, num_vars, max_len, kind, invert)
+        _check_early_stop(rng, got, words, k, *given, (1,) * num_vars, max_len)
 
 
 def _check_early_stop(rng, got: list, words: list, k: int, cumulants: dict, moments: dict,

@@ -393,7 +393,8 @@ def _upgrade_work(num_vars: int, images: dict, growth: int, k: int, max_len: int
 def test_upgrade_budget_counts_the_recursions_work():
     # (num_vars, images by letter as lists of words, k, max_len): a zero
     # derivation, constant terms, degree-0 to degree-3 images, a letter
-    # with no image and one outside the base law, which is never read
+    # with no image and one outside the base law, which is never read and
+    # does not set the growth
     cases = (
         (1, {}, 3, 4),
         (2, {1: [(1, 2), (1,)], 2: [(1,), (2, 2)]}, 4, 3),
@@ -401,10 +402,12 @@ def test_upgrade_budget_counts_the_recursions_work():
         (3, {2: [(1, 2, 3), (3,), ()], 3: [(2, 1)]}, 2, 3),
         (1, {1: [(1, 1, 1)], 2: [(1,)]}, 3, 2),
         (3, {1: [(1,)], 2: [(2,)], 3: [(3,)]}, 0, 4),
+        (1, {1: [(1,)], 5: [(1, 1, 1)]}, 2, 3),
     )
     for num_vars, images, k, max_len in cases:
         d = Derivation({x: NcPolynomial(dict.fromkeys(words, 1)) for x, words in images.items()})
-        growth = max(max((len(w) for p in images.values() for w in p), default=0) - 1, 0)
+        growth = max(max((len(w) for x, p in images.items() if x <= num_vars for w in p),
+                         default=0) - 1, 0)
         *_, (size, what) = cli._upgrade_steps(num_vars, d, k, max_len)
         assert size == _upgrade_work(num_vars, images, growth, k, max_len), (num_vars, images, k)
         assert what == f"entries and image terms up to length {max_len + k * growth}"

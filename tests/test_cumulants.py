@@ -2,15 +2,15 @@
 from fractions import Fraction
 from itertools import islice
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infree.ck import CkScalar, ck_mul, ck_prod_many
+from infree.ck import CkScalar, _block_table, ck_mul, ck_prod_many
 from infree.cumulants import (
     CumulantTable,
     InfLaw,
-    _cumulants_shortlex,
     all_words,
     cumulant_of_products,
     cumulants_to_moments,
@@ -155,7 +155,7 @@ def test_first_block_kernels_match_nc_sum_oracles():
         values[w0] += CkScalar.one(k)
         bad = InfLaw(k, len(colors), max_len, values)
         prefix = []
-        for w, x in _cumulants_shortlex(bad, max_len):
+        for w, _, x in _block_table(k, {}, bad.values, (1,) * len(colors), max_len):
             prefix.append((w, x))
             if not x.is_zero() and len({colors[v - 1] for v in w}) > 1:
                 break
@@ -257,6 +257,24 @@ def test_cumulant_of_products():
     ):
         with pytest.raises(ValueError, match=message):
             cumulant_of_products(c, grouping, w)
+
+
+def test_a_word_outside_the_table_is_a_value_error():
+    # a word longer than the table or with a letter above num_vars is
+    # refused by name, with the table's shape, through every reader
+    rng = random.Random(17)
+    c = rand_cumulants(rng, k=1, num_vars=2, max_len=2)
+    law = rand_law(rng, k=1, num_vars=2, max_len=2)
+    shape = r"outside the table of the words over 2 variable\(s\) up to length 2$"
+    for read, word in (
+        (lambda: cumulant_of_products(c, (2, 3), (1, 2, 1)), (1, 2, 1)),
+        (lambda: kappa_pi(c, NcPartition(3, [[1, 2, 3]]), (1, 1, 2)), (1, 1, 2)),
+        (lambda: c.cumulant((3,)), (3,)),
+        (lambda: law.moment((1, 3)), (1, 3)),
+        (lambda: c.value((2, 2, 2)), (2, 2, 2)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"word {word} is ") + shape):
+            read()
 
 
 def test_connected_pi_are_those_whose_complement_splits_the_group_ends():

@@ -137,10 +137,16 @@ def test_apply_derivation():
         apply_derivation(d, p, -1)
 
 
-def test_free_product_single_factor():
-    # a single factor comes back as its own law, scalar for scalar
+def test_free_product_single_factor(monkeypatch):
+    # a single factor comes back as its own law, scalar for scalar, and no
+    # table core runs for it
     rng = random.Random(101)
     law = rand_law(rng, k=1, num_vars=2, max_len=3)
+
+    def refused(*args):
+        raise AssertionError("a single factor ran the table core")
+
+    monkeypatch.setattr(freeness, "_block_table", refused)
     joint, coloring = free_product_joint([law], 3)
     assert joint == law
     assert all(joint.values[w] is x for w, x in law.values.items())
@@ -191,10 +197,11 @@ def test_free_product_joint_matches_the_dense_oracle():
 
 
 def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
-    # the joint's c2m builds no scalar for a pure word and visits none of
-    # its blocks: each pure joint moment is the factor's own scalar
+    # the one joint call sums the blocks of the mixed words, solves the
+    # pure cumulants below max_len, the factors' own, and builds no moment
+    # for a pure word: each pure joint moment is the factor's own scalar
     rng = random.Random(193)
-    visited, made = [], []
+    visited, made, solved = [], [], {}
     real_plan = ck._block_plan
     real_built = CkScalar._built.__func__
 
@@ -222,7 +229,11 @@ def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
     def joint_c2m(*args):
         visited.clear()
         made.clear()
-        yield from _block_table(*args)
+        solved.clear()
+        for w, x, c in _block_table(*args):
+            if c is not None:
+                solved[w] = c
+            yield w, x, c
 
     monkeypatch.setattr(ck, "_block_plan", plan)
     monkeypatch.setattr(CkScalar, "_built", classmethod(built))
@@ -231,30 +242,41 @@ def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
         laws = [rand_law(rng, k, nv, max_len) for nv in nvs]
         joint, coloring = free_product_joint(laws, max_len)
         mixed = {w for w in joint.words() if len({coloring.color_of(v) for v in w}) > 1}
-        assert visited and set(visited) == mixed, (k, nvs)
-        # one scalar per nonzero mixed moment, and the one zero the kernel shares
-        nonzero_mixed = [joint.values[w] for w in mixed if not joint.values[w].is_zero()]
+        pure = {w for w in joint.words() if len(w) < max_len and w not in mixed}
+        assert visited and set(visited) == mixed | pure, (k, nvs)
+        assert set(solved) == pure, (k, nvs)
+        # one scalar per nonzero mixed moment and pure cumulant, and the one
+        # zero the kernel shares
+        nonzero = [x for x in [joint.values[w] for w in mixed] + list(solved.values())
+                   if not x.is_zero()]
         made_zero = [x for x in made if x.is_zero()]
         assert len(made_zero) == 1, (k, nvs)
-        assert sorted(map(id, made)) == sorted(map(id, nonzero_mixed + made_zero)), (k, nvs)
+        assert sorted(map(id, made)) == sorted(map(id, nonzero + made_zero)), (k, nvs)
         offset = 0
         for law in laws:
+            factor = moments_to_cumulants(law).values
             for w, x in law.values.items():
-                assert joint.values[tuple(v + offset for v in w)] is x, (k, nvs, w)
+                joint_w = tuple(v + offset for v in w)
+                assert joint.values[joint_w] is x, (k, nvs, w)
+                assert solved.get(joint_w, factor[w]) == factor[w], (k, nvs, w)
             offset += law.num_vars
         assert (joint, coloring) == free_product_joint_dense_oracle(laws, max_len)
 
 
 def test_free_product_reads_factor_cumulants_below_the_joint_length(monkeypatch):
-    # every pure joint word is seeded with its factor's moment, and a pure
-    # block of a mixed word is shorter than the word, so a factor longer
-    # than the joint has its cumulants computed below the joint's length
-    # alone
+    # every pure joint word is given its factor's moment, and a pure block
+    # of a mixed word is shorter than the word, so the one joint call
+    # solves the pure cumulants below the joint's length alone, and a
+    # factor longer than the joint has no moment past that length read
     rng = random.Random(197)
     long, short = rand_law(rng, 1, 2, 7), rand_law(rng, 1, 1, 3)
-    calls = _core_words(monkeypatch, cumulants)
-    joint, _ = free_product_joint([long, short], 3)
-    assert calls == list(all_words(2, 2)) + list(all_words(1, 2))
+    log = []
+    logged = InfLaw._of(long.k, long.num_vars, long.max_len, ReadLog(long.values, log))
+    calls = _core_words(monkeypatch, freeness)
+    joint, _ = free_product_joint([logged, short], 3)
+    mixed = [w for w in all_words(3, 3) if 3 in w and set(w) != {3}]
+    assert calls == [w for w in all_words(3, 3) if len(w) < 3 or w in mixed]
+    assert log and max(map(len, log)) == 3
     assert joint == free_product_joint_dense_oracle([long, short], 3)[0]
 
 
@@ -435,7 +457,22 @@ def test_product_tuple_rejects_mixed_cumulants():
     }
     values[(1, 2, 1, 2, 1)] = CkScalar.one(1)
     with pytest.raises(ValueError, match=r"\(1, 2, 1, 2, 1\)"):
-        product_tuple_cumulants(CumulantTable(1, 2, 5, values), Coloring((1, 2)), 3)
+        product_tuple_cumulants(CumulantTable(1, 2, 5, values), Coloring((1, 2)), 5)
+
+
+def test_product_tuple_reads_no_mixed_cumulant_past_its_length():
+    # a free product's cumulants with one nonzero mixed cumulant at
+    # (1, 2, 2): product-tuple cumulants up to length 2 never read it, so
+    # they are those of the table cut to length 2
+    rng = random.Random(157)
+    joint, coloring = free_product_joint([rand_law(rng, 1, 1, 3), rand_law(rng, 1, 1, 3)], 3)
+    values = dict(moments_to_cumulants(joint).values)
+    values[1, 2, 2] = CkScalar.one(1)
+    table = CumulantTable(1, 2, 3, values)
+    cut = CumulantTable(1, 2, 2, {w: x for w, x in values.items() if len(w) <= 2})
+    assert product_tuple_cumulants(table, coloring, 2) == product_tuple_cumulants(cut, coloring, 2)
+    with pytest.raises(ValueError, match=r"does not vanish on \(1, 2, 2\)"):
+        product_tuple_cumulants(table, coloring, 3)
 
 
 def test_checker_passes_free_product():
@@ -520,13 +557,15 @@ def test_witness_component_is_not_the_order_of_freeness():
 
 def _core_words(monkeypatch, module) -> list:
     """A list that records each word the table core computes when module
-    calls it, as the core yields it."""
+    calls it, as the core yields it: not a word it passes through with
+    both its given entries."""
     calls = []
 
-    def counted(*args):
-        for w, x in _block_table(*args):
-            calls.append(w)
-            yield w, x
+    def counted(k, cumulants, moments, *args):
+        for w, x, c in _block_table(k, cumulants, moments, *args):
+            if x is not moments.get(w) or c is not cumulants.get(w):
+                calls.append(w)
+            yield w, x, c
 
     monkeypatch.setattr(module, "_block_table", counted)
     return calls
@@ -813,6 +852,15 @@ def test_upgrade_support_error():
     upgraded_law(base, quad, 1, 2)  # length 3 suffices here
 
 
+def test_upgrade_sizes_its_base_by_the_images_of_its_letters():
+    # a letter outside the base law never occurs in a word, so the degree
+    # of its image does not lengthen the words the recursion reads
+    rng = random.Random(151)
+    base = rand_law(rng, k=0, num_vars=1, max_len=3)
+    wide = Derivation({1: X1, 5: X1 * X1 * X1})
+    assert upgraded_law(base, wide, 2, 3) == upgraded_law(base, Derivation({1: X1}), 2, 3)
+
+
 def _rand_base(rng, num_vars: int, max_len: int) -> InfLaw:
     """An order-0 law whose moments are drawn one word at a time."""
     return InfLaw(0, num_vars, max_len,
@@ -841,7 +889,7 @@ def test_upgrade_matches_the_expansion_oracle():
                   for v in range(1, num_vars + 1) if rng.random() < 0.7}
         drawn.append((num_vars, Derivation(images), k, max_len))
     for num_vars, d, k, max_len in fixed + tuple(drawn):
-        base = _rand_base(rng, num_vars, max_len + k * max(d.max_image_degree() - 1, 0))
+        base = _rand_base(rng, num_vars, max_len + k * d.growth(num_vars))
         up = upgraded_law(base, d, k, max_len)
         assert up == upgraded_law_expansion_oracle(base, d, k, max_len), (num_vars, d, k)
 

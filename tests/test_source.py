@@ -337,6 +337,30 @@ def test_one_nc_block_table_for_the_cumulant_sums():
     assert [node.lineno for node in ast.walk(freeness) if _imports(node, "partitions")] == []
 
 
+def test_one_table_core_call_per_transform():
+    # the table core takes each word's direction from the entries it is
+    # given, so it has no direction flag and no length cut-off, and each
+    # of the four transforms over it makes one call: a factor pre-pass or
+    # a second direction cannot come back unnoticed
+    tree = ast.parse((SRC / "ck.py").read_text(encoding="utf-8"))
+    core = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_block_table")
+    params = core.args
+    assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] == [
+        "k", "cumulants", "moments", "colors", "max_len"]
+    assert params.vararg is None and params.kwarg is None
+    assert "def block_table(k, cumulants, moments, colors, max_len, plan):" in \
+        ck._TEMPLATES["block_table"]
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            count = sum(isinstance(n, ast.Name) and n.id == "_block_table" for n in ast.walk(node))
+            if count and path.name != "ck.py":
+                calls[f"{path.stem}.{node.name}"] = count
+    assert calls == {"cumulants.cumulants_to_moments": 1, "cumulants.moments_to_cumulants": 1,
+                     "freeness.check_inf_freeness": 1, "freeness.free_product_joint": 1}
+
+
 def _loaded_modules(tmp_path, code: str) -> set:
     """The modules loaded by a fresh interpreter once it has run code."""
     out = tmp_path / "modules.json"
