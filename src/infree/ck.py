@@ -40,6 +40,17 @@ through the integer index maps of `_block_plan`, built once per
 (colouring, length) with list comprehensions and cached, so it builds and
 hashes no tuple.
 
+A tracial table, one whose entries are invariant under rotation, as every
+free product of one-variable laws is, has rotation-invariant cumulants
+too (Nica-Speicher, Lecture 11), so `_block_table` sums each rotation
+class once, at its least rotation, its first word in shortlex order.  A
+later rotation whose given entries equal the least rotation's, while
+every shorter word matched its own, copies that word's entries and
+output.  The copy is exact: the outputs at length n read only the
+entries of length < n and the word's own, and those, like NC(n), are
+invariant under rotation.  The first word that does not match is summed
+in full, and so is every word from the next length on.
+
 `_powers` computes the rows of a power chain, [z^m]f^a for every
 a, m <= n, and `_boxed_rows` sums the boxed-convolution coefficients
 gamma_m over such rows, building only the n outputs.
@@ -282,11 +293,15 @@ def block_table(k, cumulants, moments, colors, max_len, plan):
     zero = 1, ($zeros())
     shared_zero = CkScalar.zero(k)
     base = 1
+    rotations = True
     for n in range(1, max_len + 1):
         kappa += [None] * num_vars ** n
         moment += [None] * num_vars ** n
-        every, mixed, index_at = plan(colors, n)
+        every, mixed, index_at, rep = plan(colors, n)
         blocks_at = mixed if n == max_len and len(set(colors)) > 1 else every
+        if not rotations:
+            rep = None
+        held = [None] * num_vars ** n if rep is not None else None
         for j, w in enumerate(product(range(1, num_vars + 1), repeat=n)):
             p = base + j
             x = moments.get(w)
@@ -295,6 +310,15 @@ def block_table(k, cumulants, moments, colors, max_len, plan):
             if blocks is None:
                 yield w, x, c
                 continue
+            if rep is not None and rep[j] != j:
+                r = rep[j]
+                rx, rc, out = held[r]
+                if (x is rx or x == rx) and (c is rc or c == rc):
+                    kappa[p] = kappa[base + r]
+                    moment[p] = moment[base + r]
+                    yield (w, out, c) if x is None else (w, x, out)
+                    continue
+                rotations = False
             if x is None:
                 entry, given, found, sign = c, kappa, moment, 1
             else:
@@ -327,6 +351,8 @@ def block_table(k, cumulants, moments, colors, max_len, plan):
                 found[p] = out.den, out.nums
             else:
                 out = shared_zero
+            if held is not None:
+                held[j] = x, c, out
             yield (w, out, c) if sign > 0 else (w, x, out)
         base += num_vars ** n
 """,
@@ -555,20 +581,27 @@ def _built_all(k: int, den: int, rows: Iterable) -> list:
     return [CkScalar._built(k, den, nums) for nums in rows]
 
 
-@lru_cache(maxsize=None)
+# plans kept: a warm pass over the benchmark's shapes reads 26, and a plan
+# of three variables at length 8 alone holds about 19 MB
+_PLANS_KEPT = 32
+
+
+@lru_cache(maxsize=_PLANS_KEPT)
 def _block_plan(colors: tuple, n: int) -> tuple:
-    """(blocks, mixed, index) for the words of length n over the variables
-    1..len(colors), variable x of colour colors[x - 1], keyed on the
-    colouring and the length alone, so every caller of the table core
-    shares one plan.
+    """(blocks, mixed, index, rep) for the words of length n over the
+    variables 1..len(colors), variable x of colour colors[x - 1], keyed on
+    the colouring and the length alone, so every caller of the table core
+    shares one plan, and the last _PLANS_KEPT plans used are kept.
 
     blocks[j] is the tuple of `_pattern_blocks` that every word of the
     j-th word's colour pattern shares, shortlex, and mixed is the same
     list with None at each pure word.  index[j] is the word's place among
     the words of its pattern, the place its blocks' maps are read at.
-    Every list is one comprehension per letter column, so no Python loop
-    runs per word, and a pattern's blocks cost one map entry per word and
-    block visited."""
+    rep[j] is the place of the word's least rotation, its rotation class's
+    first word, shortlex; rep is None for one variable, where a word's
+    rotations are the word.  Every list is one comprehension per letter
+    column or rotation, so no Python loop runs per word, and a pattern's
+    blocks cost one map entry per word and block visited."""
     v = len(colors)
     palette = sorted(set(colors))
     members = [[x for x in range(1, v + 1) if colors[x - 1] == c] for c in palette]
@@ -588,7 +621,16 @@ def _block_plan(colors: tuple, n: int) -> tuple:
     patterns = list(product(range(tones), repeat=n))
     shared = [_pattern_blocks(v, members, pat) for pat in patterns]
     shared_mixed = [b if len(set(pat)) > 1 else None for b, pat in zip(shared, patterns)]
-    return [shared[p] for p in pattern], [shared_mixed[p] for p in pattern], index
+    rep = None
+    if v > 1:
+        # the place of a word is its value in base v, letter x the digit
+        # x - 1, so moving the first letter to the end is one integer map
+        top = v ** (n - 1)
+        rep = rotated = range(v ** n)
+        for _ in range(n - 1):
+            rotated = [x % top * v + x // top for x in rotated]
+            rep = list(map(min, rep, rotated))
+    return [shared[p] for p in pattern], [shared_mixed[p] for p in pattern], index, rep
 
 
 def _pattern_blocks(num_vars: int, members: list, tones: tuple) -> tuple:
@@ -673,6 +715,19 @@ def _block_table(k: int, cumulants: dict, moments: dict, colors: tuple,
     With more than one colour the pure words of length max_len, which no
     longer word reads, are yielded as given, unsummed; with one colour
     every word is summed, as the dense transforms need.
+
+    A word of length n that is not its rotation class's first word,
+    plan rep[j] != j, is copied while every word shorter than n matched
+    its class's first word: if its given moment and cumulant equal that
+    word's, in presence and value, it copies that word's stored entries
+    and yields that word's output, the same object.  The copy is exact
+    wherever the sum is: the exact output is the moment-cumulant relation
+    over NC(n), which reads the word's own entries and those of length
+    < n, and a rotation maps NC(n) onto itself and, by then, each shorter
+    entry onto an equal one.  A word that does not match is summed, and
+    so is every word of the lengths after it.  A class's first word comes
+    before the rest of its class, so the first failing word, shortlex, of
+    a consumer that stops at one is the same as without the copy.
 
     Each word's entries of cumulants and moments are read once, through
     their get, as it comes up, and a nonzero entry or output is kept as a

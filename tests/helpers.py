@@ -393,6 +393,82 @@ def rand_law(rng, k: int, num_vars: int, max_len: int):
     return cumulants_to_moments(rand_cumulants(rng, k, num_vars, max_len))
 
 
+def least_rotation(w: tuple) -> tuple:
+    """The shortlex least of the rotations of w, its rotation class's
+    first word."""
+    return min(w[i:] + w[:i] for i in range(len(w)))
+
+
+def tracial_table(rng, k: int, num_vars: int, max_len: int) -> dict:
+    """One random sparse scalar per rotation class, the same object at
+    every word of the class: a table invariant under rotation."""
+    drawn = {}
+    return {w: drawn.setdefault(least_rotation(w), rand_sparse_scalar(rng, k))
+            for w in all_words(num_vars, max_len)}
+
+
+def _pairings(items: list):
+    """Every pairing of the items, as a dict sending each to its partner."""
+    if not items:
+        yield {}
+        return
+    first, rest = items[0], items[1:]
+    for i, other in enumerate(rest):
+        for pairing in _pairings(rest[:i] + rest[i + 1:]):
+            yield {**pairing, first: other, other: first}
+
+
+def gue_rank_moment(w: tuple, spectrum: tuple) -> Counter:
+    """E tr_N(w) for a word in X = 1, a GUE X_N, and D = 2, a deterministic
+    D_N of finite rank with nonzero eigenvalues spectrum, as the
+    coefficients of a polynomial in t = 1/N, by power.
+
+    A word of D alone has tr(D^n) = p_n t, p_a = sum of d^a over the
+    spectrum.  A word with m letters X, m even, read cyclically from an X,
+    is X A_1 X A_2 ... X A_m with A_r = D^(a_r) the run after the r-th X,
+    and Wick's formula gives E tr_N = sum over the pairings pi of the X's
+    of N^(-1 - m/2) prod over the cycles c of r -> pi(r + 1) of Tr(D^a),
+    a the sum of a_r over c, Tr(D^0) = N (Mingo-Speicher, Free Probability
+    and Random Matrices, Ch. 1).  An odd m gives zero."""
+    def p(a):
+        return sum(Fraction(d) ** a for d in spectrum)
+
+    n = len(w)
+    xs = [q for q, v in enumerate(w) if v == 1]
+    m = len(xs)
+    poly = Counter()
+    if not m:
+        poly[1] = p(n)
+    elif m % 2 == 0:
+        runs = [(xs[(r + 1) % m] - xs[r] - 1) % n for r in range(m)]
+        for pi in _pairings(list(range(m))):
+            seen, coeff, empty = set(), Fraction(1), 0
+            for start in range(m):
+                if start in seen:
+                    continue
+                a, r = 0, start
+                while r not in seen:
+                    seen.add(r)
+                    a += runs[r]
+                    r = pi[(r + 1) % m]
+                if a:
+                    coeff *= p(a)
+                else:
+                    empty += 1
+            poly[1 + m // 2 - empty] += coeff
+    return poly
+
+
+def gue_rank_law(k: int, spectrum: tuple, max_len: int) -> InfLaw:
+    """The order-k law of (X, D) of `gue_rank_moment`: coordinate i of each
+    moment is i! times its coefficient of t^i."""
+    values = {}
+    for w in all_words(2, max_len):
+        poly = gue_rank_moment(w, spectrum)
+        values[w] = CkScalar(k, [factorial(i) * poly[i] for i in range(k + 1)])
+    return InfLaw(k, 2, max_len, values)
+
+
 def free_product_joint_dense_oracle(laws: list, max_len: int):
     """The free product's joint law and coloring through a dense joint
     cumulant table: every mixed word an explicit zero, every pure word its

@@ -34,6 +34,7 @@ from helpers import (
     first_block_table_oracle,
     fraction_ck_inverse_oracle,
     fraction_ck_mul_oracle,
+    least_rotation,
     nc_boxed_conv_oracle,
     per_degree_comp_inverse_oracle,
     power_rows_oracle,
@@ -48,6 +49,7 @@ from helpers import (
     ReadLog,
     series_coeff,
     to_toeplitz,
+    tracial_table,
 )
 
 
@@ -375,6 +377,49 @@ def _check_early_stop(rng, got: list, words: list, k: int, cumulants: dict, mome
     early = ck._block_table(k, ReadLog(cumulants, log), ReadLog(moments, log), *args)
     assert list(islice(early, stop)) == got[:stop]
     assert log and set(log) <= set(words[:stop]), (k, args, stop)
+
+
+def _broken_at(table: dict, max_len: int) -> int:
+    """The first length with a word whose entry is not its least
+    rotation's, max_len if there is none."""
+    return min((len(w) for w, x in table.items() if x != table[least_rotation(w)]),
+               default=max_len)
+
+
+def test_table_core_copies_a_tracial_tables_rotations():
+    # one random scalar per rotation class, given as cumulants and as
+    # moments, whole and broken at one word of length 2, 3 or max_len, a
+    # least rotation or not: the outputs against the plain recursion, a
+    # copy the same object as its least rotation's output, while every
+    # summed word builds its own; early stops read no later entry
+    rng = random.Random(613)
+    for k in range(4):
+        for num_vars, max_len in ((2, 6), (3, 4)):
+            words = list(all_words(num_vars, max_len))
+            table = tracial_table(rng, k, num_vars, max_len)
+            tables = [table]
+            for n in (2, 3, max_len):
+                rotated = [w for w in words if len(w) == n and len(set(w)) > 1]
+                for least in (True, False):
+                    w0 = rng.choice([w for w in rotated if (w == least_rotation(w)) == least])
+                    bad = dict(table)
+                    bad[w0] = bad[w0] + CkScalar.one(k)
+                    tables.append(bad)
+            for given in tables:
+                broken = _broken_at(given, max_len)
+                for invert in (False, True):
+                    args = ({}, given) if invert else (given, {})
+                    got = list(ck._block_table(k, *args, (1,) * num_vars, max_len))
+                    out = {w: pair[1 if invert else 0] for w, *pair in got}
+                    where = (k, num_vars, broken, invert)
+                    assert list(out.items()) == list(first_block_table_oracle(
+                        k, given, num_vars, max_len, invert, {})), where
+                    copied = {w for w in words if w != least_rotation(w) and len(w) <= broken
+                              and given[w] == given[least_rotation(w)]}
+                    assert all(out[w] is out[least_rotation(w)] for w in copied), where
+                    summed = [out[w] for w in words if w not in copied and not out[w].is_zero()]
+                    assert len(set(map(id, summed))) == len(summed), where
+                    _check_early_stop(rng, got, words, k, *args, (1,) * num_vars, max_len)
 
 
 _POWER_ORDERS = (0, 1, 2, 3, 16, 17, 20)

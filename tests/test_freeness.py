@@ -62,9 +62,12 @@ from helpers import (
     first_block_m2c_oracle,
     free_product_joint_dense_oracle,
     free_product_joint_seeded_oracle,
+    gue_rank_law,
+    gue_rank_moment,
     jet_of_poly,
     lagrange_derivative_at_zero,
     law_at_t,
+    least_rotation,
     pieces_apply_once_oracle,
     rand_fraction,
     rand_law,
@@ -73,6 +76,7 @@ from helpers import (
     rand_series,
     rand_sparse_scalar,
     t_poly_freeness_oracle,
+    tracial_table,
     upgraded_law_expansion_oracle,
 )
 
@@ -199,7 +203,10 @@ def test_free_product_joint_matches_the_dense_oracle():
 def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
     # the one joint call sums the blocks of the mixed words, solves the
     # pure cumulants below max_len, the factors' own, and builds no moment
-    # for a pure word: each pure joint moment is the factor's own scalar
+    # for a pure word: each pure joint moment is the factor's own scalar.
+    # A word whose given moment is its least rotation's, after lengths
+    # that all matched, copies that rotation's entries: a product of
+    # one-variable factors is tracial, so it sums only the least rotations
     rng = random.Random(193)
     visited, made, solved = [], [], {}
     real_plan = ck._block_plan
@@ -216,11 +223,11 @@ def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
             return list.__getitem__(self, i)
 
     def plan(colors, n):
-        every, mixed, index = real_plan(colors, n)
+        every, mixed, index, rep = real_plan(colors, n)
         words = iter_product(range(1, len(colors) + 1), repeat=n)
         every = [tuple((Recorded(bmap, w), gmaps) for bmap, gmaps in bs)
                  for bs, w in zip(every, words)]
-        return every, [None if bs is None else r for bs, r in zip(mixed, every)], index
+        return every, [None if bs is None else r for bs, r in zip(mixed, every)], index, rep
 
     def built(cls, *args):
         made.append(real_built(cls, *args))
@@ -238,20 +245,32 @@ def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
     monkeypatch.setattr(ck, "_block_plan", plan)
     monkeypatch.setattr(CkScalar, "_built", classmethod(built))
     monkeypatch.setattr(freeness, "_block_table", joint_c2m)
-    for k, nvs, max_len in ((0, (1, 1), 5), (2, (2, 1), 4), (1, (1, 1, 1), 3)):
+    for k, nvs, max_len in ((0, (1, 1), 5), (2, (2, 1), 4), (1, (1, 1, 1), 3), (1, (1, 1), 8)):
         laws = [rand_law(rng, k, nv, max_len) for nv in nvs]
         joint, coloring = free_product_joint(laws, max_len)
         mixed = {w for w in joint.words() if len({coloring.color_of(v) for v in w}) > 1}
         pure = {w for w in joint.words() if len(w) < max_len and w not in mixed}
-        assert visited and set(visited) == mixed | pure, (k, nvs)
+        # the moments the core is given, the factors', none for a mixed word
+        given = {w: None if w in mixed else joint.values[w] for w in mixed | pure}
+        broken = min((len(w) for w in given if given[w] != given[least_rotation(w)]),
+                     default=max_len)
+        summed = {w for w in given if w == least_rotation(w) or len(w) > broken
+                  or given[w] != given[least_rotation(w)]}
+        assert visited and set(visited) == summed, (k, nvs)
+        if max(nvs) == 1:  # tracial: the least rotations alone
+            assert summed == {w for w in given if w == least_rotation(w)}, (k, nvs)
+            for w in mixed:
+                assert joint.values[w] is joint.values[least_rotation(w)], (k, nvs, w)
+        else:  # a random two-variable factor breaks at (1, 2) and (2, 1)
+            assert broken == 2 and summed >= {w for w in given if len(w) > 2}, (k, nvs)
         assert set(solved) == pure, (k, nvs)
-        # one scalar per nonzero mixed moment and pure cumulant, and the one
-        # zero the kernel shares
-        nonzero = [x for x in [joint.values[w] for w in mixed] + list(solved.values())
-                   if not x.is_zero()]
+        # one scalar per distinct nonzero mixed moment and pure cumulant,
+        # and the one zero the kernel shares
+        nonzero = {id(x) for x in [joint.values[w] for w in mixed] + list(solved.values())
+                   if not x.is_zero()}
         made_zero = [x for x in made if x.is_zero()]
         assert len(made_zero) == 1, (k, nvs)
-        assert sorted(map(id, made)) == sorted(map(id, nonzero + made_zero)), (k, nvs)
+        assert sorted(map(id, made)) == sorted([*nonzero, id(made_zero[0])]), (k, nvs)
         offset = 0
         for law in laws:
             factor = moments_to_cumulants(law).values
@@ -261,6 +280,10 @@ def test_free_product_c2m_sums_only_the_mixed_words(monkeypatch):
                 assert solved.get(joint_w, factor[w]) == factor[w], (k, nvs, w)
             offset += law.num_vars
         assert (joint, coloring) == free_product_joint_dense_oracle(laws, max_len)
+        if max_len == 8:
+            # a 1+1 product of length 8 sums 91 words, the necklaces that
+            # hold a mixed word or a pure one shorter than 8, of 508
+            assert len(summed) == 91 and len(given) == 508
 
 
 def test_free_product_reads_factor_cumulants_below_the_joint_length(monkeypatch):
@@ -672,6 +695,109 @@ def test_free_core_matches_the_whole_table_routes():
                             assert verdict.witness.word == w0 and verdict.witness.component == i
 
 
+def _tracial_law(rng, k: int, num_vars: int, max_len: int) -> InfLaw:
+    """The moments of one random cumulant per rotation class: a tracial
+    law."""
+    return cumulants_to_moments(
+        CumulantTable(k, num_vars, max_len, tracial_table(rng, k, num_vars, max_len)))
+
+
+def test_tracial_products_and_checks_match_the_whole_table_routes():
+    # a free product of tracial factors, one-variable ones or tracial
+    # two-variable ones, is tracial, so the core copies the rotations of
+    # its mixed words: the products against the dense joint cumulant
+    # table, and checks of them, whole and with one moment perturbed at a
+    # least rotation or at another rotation, mixed or pure, against the
+    # whole cumulant table
+    rng = random.Random(601)
+    shapes = {0: (((1, 1), 6), ((2, 1), 4), ((1, 1, 1), 4)), 1: (((2, 2), 3), ((1, 1), 5)),
+              2: (((1, 2), 4),), 3: (((1, 1), 5), ((2, 1), 3))}
+    for k, cases in shapes.items():
+        for nvs, max_len in cases:
+            where = (k, nvs, max_len)
+            laws = [_tracial_law(rng, k, nv, max_len) for nv in nvs]
+            joint, coloring = free_product_joint(laws, max_len)
+            assert (joint, coloring) == free_product_joint_dense_oracle(laws, max_len), where
+            words = list(joint.words())
+            mixed = [w for w in words if len({coloring.color_of(v) for v in w}) > 1]
+            for w in words:
+                least = joint.values[least_rotation(w)]
+                assert joint.values[w] is least if w in mixed else joint.values[w] == least, where
+            assert _verdicts_agree(joint, coloring, max_len, where, False).passed
+            rotated = [w for w in words if w != least_rotation(w)]
+            pure = [w for w in rotated if w not in mixed]
+            for n in range(2, max_len + 1):
+                w1 = rng.choice([w for w in rotated if len(w) == n and w in mixed])
+                for w0 in (least_rotation(w1), w1, *(rng.sample(pure, 1) if pure else ())):
+                    i = rng.randint(0, k)
+                    bad = perturbed(joint, w0, i, rand_fraction(rng) or Fraction(1, 3))
+                    verdict = _verdicts_agree(bad, coloring, max_len, (*where, w0, i), False)
+                    if w0 in mixed:
+                        assert verdict.witness.word == w0 and verdict.witness.component == i
+
+
+def _harer_zagier(n: int, g: int) -> int:
+    """epsilon_g(n), the coefficient of N^(-2g) in E tr X^(2n) for a GUE X_N:
+    (n + 1) e_g(n) = 2(2n - 1) e_g(n - 1) + (n - 1)(2n - 1)(2n - 3) e_(g-1)(n - 2),
+    e_0(0) = 1 (Harer-Zagier, Invent. Math. 85, 1986)."""
+    if n < 0 or g < 0:
+        return 0
+    if n == 0:
+        return int(g == 0)
+    total = (2 * (2 * n - 1) * _harer_zagier(n - 1, g)
+             + (n - 1) * (2 * n - 1) * (2 * n - 3) * _harer_zagier(n - 2, g - 1))
+    assert total % (n + 1) == 0
+    return total // (n + 1)
+
+
+# spectra of the finite-rank D: p_2 = 17/4, 1 and 118/9
+_SPECTRA = ((2, Fraction(-1, 2)), (1,), (3, Fraction(1, 3), -2))
+
+
+def test_gue_rank_moments_match_harer_zagier():
+    # the Wick sum over pairings against the Harer-Zagier recursion for
+    # the powers of X, whatever D is; a power of D alone is p_n t
+    assert [_harer_zagier(4, g) for g in range(3)] == [14, 70, 21]
+    for spectrum in _SPECTRA:
+        for n in range(1, 6):
+            poly = gue_rank_moment((1,) * (2 * n), spectrum)
+            assert {e: c for e, c in poly.items() if c} == {
+                2 * g: _harer_zagier(n, g) for g in range(n // 2 + 1)}, (spectrum, n)
+            assert not any(gue_rank_moment((1,) * (2 * n - 1), spectrum).values())
+            assert gue_rank_moment((2,) * n, spectrum) == {1: sum(Fraction(d) ** n for d in spectrum)}
+
+
+def test_gue_rank_law_is_tracial_and_its_cumulants_are_copied():
+    # E tr is invariant under rotation, so the one-colour m2c sums each
+    # rotation class once and every other word shares its least
+    # rotation's cumulant object
+    law = gue_rank_law(3, _SPECTRA[0], 8)
+    cums = moments_to_cumulants(law).values
+    for w in law.words():
+        assert law.values[w] == law.values[least_rotation(w)], w
+        assert cums[w] is cums[least_rotation(w)], w
+    short = gue_rank_law(2, _SPECTRA[2], 5)
+    assert moments_to_cumulants(short) == first_block_m2c_oracle(short)
+
+
+def test_gue_and_finite_rank_matrix_are_free_of_order_two():
+    # X_N and D_N are asymptotically infinitesimally free (Shlyakhtenko,
+    # Indiana Univ. Math. J. 67, 2018) and free of order 2 here: the
+    # checker passes through k = 2 and fails at k = 3 at (X,X,X,D,X,D),
+    # component 3, with value p_2 = Tr(D^2)
+    coloring = Coloring((1, 2))
+    for spectrum, max_len in zip(_SPECTRA, (8, 6, 6)):
+        law = gue_rank_law(3, spectrum, max_len)
+        for k in range(3):
+            lower = InfLaw(k, 2, max_len, {w: CkScalar(k, x.coords[:k + 1])
+                                           for w, x in law.values.items()})
+            assert check_inf_freeness(lower, coloring, max_len).passed, (spectrum, k)
+        p2 = sum(Fraction(d) ** 2 for d in spectrum)
+        assert check_inf_freeness(law, coloring, max_len) == FreenessVerdict(
+            False, Witness((1, 1, 1, 2, 1, 2), 3, p2))
+    assert check_inf_freeness(law, coloring, 6) == check_inf_freeness_m2c_oracle(law, coloring, 6)
+
+
 def test_checker_of_one_colour_runs_no_kernel(monkeypatch):
     # a law of one colour has no mixed word: it passes before any table
     # kernel runs
@@ -699,13 +825,38 @@ def test_block_plan_matches_the_position_sets():
                 colors = [rng.randint(1, 9) for _ in range(num_vars)]
             colors = tuple(colors)
             for n in range(1, 6):
-                every, mixed, index = ck._block_plan(colors, n)
+                every, mixed, index, rep = ck._block_plan(colors, n)
+                words = list(iter_product(range(1, num_vars + 1), repeat=n))
+                assert (rep is None) == (num_vars == 1), (colors, n)
                 for j, (i, pure, blocks) in enumerate(block_plan_oracle(colors, n)):
                     where = (colors, n, j)
                     assert index[j] == i, where
+                    if rep is not None:
+                        assert words[rep[j]] == least_rotation(words[j]), where
                     assert mixed[j] is (None if pure else every[j]), where
                     got = [(bmap[i], tuple(g[i] for g in gmaps)) for bmap, gmaps in every[j]]
                     assert sorted(got) == blocks, where
+
+
+def test_block_plan_cache_stays_at_its_bound():
+    # the plans are kept up to a fixed count, above the 26 that the
+    # benchmark's warm pass reads, so a long-lived caller holds no more
+    # and a warm pass over those shapes builds each plan once
+    ck._block_plan.cache_clear()
+    for c in range(ck._PLANS_KEPT + 8):
+        ck._block_plan((c,), 1)
+    info = ck._block_plan.cache_info()
+    assert info.maxsize == info.currsize == ck._PLANS_KEPT >= 26
+    rng = random.Random(593)
+    shapes = [(2, (1, 1), 5), (1, (2, 2), 4), (2, (2, 1), 4), (2, (1, 1, 1), 4), (3, (1, 1), 4)]
+    laws = [[rand_law(rng, k, nv, max_len) for nv in nvs] for k, nvs, max_len in shapes]
+    for _ in range(2):
+        misses = ck._block_plan.cache_info().misses
+        for (k, nvs, max_len), factors in zip(shapes, laws):
+            joint, coloring = free_product_joint(factors, max_len)
+            assert check_inf_freeness(joint, coloring, max_len).passed
+            moments_to_cumulants(joint)
+    assert ck._block_plan.cache_info().misses == misses
 
 
 def test_block_plan_leaves_no_garbage_cycle():
