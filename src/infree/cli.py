@@ -2,11 +2,14 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain error (bad values, schema
 violations, non-invertible elements, a computation that runs out of memory
-or of recursion depth, a request over budget), 3 I/O failure.  "-"
-reads standard input; output goes to --out or standard output.  A failure
-after the arguments parse prints one line on standard error, "KIND: VERB:
-MESSAGE", with KIND "error" for exit code 2 and "i/o error" for 3; a
-schema error's message starts with the JSON path it names.
+or of recursion depth, a request over budget), 3 I/O failure (a closed
+pipe on standard output among them).  "-" reads standard input; output
+goes to --out or standard output through one writer, which writes a list
+one item at a time: nc-enum and nck-enum hand it a lazy scan, so their
+memory does not grow with n.  A failure after the arguments parse prints
+one line on standard error, "KIND: VERB: MESSAGE", with KIND "error" for
+exit code 2 and "i/o error" for 3; a schema error's message starts with
+the JSON path it names.
 
 Every verb that could take long sizes its work from closed forms before
 doing any of it, with one check: the sizes of larger and larger parts of
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from itertools import accumulate, chain
@@ -65,7 +69,7 @@ from .jsonio import (
     decode_law,
     decode_partition,
     decode_series,
-    encode,
+    encode_items,
 )
 
 
@@ -118,12 +122,23 @@ def _read_json(path: str):
         raise SchemaError(name, f"invalid JSON: integer longer than {limit} digits") from None
 
 
-def _write(text: str, out: str | None):
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
+def _write(value, out: str | None):
+    """Write the JSON text of value, a list, tuple or iterator one item per
+    write.  The first piece is made before --out is opened, so a value that
+    fails to encode leaves no file.  A failed write to stdout points it at
+    the null device, so that the flush at exit has nothing left to fail."""
+    pieces = _encoded(value)
+    first = next(pieces)
+    if out is not None and out != "-":
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chain((first,), pieces))
+        return
+    try:
+        sys.stdout.writelines(chain((first,), pieces))
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 def _within_budget(steps, budget: int = ENUM_BUDGET) -> None:
@@ -175,36 +190,36 @@ def _series_steps(k: int, trunc: int, scalars=()):
     return chain((step(j, 1) for j in orders), (step(k, d) for d in range(2, trunc + 1)))
 
 
-def _encoded(value) -> str:
-    """The JSON text of value; the one way it fails is an integer longer
-    than the interpreter converts to a string."""
+def _encoded(value):
+    """The JSON text of value in pieces; the one way it fails is an integer
+    longer than the interpreter converts to a string."""
     try:
-        return encode(value)
+        yield from encode_items(value)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ValueError(f"the output holds an integer longer than {limit} digits") from None
 
 
 def _cmd_nc_enum(args):
-    from .partitions import catalan, enumerate_nc
+    from .partitions import _nc_scan, catalan
 
     _within_budget((catalan(m), f"partitions of [{m}]") for m in range(1, args.n + 1))
-    return list(enumerate_nc(args.n))
+    return _nc_scan(args.n)
 
 
 def _cmd_nck_enum(args):
     from .partitions import catalan
-    from .typek import enumerate_type_k, fiber_size_formula
+    from .typek import _type_k_scan, fiber_size_formula
 
     n, k = args.n, args.k
-    if n >= 1 and k >= 0:  # other values are refused by enumerate_type_k
+    if n >= 1 and k >= 0:  # other values are refused by _type_k_scan
         # NC(m) for m up to n, then Catalan(n) reductions times the
         # Fuss-Catalan fiber of type j for j up to k
         _within_budget(chain(
             ((catalan(m), f"partitions of [{m}]") for m in range(1, n + 1)),
             ((catalan(n) * fiber_size_formula(n, j), f"type-{j} partitions of [{n}]")
              for j in range(1, k + 1))))
-    return list(enumerate_type_k(n, args.k))
+    return _type_k_scan(n, k)
 
 
 def _cmd_kreweras(args):
@@ -408,7 +423,7 @@ def main(argv=None) -> int:
     except SystemExit as e:  # --help, --version
         return 0 if e.code in (0, None) else 1
     try:
-        _write(_encoded(args.func(args)), args.out)
+        _write(args.func(args), args.out)
         return 0
     except MemoryError:
         kind, code, message = "error", 2, "out of memory"

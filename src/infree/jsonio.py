@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 
@@ -288,9 +289,27 @@ def encode_verdict(v: FreenessVerdict) -> dict:
     }
 
 
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode(value) -> str:
     """Serialize any domain value to deterministic JSON text."""
-    return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":")) + "\n"
+    return _JSON.encode(to_jsonable(value)) + "\n"
+
+
+def encode_items(value):
+    """The text of encode(value) in pieces, "".join of them the whole: a
+    list, tuple or iterator as "[" and its first item, "," and each next
+    item, then "]\n", so that its text is never held whole; any other
+    value as one piece."""
+    if not isinstance(value, (list, tuple, Iterator)):
+        yield encode(value)
+        return
+    lead = "["
+    for item in value:
+        yield lead + _JSON.encode(to_jsonable(item))
+        lead = ","
+    yield "]\n" if lead == "," else "[]\n"
 
 
 def _encode_list(value) -> list:

@@ -83,15 +83,17 @@ def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _nc_cache(n: int) -> tuple:
-    """Every non-crossing partition of [n], built by the trusted `_of`.
+def _nc_scan(n: int):
+    """Every non-crossing partition of [n], one at a time, built by the
+    trusted `_of`; n < 1 is refused at the call, before any is built.
 
     Left-to-right scan with a stack of open blocks.  At each position either
     open a new block, or extend one of the open blocks; extending a block
     below the top closes everything above it, so each partition is produced
     exactly once.
     """
+    if n < 1:
+        raise ValueError("enumerate_nc needs n >= 1")
 
     def rec(pos: int, stack: list, closed: list):
         if pos > n:
@@ -111,13 +113,18 @@ def _nc_cache(n: int) -> tuple:
         while popped:
             stack.append(popped.pop())
 
-    return tuple(rec(1, [], []))
+    return rec(1, [], [])
+
+
+@lru_cache(maxsize=None)
+def _nc_cache(n: int) -> tuple:
+    return tuple(_nc_scan(n))
 
 
 def enumerate_nc(n: int) -> tuple:
-    """All non-crossing partitions of [n], memoized; Catalan(n) of them."""
-    if n < 1:
-        raise ValueError("enumerate_nc needs n >= 1")
+    """All non-crossing partitions of [n], Catalan(n) of them, as a tuple
+    memoized per n by `_nc_cache`.  The CLI reads the lazy `_nc_scan`
+    instead, in the same order, so that it holds one partition at a time."""
     return _nc_cache(n)
 
 

@@ -7,7 +7,8 @@ enumerated directly by a constrained left-to-right scan: a block may only
 grow along the successor cycle of its reduced block, and may only close
 once its length is a multiple of that block's size.
 
-Fiber elements are built once per (p, k) by the trusted constructor `_of`:
+Fiber elements are built by the trusted constructor `_of`, once per (p, k)
+for the memoized `fiber_over`, afresh for the CLI's lazy `_type_k_scan`:
 the scan produces only members, so they skip the membership test, and
 their shapes share one block index of p.  Only the public
 `TypeKPartition(pi, n, k)`, the route for partitions from outside the
@@ -24,6 +25,7 @@ from ._value import Value
 from .partitions import (
     NcPartition,
     SetPartition,
+    _nc_scan,
     biane_permutation,
     enumerate_nc,
     is_noncrossing,
@@ -68,8 +70,8 @@ def is_type_k(p: NcPartition, n: int, k: int) -> bool:
     )
 
 
-def _fiber_scan(p: NcPartition, k: int) -> Iterator[NcPartition]:
-    """All pi in NC^(k)(n) with reduction p.
+def _fiber_scan(p: NcPartition, k: int) -> Iterator[TypeKPartition]:
+    """All elements of NC^(k)(n) with reduction p, one at a time.
 
     Scan positions 1..(k+1)n keeping a stack of open blocks.  A position may
     start a new block, or extend an open block whose walk expects its
@@ -80,12 +82,14 @@ def _fiber_scan(p: NcPartition, k: int) -> Iterator[NcPartition]:
     m = (k + 1) * n
     t = biane_permutation(p)
     cyc_size = {x: len(b) for b in p.blocks for x in b}
+    index_of = _block_index(p)
 
     # stack entries are [elements, expected_next_residue, cycle_size]
     def rec(pos: int, stack: list, closed: list, excess_closed: int):
         if pos > m:
             if all(len(e[0]) % e[2] == 0 for e in stack):
-                yield NcPartition._of(m, tuple(sorted([tuple(e[0]) for e in stack] + closed)))
+                pi = NcPartition._of(m, tuple(sorted([tuple(e[0]) for e in stack] + closed)))
+                yield TypeKPartition._of(pi, n, k, p, _compute_shape(pi, index_of, n))
             return
         remaining = m - pos + 1
         # each open block still needs (-len) mod cycle elements to finish
@@ -174,17 +178,26 @@ def _compute_shape(pi: NcPartition, index_of: dict, n: int) -> tuple:
     return tuple(entries)
 
 
+def _type_k_scan(n: int, k: int) -> Iterator[TypeKPartition]:
+    """NC^(k)(n) one element at a time, in the order of `enumerate_type_k`;
+    n < 1 or k < 0 is refused at the call, before any is built."""
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    return (tk for p in _nc_scan(n) for tk in _fiber_scan(p, k))
+
+
 @lru_cache(maxsize=None)
 def fiber_over(p: NcPartition, k: int) -> tuple:
-    """All TypeKPartition with reduction p, memoized per (p, k)."""
-    index_of = _block_index(p)
-    return tuple(TypeKPartition._of(pi, p.n, k, p, _compute_shape(pi, index_of, p.n))
-                 for pi in _fiber_scan(p, k))
+    """All TypeKPartition with reduction p, the lazy `_fiber_scan` as a
+    tuple memoized per (p, k)."""
+    return tuple(_fiber_scan(p, k))
 
 
 @lru_cache(maxsize=None)
 def enumerate_type_k(n: int, k: int) -> tuple:
-    """All of NC^(k)(n), grouped by reduction, memoized."""
+    """All of NC^(k)(n), grouped by reduction, as a tuple memoized per
+    (n, k) over the memoized fibers.  The CLI reads the lazy
+    `_type_k_scan` instead, so that it holds one element at a time."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     return tuple(tk for p in enumerate_nc(n) for tk in fiber_over(p, k))

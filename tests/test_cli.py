@@ -3,10 +3,12 @@ from fractions import Fraction
 import io
 from itertools import product
 import json
+import os
 from pathlib import Path
 import random
 import re
 import signal
+import subprocess
 import sys
 import time
 
@@ -79,6 +81,112 @@ def test_nck_enum(capsys):
     assert all(set(d) == {"n", "k", "blocks", "reduction", "shape"} for d in data)
 
 
+def test_enumerations_stream_the_text_of_the_whole_list(capsys, monkeypatch, tmp_path):
+    # nc-enum and nck-enum write their lists item by item from lazy scans;
+    # stdout and --out hold the bytes of encode() of the memoized tuple
+    cases = [(["nc-enum", "--n", str(n)], enumerate_nc(n)) for n in range(1, 10)]
+    cases += [(["nck-enum", "--n", str(n), "--k", str(k)], enumerate_type_k(n, k))
+              for n, k in [*product(range(1, 5), range(3)), (5, 2)]]
+    target = tmp_path / "out.json"
+    for argv, expected in cases:
+        text = encode(list(expected))
+        assert run(capsys, *argv) == (0, text, ""), argv
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", ""), argv
+        assert target.read_bytes() == text.encode(), argv
+
+    # one write per item, its lead "[" or "," and its whole text, then "]\n"
+    class Writes(io.StringIO):
+        def write(self, text):
+            calls.append(text)
+            return super().write(text)
+
+    calls = []
+    monkeypatch.setattr(sys, "stdout", Writes())
+    assert main(["nc-enum", "--n", "4"]) == 0
+    items = [encode(p)[:-1] for p in enumerate_nc(4)]
+    assert calls == ["[" + items[0], *("," + item for item in items[1:]), "]\n"]
+
+
+def test_enumeration_refusals_write_nothing(capsys, tmp_path):
+    # every refusal comes before the first byte and before --out is opened
+    target = tmp_path / "out.json"
+    for argv in (["nc-enum", "--n", "0"], ["nck-enum", "--n", "0", "--k", "1"],
+                 ["nck-enum", "--n", "3", "--k", "-1"], ["nc-enum", "--n", "13"]):
+        for out in ([], ["--out", str(target)]):
+            code, text, err = run(capsys, *argv, *out)
+            assert (code, text) == (2, "") and err.startswith(f"error: {argv[0]}: "), argv
+            assert err.count("\n") == 1 and not target.exists(), argv
+
+
+def _cli_env(unbuffered: bool = True) -> dict:
+    """The environment of a CLI subprocess: the package sources on
+    PYTHONPATH, and PYTHONUNBUFFERED set or unset."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(infree.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_broken_pipe_is_one_io_error_line(unbuffered):
+    # the read end is closed before the CLI starts: the failed write or
+    # flush is exit code 3 and one line, with nothing left for the flush at
+    # exit, for a short output and a streamed long one
+    for n in (3, 9):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = subprocess.run([sys.executable, "-m", "infree.cli", "nc-enum", "--n", str(n)],
+                               stdin=subprocess.DEVNULL, stdout=write, stderr=subprocess.PIPE,
+                               env=_cli_env(unbuffered), timeout=60)
+        finally:
+            os.close(write)
+        err = r.stderr.decode()
+        assert r.returncode == 3, (n, err)
+        assert err.startswith("i/o error: nc-enum: ") and err.count("\n") == 1, (n, err)
+        assert "Exception ignored" not in err
+
+
+# Spawns the command after the output path and prints its exit code and its
+# ru_maxrss from wait4.  A child's peak starts at the RSS of the process it
+# was forked from, so the spawning is left to this small interpreter.
+_MEASURE = """import os, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    p = subprocess.Popen(sys.argv[2:], stdin=subprocess.DEVNULL, stdout=out)
+    _, status, usage = os.wait4(p.pid, 0)
+    p.returncode = os.waitstatus_to_exitcode(status)
+print(p.returncode, usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(argv: list, out_path: Path) -> float:
+    """The peak RSS in MB of a CLI run in a fresh interpreter, with its
+    stdout in out_path."""
+    r = subprocess.run([sys.executable, "-c", _MEASURE, str(out_path),
+                        sys.executable, "-m", "infree.cli", *argv],
+                       stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                       env=_cli_env(), timeout=60, check=True)
+    code, maxrss = map(int, r.stdout.split())
+    assert code == 0, argv
+    return maxrss / 1024  # kilobytes on Linux
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+def test_enumeration_memory_does_not_grow_with_the_output(tmp_path):
+    # the enumerations hold one item at a time, so NC(10) and NC^(2)(5), 16,796
+    # and 2,142 items, peak within 3 MB of NC(1)
+    out = tmp_path / "out.json"
+    base = _peak_rss_mb(["nc-enum", "--n", "1"], out)
+    for argv, expected in ((["nc-enum", "--n", "10"], enumerate_nc(10)),
+                           (["nck-enum", "--n", "5", "--k", "2"], enumerate_type_k(5, 2))):
+        peak = _peak_rss_mb(argv, out)
+        assert out.read_bytes() == encode(list(expected)).encode(), argv
+        assert peak <= base + 3, (argv, peak, base)
+
+
 def _witness_size(trunc: int, top: int) -> int:
     """Type-i elements the boxconv witness routes build, i <= top, up to degree trunc."""
     return sum(catalan(m) * fiber_size_formula(m, i)
@@ -92,9 +200,11 @@ def test_enumeration_over_budget_is_refused_up_front(capsys, monkeypatch, tmp_pa
 
     # convolve imports the partition layers' functions when it runs them,
     # so patching their home modules covers the witness routes too
-    monkeypatch.setattr(infree.partitions, "enumerate_nc", refuse)
-    monkeypatch.setattr(infree.typek, "enumerate_type_k", refuse)
-    monkeypatch.setattr(infree.typek, "fiber_over", refuse)
+    # the CLI's lazy scans too
+    for module, name in ((infree.partitions, "enumerate_nc"), (infree.partitions, "_nc_scan"),
+                         (infree.typek, "enumerate_type_k"), (infree.typek, "fiber_over"),
+                         (infree.typek, "_type_k_scan"), (infree.typek, "_fiber_scan")):
+        monkeypatch.setattr(module, name, refuse)
     # a pair of k = 3, trunc 8 series, a few hundred bytes each: the type-k
     # route passes the budget at degree 6, and type b at degree 10
     rng = random.Random(419)
@@ -335,11 +445,14 @@ def test_oversized_output_integer_names_the_verb(capsys, tmp_path):
     lhs = write(tmp_path, "lhs.json", _wide_law(rng, 8))
     rhs = write(tmp_path, "rhs.json", _wide_law(rng, 8))
     digits = sys.get_int_max_str_digits()
+    target = tmp_path / "out.json"
     for verb in ("convolve-mul", "convolve-add"):
-        code, out, err = run(capsys, verb, "--lhs", lhs, "--rhs", rhs)
-        assert (code, out) == (2, "")
-        assert err == f"error: {verb}: the output holds an integer longer than {digits} digits\n"
-        assert "set_int_max_str_digits" not in err
+        for flags in ([], ["--out", str(target)]):
+            code, out, err = run(capsys, verb, "--lhs", lhs, "--rhs", rhs, *flags)
+            assert (code, out) == (2, "")
+            assert err == f"error: {verb}: the output holds an integer longer than {digits} digits\n"
+            assert "set_int_max_str_digits" not in err
+            assert not target.exists()  # the text fails before --out is opened
 
 
 def test_upgrade_over_budget_is_refused_up_front(capsys, monkeypatch, tmp_path):

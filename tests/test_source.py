@@ -220,6 +220,30 @@ def test_one_budget_check_in_the_cli():
     assert strings[0] in list(ast.walk(raises[0]))
 
 
+def test_one_write_path_in_the_cli():
+    # main hands every verb's value to one call of _write, the one function
+    # that writes output, through _encoded, the one that encodes it; so a
+    # handler returns its value, and a streamed list and a whole document
+    # leave by the same path
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    names = {node.name: set(_references(node, None)) for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+
+    def users(*wanted):
+        return {name for name, used in names.items() if used & set(wanted)}
+
+    assert users("write", "writelines", "stdout", "_encoded") == {"_write"}
+    assert users("encode", "encode_items", "dumps") == {"_encoded"}
+    assert users("_write") == {"main"}
+    main = next(node for node in tree.body if getattr(node, "name", None) == "main")
+    assert [node.func.id for node in ast.walk(main) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "_write"] == ["_write"]
+    handlers = [name for name in names if name.startswith("_cmd_")]
+    assert handlers
+    assert users("print", "open", "stdout", "stderr", "write", "writelines", "encode",
+                 "encode_items", "dumps", "_encoded", "_write").isdisjoint(handlers)
+
+
 def _dynamic_code_calls(node: ast.AST, inside: str | None):
     """(function, line) of every call of eval, exec or compile under node,
     with the name of the module-level function that holds it."""
